@@ -18,6 +18,7 @@ from . import catalog, lattices, ratmat, stallings
 from . import commensurations as comm_mod
 from . import geometry, prosystems, solenoid
 from .freewords import Word, identity as word_identity
+from .groups import group
 
 
 class CriterionResult:
@@ -37,23 +38,6 @@ class CriterionResult:
             f"{verdict} criterion {self.number} ({self.name}): {self.detail} "
             f"[{self.elapsed:.2f}s / budget {self.budget:.0f}s]"
         )
-
-
-def _words_up_to(rank, max_len):
-    letters = "abcdefghijklmnopqrstuvwxyz"[:rank]
-    alphabet = letters + letters.upper()
-    out = [""]
-    frontier = [""]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for ch in alphabet:
-                if w and w[-1] != ch and w[-1].lower() == ch.lower():
-                    continue
-                nxt.append(w + ch)
-        out.extend(nxt)
-        frontier = nxt
-    return [Word(rank, w, _reduced=True) for w in out]
 
 
 # -- criterion 1: GL_n(Q) realization ------------------------------------------------
@@ -223,7 +207,7 @@ def criterion_6():
             "Z", 1, g, h, 5
         ):
             return False, "Z right-invariance failed"
-    words = _words_up_to(2, 6)
+    words = [w for layer in group("F", 2).layers(6) for w in layer]
     for _ in range(250):
         g, h, w = rng.choice(words), rng.choice(words), rng.choice(words)
         dgh = float(solenoid.d_pro("F", 2, g, h, 2))
@@ -284,7 +268,7 @@ def criterion_7():
             for i, p in enumerate(sample):
                 for q in sample[i + 1 :]:
                     sv = solenoid.sigma(p, q)
-                    lv = solenoid.leaf_distance("F", p.leaf, q.leaf)
+                    lv = solenoid.leaf_distance(p.leaf, q.leaf)
                     if sv != lv:
                         return False, "component is not isometric to the leaf ball"
     return True, "eps in {0.05, 0.1}: counts match fibers within eps; leaf-ball isometry exact"
@@ -375,7 +359,7 @@ def criterion_10():
 
 
 def criterion_11():
-    elements = [w for w in _words_up_to(2, 4) if w]
+    elements = [w for layer in group("F", 2).layers(4) for w in layer if w]
     for g in elements:
         p = geometry.fixed_point(g)
         iterate = g**30

@@ -18,7 +18,8 @@ from . import acceptance, lattices, prosystems, solenoid, stallings
 from . import commensurations as comm_mod
 from . import geometry
 from .errors import CommsolError, ParseError
-from .freewords import Alphabet, Word, parse_vector, parse_word, serialize, serialize_vector
+from .freewords import Alphabet, parse_word, serialize_vector
+from .groups import group
 
 
 def _read_arg(text: str) -> str:
@@ -31,32 +32,17 @@ def _read_arg(text: str) -> str:
 
 
 def _parse_subgroup_arg(text: str):
+    """(group, subgroup) parsed from a lattice or subgroup-graph text."""
     body = _read_arg(text)
     if body.lstrip().startswith("Z"):
-        return "Z", lattices.parse_lattice(body)
-    return "F", stallings.parse_subgroup(body)
+        lat = lattices.parse_lattice(body)
+        return group("Z", lat.n), lat
+    graph = stallings.parse_subgroup(body)
+    return group("F", graph.k), graph
 
 
 def _parse_comm_arg(text: str):
     return comm_mod.parse_comm(_read_arg(text))
-
-
-def _element(tag: str, rank: int, text: str):
-    if tag == "Z":
-        return parse_vector(text, rank)
-    return parse_word(text, Alphabet(rank))
-
-
-def _serialize_element(e) -> str:
-    if isinstance(e, Word):
-        return serialize(e)
-    return serialize_vector(e)
-
-
-def _emit_subgroup(tag, sub, lines_mode: bool) -> str:
-    if tag == "Z":
-        return lattices.format_lattice_inline(sub) if lines_mode else lattices.format_lattice(sub)
-    return stallings.format_subgroup_inline(sub) if lines_mode else stallings.format_subgroup(sub)
 
 
 def _emit_comm(comm, lines_mode: bool) -> str:
@@ -70,7 +56,7 @@ def _solpoint_line(p) -> str:
     if isinstance(p.leaf, solenoid.EdgePoint):
         leaf = f"{p.leaf.tail or '1'}:{p.leaf.letter}:{p.leaf.t}"
     else:
-        leaf = _serialize_element(p.leaf)
+        leaf = p.group.format_element(p.leaf)
     return f"solpoint {p.tag} {p.rank} N={p.depth} cosets=[{fam}] leaf={leaf}"
 
 
@@ -201,18 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _where_predicate(tag, where: str):
+def _where_predicate(grp, where: str):
     if where == "all":
         return lambda obj: True
     if where == "even":
-        if tag == "Z":
-            return lambda obj: lattices.index(obj) % 2 == 0
-        return lambda obj: stallings.index(obj) % 2 == 0
+        return lambda obj: grp.index(obj) % 2 == 0
     if where.startswith("index:"):
         wanted = {int(x) for x in where[len("index:") :].split(",")}
-        if tag == "Z":
-            return lambda obj: lattices.index(obj) in wanted
-        return lambda obj: stallings.index(obj) in wanted
+        return lambda obj: grp.index(obj) in wanted
     raise ParseError(f"unknown --where value {where!r}")
 
 
@@ -223,44 +205,28 @@ def run(argv) -> int:
     out = []
     verb = args.verb
 
+    grp = group(args.tag, args.rank) if "tag" in args else None
     if verb == "parse":
-        out.append(_serialize_element(_element(args.tag, args.rank, args.element)))
+        out.append(grp.format_element(grp.parse_element(args.element)))
     elif verb == "index":
-        tag, sub = _parse_subgroup_arg(args.subgroup)
-        out.append(str(lattices.index(sub) if tag == "Z" else stallings.index(sub)))
+        grp, sub = _parse_subgroup_arg(args.subgroup)
+        out.append(str(grp.index(sub)))
     elif verb == "intersect":
-        tag1, s1 = _parse_subgroup_arg(args.sub1)
-        tag2, s2 = _parse_subgroup_arg(args.sub2)
-        if tag1 != tag2:
+        grp, s1 = _parse_subgroup_arg(args.sub1)
+        grp2, s2 = _parse_subgroup_arg(args.sub2)
+        if grp.tag != grp2.tag:
             raise ParseError("cannot intersect subgroups of different groups")
-        meet = lattices.intersect(s1, s2) if tag1 == "Z" else stallings.intersect(s1, s2)
-        out.append(_emit_subgroup(tag1, meet, lines_mode))
+        out.append(grp.format(grp.intersect(s1, s2), inline=lines_mode))
     elif verb == "basis":
-        tag, sub = _parse_subgroup_arg(args.subgroup)
-        if tag == "Z":
-            for col in sub.cols:
-                out.append(serialize_vector(col))
-        else:
-            for w in stallings.basis(sub):
-                out.append(serialize(w))
+        grp, sub = _parse_subgroup_arg(args.subgroup)
+        out.extend(grp.format_element(b) for b in grp.basis(sub))
     elif verb == "enumerate":
-        if args.tag == "Z":
-            subs = lattices.enumerate_lattices(args.rank, args.max_index)
-            counts = {}
-            for lat in subs:
-                counts[lattices.index(lat)] = counts.get(lattices.index(lat), 0) + 1
-        else:
-            subs = stallings.enumerate_subgroups(args.rank, args.max_index)
-            counts = {}
-            for g in subs:
-                counts[g.m] = counts.get(g.m, 0) + 1
+        counts = {}
+        for sub in grp.enumerate(args.max_index):
+            counts[grp.index(sub)] = counts.get(grp.index(sub), 0) + 1
         out.append(" ".join(f"{m}:{counts.get(m, 0)}" for m in range(1, args.max_index + 1)))
     elif verb == "kernel":
-        if args.tag == "Z":
-            ker = lattices.profinite_kernel(args.rank, args.max_index)
-        else:
-            ker = stallings.profinite_kernel(args.rank, args.max_index)
-        out.append(_emit_subgroup(args.tag, ker, lines_mode))
+        out.append(grp.format(grp.kernel(args.max_index), inline=lines_mode))
     elif verb == "compose":
         c = comm_mod.compose(_parse_comm_arg(args.comm1), _parse_comm_arg(args.comm2))
         out.append(_emit_comm(c, lines_mode))
@@ -286,7 +252,7 @@ def run(argv) -> int:
     elif verb == "cofinal":
         system = prosystems.build_system(args.tag, args.rank, args.depth)
         subsys, restr, inv = prosystems.cofinal_restrict(
-            system, _where_predicate(args.tag, args.where)
+            system, _where_predicate(grp, args.where)
         )
         out.append(prosystems.format_system(subsys))
         ident_round = prosystems.morphisms_equivalent(
@@ -296,20 +262,20 @@ def run(argv) -> int:
         )
         out.append("isomorphism verified" if ident_round else "round trip FAILED")
     elif verb == "cover":
-        tag, sub = _parse_subgroup_arg(args.subgroup)
-        if tag != "F":
+        grp, sub = _parse_subgroup_arg(args.subgroup)
+        if grp.tag != "F":
             raise ParseError("covers are computed over the rose (F tag)")
         cov = solenoid.cover_of(sub)
         out.append(f"cover sheets={cov.graph.m}")
-        out.append(_emit_subgroup("F", cov.graph, lines_mode))
+        out.append(grp.format(cov.graph, inline=lines_mode))
     elif verb == "lift":
         c = _parse_comm_arg(args.comm)
         if c.tag == "Z":
             c = comm_mod.zn1_to_f1(c)
         target = None
         if args.target:
-            ttag, target = _parse_subgroup_arg(args.target)
-            if ttag != "F":
+            tgrp, target = _parse_subgroup_arg(args.target)
+            if tgrp.tag != "F":
                 raise ParseError("lift target must be an F subgroup")
         gm = solenoid.lift_through_covers(c, target=target)
         out.append(
@@ -319,11 +285,11 @@ def run(argv) -> int:
             w = gm.edge_words[(v, x)]
             out.append(f"edge {v + 1} {'abcdefghijklmnopqrstuvwxyz'[x]} -> {w or '1'}")
     elif verb == "baseleaf":
-        g = _element(args.tag, args.rank, args.element)
+        g = grp.parse_element(args.element)
         out.append(_solpoint_line(solenoid.baseleaf(g, args.depth)))
     elif verb in ("dpro", "sigma"):
-        g = _element(args.tag, args.rank, args.elem1)
-        h = _element(args.tag, args.rank, args.elem2)
+        g = grp.parse_element(args.elem1)
+        h = grp.parse_element(args.elem2)
         if verb == "dpro":
             val = solenoid.d_pro(args.tag, args.rank, g, h, args.depth)
         else:
@@ -332,7 +298,7 @@ def run(argv) -> int:
             )
         out.append(val.render())
     elif verb == "ball":
-        g = _element(args.tag, args.rank, args.element)
+        g = grp.parse_element(args.element)
         p = solenoid.baseleaf(g, args.depth)
         report = solenoid.ball_structure(p, Fraction(args.epsilon))
         out.append(report.render())
@@ -358,11 +324,11 @@ def run(argv) -> int:
     elif verb == "fixpoint":
         if args.tag != "F":
             raise ParseError("boundary points are the F_k instance")
-        g = _element("F", args.rank, args.element)
+        g = grp.parse_element(args.element)
         out.append(geometry.fixed_point(g, args.sign).render())
     elif verb == "baction":
         c = _parse_comm_arg(args.comm)
-        g = _element("F", c.rank, args.element)
+        g = parse_word(args.element, Alphabet(c.rank))
         out.append(geometry.boundary_action(c, geometry.fixed_point(g)).render())
     elif verb == "selftest":
         ok = acceptance.run_all(write=lambda s: print(s))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import lattices, ratmat, stallings
+from . import groups, lattices, ratmat, stallings
 from .errors import ParseError, PreconditionError
 from .freewords import Word, identity as word_identity, _LOWER
 
@@ -52,6 +52,10 @@ class Commensuration:
 
     def __hash__(self):
         return hash((self.tag, self.rank, self.domain, self.matrix, self.images))
+
+    @property
+    def group(self):
+        return groups.group(self.tag, self.rank)
 
     def __repr__(self):
         if self.tag == "Z":
@@ -235,19 +239,21 @@ def preimage_subgroup(comm: Commensuration, sub):
     return out
 
 
-@lru_cache(maxsize=4096)
 def compose(phi: Commensuration, psi: Commensuration) -> Commensuration:
     """[phi] o [psi]: apply psi first, restricted to where the composite is
     defined, psi^-1(image(psi) ∩ domain(phi))."""
-    if phi.tag != psi.tag or phi.rank != psi.rank:
+    return _compose(phi, psi, phi.ambient, psi.ambient)
+
+
+# Commensuration equality ignores the ambient provenance, so the cached
+# functions whose results carry it take it as an explicit key argument.
+@lru_cache(maxsize=4096)
+def _compose(phi, psi, _phi_ambient, _psi_ambient):
+    if (phi.tag, phi.rank) != (psi.tag, psi.rank):
         raise PreconditionError("cannot compose commensurations of different groups")
+    dom = preimage_subgroup(psi, phi.group.intersect(psi.codomain, phi.domain))
     if phi.tag == "Z":
-        meet = lattices.intersect(psi.codomain, phi.domain)
-        dom = _integral_preimage(psi.matrix, meet)
-        mat = ratmat.mul(phi.matrix, psi.matrix)
-        return make_zn(mat, domain=dom)
-    meet = stallings.intersect(psi.codomain, phi.domain)
-    dom = preimage_subgroup(psi, meet)
+        return make_zn(ratmat.mul(phi.matrix, psi.matrix), domain=dom)
     images = [evaluate(phi, evaluate(psi, b)) for b in stallings.basis(dom)]
     ambient = None
     if phi.ambient is not None and psi.ambient is not None:
@@ -267,16 +273,18 @@ def invert(comm: Commensuration) -> Commensuration:
     return _make_fk(comm.codomain, inv_images)
 
 
-@lru_cache(maxsize=4096)
 def restriction(comm: Commensuration, sub) -> Commensuration:
     """Restrict to a finite-index subgroup of the domain (an equivalent
     commensuration)."""
-    if comm.tag == "Z":
-        if not lattices.is_subgroup(sub, comm.domain):
-            raise PreconditionError("restriction target is not inside the domain")
-        return make_zn(comm.matrix, domain=sub)
-    if not stallings.is_subgroup(sub, comm.domain):
+    return _restriction(comm, sub, comm.ambient)
+
+
+@lru_cache(maxsize=4096)
+def _restriction(comm, sub, _ambient):
+    if not comm.group.is_subgroup(sub, comm.domain):
         raise PreconditionError("restriction target is not inside the domain")
+    if comm.tag == "Z":
+        return make_zn(comm.matrix, domain=sub)
     images = [evaluate(comm, b) for b in stallings.basis(sub)]
     return _make_fk(sub, images, ambient=comm.ambient)
 
@@ -285,18 +293,11 @@ def restriction(comm: Commensuration, sub) -> Commensuration:
 def equivalent(phi: Commensuration, psi: Commensuration) -> bool:
     """Equality in Comm(G): agreement on the intersection of the domains
     (complete for Z^n and F_k by the unique root property)."""
-    if phi.tag != psi.tag or phi.rank != psi.rank:
+    if (phi.tag, phi.rank) != (psi.tag, psi.rank):
         return False
-    if phi.tag == "Z":
-        meet = lattices.intersect(phi.domain, psi.domain)
-        return all(
-            ratmat.mul_vec(phi.matrix, c) == ratmat.mul_vec(psi.matrix, c)
-            for c in meet.cols
-        )
-    meet = stallings.intersect(phi.domain, psi.domain)
-    return all(
-        evaluate(phi, b) == evaluate(psi, b) for b in stallings.basis(meet)
-    )
+    grp = phi.group
+    meet = grp.intersect(phi.domain, psi.domain)
+    return all(evaluate(phi, b) == evaluate(psi, b) for b in grp.basis(meet))
 
 
 # -- Z^1 <-> F_1 translation (cycle covers of the circle) --------------------------

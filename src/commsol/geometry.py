@@ -11,49 +11,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from . import commensurations as comm_mod
-from . import lattices, limits, solenoid, stallings
+from . import groups, solenoid, stallings
 from .errors import PreconditionError
-from .freewords import Word, identity as word_identity, _LOWER
-
-
-def word_dist(tag, a, b) -> int:
-    if tag == "Z":
-        return sum(abs(x - y) for x, y in zip(a, b))
-    return len(~a * b)
+from .freewords import Word
 
 
 @lru_cache(maxsize=64)
 def ball_elements(tag: str, rank: int, radius: int):
     """All group elements within `radius` of the identity, sorted by
     (distance, value)."""
-    if tag == "F":
-        limits.guard(
-            (2 * rank) * max(2 * rank - 1, 1) ** max(radius - 1, 0),
-            f"ball_elements(F_{rank}, R={radius})",
-        )
-        letters = _LOWER[:rank] + _LOWER[:rank].upper()
-        out = [""]
-        frontier = [""]
-        for _ in range(radius):
-            nxt = []
-            for w in frontier:
-                for ch in letters:
-                    if w and w[-1] != ch and w[-1].lower() == ch.lower():
-                        continue
-                    nxt.append(w + ch)
-            out.extend(sorted(nxt))
-            frontier = nxt
-        return tuple(Word(rank, w, _reduced=True) for w in out)
-    pts = [
-        p
-        for p in product(range(-radius, radius + 1), repeat=rank)
-        if sum(abs(x) for x in p) <= radius
-    ]
-    pts.sort(key=lambda p: (sum(abs(x) for x in p), p))
-    return tuple(pts)
+    return groups.group(tag, rank).ball(radius)
 
 
 # -- closest-point projection and the baseleaf map ---------------------------------
@@ -63,38 +32,11 @@ def closest_point_project(comm, g):
     """The element of the domain nearest to g in the word metric;
     lexicographically least on ties.  Total (the domain has finite index,
     so the search radius is bounded by the coset diameter)."""
-    if comm.tag == "Z":
-        lat = comm.domain
-        h0 = tuple(a - b for a, b in zip(g, lattices.residue(lat, g)))
-        r0 = word_dist("Z", g, h0)
-        best = h0
-        for delta in product(range(-r0, r0 + 1), repeat=comm.rank):
-            h = tuple(a + d for a, d in zip(g, delta))
-            if lattices.contains(lat, h):
-                d = sum(abs(x) for x in delta)
-                if d < word_dist("Z", g, best) or (
-                    d == word_dist("Z", g, best) and h < best
-                ):
-                    best = h
-        return best
-    graph = comm.domain
-    letters = _LOWER[:comm.rank] + _LOWER[:comm.rank].upper()
-    frontier = [""]
-    for _ in range(graph.m):
-        hits = []
-        for w in frontier:
-            h = g * Word(comm.rank, w, _reduced=True)
-            if stallings.contains(graph, h):
-                hits.append(h)
+    grp = comm.group
+    for layer in grp.layers(grp.projection_radius(comm.domain, g)):
+        hits = [h for h in (grp.mul(g, w) for w in layer) if grp.contains(comm.domain, h)]
         if hits:
-            return min(hits, key=lambda h: h.letters)
-        nxt = []
-        for w in frontier:
-            for ch in letters:
-                if w and w[-1] != ch and w[-1].lower() == ch.lower():
-                    continue
-                nxt.append(w + ch)
-        frontier = nxt
+            return min(hits, key=grp.order_key)
     raise AssertionError("unreachable: projection within the coset diameter")
 
 
@@ -106,10 +48,6 @@ class BaseleafMap:
 
     def __init__(self, comm):
         self.comm = comm
-
-    @property
-    def tag(self):
-        return self.comm.tag
 
     def __call__(self, g):
         return comm_mod.evaluate(self.comm, closest_point_project(self.comm, g))
@@ -150,9 +88,12 @@ class QIEstimate:
 def qi_estimate(m: BaseleafMap, radius: int) -> QIEstimate:
     """Tight empirical constants over all pairs in the R-ball, certified
     by rechecking every pair against the produced (L, C)."""
-    if m.tag == "F" and radius > 10:
-        raise PreconditionError("radius capped at 10 for F_k ball enumeration")
-    elems = ball_elements(m.tag, m.comm.rank, radius)
+    grp = m.comm.group
+    if radius > grp.qi_radius_cap:
+        raise PreconditionError(
+            f"radius capped at {grp.qi_radius_cap} for {grp.tag}_k ball enumeration"
+        )
+    elems = ball_elements(grp.tag, grp.rank, radius)
     images = [m(x) for x in elems]
     up = Fraction(1)
     low = Fraction(1)
@@ -161,8 +102,8 @@ def qi_estimate(m: BaseleafMap, radius: int) -> QIEstimate:
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             pairs += 1
-            d = word_dist(m.tag, elems[i], elems[j])
-            df = word_dist(m.tag, images[i], images[j])
+            d = grp.dist(elems[i], elems[j])
+            df = grp.dist(images[i], images[j])
             if df:
                 up = max(up, Fraction(df, d))
                 low = max(low, Fraction(d, df))
@@ -172,8 +113,8 @@ def qi_estimate(m: BaseleafMap, radius: int) -> QIEstimate:
     C = Fraction(collapse, 1) / L if collapse else Fraction(0)
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            d = word_dist(m.tag, elems[i], elems[j])
-            df = word_dist(m.tag, images[i], images[j])
+            d = grp.dist(elems[i], elems[j])
+            df = grp.dist(images[i], images[j])
             assert df <= L * d + C and Fraction(d) / L - C <= df, "certificate failed"
     return QIEstimate(radius, L, C, up, low, pairs)
 
@@ -215,25 +156,21 @@ class BoundedDistanceReport:
 
 
 def bounded_distance(m1: BaseleafMap, m2: BaseleafMap, radius: int) -> BoundedDistanceReport:
-    if m1.tag != m2.tag or m1.comm.rank != m2.comm.rank:
+    if (m1.comm.tag, m1.comm.rank) != (m2.comm.tag, m2.comm.rank):
         raise PreconditionError("maps live on different groups")
+    grp = m1.comm.group
     eq = comm_mod.equivalent(m1.comm, m2.comm)
-    elems = ball_elements(m1.tag, m1.comm.rank, radius)
     maxima = []
     cur = 0
-    for g in elems:
-        r = word_dist(m1.tag, g, _identity_of(m1.tag, m1.comm.rank))
-        cur = max(cur, word_dist(m1.tag, m1(g), m2(g)))
+    for g in ball_elements(grp.tag, grp.rank, radius):
+        r = grp.dist(g, grp.identity)
+        cur = max(cur, grp.dist(m1(g), m2(g)))
         while len(maxima) <= r:
             maxima.append(cur)
         maxima[r] = cur
     while len(maxima) <= radius:
         maxima.append(cur)
     return BoundedDistanceReport(eq, maxima)
-
-
-def _identity_of(tag, rank):
-    return (0,) * rank if tag == "Z" else word_identity(rank)
 
 
 # -- factorization through the covering lifts -------------------------------------------

@@ -1,0 +1,342 @@
+"""The two group families with their standard base spaces: Z^n over the
+torus (universal cover R^n) and F_k over the rose (universal cover the
+Cayley tree).
+
+`group(tag, rank)` is the one place where a family tag ("Z" or "F") is
+resolved, and `of_element` the one place where an element or leaf point
+is.  A group object carries the element operations, the finite-index
+subgroup operations and the universal-cover leaf operations of its
+family.  Subgroup operations go through the `lattices`/`stallings` module
+attributes at call time, so instrumentation installed there sees them.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+
+from . import lattices, limits, stallings
+from .errors import PreconditionError
+from .freewords import (
+    _LOWER,
+    Alphabet,
+    Word,
+    parse_vector,
+    parse_word,
+    serialize,
+    serialize_vector,
+)
+
+
+class _Group:
+    """What both families share; `subgroups` is the module implementing
+    the family's finite-index subgroups."""
+
+    # the largest ball radius geometry.qi_estimate accepts
+    qi_radius_cap = math.inf
+
+    def contains(self, sub, g) -> bool:
+        return self.subgroups.contains(sub, g)
+
+    def intersect(self, a, b):
+        return self.subgroups.intersect(a, b)
+
+    def is_subgroup(self, inner, outer) -> bool:
+        return self.subgroups.is_subgroup(inner, outer)
+
+    def index(self, sub) -> int:
+        return self.subgroups.index(sub)
+
+    def kernel(self, depth: int):
+        """K_depth: the intersection of all subgroups of index <= depth."""
+        return self.subgroups.profinite_kernel(self.rank, depth)
+
+    def leaf_reach(self, leaf) -> Fraction:
+        """Distance of a leaf point from the base point, rounded up to an
+        integer where it is irrational."""
+        d = self.leaf_distance(leaf, self.identity)
+        return d if isinstance(d, Fraction) else Fraction(int(d) + 1)
+
+    def ball(self, radius):
+        """All elements within `radius` of the identity, sorted by
+        (distance, order key)."""
+        return tuple(
+            h for layer in self.layers(radius) for h in sorted(layer, key=self.order_key)
+        )
+
+
+class Zn(_Group):
+    """Z^n acting on R^n by translations: elements are int tuples, leaf
+    points tuples of Fractions, and the word metric is the l1 norm."""
+
+    tag = "Z"
+    subgroups = lattices
+
+    def __init__(self, n: int):
+        self.rank = n
+        self.identity = (0,) * n
+
+    def mul(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def inv(self, a):
+        return tuple(-x for x in a)
+
+    def dist(self, a, b) -> int:
+        return sum(abs(x - y) for x, y in zip(a, b))
+
+    def order_key(self, g):
+        return g
+
+    def layers(self, radius):
+        """The l1 spheres of radius 0..radius, each in lexicographic order."""
+        for d in range(radius + 1):
+            yield list(_sphere(self.rank, d))
+
+    def path(self, g):
+        """Vertices of the staircase edge path from the identity to g."""
+        cur = [0] * self.rank
+        out = [tuple(cur)]
+        for i, target in enumerate(g):
+            step = 1 if target >= 0 else -1
+            while cur[i] != target:
+                cur[i] += step
+                out.append(tuple(cur))
+        return out
+
+    def parse_element(self, text: str):
+        return parse_vector(text, self.rank)
+
+    def format_element(self, g) -> str:
+        return serialize_vector(g)
+
+    def basis(self, sub):
+        return sub.cols
+
+    def enumerate(self, max_index: int):
+        return lattices.enumerate_lattices(self.rank, max_index)
+
+    def coset(self, sub, g):
+        """Coset label of g: its canonical residue."""
+        return lattices.residue(sub, g)
+
+    # the residue is also the canonical representative
+    coset_rep = coset
+
+    def coset_reps(self, sub):
+        diag = [sub.cols[i][i] for i in range(self.rank)]
+        return [lattices.residue(sub, v) for v in product(*[range(d) for d in diag])]
+
+    def projection_radius(self, sub, g) -> int:
+        """Distance from g to one member of sub (g minus its residue)."""
+        return sum(abs(x) for x in lattices.residue(sub, g))
+
+    def format(self, sub, inline: bool = False) -> str:
+        if inline:
+            return lattices.format_lattice_inline(sub)
+        return lattices.format_lattice(sub)
+
+    def translate(self, g, leaf):
+        return tuple(Fraction(x) + y for x, y in zip(g, leaf))
+
+    def leaf_distance(self, a, b):
+        """Euclidean distance: an exact Fraction in dimension 1, else a float."""
+        diffs = [Fraction(x) - Fraction(y) for x, y in zip(a, b)]
+        if len(diffs) == 1:
+            return abs(diffs[0])
+        return math.sqrt(float(sum(d * d for d in diffs)))
+
+    def split_leaf(self, leaf):
+        """(deck, rest) with leaf = deck + rest and rest in [-1/2, 1/2)^n."""
+        leaf = tuple(Fraction(x) for x in leaf)
+        # nearest integer, ties upward
+        shift = tuple(math.floor(x + Fraction(1, 2)) for x in leaf)
+        return shift, tuple(x - s for x, s in zip(leaf, shift))
+
+    def sigma_translates(self, reach):
+        """Nonzero deck translations that can beat a sigma candidate at
+        leaf distance `reach`."""
+        bound = int(reach) + 2
+        return (g for g in product(range(-bound, bound + 1), repeat=self.rank) if any(g))
+
+
+class Fk(_Group):
+    """F_k acting on its Cayley tree: elements are reduced Words, leaf
+    points are vertices (Words) or EdgePoints, and the word metric is word
+    length."""
+
+    tag = "F"
+    subgroups = stallings
+    qi_radius_cap = 10
+
+    def __init__(self, k: int):
+        self.rank = k
+        self.identity = Word(k, "", _reduced=True)
+        self.letters = _LOWER[:k] + _LOWER[:k].upper()
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return ~a
+
+    def dist(self, a, b) -> int:
+        return len(~a * b)
+
+    def order_key(self, g):
+        return g.letters
+
+    def layers(self, radius):
+        """Reduced words of length 0..radius, one layer per length, in
+        generation order: each word of the previous layer extended by the
+        lowercase letters, then the uppercase ones."""
+        frontier = [""]
+        for r in range(radius + 1):
+            if r:
+                frontier = [
+                    w + ch
+                    for w in frontier
+                    for ch in self.letters
+                    if not w or w[-1] != ch.swapcase()
+                ]
+            yield [Word(self.rank, w, _reduced=True) for w in frontier]
+
+    def ball(self, radius):
+        k = self.rank
+        limits.guard(
+            (2 * k) * max(2 * k - 1, 1) ** max(radius - 1, 0),
+            f"ball_elements(F_{k}, R={radius})",
+        )
+        return super().ball(radius)
+
+    def path(self, g):
+        """Prefixes of g: the vertices of its tree geodesic."""
+        return [Word(g.rank, g.letters[:i], _reduced=True) for i in range(len(g) + 1)]
+
+    def parse_element(self, text: str):
+        return parse_word(text, Alphabet(self.rank))
+
+    def format_element(self, g) -> str:
+        return serialize(g)
+
+    def basis(self, sub):
+        return stallings.basis(sub)
+
+    def enumerate(self, max_index: int):
+        return stallings.enumerate_subgroups(self.rank, max_index)
+
+    def coset(self, sub, g):
+        """Coset label of g: the vertex its path reaches."""
+        return stallings.trace(sub, g)
+
+    def coset_rep(self, sub, g):
+        return Word(self.rank, stallings.tree_words(sub)[stallings.trace(sub, g)], _reduced=True)
+
+    def coset_reps(self, sub):
+        return [Word(self.rank, tw, _reduced=True) for tw in stallings.tree_words(sub)]
+
+    def projection_radius(self, sub, g) -> int:
+        """Every coset of sub has a member within the graph's diameter."""
+        return sub.m - 1
+
+    def format(self, sub, inline: bool = False) -> str:
+        if inline:
+            return stallings.format_subgroup_inline(sub)
+        return stallings.format_subgroup(sub)
+
+    def translate(self, g, leaf):
+        if isinstance(leaf, EdgePoint):
+            return EdgePoint(g * leaf.tail, leaf.letter, leaf.t)
+        return g * leaf
+
+    def leaf_distance(self, a, b) -> Fraction:
+        """Tree metric with unit edges."""
+        if isinstance(a, EdgePoint) and isinstance(b, EdgePoint):
+            if a.tail == b.tail and a.letter == b.letter:
+                return abs(a.t - b.t)
+        if a == b:
+            return Fraction(0)
+        return min(
+            oa + len(~va * vb) + ob for va, oa in _endpoints(a) for vb, ob in _endpoints(b)
+        )
+
+    def split_leaf(self, leaf):
+        """(deck, rest) with leaf = deck . rest and rest at the base vertex
+        or on an edge out of it."""
+        if isinstance(leaf, EdgePoint):
+            return leaf.tail, EdgePoint(self.identity, leaf.letter, leaf.t)
+        return leaf, self.identity
+
+    def sigma_translates(self, reach):
+        """Nontrivial deck translations that can beat a sigma candidate at
+        leaf distance `reach`."""
+        layers = self.layers(int(reach) + 1)
+        next(layers)
+        return (g for layer in layers for g in layer)
+
+
+class EdgePoint:
+    """Interior point of a tree edge: parameter t in (0,1) along the
+    (lowercase) letter edge out of `tail`."""
+
+    __slots__ = ("tail", "letter", "t")
+
+    def __init__(self, tail: Word, letter: str, t: Fraction):
+        if not 0 < t < 1:
+            raise PreconditionError("edge parameter must be in (0,1)")
+        self.tail = tail
+        self.letter = letter
+        self.t = Fraction(t)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, EdgePoint)
+            and (other.tail, other.letter, other.t) == (self.tail, self.letter, self.t)
+        )
+
+    def __hash__(self):
+        return hash((self.tail, self.letter, self.t))
+
+    def __repr__(self):
+        return f"EdgePoint({self.tail}, {self.letter}, {self.t})"
+
+
+def _endpoints(p):
+    """(vertex, offset) pairs bracketing a tree point."""
+    if isinstance(p, EdgePoint):
+        head = p.tail * Word(p.tail.rank, p.letter)
+        return ((p.tail, p.t), (head, 1 - p.t))
+    return ((p, Fraction(0)),)
+
+
+def _sphere(n: int, d: int):
+    """Vectors of Z^n with l1 norm d, in lexicographic order."""
+    if n == 1:
+        yield from ((-d,), (d,)) if d else ((0,),)
+        return
+    for x in range(-d, d + 1):
+        for rest in _sphere(n - 1, d - abs(x)):
+            yield (x,) + rest
+
+
+_FAMILIES = {"Z": Zn, "F": Fk}
+
+
+@lru_cache(maxsize=None)
+def group(tag: str, rank: int) -> _Group:
+    """The group named by a family tag and a rank."""
+    family = _FAMILIES.get(tag)
+    if family is None:
+        raise PreconditionError(f"unknown group tag {tag!r}")
+    return family(rank)
+
+
+def of_element(x) -> _Group:
+    """The group of an element or universal-cover leaf point."""
+    if isinstance(x, EdgePoint):
+        x = x.tail
+    if isinstance(x, Word):
+        return group("F", x.rank)
+    return group("Z", len(x))

@@ -17,65 +17,37 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import commensurations as comm_mod
-from . import lattices, stallings
+from . import groups
 from .errors import PreconditionError
 
 
-def _ops(tag):
-    if tag == "Z":
-        return lattices
-    return stallings
-
-
-@lru_cache(maxsize=4096)
-def _meet(tag, a, b):
-    return _ops(tag).intersect(a, b)
-
-
-def _inline(tag, obj):
-    if tag == "Z":
-        return lattices.format_lattice_inline(obj)
-    return stallings.format_subgroup_inline(obj)
-
-
-def _enumerate(tag, rank, depth):
-    if tag == "Z":
-        return lattices.enumerate_lattices(rank, depth)
-    return stallings.enumerate_subgroups(rank, depth)
-
-
 class TruncatedSystem:
-    """Objects, reverse-inclusion bonds, and recorded pairwise meets; a
-    meet of index beyond the depth is flagged (idx None) but materialized."""
+    """Objects and reverse-inclusion bonds; pairwise meets are computed on
+    demand by meet()."""
 
-    __slots__ = ("tag", "rank", "depth", "objects", "index_of", "bonds", "meets")
+    __slots__ = ("tag", "rank", "depth", "objects", "index_of", "bonds", "group")
 
     def __init__(self, tag, rank, depth, objects):
         self.tag = tag
         self.rank = rank
         self.depth = depth
+        self.group = groups.group(tag, rank)
         self.objects = tuple(objects)
         self.index_of = {obj: i for i, obj in enumerate(self.objects)}
-        ops = _ops(tag)
-        bonds = []
-        for i, big in enumerate(self.objects):
-            for j, small in enumerate(self.objects):
-                if i != j and ops.is_subgroup(small, big):
-                    bonds.append((i, j))
-        self.bonds = tuple(bonds)
-        # bonding maps are inclusions, so they compose automatically;
-        # assert the transitivity that statement rests on
-        bond_set = set(bonds)
-        for i, j in bonds:
-            for j2, l in bonds:
-                if j2 == j:
-                    assert (i, l) in bond_set, "inclusion bonds failed to compose"
-        meets = {}
-        for i in range(len(self.objects)):
-            for j in range(i + 1, len(self.objects)):
-                m = _meet(tag, self.objects[i], self.objects[j])
-                meets[(i, j)] = (m, self.index_of.get(m))
-        self.meets = meets
+        # bonding maps are inclusions, so they compose automatically
+        self.bonds = tuple(
+            (i, j)
+            for i, big in enumerate(self.objects)
+            for j, small in enumerate(self.objects)
+            if i != j and self.group.is_subgroup(small, big)
+        )
+
+    def meet(self, i, j):
+        """(objects[i] ∩ objects[j], its object index); the index is None
+        when the meet has index beyond the depth (it is materialized
+        anyway)."""
+        m = self.group.intersect(self.objects[i], self.objects[j])
+        return m, self.index_of.get(m)
 
     def __eq__(self, other):
         return (
@@ -102,9 +74,8 @@ class TruncatedSystem:
 def build_system(tag: str, rank: int, depth: int) -> TruncatedSystem:
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
-    objects = _enumerate(tag, rank, depth)
-    system = TruncatedSystem(tag, rank, depth, objects)
-    assert _ops(tag).index(system.top) == 1
+    system = TruncatedSystem(tag, rank, depth, groups.group(tag, rank).enumerate(depth))
+    assert system.group.index(system.top) == 1
     return system
 
 
@@ -125,20 +96,20 @@ class SystemMorphism:
         """Assert strict commutation: along every bond, the deeper
         component is the restriction of the shallower one (verified on
         basis elements)."""
-        ops = _ops(self.target.tag)
+        grp = self.target.group
         for i, j in self.target.bonds:
             fi, fj = self.components[i], self.components[j]
-            if not ops.is_subgroup(fj.domain, fi.domain):
+            if not grp.is_subgroup(fj.domain, fi.domain):
                 raise PreconditionError(
                     f"components at bond ({i},{j}) have non-nested sources"
                 )
-            for b in _domain_basis(fj):
+            for b in grp.basis(fj.domain):
                 if comm_mod.evaluate(fi, b) != comm_mod.evaluate(fj, b):
                     raise PreconditionError(
                         f"components at bond ({i},{j}) do not commute strictly"
                     )
         for j, f in enumerate(self.components):
-            if not ops.is_subgroup(f.codomain, self.target.objects[j]):
+            if not grp.is_subgroup(f.codomain, self.target.objects[j]):
                 raise PreconditionError(f"component {j} does not land in its object")
 
     def component_at(self, subgroup):
@@ -154,25 +125,25 @@ class SystemMorphism:
         return f"SystemMorphism({len(self.components)} components, depth {self.target.depth})"
 
 
-def _domain_basis(comm):
-    if comm.tag == "Z":
-        return comm.domain.cols
-    return stallings.basis(comm.domain)
-
-
 def zeta_component(phi, obj):
     """phi restricted to phi^-1(obj ∩ codomain): the component of
     zeta(phi) at the object `obj`."""
-    meet = _meet(phi.tag, obj, phi.codomain)
+    meet = phi.group.intersect(obj, phi.codomain)
     src = comm_mod.preimage_subgroup(phi, meet)
     return comm_mod.restriction(phi, src)
 
 
-@lru_cache(maxsize=512)
 def zeta(phi, depth: int) -> SystemMorphism:
     """Realize a commensuration as a depth-N system endomorphism.  Source
     subgroups deeper than N are materialized and recorded, which keeps the
     commutation exact instead of approximate."""
+    return _zeta(phi, depth, phi.ambient)
+
+
+# the components carry phi's ambient provenance, which phi's equality
+# ignores, so it is part of the cache key
+@lru_cache(maxsize=512)
+def _zeta(phi, depth, _ambient):
     system = build_system(phi.tag, phi.rank, depth)
     components = [zeta_component(phi, obj) for obj in system.objects]
     return SystemMorphism(system, system, components)
@@ -190,8 +161,7 @@ def reconstruct(morphism: SystemMorphism):
     For morphism = zeta(phi, N) this is phi itself (up to equivalence);
     for hand-built morphisms the declared preconditions are diagnosed.
     """
-    ops = _ops(morphism.target.tag)
-    if ops.index(morphism.target.top) != 1:
+    if morphism.target.group.index(morphism.target.top) != 1:
         raise PreconditionError(
             "not a pro-automorphism at this depth: no component at the whole group"
         )
@@ -230,7 +200,7 @@ def cofinal_restrict(system: TruncatedSystem, predicate):
     selected object, or a materialized intersection with one satisfying
     the predicate; otherwise the uncovered object is reported.
     """
-    ops = _ops(system.tag)
+    grp = system.group
     selected = [i for i, obj in enumerate(system.objects) if predicate(obj)]
     if not selected:
         raise PreconditionError("predicate selects no objects")
@@ -238,19 +208,19 @@ def cofinal_restrict(system: TruncatedSystem, predicate):
     for i, obj in enumerate(system.objects):
         cover = None
         for j in selected:
-            if ops.is_subgroup(system.objects[j], obj):
+            if grp.is_subgroup(system.objects[j], obj):
                 cover = system.objects[j]
                 break
         if cover is None:
             for j in selected:
-                meet = _meet(system.tag, obj, system.objects[j])
+                meet = grp.intersect(obj, system.objects[j])
                 if predicate(meet):
                     cover = meet
                     break
         if cover is None:
             raise PreconditionError(
                 f"predicate is not cofinal within depth {system.depth}: "
-                f"object not covered: {_inline(system.tag, obj)}"
+                f"object not covered: {grp.format(obj, inline=True)}"
             )
         covers.append(cover)
     sub = TruncatedSystem(
@@ -270,29 +240,20 @@ def cofinal_restrict(system: TruncatedSystem, predicate):
 
 
 def format_system(system: TruncatedSystem) -> str:
-    ops = _ops(system.tag)
-    lines = []
-    for i, obj in enumerate(system.objects):
-        lines.append(
-            f"idx={i} index={ops.index(obj)} subgroup={_inline(system.tag, obj)}"
-        )
-    for i, j in system.bonds:
-        lines.append(f"bond {i} {j}")
+    grp = system.group
+    lines = [
+        f"idx={i} index={grp.index(obj)} subgroup={grp.format(obj, inline=True)}"
+        for i, obj in enumerate(system.objects)
+    ]
+    lines += [f"bond {i} {j}" for i, j in system.bonds]
     return "\n".join(lines)
 
 
 def format_morphism(m: SystemMorphism) -> str:
-    from .freewords import serialize_vector
-
+    grp = m.target.group
     lines = [format_system(m.target)]
     for j, c in enumerate(m.components):
-        if c.tag == "Z":
-            for col in c.domain.cols:
-                img = comm_mod.evaluate(c, col)
-                lines.append(
-                    f"comp {j}: {serialize_vector(col)} -> {serialize_vector(img)}"
-                )
-        else:
-            for b, img in zip(stallings.basis(c.domain), c.images):
-                lines.append(f"comp {j}: {b} -> {img}")
+        for b in grp.basis(c.domain):
+            img = comm_mod.evaluate(c, b)
+            lines.append(f"comp {j}: {grp.format_element(b)} -> {grp.format_element(img)}")
     return "\n".join(lines)

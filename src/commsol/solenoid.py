@@ -24,9 +24,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import commensurations as comm_mod
-from . import lattices, stallings
+from . import groups, prosystems, stallings
 from .errors import PreconditionError
-from .freewords import Word, identity as word_identity, _LOWER
+from .freewords import Word, identity as word_identity
+from .groups import EdgePoint  # noqa: F401  (leaf points are part of this API)
 
 # -- metric scalars -----------------------------------------------------------
 
@@ -105,49 +106,21 @@ def metric_max(a: MetricValue, b: MetricValue) -> MetricValue:
     return a if float(a) >= float(b) else b
 
 
-# -- group-element dispatch -----------------------------------------------------
-
-
-def _mul(tag, a, b):
-    if tag == "Z":
-        return tuple(x + y for x, y in zip(a, b))
-    return a * b
-
-
-def _inv(tag, a):
-    if tag == "Z":
-        return tuple(-x for x in a)
-    return ~a
-
-
-def _ident(tag, rank):
-    if tag == "Z":
-        return (0,) * rank
-    return word_identity(rank)
-
-
 @lru_cache(maxsize=64)
 def kernel(tag: str, rank: int, depth: int):
     """K_depth: the intersection of all subgroups of index <= depth."""
-    if tag == "Z":
-        return lattices.profinite_kernel(rank, depth)
-    return stallings.profinite_kernel(rank, depth)
-
-
-def _member(tag, sub, elem) -> bool:
-    if tag == "Z":
-        return lattices.contains(sub, elem)
-    return stallings.contains(sub, elem)
+    return groups.group(tag, rank).kernel(depth)
 
 
 def d_pro(tag: str, rank: int, g, h, depth: int) -> MetricValue:
     """exp(-max{n <= depth : g h^-1 in K_n}); zero (flagged as a depth-N
     pseudometric) when the difference lies in K_depth."""
-    diff = _mul(tag, g, _inv(tag, h))
-    if _member(tag, kernel(tag, rank, depth), diff):
+    grp = groups.group(tag, rank)
+    diff = grp.mul(g, grp.inv(h))
+    if grp.contains(kernel(tag, rank, depth), diff):
         return MetricValue.zero(note=f"pseudometric at depth {depth}")
     for n in range(depth - 1, 0, -1):
-        if _member(tag, kernel(tag, rank, n), diff):
+        if grp.contains(kernel(tag, rank, n), diff):
             return MetricValue.exp(n)
     raise AssertionError("unreachable: K_1 is the whole group")
 
@@ -155,94 +128,14 @@ def d_pro(tag: str, rank: int, g, h, depth: int) -> MetricValue:
 # -- leaf coordinates -----------------------------------------------------------
 
 
-class EdgePoint:
-    """Interior point of a tree edge: parameter t in (0,1) along the
-    (lowercase) letter edge out of `tail`."""
-
-    __slots__ = ("tail", "letter", "t")
-
-    def __init__(self, tail: Word, letter: str, t: Fraction):
-        if not 0 < t < 1:
-            raise PreconditionError("edge parameter must be in (0,1)")
-        self.tail = tail
-        self.letter = letter
-        self.t = Fraction(t)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EdgePoint)
-            and (other.tail, other.letter, other.t) == (self.tail, self.letter, self.t)
-        )
-
-    def __hash__(self):
-        return hash((self.tail, self.letter, self.t))
-
-    def __repr__(self):
-        return f"EdgePoint({self.tail}, {self.letter}, {self.t})"
-
-
-def _leaf_translate(tag, g, leaf):
-    if tag == "Z":
-        return tuple(Fraction(x) + y for x, y in zip(g, leaf))
-    if isinstance(leaf, EdgePoint):
-        return EdgePoint(g * leaf.tail, leaf.letter, leaf.t)
-    return g * leaf
-
-
-def leaf_distance(tag, a, b) -> MetricValue:
+def leaf_distance(a, b) -> MetricValue:
     """Distance in the universal cover: tree metric with unit edges, or the
     Euclidean metric on R^n (exact in dimension 1)."""
-    if tag == "Z":
-        diffs = [Fraction(x) - Fraction(y) for x, y in zip(a, b)]
-        if len(diffs) == 1:
-            return MetricValue.of_fraction(abs(diffs[0]))
-        sq = sum(d * d for d in diffs)
-        return MetricValue(approx=math.sqrt(float(sq)))
-    return MetricValue.of_fraction(_tree_distance(a, b))
-
-
-def _endpoints(p):
-    """(vertex, offset) pairs bracketing a tree point."""
-    if isinstance(p, EdgePoint):
-        head = p.tail * Word(p.tail.rank, p.letter)
-        return ((p.tail, p.t), (head, 1 - p.t))
-    return ((p, Fraction(0)),)
-
-
-def _tree_distance(a, b) -> Fraction:
-    if isinstance(a, EdgePoint) and isinstance(b, EdgePoint):
-        if a.tail == b.tail and a.letter == b.letter:
-            return abs(a.t - b.t)
-    if a == b:
-        return Fraction(0)
-    best = None
-    for va, oa in _endpoints(a):
-        for vb, ob in _endpoints(b):
-            d = oa + len(~va * vb) + ob
-            if best is None or d < best:
-                best = d
-    return best
-
-
-def _leaf_base_distance(tag, rank, leaf) -> Fraction:
-    """Distance from the base point, or a cheap upper bound (only used to
-    prune the sigma search)."""
-    if tag == "Z":
-        diffs = [abs(Fraction(x)) for x in leaf]
-        if len(diffs) == 1:
-            return diffs[0]
-        return Fraction(int(math.sqrt(float(sum(d * d for d in diffs)))) + 1)
-    return _tree_distance(leaf, word_identity(rank))
+    d = groups.of_element(a).leaf_distance(a, b)
+    return MetricValue.of_fraction(d) if isinstance(d, Fraction) else MetricValue(approx=d)
 
 
 # -- solenoid points --------------------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def system_objects(tag, rank, depth):
-    from .prosystems import build_system
-
-    return build_system(tag, rank, depth).objects
 
 
 class SolenoidPoint:
@@ -250,40 +143,23 @@ class SolenoidPoint:
     the fundamental neighborhood of the base (exactly the base for vertex
     leaves) and the K_N-coset absorbs the translation."""
 
-    __slots__ = ("tag", "rank", "depth", "fiber", "leaf")
+    __slots__ = ("tag", "rank", "depth", "fiber", "leaf", "group")
 
     def __init__(self, tag, rank, depth, fiber, leaf):
-        ker = kernel(tag, rank, depth)
-        if tag == "Z":
-            leaf = tuple(Fraction(x) for x in leaf)
-            shift = tuple(_round_half_down(x) for x in leaf)
-            fiber = lattices.residue(
-                ker, tuple(int(f) + s for f, s in zip(fiber, shift))
-            )
-            leaf = tuple(x - s for x, s in zip(leaf, shift))
-        else:
-            anchor = leaf.tail if isinstance(leaf, EdgePoint) else leaf
-            rep = _mul(tag, fiber, anchor)
-            v = stallings.trace(ker, rep)
-            fiber = Word(rank, stallings.tree_words(ker)[v])
-            leaf = (
-                EdgePoint(word_identity(rank), leaf.letter, leaf.t)
-                if isinstance(leaf, EdgePoint)
-                else word_identity(rank)
-            )
+        grp = groups.group(tag, rank)
+        deck, leaf = grp.split_leaf(leaf)
         self.tag = tag
         self.rank = rank
         self.depth = depth
-        self.fiber = fiber
+        self.fiber = grp.coset_rep(kernel(tag, rank, depth), grp.mul(fiber, deck))
         self.leaf = leaf
+        self.group = grp
 
     def family(self):
         """Coset of every object of the depth-N system (compatible under
         all bonds by construction)."""
-        objs = system_objects(self.tag, self.rank, self.depth)
-        if self.tag == "Z":
-            return tuple(lattices.residue(obj, self.fiber) for obj in objs)
-        return tuple(stallings.trace(obj, self.fiber) for obj in objs)
+        objs = prosystems.build_system(self.tag, self.rank, self.depth).objects
+        return tuple(self.group.coset(obj, self.fiber) for obj in objs)
 
     def __eq__(self, other):
         return (
@@ -299,42 +175,23 @@ class SolenoidPoint:
         return f"SolenoidPoint(N={self.depth}, fiber={self.fiber}, leaf={self.leaf})"
 
 
-def _round_half_down(x: Fraction) -> int:
-    # nearest integer, ties upward: residue lands in [-1/2, 1/2)
-    return math.floor(x + Fraction(1, 2))
-
-
-def baseleaf(g, depth: int, tag: str = None, rank: int = None) -> SolenoidPoint:
+def baseleaf(g, depth: int) -> SolenoidPoint:
     """Image of the universal-cover point reached by g under the canonical
     baseleaf map, at truncation depth N."""
-    if isinstance(g, Word):
-        tag, rank = "F", g.rank
-        return SolenoidPoint(tag, rank, depth, word_identity(rank), g)
-    tag, rank = "Z", len(g)
-    return SolenoidPoint(tag, rank, depth, (0,) * rank, tuple(Fraction(x) for x in g))
+    grp = groups.of_element(g)
+    return SolenoidPoint(grp.tag, grp.rank, depth, grp.identity, g)
 
 
 def baseleaf_path(g, depth: int):
     """The trace of baseleaf points along the edge path spelling g."""
-    if isinstance(g, Word):
-        prefixes = [Word(g.rank, g.letters[:i], _reduced=True) for i in range(len(g) + 1)]
-        return [baseleaf(p, depth) for p in prefixes]
-    out = []
-    cur = [0] * len(g)
-    out.append(baseleaf(tuple(cur), depth))
-    for i, target in enumerate(g):
-        step = 1 if target >= 0 else -1
-        while cur[i] != target:
-            cur[i] += step
-            out.append(baseleaf(tuple(cur), depth))
-    return out
+    return [baseleaf(p, depth) for p in groups.of_element(g).path(g)]
 
 
 def d_inf(p1: SolenoidPoint, p2: SolenoidPoint) -> MetricValue:
     """Sup product metric on representatives (not the quotient metric)."""
     _check_same_model(p1, p2)
     fiber = d_pro(p1.tag, p1.rank, p1.fiber, p2.fiber, p1.depth)
-    return metric_max(fiber, leaf_distance(p1.tag, p1.leaf, p2.leaf))
+    return metric_max(fiber, leaf_distance(p1.leaf, p2.leaf))
 
 
 def _check_same_model(p1, p2):
@@ -348,54 +205,20 @@ def sigma(p1: SolenoidPoint, p2: SolenoidPoint) -> MetricValue:
     |g| - r1 - r2, so candidates beyond the current best are pruned and
     the search is finite and exact."""
     _check_same_model(p1, p2)
-    tag, rank, depth = p1.tag, p1.rank, p1.depth
+    grp = p1.group
 
     def value(g):
-        fiber2 = _mul(tag, p2.fiber, _inv(tag, g))
-        fiber = d_pro(tag, rank, p1.fiber, fiber2, depth)
-        leaf = leaf_distance(tag, p1.leaf, _leaf_translate(tag, g, p2.leaf))
-        return metric_max(fiber, leaf)
+        fiber2 = grp.mul(p2.fiber, grp.inv(g))
+        fiber = d_pro(p1.tag, p1.rank, p1.fiber, fiber2, p1.depth)
+        return metric_max(fiber, leaf_distance(p1.leaf, grp.translate(g, p2.leaf)))
 
-    best = value(_ident(tag, rank))
-    slack = _leaf_base_distance(tag, rank, p1.leaf) + _leaf_base_distance(
-        tag, rank, p2.leaf
-    )
-    if tag == "F":
-        bound = int(float(best) + float(slack)) + 1
-        for g in _words_of_length_up_to(rank, bound):
-            if g:
-                cand = value(g)
-                if float(cand) < float(best):
-                    best = cand
-    else:
-        bound = int(float(best) + float(slack)) + 2
-        for g in _int_box(rank, bound):
-            if any(g):
-                cand = value(g)
-                if float(cand) < float(best):
-                    best = cand
+    best = value(grp.identity)
+    slack = grp.leaf_reach(p1.leaf) + grp.leaf_reach(p2.leaf)
+    for g in grp.sigma_translates(float(best) + float(slack)):
+        cand = value(g)
+        if float(cand) < float(best):
+            best = cand
     return best
-
-
-def _words_of_length_up_to(rank, bound):
-    letters = _LOWER[:rank] + _LOWER[:rank].upper()
-    frontier = [""]
-    for _ in range(bound):
-        nxt = []
-        for w in frontier:
-            for ch in letters:
-                if w and w[-1] != ch and w[-1].lower() == ch.lower():
-                    continue
-                nxt.append(w + ch)
-        for w in nxt:
-            yield Word(rank, w, _reduced=True)
-        frontier = nxt
-
-
-def _int_box(rank, bound):
-    from itertools import product
-
-    return product(range(-bound, bound + 1), repeat=rank)
 
 
 # -- injectivity radius and ball structure ------------------------------------------
@@ -437,35 +260,20 @@ class BallReport:
 
 def fiber_representatives(tag, rank, depth):
     """Canonical representatives of all K_depth cosets."""
-    ker = kernel(tag, rank, depth)
-    if tag == "Z":
-        from itertools import product
-
-        diag = [ker.cols[i][i] for i in range(rank)]
-        return [
-            lattices.residue(ker, v) for v in product(*[range(d) for d in diag])
-        ]
-    return [Word(rank, tw) for tw in stallings.tree_words(ker)]
+    return groups.group(tag, rank).coset_reps(kernel(tag, rank, depth))
 
 
 def sheet_count(tag, rank, depth) -> int:
-    ker = kernel(tag, rank, depth)
-    return lattices.index(ker) if tag == "Z" else stallings.index(ker)
+    return groups.group(tag, rank).index(kernel(tag, rank, depth))
 
 
 def distinct_fiber_count(tag, rank, depth) -> int:
     """Number of distinct coset families over the depth-N system; equals
     the sheet count exactly because K_N is the intersection of all
     objects."""
-    seen = set()
-    for rep in fiber_representatives(tag, rank, depth):
-        point = (
-            baseleaf(rep, depth)
-            if tag == "F"
-            else baseleaf(tuple(int(x) for x in rep), depth)
-        )
-        seen.add(point.family())
-    return len(seen)
+    return len(
+        {baseleaf(rep, depth).family() for rep in fiber_representatives(tag, rank, depth)}
+    )
 
 
 def ball_structure(p: SolenoidPoint, epsilon, depth=None) -> BallReport:

@@ -221,3 +221,25 @@ def test_ambient_provenance_propagates():
     # ambient provenance must agree with the stored commensuration
     for bw, img in zip(stallings.basis(composed.domain), composed.images):
         assert apply_ambient(composed.ambient, bw) == img
+
+
+def test_cached_results_keep_their_own_provenance():
+    # a parsed map and the same map built from ambient images are equal as
+    # commensurations; cached restriction/compose/zeta must still return
+    # results carrying each one's own provenance, whatever the call order
+    from commsol.prosystems import zeta
+    from commsol.solenoid import lift_through_covers
+
+    parsed = parse_comm("comm F 2 : a -> b ; b -> a")
+    built = from_ambient(2, [W("b"), W("a")])
+    assert parsed == built and parsed.ambient is None and built.ambient is not None
+    expected = {id(parsed): (0, 0), id(built): (0, 1)}
+    for order in ((parsed, built), (built, parsed)):
+        for phi in order:
+            r = restriction(phi, catalog.ker_a())
+            assert r.ambient == phi.ambient
+            assert lift_through_covers(r).vertex_map == expected[id(phi)]
+            c = compose(phi, phi)
+            assert (c.ambient is None) == (phi.ambient is None)
+            z = zeta(phi, 2)
+            assert all(comp.ambient == phi.ambient for comp in z.components)

@@ -17,6 +17,7 @@ from commsol.commensurations import (
     restriction,
 )
 from commsol.freewords import Word, identity as word_identity
+from commsol.groups import group
 from commsol.solenoid import SolenoidPoint, baseleaf, d_pro, kernel, leaf_distance, sigma
 from commsol.stallings import (
     basis,
@@ -100,7 +101,7 @@ def test_sigma_matches_brute_force_fractional_leaves():
 
 
 def test_sigma_matches_brute_force_f2_edge_points():
-    from commsol.solenoid import EdgePoint, _words_of_length_up_to
+    from commsol.solenoid import EdgePoint
 
     rng = random.Random(149)
     reps = [Word(2, w) for w in ("", "a", "b", "ab")]
@@ -114,13 +115,12 @@ def test_sigma_matches_brute_force_f2_edge_points():
 
         p, q = rnd_point(), rnd_point()
         got = float(sigma(p, q))
-        candidates = [word_identity(2)] + list(_words_of_length_up_to(2, 3))
+        candidates = [w for layer in group("F", 2).layers(3) for w in layer]
         brute = min(
             max(
                 float(d_pro("F", 2, p.fiber, q.fiber * ~g, 2)),
                 float(
                     leaf_distance(
-                        "F",
                         p.leaf,
                         q.leaf if not g else _translate(g, q.leaf),
                     )

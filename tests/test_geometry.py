@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from commsol import catalog, stallings
+from commsol import catalog, lattices, stallings
 from commsol.commensurations import (
     compose,
     equivalent,
@@ -28,8 +28,8 @@ from commsol.geometry import (
     factorization_check,
     fixed_point,
     qi_estimate,
-    word_dist,
 )
+from commsol.groups import group
 
 W = lambda s: Word(2, s)
 
@@ -41,7 +41,7 @@ def oracle_project(comm, g):
         hits = []
         for w in ball_elements("F", comm.rank, r):
             h = g * w
-            if word_dist("F", g, h) == r and stallings.contains(comm.domain, h):
+            if group("F", comm.rank).dist(g, h) == r and stallings.contains(comm.domain, h):
                 hits.append(h)
         if hits:
             return min(hits, key=lambda h: h.letters)
@@ -60,6 +60,29 @@ def test_projection_examples_and_oracle():
     for _ in range(40):
         g = W("".join(rng.choice("abAB") for _ in range(rng.randrange(5))))
         assert closest_point_project(phi, g) == oracle_project(phi, g)
+
+
+def test_projection_zn_matches_box_scan():
+    # oracle: scan the whole box of radius r0 = |g - h0| around g, where h0
+    # is g minus its residue, for the least (l1 distance, vector)
+    from itertools import product
+
+    rng = random.Random(103)
+    for _ in range(30):
+        n = rng.choice([2, 3])
+        phi = make_zn(catalog.random_zn_matrix(rng, n))
+        g = tuple(rng.randrange(-6, 7) for _ in range(n))
+        r0 = sum(abs(x) for x in lattices.residue(phi.domain, g))
+        box = (
+            tuple(a + d for a, d in zip(g, delta))
+            for delta in product(range(-r0, r0 + 1), repeat=n)
+        )
+        members = [h for h in box if lattices.contains(phi.domain, h)]
+        want = min(members, key=lambda h: (sum(abs(a - b) for a, b in zip(g, h)), h))
+        assert closest_point_project(phi, g) == want
+    for n, r in ((1, 4), (2, 3), (3, 2)):
+        box = [p for p in product(range(-r, r + 1), repeat=n) if sum(map(abs, p)) <= r]
+        assert list(ball_elements("Z", n, r)) == sorted(box, key=lambda p: (sum(map(abs, p)), p))
 
 
 def test_baseleaf_map_fixes_domain_action():
@@ -128,7 +151,7 @@ def test_bounded_distance_inequivalent_grows():
     m1, m2 = baseleaf_map(cat["swap"]), baseleaf_map(cat["identity"])
     for n in (2, 4, 6):
         g = W("a" * n)
-        assert word_dist("F", m1(g), m2(g)) == 2 * n
+        assert group("F", 2).dist(m1(g), m2(g)) == 2 * n
 
 
 def test_factorization_examples():

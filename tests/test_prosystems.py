@@ -45,12 +45,28 @@ def test_build_system_examples():
 
 def test_system_meets_record_overflow():
     s = build_system("Z", 1, 3)
-    meet, idx = s.meets[(1, 2)]  # 2Z ∩ 3Z = 6Z, beyond depth 3
+    meet, idx = s.meet(1, 2)  # 2Z ∩ 3Z = 6Z, beyond depth 3
     assert meet == lattices.from_generators([(6,)])
     assert idx is None
     s4 = build_system("Z", 1, 6)
-    meet, idx = s4.meets[(1, 2)]
+    meet, idx = s4.meet(1, 2)
     assert idx is not None and s4.objects[idx] == meet
+
+
+@pytest.mark.parametrize(
+    "tag,rank,depth",
+    [("Z", 1, 3), ("Z", 1, 4), ("Z", 1, 6), ("Z", 2, 1), ("Z", 2, 3), ("F", 2, 2), ("F", 2, 3)],
+)
+def test_system_bonds_are_transitive(tag, rank, depth):
+    # the inclusion bonds compose (and so do those of any subsystem), which
+    # lets morphisms store one component per object and check commutation
+    # bond by bond
+    bonds = build_system(tag, rank, depth).bonds
+    bond_set = set(bonds)
+    for i, j in bonds:
+        for j2, l in bonds:
+            if j2 == j:
+                assert (i, l) in bond_set
 
 
 def test_zeta_identity():

@@ -201,7 +201,7 @@ def test_sigma_same_fiber_edge_points_is_leaf_distance():
         p = SolenoidPoint("F", 2, 2, W("ab"), EdgePoint(word_identity(2), "a", t1))
         q = SolenoidPoint("F", 2, 2, W("ab"), EdgePoint(word_identity(2), "a", t2))
         assert sigma(p, q) == MetricValue.of_fraction(abs(t1 - t2))
-        assert leaf_distance("F", p.leaf, q.leaf).exact == abs(t1 - t2)
+        assert leaf_distance(p.leaf, q.leaf).exact == abs(t1 - t2)
 
 
 def test_sigma_symmetry_and_triangle_sampled():

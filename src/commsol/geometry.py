@@ -9,11 +9,13 @@ rationals certified by exhaustive pair checks on the sampled ball.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from . import commensurations as comm_mod
-from . import groups, solenoid, stallings
+from . import groups, limits, solenoid, stallings
 from .errors import PreconditionError
 from .freewords import Word
 
@@ -33,8 +35,9 @@ def closest_point_project(comm, g):
     lexicographically least on ties.  Total (the domain has finite index,
     so the search radius is bounded by the coset diameter)."""
     grp = comm.group
+    lands = grp.lands_in(comm.domain, g)
     for layer in grp.layers(grp.projection_radius(comm.domain, g)):
-        hits = [h for h in (grp.mul(g, w) for w in layer) if grp.contains(comm.domain, h)]
+        hits = [grp.mul(g, w) for w in layer if lands(w)]
         if hits:
             return min(hits, key=grp.order_key)
     raise AssertionError("unreachable: projection within the coset diameter")
@@ -87,36 +90,34 @@ class QIEstimate:
 
 def qi_estimate(m: BaseleafMap, radius: int) -> QIEstimate:
     """Tight empirical constants over all pairs in the R-ball, certified
-    by rechecking every pair against the produced (L, C)."""
+    by rechecking every pair against the produced (L, C).
+
+    A pair's bounds and its inequality depend only on (d(x,y), d(fx,fy)),
+    so one pass tallies the pairs per distance pair, and the constants and
+    the certificate are worked out once per distinct distance pair."""
     grp = m.comm.group
     if radius > grp.qi_radius_cap:
         raise PreconditionError(
             f"radius capped at {grp.qi_radius_cap} for {grp.tag}_k ball enumeration"
         )
+    size = grp.ball_size(radius)
+    limits.guard(size * (size - 1) // 2, f"qi_estimate({grp.tag}_{grp.rank}, R={radius}) pairs")
     elems = ball_elements(grp.tag, grp.rank, radius)
     images = [m(x) for x in elems]
-    up = Fraction(1)
-    low = Fraction(1)
-    collapse = 0
-    pairs = 0
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            pairs += 1
-            d = grp.dist(elems[i], elems[j])
-            df = grp.dist(images[i], images[j])
-            if df:
-                up = max(up, Fraction(df, d))
-                low = max(low, Fraction(d, df))
-            else:
-                collapse = max(collapse, d)
+    dist = grp.dist
+    tally = Counter()
+    for i, (x, fx) in enumerate(zip(elems, images)):
+        tally.update(
+            zip(map(dist, repeat(x), elems[i + 1 :]), map(dist, repeat(fx), images[i + 1 :]))
+        )
+    up = max([Fraction(1)] + [Fraction(df, d) for d, df in tally if df])
+    low = max([Fraction(1)] + [Fraction(d, df) for d, df in tally if df])
+    collapse = max([0] + [d for d, df in tally if not df])
     L = max(up, low)
     C = Fraction(collapse, 1) / L if collapse else Fraction(0)
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            d = grp.dist(elems[i], elems[j])
-            df = grp.dist(images[i], images[j])
-            assert df <= L * d + C and Fraction(d) / L - C <= df, "certificate failed"
-    return QIEstimate(radius, L, C, up, low, pairs)
+    for d, df in tally:
+        assert df <= L * d + C and Fraction(d) / L - C <= df, "certificate failed"
+    return QIEstimate(radius, L, C, up, low, sum(tally.values()))
 
 
 # -- bounded distance ------------------------------------------------------------------

@@ -13,6 +13,7 @@ attributes at call time, so instrumentation installed there sees them.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -79,16 +80,25 @@ class Zn(_Group):
         self.identity = (0,) * n
 
     def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inv(self, a):
         return tuple(-x for x in a)
 
     def dist(self, a, b) -> int:
-        return sum(abs(x - y) for x, y in zip(a, b))
+        return sum(map(abs, map(operator.sub, a, b)))
 
     def order_key(self, g):
         return g
+
+    def lands_in(self, sub, g):
+        """The predicate w -> (g+w in sub)."""
+        return lambda w: lattices.contains(sub, self.mul(g, w))
+
+    def ball_size(self, radius: int) -> int:
+        """Number of elements within l1 distance `radius` of the origin."""
+        n = self.rank
+        return sum(2**j * math.comb(n, j) * math.comb(radius, j) for j in range(n + 1))
 
     def layers(self, radius):
         """The l1 spheres of radius 0..radius, each in lexicographic order."""
@@ -183,10 +193,26 @@ class Fk(_Group):
         return ~a
 
     def dist(self, a, b) -> int:
-        return len(~a * b)
+        """len(~a * b): the letters past the common prefix of a and b."""
+        if a.rank != b.rank:
+            raise PreconditionError(f"alphabet mismatch: rank {a.rank} vs {b.rank}")
+        x, y = a.letters, b.letters
+        n = 0
+        for p, q in zip(x, y):
+            if p != q:
+                break
+            n += 1
+        return len(x) + len(y) - 2 * n
 
     def order_key(self, g):
         return g.letters
+
+    def ball_size(self, radius: int) -> int:
+        """Number of reduced words of length at most `radius`."""
+        k = self.rank
+        if k == 1:
+            return 2 * radius + 1
+        return 1 + 2 * k * ((2 * k - 1) ** radius - 1) // (2 * k - 2)
 
     def layers(self, radius):
         """Reduced words of length 0..radius, one layer per length, in
@@ -210,6 +236,12 @@ class Fk(_Group):
             f"ball_elements(F_{k}, R={radius})",
         )
         return super().ball(radius)
+
+    def lands_in(self, sub, g):
+        """The predicate w -> (g*w in sub), for sub of finite index: g is
+        traced once, and each w from the vertex g reaches."""
+        v = stallings.trace(sub, g)
+        return lambda w: stallings.contains(sub, w, v)
 
     def path(self, g):
         """Prefixes of g: the vertices of its tree geodesic."""

@@ -360,8 +360,11 @@ def trace(graph: SubgroupGraph, word, start: int = 0):
     return v
 
 
-def contains(graph: SubgroupGraph, word) -> bool:
-    return trace(graph, word) == 0
+def contains(graph: SubgroupGraph, word, start: int = 0) -> bool:
+    """True iff `word` read from vertex `start` ends at the base: for
+    start = trace(graph, g), iff g*word is in the subgroup (the graph
+    covering the rose, so that the unreduced g.word traces as g*word)."""
+    return trace(graph, word, start) == 0
 
 
 def index(graph: SubgroupGraph) -> int:
@@ -533,11 +536,22 @@ def substitute(expr, images) -> Word:
     if not images:
         raise PreconditionError("no images to substitute")
     rank = images[0].rank
-    out = Word(rank, "", _reduced=True)
+    out: list[str] = []
     for s in expr:
-        w = images[s - 1] if s > 0 else ~images[-s - 1]
-        out = out * w
-    return out
+        w = images[s - 1] if s > 0 else images[-s - 1]
+        if w.rank != rank:
+            raise PreconditionError(f"alphabet mismatch: rank {rank} vs {w.rank}")
+        letters = w.letters if s > 0 else w.letters[::-1].swapcase()
+        # every image is reduced, so letters cancel only at the junction
+        j = 0
+        while out and j < len(letters) and out[-1] == letters[j].swapcase():
+            out.pop()
+            j += 1
+        out.extend(letters[j:])
+    if len(expr) == 1 and expr[0] > 0:
+        # share the image itself: cached results then hold no copies of it
+        return images[expr[0] - 1]
+    return Word(rank, "".join(out), _reduced=True)
 
 
 # -- enumeration ----------------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commsol.errors import ParseError, PreconditionError
 from commsol.freewords import (
@@ -16,6 +17,7 @@ from commsol.freewords import (
     primitive_root,
     serialize,
 )
+from commsol.groups import group
 
 A2 = Alphabet(2)
 
@@ -65,6 +67,27 @@ def test_concat_examples():
 def test_concat_alphabet_mismatch():
     with pytest.raises(PreconditionError):
         concat(Word(2, "a"), Word(3, "c"))
+
+
+@st.composite
+def word_pairs(draw):
+    k = draw(st.integers(1, 3))
+    letters = "abc"[:k] + "ABC"[:k]
+    u, v = (Word(k, draw(st.text(letters, max_size=10))) for _ in range(2))
+    return u, v
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(word_pairs())
+def test_word_distance_is_length_of_quotient(pair):
+    u, v = pair
+    assert group("F", u.rank).dist(u, v) == len(concat(invert(u), v))
+    assert group("F", u.rank).dist(u, identity(u.rank)) == len(u)
+
+
+def test_word_distance_alphabet_mismatch():
+    with pytest.raises(PreconditionError):
+        group("F", 2).dist(Word(2, "a"), Word(3, "c"))
 
 
 def test_invert_examples():

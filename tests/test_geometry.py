@@ -2,24 +2,28 @@
 factorization, and the boundary fixed-point action."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from commsol import catalog, lattices, stallings
 from commsol.commensurations import (
     compose,
     equivalent,
     evaluate,
+    from_ambient,
     identity_comm,
     inner,
     make_zn,
     restriction,
 )
-from commsol.errors import PreconditionError
+from commsol.errors import InfiniteIndexError, PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity as word_identity
 from commsol.geometry import (
     BaseleafMap,
+    QIEstimate,
     ball_elements,
     baseleaf_map,
     bounded_distance,
@@ -32,6 +36,14 @@ from commsol.geometry import (
 from commsol.groups import group
 
 W = lambda s: Word(2, s)
+
+ORACLE = settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def oracle_project(comm, g):
@@ -85,6 +97,21 @@ def test_projection_zn_matches_box_scan():
         assert list(ball_elements("Z", n, r)) == sorted(box, key=lambda p: (sum(map(abs, p)), p))
 
 
+@settings(ORACLE, max_examples=100)
+@given(st.data())
+def test_projection_matches_oracle_on_random_domains(data):
+    # domains of index up to 8 from random transitive permutation pairs
+    m = data.draw(st.integers(1, 8))
+    perms = [data.draw(st.permutations(range(m))) for _ in range(2)]
+    try:
+        sub = stallings.from_permutations(2, perms)
+    except PreconditionError:
+        assume(False)  # not transitive
+    phi = restriction(identity_comm("F", 2), sub)
+    g = W(data.draw(st.text("abAB", max_size=6)))
+    assert closest_point_project(phi, g) == oracle_project(phi, g)
+
+
 def test_baseleaf_map_fixes_domain_action():
     cat = catalog.f2_catalog()
     for name in ("identity", "swap|ker_a", "ker_a_to_ker_total"):
@@ -106,6 +133,110 @@ def test_qi_estimate_identity_and_doubling():
     assert (ident.L, ident.C) == (Fraction(1), Fraction(0))
     doubling = qi_estimate(baseleaf_map(make_zn([[2]])), 12)
     assert (doubling.L, doubling.C) == (Fraction(2), Fraction(0))
+
+
+def qi_estimate_two_pass(m, radius):
+    """Reference: the pair-by-pair estimate, with the word metric computed
+    as len(~a * b) on F_k and the l1 norm on Z^n."""
+
+    def dist(a, b):
+        if isinstance(a, Word):
+            return len(~a * b)
+        return sum(abs(x - y) for x, y in zip(a, b))
+
+    grp = m.comm.group
+    elems = ball_elements(grp.tag, grp.rank, radius)
+    images = [m(x) for x in elems]
+    up = Fraction(1)
+    low = Fraction(1)
+    collapse = 0
+    pairs = 0
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            pairs += 1
+            d = dist(elems[i], elems[j])
+            df = dist(images[i], images[j])
+            if df:
+                up = max(up, Fraction(df, d))
+                low = max(low, Fraction(d, df))
+            else:
+                collapse = max(collapse, d)
+    L = max(up, low)
+    C = Fraction(collapse, 1) / L if collapse else Fraction(0)
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            d = dist(elems[i], elems[j])
+            df = dist(images[i], images[j])
+            assert df <= L * d + C and Fraction(d) / L - C <= df, "certificate failed"
+    return QIEstimate(radius, L, C, up, low, pairs)
+
+
+def assert_same_estimate(m, radius):
+    got, want = qi_estimate(m, radius), qi_estimate_two_pass(m, radius)
+    fields = ("radius", "L", "C", "upper", "lower", "pairs")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    size = group(m.comm.tag, m.comm.rank).ball_size(radius)
+    assert got.pairs == size * (size - 1) // 2
+
+
+NIELSEN_MOVES = {
+    "x->xy": lambda x, y: (x * y, y),
+    "x->xY": lambda x, y: (x * ~y, y),
+    "x->yx": lambda x, y: (y * x, y),
+    "x->Yx": lambda x, y: (~y * x, y),
+    "x->X": lambda x, y: (~x, y),
+    "swap": lambda x, y: (y, x),
+}
+
+
+@ORACLE
+@given(
+    st.lists(st.sampled_from(sorted(NIELSEN_MOVES)), max_size=4),
+    st.data(),
+    st.integers(0, 4),
+)
+def test_qi_estimate_matches_two_pass_on_nielsen_restrictions(moves, data, radius):
+    x, y = W("a"), W("b")
+    for move in moves:
+        x, y = NIELSEN_MOVES[move](x, y)
+    sub = data.draw(st.sampled_from(stallings.enumerate_subgroups(2, 4)))
+    assert_same_estimate(baseleaf_map(restriction(from_ambient(2, [x, y]), sub)), radius)
+
+
+@ORACLE
+@given(st.data())
+def test_qi_estimate_matches_two_pass_on_zn_maps(data):
+    n = data.draw(st.sampled_from([2, 3]))
+    entries = st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+    matrix, gens = data.draw(entries), data.draw(entries)
+    try:
+        phi = make_zn(matrix, domain=lattices.Lattice(n, [tuple(col) for col in gens]))
+    except (InfiniteIndexError, PreconditionError):
+        assume(False)  # generators of infinite index, or a singular matrix
+    assert_same_estimate(baseleaf_map(phi), data.draw(st.integers(0, 5 if n == 2 else 3)))
+
+
+def test_qi_estimate_matches_two_pass_on_doubling():
+    assert_same_estimate(baseleaf_map(make_zn([[2]])), 12)
+
+
+def test_qi_estimate_refuses_large_balls_early(monkeypatch):
+    monkeypatch.setenv("COMMSOL_MAX_WORK", "1000")
+    for comm, radius, pairs in (
+        (identity_comm("F", 2), 8, 13121 * 13120 // 2),
+        (make_zn([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 6, 377 * 376 // 2),
+    ):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as err:
+            qi_estimate(baseleaf_map(comm), radius)
+        assert time.perf_counter() - t0 < 0.5
+        assert "qi_estimate" in str(err.value)
+        assert f"estimated work {pairs} exceeds cap 1000" in str(err.value)
+    # at the cap the estimate is admitted: F2 at R=2 has 17 elements
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(17 * 16 // 2))
+    assert qi_estimate(baseleaf_map(identity_comm("F", 2)), 2).pairs == 17 * 16 // 2
 
 
 def test_qi_estimate_certified_on_catalog_sample():

@@ -5,6 +5,7 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from commsol.errors import InfiniteIndexError, PreconditionError
 from commsol.freewords import Word, identity
@@ -253,6 +254,44 @@ def test_fold_with_expressions_round_trip():
         assert graph == from_generators(list(gens), 2)
         for bw, expr in zip(basis(graph), exprs):
             assert substitute(expr, list(gens)) == bw
+
+
+ORACLE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@ORACLE
+@given(st.data())
+def test_substitute_matches_repeated_products(data):
+    k = data.draw(st.integers(1, 3))
+    letters = "abc"[:k] + "ABC"[:k]
+    n = data.draw(st.integers(1, 4))
+    images = [Word(k, data.draw(st.text(letters, max_size=6))) for _ in range(n)]
+    expr = data.draw(st.lists(st.integers(-n, n).filter(bool), max_size=12))
+    want = identity(k)
+    for s in expr:
+        want = want * (images[s - 1] if s > 0 else ~images[-s - 1])
+    assert substitute(expr, images) == want
+
+
+def test_substitute_alphabet_mismatch():
+    with pytest.raises(PreconditionError):
+        substitute((1, 2), [Word(2, "a"), Word(3, "c")])
+
+
+@ORACLE
+@given(st.data())
+def test_contains_from_a_vertex_matches_trace(data):
+    m = data.draw(st.integers(1, 6))
+    perms = [data.draw(st.permutations(range(m))) for _ in range(2)]
+    try:
+        sub = from_permutations(2, perms)
+    except PreconditionError:
+        assume(False)  # not transitive
+    g, w = (W(data.draw(st.text("abAB", max_size=8))) for _ in range(2))
+    start = data.draw(st.integers(0, sub.m - 1))
+    assert contains(sub, w, start) == (trace(sub, w, start) == 0)
+    # read from the vertex g reaches, w lands at the base iff g*w does
+    assert contains(sub, w, trace(sub, g)) == contains(sub, g * w)
 
 
 def test_fold_with_expressions_rejects_non_basis():

@@ -160,6 +160,13 @@ def bounded_distance(m1: BaseleafMap, m2: BaseleafMap, radius: int) -> BoundedDi
     if (m1.comm.tag, m1.comm.rank) != (m2.comm.tag, m2.comm.rank):
         raise PreconditionError("maps live on different groups")
     grp = m1.comm.group
+    # per element: two projections, each probing at most the ball of its
+    # domain's projection bound, and two evaluations of length about R
+    probes = sum(grp.ball_size(grp.projection_bound(m.comm.domain)) for m in (m1, m2))
+    limits.guard(
+        grp.ball_size(radius) * radius * probes,
+        f"bounded_distance({grp.tag}_{grp.rank}, R={radius})",
+    )
     eq = comm_mod.equivalent(m1.comm, m2.comm)
     maxima = []
     cur = 0

@@ -137,11 +137,18 @@ class Zn(_Group):
 
     def coset_reps(self, sub):
         diag = [sub.cols[i][i] for i in range(self.rank)]
+        index = math.prod(diag)
+        limits.guard(index * self.rank**2, f"coset_reps(Z^{self.rank}, index {index})")
         return [lattices.residue(sub, v) for v in product(*[range(d) for d in diag])]
 
     def projection_radius(self, sub, g) -> int:
         """Distance from g to one member of sub (g minus its residue)."""
         return sum(abs(x) for x in lattices.residue(sub, g))
+
+    def projection_bound(self, sub) -> int:
+        """A bound on the distance from any element to sub: residues lie
+        in the box [0, diag)."""
+        return sum(sub.cols[i][i] - 1 for i in range(self.rank))
 
     def format(self, sub, inline: bool = False) -> str:
         if inline:
@@ -272,6 +279,11 @@ class Fk(_Group):
     def projection_radius(self, sub, g) -> int:
         """Every coset of sub has a member within the graph's diameter."""
         return sub.m - 1
+
+    def projection_bound(self, sub) -> int:
+        """The largest distance from an element to sub: the depth of the
+        canonical BFS tree of its graph (its longest tree word)."""
+        return max(map(len, stallings.tree_words(sub)))
 
     def format(self, sub, inline: bool = False) -> str:
         if inline:

@@ -9,7 +9,9 @@ rose); then index = vertex count.
 The canonical form relabels vertices by breadth-first search from the base,
 exploring, for each letter in order, first the outgoing then the incoming
 edge.  Based isomorphism of covers is subgroup equality, so equal subgroups
-have identical stored arrays.
+have identical stored arrays.  The low-index search of
+`enumerate_subgroups` fills coset tables in this same scan order, so it
+emits tables already in canonical form.
 
 Folding is implemented with a weighted union-find.  The weights are words
 over an auxiliary alphabet (one symbol per input generator), which lets the
@@ -557,33 +559,70 @@ def substitute(expr, images) -> Word:
 # -- enumeration ----------------------------------------------------------------
 
 
+def _hall_counts(k: int, max_index: int) -> list[int]:
+    """a_1..a_N: the number of subgroups of F_k of each index (M. Hall,
+    1949: a_n = n (n!)^(k-1) - sum_{i<n} ((n-i)!)^(k-1) a_i)."""
+    fact = [1]
+    for n in range(1, max_index + 1):
+        fact.append(fact[-1] * n)
+    a = [0]
+    for n in range(1, max_index + 1):
+        a.append(
+            n * fact[n] ** (k - 1) - sum(fact[n - i] ** (k - 1) * a[i] for i in range(1, n))
+        )
+    return a[1:]
+
+
 def enumerate_subgroups(k: int, max_index: int) -> list[SubgroupGraph]:
     """All subgroups of F_k of index <= max_index, canonically sorted.
 
-    Realized by enumerating k-tuples of permutations with transitive joint
-    action and deduplicating by the canonical based relabeling.
+    Sims' low-index search (C. C. Sims, Computation with Finitely Presented
+    Groups, 1994, ch. 5): a backtracking search fills the coset table one
+    slot at a time, always the first empty slot in the BFS scan order of
+    `_canonicalize`, with an existing vertex whose opposite slot is free
+    or with the next new vertex.  Every table it completes is transitive,
+    already canonically labeled and met once, so nothing is deduplicated.
+    The guard estimate, from Hall's counts, is made before the search.
     """
-    from itertools import permutations, product
-
     if k < 1 or max_index < 1:
         raise PreconditionError("need k >= 1 and max_index >= 1")
-    work = 0
-    fact = 1
-    for m in range(1, max_index + 1):
-        fact *= m
-        work += fact**k * m
+    work = sum(m * a for m, a in enumerate(_hall_counts(k, max_index), 1)) * max(k - 1, 1)
     limits.guard(work, f"enumerate_subgroups(k={k}, N={max_index})")
+    fwd = [[-1] * max_index for _ in range(k)]
+    bwd = [[-1] * max_index for _ in range(k)]
     out = []
-    for m in range(1, max_index + 1):
-        seen = set()
-        perms_m = list(permutations(range(m)))
-        for tup in product(perms_m, repeat=k):
-            if not _is_transitive(tup, m):
-                continue
-            g = from_permutations(k, tup)
-            if g not in seen:
-                seen.add(g)
-                out.append(g)
+
+    def search(slot: int, m: int):
+        # slot 2(kv + x) is fwd[x][v], slot 2(kv + x) + 1 is bwd[x][v]
+        end = 2 * k * m
+        while slot < end:
+            v, rest = divmod(slot, 2 * k)
+            x, back = divmod(rest, 2)
+            here, there = (bwd[x], fwd[x]) if back else (fwd[x], bwd[x])
+            if here[v] == -1:
+                break
+            slot += 1
+        else:
+            out.append(
+                SubgroupGraph(
+                    k,
+                    m,
+                    tuple(tuple(r[:m]) for r in fwd),
+                    tuple(tuple(r[:m]) for r in bwd),
+                    True,
+                )
+            )
+            return
+        # t == m opens the next new vertex, whose slots are all empty
+        for t in range(m + (m < max_index)):
+            if there[t] == -1:
+                here[v] = t
+                there[t] = v
+                search(slot + 1, max(m, t + 1))
+                there[t] = -1
+        here[v] = -1
+
+    search(0, 1)
     out.sort(key=SubgroupGraph.sort_key)
     return out
 

@@ -43,6 +43,16 @@ def test_basis_and_enumerate(capsys):
     assert code == 0 and out == "1:1 2:1 3:1 4:1"
 
 
+def test_enumerate_low_index_and_guard(capsys, monkeypatch):
+    monkeypatch.delenv("COMMSOL_MAX_WORK", raising=False)
+    code, out = cli(capsys, "enumerate", "F", "2", "--max-index", "7")
+    assert code == 0 and out == "1:1 2:3 3:13 4:71 5:461 6:3447 7:29093"
+    code = main(["enumerate", "F", "2", "--max-index", "9"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "enumerate_subgroups(k=2, N=9): estimated work 27877637 exceeds cap 20000000" in err
+
+
 def test_kernel_verb(capsys):
     code, out = cli(capsys, "kernel", "Z", "1", "--max-index", "4")
     assert code == 0 and lattices.parse_lattice(out).cols == ((12,),)

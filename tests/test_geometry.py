@@ -239,6 +239,50 @@ def test_qi_estimate_refuses_large_balls_early(monkeypatch):
     assert qi_estimate(baseleaf_map(identity_comm("F", 2)), 2).pairs == 17 * 16 // 2
 
 
+def test_projection_bound_covers_every_projection():
+    # F_k: the largest distance from an element to the subgroup, found by
+    # projecting a ball that meets every coset; Z^n: an upper bound on it
+    f2 = group("F", 2)
+    for sub in stallings.enumerate_subgroups(2, 4):
+        phi = restriction(identity_comm("F", 2), sub)
+        worst = max(f2.dist(g, closest_point_project(phi, g)) for g in ball_elements("F", 2, 3))
+        assert f2.projection_bound(sub) == worst
+    z2 = group("Z", 2)
+    for sub in lattices.enumerate_lattices(2, 6):
+        phi = make_zn([[1, 0], [0, 1]], sub)
+        worst = max(z2.dist(g, closest_point_project(phi, g)) for g in z2.coset_reps(sub))
+        assert z2.projection_bound(sub) >= worst
+
+
+def test_bounded_distance_refuses_large_balls_early(monkeypatch):
+    monkeypatch.delenv("COMMSOL_MAX_WORK", raising=False)
+    cat = catalog.f2_catalog()
+    shift, half = baseleaf_map(cat["shift"]), baseleaf_map(cat["shift|ker_a"])
+    # 1,062,881 elements, each costing 12 * (1 + 5): projections onto
+    # domains of index 1 and 2 probe balls of radius 0 and 1
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        bounded_distance(shift, half, 12)
+    assert time.perf_counter() - t0 < 0.5
+    assert "bounded_distance(F_2, R=12)" in str(err.value)
+    assert "estimated work 76527432 exceeds cap 20000000" in str(err.value)
+    # admitted exactly at the cap: 17 elements at R=2, each costing 2 * 6
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(17 * 2 * 6))
+    assert bounded_distance(shift, half, 2).equivalent
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(17 * 2 * 6 - 1))
+    with pytest.raises(ResourceLimitError):
+        bounded_distance(shift, half, 2)
+    # on Z^n the projection bound is the residue box: (2-1) + (3-1)
+    sub = lattices.from_generators([(2, 0), (0, 3)], 2)
+    m = baseleaf_map(make_zn([[1, 0], [0, 1]], sub))
+    grp = group("Z", 2)
+    cost = grp.ball_size(3) * 3 * 2 * grp.ball_size(3)
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(cost - 1))
+    with pytest.raises(ResourceLimitError) as err:
+        bounded_distance(m, m, 3)
+    assert f"estimated work {cost} exceeds" in str(err.value)
+
+
 def test_qi_estimate_certified_on_catalog_sample():
     cat = catalog.f2_catalog()
     est = qi_estimate(baseleaf_map(cat["swap|ker_a"]), 4)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from commsol.commensurations import (
     restriction,
     zn1_to_f1,
 )
-from commsol.errors import PreconditionError
+from commsol.errors import PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity as word_identity
 from commsol.solenoid import (
     EdgePoint,
@@ -300,3 +301,21 @@ def test_zn1_to_f1_lift_round_trip():
     a = Word(1, "a")
     assert gm.apply_to_path(a) == a**2
     assert gm.src.m == 1 and gm.dst.m == 2
+
+
+def test_zn_coset_enumeration_is_guarded(monkeypatch):
+    monkeypatch.delenv("COMMSOL_MAX_WORK", raising=False)
+    # K_10 of Z^2 is 2520 Z^2: 6,350,400 cosets at n^2 = 4 each
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        fiber_representatives("Z", 2, 10)
+    assert time.perf_counter() - t0 < 0.5
+    assert "coset_reps(Z^2, index 6350400)" in str(err.value)
+    assert "estimated work 25401600 exceeds cap 20000000" in str(err.value)
+    # the sheet count needs no cosets
+    assert sheet_count("Z", 2, 10) == 2520**2
+    assert len(fiber_representatives("Z", 1, 5)) == 60
+    assert len(fiber_representatives("Z", 2, 2)) == 4
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(4 * 4 - 1))
+    with pytest.raises(ResourceLimitError):
+        fiber_representatives("Z", 2, 2)

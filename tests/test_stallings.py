@@ -2,12 +2,14 @@
 brute force and Hall's recursion."""
 
 import random
+import time
 from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from commsol.errors import InfiniteIndexError, PreconditionError
+from commsol import stallings
+from commsol.errors import InfiniteIndexError, PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity
 from commsol.stallings import (
     SubgroupGraph,
@@ -183,6 +185,65 @@ def test_enumerate_matches_hall_at_index_4():
     subs = enumerate_subgroups(2, 4)
     count4 = sum(1 for g in subs if g.m == 4)
     assert count4 == hall_counts(2, 4)[4]
+
+
+def enumerate_by_permutation_tuples(k, max_index):
+    """Oracle: the permutation-tuple brute force the low-index search
+    replaced (every transitive k-tuple, canonicalized, deduplicated)."""
+    out = []
+    for m in range(1, max_index + 1):
+        seen = set()
+        for tup in product(list(permutations(range(m))), repeat=k):
+            if not stallings._is_transitive(tup, m):
+                continue
+            g = from_permutations(k, tup)
+            if g not in seen:
+                seen.add(g)
+                out.append(g)
+    out.sort(key=SubgroupGraph.sort_key)
+    return out
+
+
+@pytest.mark.parametrize("k,max_index", [(1, 6), (2, 4), (2, 5), (3, 3)])
+def test_enumerate_matches_permutation_brute_force(k, max_index):
+    fast = enumerate_subgroups(k, max_index)
+    slow = enumerate_by_permutation_tuples(k, max_index)
+    assert [(g.k, g.m, g.fwd, g.bwd, g.complete) for g in fast] == [
+        (g.k, g.m, g.fwd, g.bwd, g.complete) for g in slow
+    ]
+
+
+@pytest.mark.parametrize(
+    "k,counts", [(2, [1, 3, 13, 71, 461, 3447, 29093]), (3, [1, 7, 97, 2143]), (4, [1, 15, 625])]
+)
+def test_enumerate_counts_match_hall(k, counts):
+    top = len(counts)
+    assert [hall_counts(k, top)[m] for m in range(1, top + 1)] == counts
+    subs = enumerate_subgroups(k, top)
+    assert [sum(1 for g in subs if g.m == m) for m in range(1, top + 1)] == counts
+    assert len(set(subs)) == len(subs)
+    assert all(g.complete and g.k == k for g in subs)
+
+
+def test_enumerate_guard_refuses_from_hall_counts(monkeypatch):
+    monkeypatch.delenv("COMMSOL_MAX_WORK", raising=False)
+    # sum over m <= N of m * a_m(k), times max(k - 1, 1)
+    for k, max_index, estimate in ((2, 9, 27877637), (3, 6, 36839322)):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as err:
+            enumerate_subgroups(k, max_index)
+        assert time.perf_counter() - t0 < 0.5
+        assert f"enumerate_subgroups(k={k}, N={max_index})" in str(err.value)
+        assert f"estimated work {estimate} exceeds cap 20000000" in str(err.value)
+    # admitted exactly at the cap: F2 to index 2 is 1*1 + 2*3
+    monkeypatch.setenv("COMMSOL_MAX_WORK", "7")
+    assert len(enumerate_subgroups(2, 2)) == 4
+    monkeypatch.setenv("COMMSOL_MAX_WORK", "6")
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        enumerate_subgroups(2, 2)
+    assert time.perf_counter() - t0 < 0.5
+    assert "estimated work 7 exceeds cap 6" in str(err.value)
 
 
 def test_profinite_kernel_examples():

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import groups, lattices, ratmat, stallings
+from . import groups, lattices, limits, ratmat, stallings
 from .errors import ParseError, PreconditionError
 from .freewords import Word, identity as word_identity, _LOWER
 
@@ -201,42 +201,59 @@ def evaluate(comm: Commensuration, elem):
 @lru_cache(maxsize=4096)
 def preimage_subgroup(comm: Commensuration, sub):
     """The subgroup comm^-1(sub) of the domain, for sub a finite-index
-    subgroup of the codomain."""
+    subgroup of the codomain.
+
+    On F_k the preimage's graph is the coset-action graph of F_k on pairs
+    (coset of the domain, coset of sub) (J. Stallings, Topology of finite
+    graphs, 1983), found by one search from the base pair and canonically
+    labeled; no word is built or folded.  The search is guarded by the
+    number of pairs times k.
+    """
     if comm.tag == "Z":
         return _integral_preimage(comm.matrix, sub)
-    # Coset action: the domain acts on the cosets of `sub` by tracing images;
-    # the stabilizer of the base coset is the preimage, generated by its
-    # Schreier generators.
-    dom_basis = stallings.basis(comm.domain)
-    moves = comm.images
-    inv_moves = [~w for w in moves]
-    orbit = {0: 0}
-    order = [0]
-    tree_words = [word_identity(comm.rank)]
-    parent_edge = {}
-    schreier = []
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for i in range(len(moves)):
-            for w, forward in ((moves[i], True), (inv_moves[i], False)):
-                t = stallings.trace(sub, w, v)
-                if t not in orbit:
-                    orbit[t] = len(order)
-                    order.append(t)
-                    step = dom_basis[i] if forward else ~dom_basis[i]
-                    tree_words.append(tree_words[orbit[v]] * step)
-    for v in order:
-        for i in range(len(moves)):
-            t = stallings.trace(sub, moves[i], v)
-            gen = tree_words[orbit[v]] * dom_basis[i] * ~tree_words[orbit[t]]
-            if gen:
-                schreier.append(gen)
-    out = stallings.from_generators(schreier, comm.rank)
-    if not out.complete:
-        raise PreconditionError("preimage is not of finite index (unexpected)")
-    return out
+    k, dom = comm.rank, comm.domain
+    if sub.k != k or not sub.complete:
+        raise PreconditionError("preimage_subgroup needs a finite-index subgroup of F_k")
+    ms = sub.m
+    limits.guard(
+        dom.m * ms * k,
+        f"preimage_subgroup(domain index {dom.m}, subgroup index {ms}, k={k})",
+    )
+    # The cover of comm^-1(sub) is the coset action of F_k on pairs (v, c),
+    # v a vertex of the domain graph and c a coset of sub, from (0, 0): a
+    # letter moves v along its edge and, on the nontree edge of basis
+    # element i, moves c by the permutation that images[i] induces on the
+    # cosets of sub (tree edges leave c in place).  A pair is stored as
+    # v * ms + c.
+    perms = [[stallings.trace(sub, w, c) for c in range(ms)] for w in comm.images]
+    inverses = []
+    for p in perms:
+        q = [0] * ms
+        for c, t in enumerate(p):
+            q[t] = c
+        inverses.append(q)
+    nontree = stallings._tree_data(dom).nontree_index
+    out_maps, in_maps = {}, {}
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        if node in out_maps:
+            continue
+        v, c = divmod(node, ms)
+        omap, imap = {}, {}
+        for x in range(k):
+            t = dom.fwd[x][v]
+            i = nontree.get((v, x))
+            omap[x] = (t * ms + (c if i is None else perms[i][c]), ())
+            s = dom.bwd[x][v]
+            i = nontree.get((s, x))
+            imap[x] = (s * ms + (c if i is None else inverses[i][c]), ())
+            for nxt in (omap[x][0], imap[x][0]):
+                if nxt not in out_maps:
+                    stack.append(nxt)
+        out_maps[node] = omap
+        in_maps[node] = imap
+    return stallings._canonicalize(k, 0, out_maps, in_maps)
 
 
 def compose(phi: Commensuration, psi: Commensuration) -> Commensuration:
@@ -287,6 +304,32 @@ def _restriction(comm, sub, _ambient):
         return make_zn(comm.matrix, domain=sub)
     images = [evaluate(comm, b) for b in stallings.basis(sub)]
     return _make_fk(sub, images, ambient=comm.ambient)
+
+
+def restriction_onto(comm: Commensuration, target) -> Commensuration:
+    """Restrict to comm^-1(target), for target a finite-index subgroup of
+    the codomain: an equivalent commensuration onto target."""
+    return _restriction_onto(comm, target, comm.ambient)
+
+
+@lru_cache(maxsize=4096)
+def _restriction_onto(comm, target, _ambient):
+    src = preimage_subgroup(comm, target)
+    if comm.tag == "Z":
+        return make_zn(comm.matrix, domain=src)
+    images = tuple(evaluate(comm, b) for b in stallings.basis(src))
+    # Instead of folding the images: they lie in target iff comm(src) does,
+    # and comm maps the domain H onto the codomain K injectively, so
+    # [K : comm(src)] = [H : src]; comm(src) is then target exactly when
+    # [K : target] = [H : src] as well.
+    if not all(stallings.contains(target, w) for w in images):
+        raise PreconditionError("restriction_onto: an image leaves the target")
+    if target.m * comm.domain.m != comm.codomain.m * src.m:
+        raise PreconditionError(
+            f"restriction_onto: the target (index {target.m}) is not the image "
+            f"of the preimage (index {src.m}) inside the codomain"
+        )
+    return Commensuration("F", comm.rank, src, target, images=images, ambient=comm.ambient)
 
 
 @lru_cache(maxsize=4096)

@@ -7,9 +7,12 @@ each a commensuration from a materialized source subgroup (which may have
 index beyond N: truncation overflow is recorded, not an error).
 
 zeta realizes a commensuration phi: H -> K as a system endomorphism: the
-component at an object G is phi restricted to phi^-1(G ∩ K).  reconstruct
-reads the commensuration back off the component at the top object (the
-whole group), where the component is phi itself.
+component at an object G is phi restricted to phi^-1(G ∩ K), which phi maps
+onto G ∩ K.  So a component is built with its codomain known
+(commensurations.restriction_onto): on F_k the preimage is the cover of a
+coset action and the images are checked against G ∩ K, and no word is
+folded.  reconstruct reads the commensuration back off the component at the
+top object (the whole group), where the component is phi itself.
 """
 
 from __future__ import annotations
@@ -128,9 +131,7 @@ class SystemMorphism:
 def zeta_component(phi, obj):
     """phi restricted to phi^-1(obj ∩ codomain): the component of
     zeta(phi) at the object `obj`."""
-    meet = phi.group.intersect(obj, phi.codomain)
-    src = comm_mod.preimage_subgroup(phi, meet)
-    return comm_mod.restriction(phi, src)
+    return comm_mod.restriction_onto(phi, phi.group.intersect(obj, phi.codomain))
 
 
 def zeta(phi, depth: int) -> SystemMorphism:

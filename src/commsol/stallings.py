@@ -73,6 +73,11 @@ class _Folder:
         while self.parent[v] != v:
             path.append(v)
             v = self.parent[v]
+        if not self.track:
+            # untracked weights are all (): compress without building words
+            for u in path:
+                self.parent[u] = v
+            return v, ()
         p = ()
         for u in reversed(path):
             p = _dec_mul(p, self.weight[u])

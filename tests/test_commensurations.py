@@ -5,11 +5,12 @@ test_acceptance; here the examples and edge cases are pinned.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from commsol import catalog, lattices, ratmat, stallings
+from commsol import catalog, commensurations, lattices, ratmat, stallings
 from commsol.commensurations import (
     apply_ambient,
     compose,
@@ -27,11 +28,13 @@ from commsol.commensurations import (
     parse_comm,
     preimage_subgroup,
     restriction,
+    restriction_onto,
     to_matrix,
     zn1_to_f1,
 )
-from commsol.errors import PreconditionError
-from commsol.freewords import Word
+from commsol.errors import PreconditionError, ResourceLimitError
+from commsol.freewords import Word, identity as word_identity
+from commsol.prosystems import build_system, zeta_component
 
 W = lambda s: Word(2, s)
 F = Fraction
@@ -176,6 +179,138 @@ def test_preimage_subgroup_f2():
     # and phi(preimage) is exactly the subgroup (within the codomain)
     for b in stallings.basis(pre):
         assert stallings.contains(ka, evaluate(shift, b))
+
+
+def preimage_by_schreier_fold(comm, sub):
+    """The former preimage_subgroup on F_k: fold the Schreier generators of
+    the stabilizer of the base coset of `sub` under the domain's action."""
+    dom_basis = stallings.basis(comm.domain)
+    moves = comm.images
+    inv_moves = [~w for w in moves]
+    orbit = {0: 0}
+    order = [0]
+    tree_words = [word_identity(comm.rank)]
+    qi = 0
+    while qi < len(order):
+        v = order[qi]
+        qi += 1
+        for i in range(len(moves)):
+            for w, forward in ((moves[i], True), (inv_moves[i], False)):
+                t = stallings.trace(sub, w, v)
+                if t not in orbit:
+                    orbit[t] = len(order)
+                    order.append(t)
+                    step = dom_basis[i] if forward else ~dom_basis[i]
+                    tree_words.append(tree_words[orbit[v]] * step)
+    schreier = []
+    for v in order:
+        for i in range(len(moves)):
+            t = stallings.trace(sub, moves[i], v)
+            gen = tree_words[orbit[v]] * dom_basis[i] * ~tree_words[orbit[t]]
+            if gen:
+                schreier.append(gen)
+    return stallings.from_generators(schreier, comm.rank)
+
+
+def assert_preimage_matches_fold(comm, sub):
+    got, want = preimage_subgroup(comm, sub), preimage_by_schreier_fold(comm, sub)
+    assert (got.m, got.fwd, got.bwd) == (want.m, want.fwd, want.bwd)
+    assert got.complete
+
+
+def test_preimage_matches_schreier_fold_on_catalog():
+    subs = stallings.enumerate_subgroups(2, 4)
+    for phi in catalog.f2_catalog().values():
+        for sub in subs:
+            assert_preimage_matches_fold(phi, stallings.intersect(sub, phi.codomain))
+
+
+def test_preimage_matches_schreier_fold_on_composites():
+    # the preimage each of the 144 catalog composites is defined on
+    cat = list(catalog.f2_catalog().values())
+    for phi in cat:
+        for psi in cat:
+            assert_preimage_matches_fold(psi, stallings.intersect(psi.codomain, phi.domain))
+
+
+def test_preimage_matches_schreier_fold_on_f1_and_f3():
+    a1 = Word(1, "a")
+    f1_maps = [
+        zn1_to_f1(times(2)),
+        zn1_to_f1(invert(times(3))),
+        make_fk(1, [a1 ** 2], [a1 ** -3]),
+        identity_comm("F", 1),
+    ]
+    for phi in f1_maps:
+        for sub in stallings.enumerate_subgroups(1, 6):
+            assert_preimage_matches_fold(phi, stallings.intersect(sub, phi.codomain))
+    W3 = lambda s: Word(3, s)
+    cycle = from_ambient(3, [W3("b"), W3("c"), W3("a")])
+    nielsen = from_ambient(3, [W3("ab"), W3("b"), W3("cA")])
+    ker_a3 = stallings.from_generators([W3(w) for w in ("aa", "b", "c", "abA", "acA")], 3)
+    f3_maps = [cycle, nielsen, restriction(nielsen, ker_a3), compose(cycle, nielsen)]
+    for phi in f3_maps:
+        for sub in stallings.enumerate_subgroups(3, 3):
+            assert_preimage_matches_fold(phi, stallings.intersect(sub, phi.codomain))
+
+
+def test_preimage_subgroup_rejects_infinite_index():
+    swap = catalog.f2_catalog()["swap"]
+    with pytest.raises(PreconditionError):
+        preimage_subgroup(swap, stallings.from_generators([W("a")], 2))
+    with pytest.raises(PreconditionError):
+        preimage_subgroup(swap, stallings.whole_group(3))
+
+
+def test_preimage_subgroup_guard_refuses_before_the_search(monkeypatch):
+    # results are cached, so an earlier admitted call would skip the guard
+    preimage_subgroup.cache_clear()
+    phi = catalog.f2_catalog()["swap|ker_a"]
+    sub = stallings.intersect(catalog.ker_a(), catalog.ker_b())
+    estimate = phi.domain.m * sub.m * 2  # 2 * 4 * 2
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(estimate - 1))
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        preimage_subgroup(phi, sub)
+    assert time.perf_counter() - t0 < 0.5
+    assert "preimage_subgroup(domain index 2, subgroup index 4, k=2)" in str(err.value)
+    assert f"estimated work {estimate} exceeds cap {estimate - 1}" in str(err.value)
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(estimate))
+    assert preimage_subgroup(phi, sub) == preimage_by_schreier_fold(phi, sub)
+
+
+def test_zeta_components_match_restriction_of_the_preimage():
+    # restriction folds the images to find the codomain; the zeta
+    # component is built onto the meet and must agree with it
+    maps = list(catalog.f2_catalog().values())
+    for phi in maps:
+        for obj in build_system("F", 2, 3).objects:
+            meet = stallings.intersect(obj, phi.codomain)
+            got = zeta_component(phi, obj)
+            want = restriction(phi, preimage_subgroup(phi, meet))
+            assert got.domain == want.domain and got.codomain == want.codomain
+            assert got.images == want.images and got.ambient == want.ambient
+    phi = make_zn([[2, 0], [1, 3]])
+    for obj in build_system("Z", 2, 3).objects:
+        meet = lattices.intersect(obj, phi.codomain)
+        got = zeta_component(phi, obj)
+        want = restriction(phi, preimage_subgroup(phi, meet))
+        assert (got.domain, got.codomain, got.matrix) == (want.domain, want.codomain, want.matrix)
+
+
+def test_restriction_onto_rejects_a_forged_codomain(monkeypatch):
+    cat = catalog.f2_catalog()
+    # a target beyond the codomain: the images land in it, but they fill
+    # only its intersection with the codomain
+    shift_ka = cat["shift|ker_a"]
+    with pytest.raises(PreconditionError, match="is not the image"):
+        restriction_onto(shift_ka, stallings.whole_group(2))
+    # a wrong preimage of the right index: swap^-1(ker_a) is ker_b, and
+    # swap maps ker_a onto ker_b, so an image leaves the target
+    commensurations._restriction_onto.cache_clear()
+    monkeypatch.setattr(commensurations, "preimage_subgroup", lambda comm, sub: sub)
+    with pytest.raises(PreconditionError, match="leaves the target"):
+        restriction_onto(cat["swap"], catalog.ker_a())
 
 
 def test_preimage_subgroup_zn():

@@ -3,7 +3,7 @@ straightened commutation, and cofinal restriction."""
 
 import pytest
 
-from commsol import catalog, lattices, stallings
+from commsol import catalog, commensurations, lattices, prosystems, stallings
 from commsol.commensurations import (
     compose,
     equivalent,
@@ -185,3 +185,21 @@ def test_dump_formats():
     mf = zeta(catalog.f2_catalog()["swap"], 2)
     dump = format_morphism(mf)
     assert "comp 3:" in dump
+
+
+def test_zeta_components_are_built_without_folding(monkeypatch):
+    # the component's codomain is the meet it was pulled back from, and the
+    # preimage is a coset-action search: neither folds a word
+    cat = catalog.f2_catalog()
+    systems = [build_system("F", 2, depth) for depth in (1, 2, 3)]
+    for cache in (prosystems._zeta, commensurations._restriction_onto,
+                  commensurations.preimage_subgroup):
+        cache.cache_clear()
+
+    def no_fold(*args):
+        raise AssertionError("fold on the zeta path")
+
+    monkeypatch.setattr(stallings, "_fold_words", no_fold)
+    for phi in cat.values():
+        for system in systems:
+            assert len(zeta(phi, system.depth).components) == len(system.objects)

@@ -355,6 +355,25 @@ def test_contains_from_a_vertex_matches_trace(data):
     assert contains(sub, w, trace(sub, g)) == contains(sub, g * w)
 
 
+@ORACLE
+@given(st.data())
+def test_untracked_fold_matches_tracked_fold(data):
+    # the tracked fold composes frame words in find(); the untracked one
+    # only compresses paths, and must reach the same graph
+    k = data.draw(st.integers(1, 3))
+    letters = "abc"[:k] + "ABC"[:k]
+    n = data.draw(st.integers(1, k + 1))
+    words = [Word(k, data.draw(st.text(letters, min_size=1, max_size=10))) for _ in range(n)]
+    try:
+        tracked, _ = fold_with_expressions(words, k)
+    except PreconditionError:
+        assume(False)  # not a free basis, which the tracked fold refuses
+    untracked = from_generators(words, k)
+    assert (untracked.m, untracked.fwd, untracked.bwd, untracked.complete) == (
+        tracked.m, tracked.fwd, tracked.bwd, tracked.complete
+    )
+
+
 def test_fold_with_expressions_rejects_non_basis():
     with pytest.raises(PreconditionError):
         fold_with_expressions([W("a"), W("b"), W("ab")], 2)

@@ -142,18 +142,21 @@ def serialize(w: Word) -> str:
     return w.letters or "1"
 
 
+def _join(a: str, b: str) -> str:
+    """The reduced product of two reduced letter strings: letters cancel
+    at the junction only."""
+    i, j = len(a), 0
+    while i and j < len(b) and a[i - 1] == b[j].swapcase():
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
+
+
 def concat(u: Word, v: Word) -> Word:
     """Reduced product u*v."""
     if u.rank != v.rank:
         raise PreconditionError(f"alphabet mismatch: rank {u.rank} vs {v.rank}")
-    a, b = u.letters, v.letters
-    # cancel at the junction only; both sides are already reduced
-    i = len(a)
-    j = 0
-    while i > 0 and j < len(b) and a[i - 1] != b[j] and a[i - 1].lower() == b[j].lower():
-        i -= 1
-        j += 1
-    return Word(u.rank, a[:i] + b[j:], _reduced=True)
+    return Word(u.rank, _join(u.letters, v.letters), _reduced=True)
 
 
 def invert(u: Word) -> Word:

@@ -17,7 +17,7 @@ from itertools import repeat
 from . import commensurations as comm_mod
 from . import groups, limits, solenoid, stallings
 from .errors import PreconditionError
-from .freewords import Word
+from .freewords import Word, _join
 
 
 @lru_cache(maxsize=64)
@@ -32,28 +32,86 @@ def ball_elements(tag: str, rank: int, radius: int):
 
 def closest_point_project(comm, g):
     """The element of the domain nearest to g in the word metric;
-    lexicographically least on ties.  Total (the domain has finite index,
-    so the search radius is bounded by the coset diameter)."""
-    grp = comm.group
-    lands = grp.lands_in(comm.domain, g)
-    for layer in grp.layers(grp.projection_radius(comm.domain, g)):
-        hits = [grp.mul(g, w) for w in layer if lands(w)]
-        if hits:
-            return min(hits, key=grp.order_key)
-    raise AssertionError("unreachable: projection within the coset diameter")
+    lexicographically least on ties.  On F_k it is read from the return
+    table of the domain graph (stallings.geodesic_return) after one trace
+    of g; on Z^n the l1 spheres around g are searched outward."""
+    return comm.group.project(comm.domain, g)
 
 
 class BaseleafMap:
     """The quasi-isometry of G induced by a commensuration: closest-point
-    projection to the domain followed by the isomorphism."""
+    projection to the domain followed by the isomorphism.
 
-    __slots__ = ("comm",)
+    On F_k the isomorphism is read off paths in the domain graph X_H (the
+    map factors through the covering lift X_H -> X_K): the image of a path
+    is the product of the images of the nontree edges it crosses, which
+    for a loop h is phi(h).  The projection of g spells g[:j] + r, with r
+    a return path from the vertex g[:j] reaches, so its image is the image
+    of the prefix path times that of r.  Both are memoized per instance:
+    prefix paths by their letters, so the elements of a ball share their
+    prefixes' work, and return paths by (vertex, letters)."""
+
+    __slots__ = ("comm", "_prefixes", "_returns", "_edges")
 
     def __init__(self, comm):
         self.comm = comm
+        # letters -> (vertices of the prefixes, image letters), from the base
+        self._prefixes = {"": ((0,), "")}
+        # (vertex, letters) -> image letters of the path from that vertex
+        self._returns = {}
+        # (vertex, letter) -> (head, image letters) of one edge
+        self._edges = {}
 
     def __call__(self, g):
-        return comm_mod.evaluate(self.comm, closest_point_project(self.comm, g))
+        comm = self.comm
+        if comm.tag != "F":
+            return comm_mod.evaluate(comm, closest_point_project(comm, g))
+        letters = g.letters
+        verts, img = self._prefix(letters)
+        j, r = stallings.geodesic_return(comm.domain, letters, verts)
+        if j < len(letters):
+            img = self._prefixes[letters[:j]][1]
+        back = self._returns.get((verts[j], r))
+        if back is None:
+            v, back = verts[j], ""
+            for ch in r:
+                v, e = self._edge(v, ch)
+                back = _join(back, e)
+            self._returns[(verts[j], r)] = back
+        return Word(comm.rank, _join(img, back), _reduced=True)
+
+    def _prefix(self, letters):
+        """(vertices, image) of the path spelling `letters` from the base,
+        extending the longest memoized prefix and memoizing each step."""
+        memo = self._prefixes
+        j = len(letters)
+        while letters[:j] not in memo:
+            j -= 1
+        verts, img = memo[letters[:j]]
+        for j in range(j, len(letters)):
+            t, e = self._edge(verts[-1], letters[j])
+            verts, img = verts + (t,), _join(img, e)
+            memo[letters[: j + 1]] = (verts, img)
+        return verts, img
+
+    def _edge(self, v, ch):
+        """(head, image letters) of the edge that `ch` reads from v: the
+        image of its basis element (inverted for an uppercase letter) on a
+        nontree edge, nothing on a tree edge."""
+        got = self._edges.get((v, ch))
+        if got is None:
+            comm, x = self.comm, ord(ch.lower()) - ord("a")
+            nontree = stallings._tree_data(comm.domain).nontree_index
+            if ch.islower():
+                t = comm.domain.fwd[x][v]
+                i = nontree.get((v, x))
+                e = "" if i is None else comm.images[i].letters
+            else:
+                t = comm.domain.bwd[x][v]
+                i = nontree.get((t, x))
+                e = "" if i is None else comm.images[i].letters[::-1].swapcase()
+            got = self._edges[(v, ch)] = (t, e)
+        return got
 
     def __repr__(self):
         return f"BaseleafMap({self.comm!r})"
@@ -160,8 +218,9 @@ def bounded_distance(m1: BaseleafMap, m2: BaseleafMap, radius: int) -> BoundedDi
     if (m1.comm.tag, m1.comm.rank) != (m2.comm.tag, m2.comm.rank):
         raise PreconditionError("maps live on different groups")
     grp = m1.comm.group
-    # per element: two projections, each probing at most the ball of its
-    # domain's projection bound, and two evaluations of length about R
+    # per element: two projections, each costing at most the ball of its
+    # domain's projection bound (the Z^n sphere search; on F_k, which reads
+    # a return table, this over-counts), and two evaluations of length about R
     probes = sum(grp.ball_size(grp.projection_bound(m.comm.domain)) for m in (m1, m2))
     limits.guard(
         grp.ball_size(radius) * radius * probes,
@@ -208,6 +267,12 @@ def factorization_check(comm, depth: int, radius: int) -> FactorizationReport:
     phi = comm_mod.zn1_to_f1(comm) if comm.tag == "Z" else comm
     if phi.tag != "F":
         raise PreconditionError("factorization check handles F_k and Z^1")
+    # per ball element: a membership trace, two images and two baseleaf
+    # points, each of length about R
+    limits.guard(
+        phi.group.ball_size(radius) * radius,
+        f"factorization_check(F_{phi.rank}, R={radius})",
+    )
     lift = solenoid.lift_through_covers(phi)
     bm = baseleaf_map(phi)
     checked = 0

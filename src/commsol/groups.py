@@ -91,10 +91,6 @@ class Zn(_Group):
     def order_key(self, g):
         return g
 
-    def lands_in(self, sub, g):
-        """The predicate w -> (g+w in sub)."""
-        return lambda w: lattices.contains(sub, self.mul(g, w))
-
     def ball_size(self, radius: int) -> int:
         """Number of elements within l1 distance `radius` of the origin."""
         n = self.rank
@@ -141,9 +137,16 @@ class Zn(_Group):
         limits.guard(index * self.rank**2, f"coset_reps(Z^{self.rank}, index {index})")
         return [lattices.residue(sub, v) for v in product(*[range(d) for d in diag])]
 
-    def projection_radius(self, sub, g) -> int:
-        """Distance from g to one member of sub (g minus its residue)."""
-        return sum(abs(x) for x in lattices.residue(sub, g))
+    def project(self, sub, g):
+        """The member of sub nearest to g in the l1 metric, least vector on
+        ties: the l1 spheres around g, searched outward up to the distance
+        of g minus its residue, which is a member."""
+        radius = sum(abs(x) for x in lattices.residue(sub, g))
+        for layer in self.layers(radius):
+            hits = [h for h in (self.mul(g, w) for w in layer) if lattices.contains(sub, h)]
+            if hits:
+                return min(hits)
+        raise AssertionError("unreachable: g minus its residue lies in sub")
 
     def projection_bound(self, sub) -> int:
         """A bound on the distance from any element to sub: residues lie
@@ -244,12 +247,6 @@ class Fk(_Group):
         )
         return super().ball(radius)
 
-    def lands_in(self, sub, g):
-        """The predicate w -> (g*w in sub), for sub of finite index: g is
-        traced once, and each w from the vertex g reaches."""
-        v = stallings.trace(sub, g)
-        return lambda w: stallings.contains(sub, w, v)
-
     def path(self, g):
         """Prefixes of g: the vertices of its tree geodesic."""
         return [Word(g.rank, g.letters[:i], _reduced=True) for i in range(len(g) + 1)]
@@ -276,14 +273,18 @@ class Fk(_Group):
     def coset_reps(self, sub):
         return [Word(self.rank, tw, _reduced=True) for tw in stallings.tree_words(sub)]
 
-    def projection_radius(self, sub, g) -> int:
-        """Every coset of sub has a member within the graph's diameter."""
-        return sub.m - 1
+    def project(self, sub, g):
+        """The member of sub nearest to g in the word metric, least letter
+        string on ties: g is traced once, and the nearest members are read
+        from the return table of sub's graph (stallings.geodesic_return)."""
+        letters = g.letters
+        j, r = stallings.geodesic_return(sub, letters, stallings.trace_path(sub, letters))
+        return Word(self.rank, letters[:j] + r, _reduced=True)
 
     def projection_bound(self, sub) -> int:
-        """The largest distance from an element to sub: the depth of the
-        canonical BFS tree of its graph (its longest tree word)."""
-        return max(map(len, stallings.tree_words(sub)))
+        """The largest distance from an element to sub: the largest
+        distance of a vertex of its graph from the base."""
+        return max(stallings._return_table(sub).dist)
 
     def format(self, sub, inline: bool = False) -> str:
         if inline:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from . import commensurations as comm_mod
 from . import groups, prosystems, stallings
 from .errors import PreconditionError
-from .freewords import Word, identity as word_identity
+from .freewords import Word, _join, identity as word_identity
 from .groups import EdgePoint  # noqa: F401  (leaf points are part of this API)
 
 # -- metric scalars -----------------------------------------------------------
@@ -380,19 +380,20 @@ class GraphMap:
 
     def apply_to_path(self, word: Word) -> Word:
         """Image of the based path spelling `word` (the word read by the
-        image path)."""
+        image path), in one pass: the edge words are reduced, so letters
+        cancel only at each junction (`freewords._join`)."""
         g = self.src
         v = 0
-        out = word_identity(self.dst.k)
+        out = ""
         for ch in word.letters:
             x = ord(ch.lower()) - ord("a")
             if ch.islower():
-                out = out * self.edge_words[(v, x)]
+                out = _join(out, self.edge_words[(v, x)].letters)
                 v = g.fwd[x][v]
             else:
                 v = g.bwd[x][v]
-                out = out * ~self.edge_words[(v, x)]
-        return out
+                out = _join(out, self.edge_words[(v, x)].letters[::-1].swapcase())
+        return Word(self.dst.k, out, _reduced=True)
 
     def __repr__(self):
         return f"GraphMap({self.src.m} -> {self.dst.m} sheets)"

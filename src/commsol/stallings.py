@@ -505,6 +505,81 @@ def tree_words(graph: SubgroupGraph) -> tuple[str, ...]:
     return _tree_data(graph).tree_words
 
 
+class _ReturnTable:
+    __slots__ = ("dist", "best", "second")
+
+    def __init__(self, dist, best, second):
+        self.dist = dist
+        self.best = best
+        self.second = second
+
+
+@lru_cache(maxsize=4096)
+def _return_table(graph: SubgroupGraph) -> _ReturnTable:
+    """Geodesic returns to the base of a complete graph: dist[v] is the
+    distance from v to the base, best[v] the least letter string of a
+    shortest path from v to the base, and second[v] the least one that
+    does not start with best[v]'s first letter (None if there is none).
+
+    The canonical tree is a BFS tree, so dist[v] is the length of v's tree
+    word.  All shortest paths from v have the same length, so the least
+    is found greedily: the least letter that steps one closer, then the
+    least path from there."""
+    dist = tuple(map(len, _tree_data(graph).tree_words))
+    steps = []
+    for ch in sorted(_LOWER[: graph.k] + _LOWER[: graph.k].upper()):
+        x = ord(ch.lower()) - ord("a")
+        steps.append((ch, graph.fwd[x] if ch.islower() else graph.bwd[x]))
+    best = [""] * graph.m
+    second = [None] * graph.m
+    for v in sorted(range(graph.m), key=dist.__getitem__):
+        down = [ch + best[row[v]] for ch, row in steps if dist[row[v]] == dist[v] - 1]
+        if down:
+            best[v] = down[0]
+            second[v] = down[1] if len(down) > 1 else None
+    return _ReturnTable(dist, tuple(best), tuple(second))
+
+
+def geodesic_return(graph: SubgroupGraph, letters: str, verts) -> tuple[int, str]:
+    """The element of the subgroup nearest to the reduced word `letters`,
+    least letter string on ties, as (j, r): it spells letters[:j] + r.
+
+    `verts[j]` is the vertex that letters[:j] reaches.  With D the
+    distance of the whole word's vertex from the base, the nearest
+    elements are the reduced strings letters[:j] + r with r a shortest
+    path from verts[j] to the base of length D - (n - j), so only the j
+    with dist[verts[j]] = D - (n - j) are candidates, each with its least
+    return path whose first letter does not cancel letters[j - 1]."""
+    table = _return_table(graph)
+    dist = table.dist
+    n = len(letters)
+    far = dist[verts[n]] - n
+    least = out = None
+    for j in range(max(-far, 0), n + 1):
+        v = verts[j]
+        if dist[v] != far + j:
+            continue
+        r = table.best[v]
+        if j and r[:1] == letters[j - 1].swapcase():
+            r = table.second[v]
+            if r is None:
+                continue
+        s = letters[:j] + r
+        if least is None or s < least:
+            least, out = s, (j, r)
+    return out
+
+
+def trace_path(graph: SubgroupGraph, letters: str) -> list[int]:
+    """The vertices that letters[:j] reaches from the base, j = 0..n, in
+    a complete graph."""
+    out = [0]
+    for ch in letters:
+        x = ord(ch.lower()) - ord("a")
+        out.append((graph.fwd[x] if ch.islower() else graph.bwd[x])[out[-1]])
+    return out
+
+
 def express(graph: SubgroupGraph, word) -> tuple[int, ...]:
     """Rewrite a subgroup element in the canonical basis.
 

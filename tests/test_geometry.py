@@ -13,10 +13,12 @@ from commsol.commensurations import (
     compose,
     equivalent,
     evaluate,
+    format_comm,
     from_ambient,
     identity_comm,
     inner,
     make_zn,
+    parse_comm,
     restriction,
 )
 from commsol.errors import InfiniteIndexError, PreconditionError, ResourceLimitError
@@ -110,6 +112,112 @@ def test_projection_matches_oracle_on_random_domains(data):
     phi = restriction(identity_comm("F", 2), sub)
     g = W(data.draw(st.text("abAB", max_size=6)))
     assert closest_point_project(phi, g) == oracle_project(phi, g)
+
+
+def probe_project(comm, g):
+    """Reference: the probe search over layers of reduced words w, up to
+    the first layer in which some g*w lands in the domain (g traced once,
+    each w read from the vertex g reaches); the least such g*w."""
+    v = stallings.trace(comm.domain, g)
+    for layer in group("F", comm.rank).layers(comm.domain.m - 1):
+        hits = [g * w for w in layer if stallings.contains(comm.domain, w, v)]
+        if hits:
+            return min(hits, key=lambda h: h.letters)
+    raise AssertionError
+
+
+def draw_domain(data, max_index=8):
+    """A subgroup of F1, F2 or F3 of index <= max_index."""
+    k = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, max_index))
+    if k == 1:
+        return stallings.from_generators([Word(1, "a" * m)], 1)
+    perms = [data.draw(st.permutations(range(m))) for _ in range(k)]
+    try:
+        return stallings.from_permutations(k, perms)
+    except PreconditionError:
+        assume(False)  # not transitive
+
+
+def draw_point(data, sub, max_len=8):
+    """A word of length <= max_len: any word, one in sub, or one a letter
+    past sub (whose projection then tends to cancel into it)."""
+    letters = "abc"[: sub.k] + "ABC"[: sub.k]
+    kind = data.draw(st.sampled_from(["any", "any", "member", "past"]))
+    if kind == "any":
+        return Word(sub.k, data.draw(st.text(letters, min_size=2, max_size=max_len)))
+    w = Word(sub.k, data.draw(st.text(letters, max_size=max_len // 2)))
+    h = w * ~group("F", sub.k).coset_rep(sub, w)
+    assert stallings.contains(sub, h)
+    if kind == "past":
+        h = h * Word(sub.k, data.draw(st.sampled_from(letters)))
+    assume(len(h) <= max_len)
+    return h
+
+
+@settings(ORACLE, max_examples=200)
+@given(st.data())
+def test_projection_matches_probe_search_on_f1_to_f3(data):
+    sub = draw_domain(data)
+    phi = restriction(identity_comm("F", sub.k), sub)
+    for _ in range(data.draw(st.integers(1, 8))):
+        g = draw_point(data, sub)
+        assert closest_point_project(phi, g) == oracle_project(phi, g) == probe_project(phi, g)
+
+
+def test_projection_matches_probe_search_on_whole_balls():
+    # ties between nearest members and return paths that would cancel into
+    # g are rare among random points (about 0.3% of these), so every point
+    # of a ball is projected onto every small domain
+    for k, max_index, radius in ((1, 8, 8), (2, 4, 5), (3, 3, 3)):
+        ball = ball_elements("F", k, radius)
+        for sub in stallings.enumerate_subgroups(k, max_index):
+            phi = restriction(identity_comm("F", k), sub)
+            for g in ball:
+                assert closest_point_project(phi, g) == probe_project(phi, g)
+
+
+def draw_map(data):
+    """An F2 map of one of three kinds: an ambient automorphism restricted
+    to a subgroup of index <= 4, a catalog composite without ambient
+    provenance, or a map parsed back from its text form."""
+    kind = data.draw(st.sampled_from(["ambient", "composite", "parsed"]))
+    cat = catalog.f2_catalog()
+    if kind == "composite":
+        pairs = [(a, b) for a in cat for b in cat if compose(cat[a], cat[b]).ambient is None]
+        a, b = data.draw(st.sampled_from(pairs))
+        return compose(cat[a], cat[b])
+    x, y = W("a"), W("b")
+    for move in data.draw(st.lists(st.sampled_from(sorted(NIELSEN_MOVES)), max_size=4)):
+        x, y = NIELSEN_MOVES[move](x, y)
+    sub = data.draw(st.sampled_from(stallings.enumerate_subgroups(2, 4)))
+    phi = restriction(from_ambient(2, [x, y]), sub)
+    if kind == "parsed":
+        phi = parse_comm(format_comm(phi))
+        assert phi.ambient is None
+    return phi
+
+
+@settings(ORACLE, max_examples=60)
+@given(st.data())
+def test_baseleaf_images_match_evaluation_of_the_oracle_projection(data):
+    phi = draw_map(data)
+    m = baseleaf_map(phi)
+    for g in data.draw(st.lists(st.text("abAB", max_size=8), min_size=1, max_size=12)):
+        g = W(g)
+        assert m(g) == evaluate(phi, oracle_project(phi, g))
+
+
+@settings(ORACLE, max_examples=40)
+@given(st.data())
+def test_baseleaf_map_is_independent_of_call_order(data):
+    phi = draw_map(data)
+    points = list(ball_elements("F", 2, 3)) + [
+        W(s) for s in data.draw(st.lists(st.text("abAB", max_size=8), max_size=6))
+    ]
+    shared = baseleaf_map(phi)
+    got = [(g, shared(g)) for g in data.draw(st.permutations(points))]
+    assert all(img == baseleaf_map(phi)(g) for g, img in got)
 
 
 def test_baseleaf_map_fixes_domain_action():
@@ -335,6 +443,32 @@ def test_factorization_examples():
     assert factorization_check(cat["shift|ker_a"], 2, 5).passed
     assert factorization_check(cat["ker_a_to_ker_total"], 2, 5).passed
     assert factorization_check(make_zn([[2]]), 4, 12).passed
+
+
+def test_factorization_check_refuses_large_balls_early(monkeypatch):
+    phi = catalog.f2_catalog()["shift|ker_a"]
+    # 1457 elements in the F2 ball of radius 6, each costing about 6
+    cost = group("F", 2).ball_size(6) * 6
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(cost - 1))
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        factorization_check(phi, 2, 6)
+    assert time.perf_counter() - t0 < 0.5
+    assert (
+        f"factorization_check(F_2, R=6): estimated work {cost} exceeds cap {cost - 1}"
+        in str(err.value)
+    )
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(cost))
+    assert factorization_check(phi, 2, 6).passed
+    # at the default cap R=6 is admitted with room to spare, while R=13
+    # (3,188,645 elements) is refused before its ball is built
+    monkeypatch.delenv("COMMSOL_MAX_WORK", raising=False)
+    assert cost * 1000 < 20_000_000
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        factorization_check(phi, 2, 13)
+    assert time.perf_counter() - t0 < 0.5
+    assert f"estimated work {3188645 * 13} exceeds cap 20000000" in str(err.value)
 
 
 def test_fixed_point_examples():

@@ -10,8 +10,10 @@ import pytest
 from commsol import catalog, lattices, stallings
 from commsol.commensurations import (
     evaluate,
+    format_comm,
     identity_comm,
     make_zn,
+    parse_comm,
     restriction,
     zn1_to_f1,
 )
@@ -120,6 +122,42 @@ def test_lift_collapse_case_agrees_with_evaluation():
         expr = [rng.choice([1, -1]) * rng.randrange(1, len(bas) + 1) for _ in range(4)]
         h = stallings.substitute(tuple(expr), list(bas))
         assert gm.apply_to_path(h) == evaluate(phi, h)
+
+
+def apply_by_products(gm, word):
+    """Reference: the path image as one Word product per letter."""
+    v = 0
+    out = word_identity(gm.dst.k)
+    for ch in word.letters:
+        x = ord(ch.lower()) - ord("a")
+        if ch.islower():
+            out = out * gm.edge_words[(v, x)]
+            v = gm.src.fwd[x][v]
+        else:
+            v = gm.src.bwd[x][v]
+            out = out * ~gm.edge_words[(v, x)]
+    return out
+
+
+def test_apply_to_path_matches_word_products():
+    # lifts with ambient provenance (edges map to the petal images) and
+    # without it (the catalog maps parsed back from text, whose tree
+    # edges collapse), on closed and open paths
+    maps = list(catalog.f2_catalog().values())
+    maps += [parse_comm(format_comm(phi)) for phi in maps]
+    maps.append(zn1_to_f1(make_zn([[2]])))
+    rng = random.Random(97)
+    kinds = set()
+    for phi in maps:
+        gm = lift_through_covers(phi)
+        kinds.add(phi.ambient is None)
+        letters = "aA" if phi.rank == 1 else "abAB"
+        words = [Word(phi.rank, "".join(rng.choice(letters) for _ in range(rng.randrange(9))))
+                 for _ in range(40)]
+        words += list(stallings.basis(phi.domain))
+        for w in words:
+            assert gm.apply_to_path(w) == apply_by_products(gm, w)
+    assert kinds == {True, False}
 
 
 def test_lift_error_lists_violating_word():

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from . import groups, lattices, limits, ratmat, stallings
 from .errors import ParseError, PreconditionError
-from .freewords import Word, identity as word_identity, _LOWER
+from .freewords import Word, identity as word_identity, _join, _LOWER
 
 
 class Commensuration:
@@ -198,6 +198,34 @@ def evaluate(comm: Commensuration, elem):
     return stallings.substitute(expr, comm.images) if expr else word_identity(comm.rank)
 
 
+def edge_image(comm: Commensuration, v: int, x: int) -> str:
+    """The image letters of the x-edge out of vertex v of an F_k
+    commensuration's domain graph: its basis element's image on a nontree
+    edge, nothing on a tree edge."""
+    i = stallings._tree_data(comm.domain).nontree_index.get((v, x))
+    return "" if i is None else comm.images[i].letters
+
+
+def images_on(comm: Commensuration, sub) -> tuple:
+    """comm's images of the basis of `sub`, a subgroup of the domain: the
+    stored images when `sub` is the domain.  On F_k each loop of X_sub
+    maps to the product of the images of the domain edges below its edges
+    (stallings.cover_vertices), and is a stored image's own Word when it
+    spells one."""
+    if comm.tag == "Z":
+        return tuple([evaluate(comm, b) for b in sub.cols])
+    if sub == comm.domain:
+        return comm.images
+    below = stallings.cover_vertices(sub, comm.domain)
+    if below is None:
+        raise PreconditionError("images_on: the subgroup is not inside the domain")
+    shared = {w.letters: w for w in comm.images}
+    imgs = stallings.tree_products(
+        sub, lambda v, x: edge_image(comm, below[v], x), "", _join, lambda s: s[::-1].swapcase()
+    )
+    return tuple(shared.get(s) or Word(comm.rank, s, _reduced=True) for s in imgs)
+
+
 @lru_cache(maxsize=4096)
 def preimage_subgroup(comm: Commensuration, sub):
     """The subgroup comm^-1(sub) of the domain, for sub a finite-index
@@ -271,7 +299,7 @@ def _compose(phi, psi, _phi_ambient, _psi_ambient):
     dom = preimage_subgroup(psi, phi.group.intersect(psi.codomain, phi.domain))
     if phi.tag == "Z":
         return make_zn(ratmat.mul(phi.matrix, psi.matrix), domain=dom)
-    images = [evaluate(phi, evaluate(psi, b)) for b in stallings.basis(dom)]
+    images = [evaluate(phi, w) for w in images_on(psi, dom)]
     ambient = None
     if phi.ambient is not None and psi.ambient is not None:
         ambient = tuple(apply_ambient(phi.ambient, w) for w in psi.ambient)
@@ -302,8 +330,7 @@ def _restriction(comm, sub, _ambient):
         raise PreconditionError("restriction target is not inside the domain")
     if comm.tag == "Z":
         return make_zn(comm.matrix, domain=sub)
-    images = [evaluate(comm, b) for b in stallings.basis(sub)]
-    return _make_fk(sub, images, ambient=comm.ambient)
+    return _make_fk(sub, images_on(comm, sub), ambient=comm.ambient)
 
 
 def restriction_onto(comm: Commensuration, target) -> Commensuration:
@@ -317,7 +344,7 @@ def _restriction_onto(comm, target, _ambient):
     src = preimage_subgroup(comm, target)
     if comm.tag == "Z":
         return make_zn(comm.matrix, domain=src)
-    images = tuple(evaluate(comm, b) for b in stallings.basis(src))
+    images = images_on(comm, src)
     # Instead of folding the images: they lie in target iff comm(src) does,
     # and comm maps the domain H onto the codomain K injectively, so
     # [K : comm(src)] = [H : src]; comm(src) is then target exactly when
@@ -338,9 +365,8 @@ def equivalent(phi: Commensuration, psi: Commensuration) -> bool:
     (complete for Z^n and F_k by the unique root property)."""
     if (phi.tag, phi.rank) != (psi.tag, psi.rank):
         return False
-    grp = phi.group
-    meet = grp.intersect(phi.domain, psi.domain)
-    return all(evaluate(phi, b) == evaluate(psi, b) for b in grp.basis(meet))
+    meet = phi.group.intersect(phi.domain, psi.domain)
+    return images_on(phi, meet) == images_on(psi, meet)
 
 
 # -- Z^1 <-> F_1 translation (cycle covers of the circle) --------------------------

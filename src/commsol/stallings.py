@@ -13,16 +13,28 @@ have identical stored arrays.  The low-index search of
 `enumerate_subgroups` fills coset tables in this same scan order, so it
 emits tables already in canonical form.
 
-Folding is implemented with a weighted union-find.  The weights are words
-over an auxiliary alphabet (one symbol per input generator), which lets the
-same pass record, for every canonical basis element of the folded graph, an
-expression in the input generators — valid whenever the inputs freely
-generate their subgroup (a relation fold is then impossible, and is
-reported if it occurs).
+Folding reads each word into the graph folded so far (J. Stallings,
+Topology of finite graphs, 1983; I. Kapovich and A. Myasnikov, Stallings
+foldings and subgroups of free groups, 2002): the longest prefix that
+reads forward from the base and the longest remaining suffix that reads
+backward into it follow existing edges, and only the unread middle is
+added as a fresh path and folded in.  Folding is implemented with a
+weighted union-find.  The weights are words over an auxiliary alphabet
+(one symbol per input generator), which lets the same pass record, for
+every canonical basis element of the folded graph, an expression in the
+input generators — valid whenever the inputs freely generate their
+subgroup (a relation fold is then impossible, and is reported if it
+occurs).
+
+Inclusion of subgroups is the covering map between their graphs:
+`cover_vertices` pairs each vertex of the smaller subgroup's graph with
+the vertex below it in one search, and fails where an edge has no
+partner below.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 from . import limits
@@ -102,6 +114,21 @@ class _Folder:
             self.pending.append((s, x, gone, d))
         self.out[gone] = {}
         self.inn[gone] = {}
+
+    def read(self, letters: str, limit: int):
+        """Follow up to `limit` letters from the base along existing edges:
+        (root reached, decoration of the path, number of letters read)."""
+        v, dec = 0, ()
+        for i in range(limit):
+            ch = letters[i]
+            low = ch.islower()
+            got = (self.out if low else self.inn)[v].get(ord(ch.lower()) - 97)
+            if got is None:
+                return v, dec, i
+            v, p = self.find(got[0])
+            if self.track:
+                dec = _dec_mul(dec, got[1] if low else _dec_inv(got[1]), _dec_inv(p))
+        return v, dec, limit
 
     def add_edge(self, u: int, x: int, v: int, d: tuple = ()):
         self.pending.append((u, x, v, d))
@@ -230,55 +257,46 @@ def _canonicalize(k, base, out_maps, in_maps, decorations=None):
 
 
 def _fold_words(words, k: int, track: bool):
-    folder = _Folder(k, track)
-    base = folder.new_vertex()
-    for gi, w in enumerate(words):
+    """Fold the wedge of `words`, reading each word into the graph folded
+    so far (see the module docstring).  The unread middle of a word is
+    added as a fresh path whose last edge carries the decoration that
+    closes the word's loop.  The forward read stops a letter short of the
+    end, so a word that reads all the way through re-adds its last edge,
+    which `run` checks like any other."""
+    # every word is checked before any is read, in the order given
+    alphabet = set(_LOWER[:k] + _LOWER[:k].upper())
+    for w in words:
         if w.rank != k:
             raise PreconditionError(f"word rank {w.rank} does not match k={k}")
-        cur = base
-        n = len(w.letters)
-        for i, ch in enumerate(w.letters):
-            nxt = base if i == n - 1 else folder.new_vertex()
-            dec = (gi + 1,) if (track and i == n - 1) else ()
-            x = ord(ch.lower()) - ord("a")
-            if x >= k:
-                raise PreconditionError(f"letter {ch!r} outside alphabet of rank {k}")
-            if ch.islower():
-                folder.add_edge(cur, x, nxt, dec)
-            else:
-                folder.add_edge(nxt, x, cur, _dec_inv(dec))
-            cur = nxt
-        if n == 0 and track:
+        if not alphabet.issuperset(w.letters):
+            ch = next(ch for ch in w.letters if ch not in alphabet)
+            raise PreconditionError(f"letter {ch!r} outside alphabet of rank {k}")
+        if track and not w.letters:
             raise PreconditionError("identity word cannot be part of a free basis")
-    folder.run()
-    rbase, pbase = folder.find(base)
-    out_maps = {}
-    in_maps = {}
-    seen = {rbase}
-    stack = [rbase]
-    while stack:
-        v = stack.pop()
-        omap = {}
-        imap = {}
-        for x, (t, d) in folder.out[v].items():
-            rt, pt = folder.find(t)
-            omap[x] = (rt, _dec_mul(d, _dec_inv(pt)) if track else ())
-            if rt not in seen:
-                seen.add(rt)
-                stack.append(rt)
-        for x, (s, d) in folder.inn[v].items():
-            rs, ps = folder.find(s)
-            imap[x] = (rs, ())
-            if rs not in seen:
-                seen.add(rs)
-                stack.append(rs)
-        out_maps[v] = omap
-        in_maps[v] = imap
-    # frame of the base must be trivial for expressions to be based at it
-    assert not track or pbase == (), "base frame must be trivial"
-    return _canonicalize(
-        k, rbase, out_maps, in_maps, decorations=True if track else None
-    )
+    folder = _Folder(k, track)
+    folder.new_vertex()
+    for gi, w in enumerate(words):
+        letters = w.letters
+        n = len(letters)
+        if not n:
+            continue
+        v, pre, i = folder.read(letters, n - 1)
+        # the suffix read backward into the base is the inverse read forward
+        u, back, r = folder.read(letters[::-1].swapcase(), n - 1 - i)
+        for q in range(i, n - r):
+            last = q == n - r - 1
+            nxt = u if last else folder.new_vertex()
+            dec = _dec_mul(_dec_inv(pre), (gi + 1,), back) if track and last else ()
+            ch = letters[q]
+            if ch.islower():
+                folder.add_edge(v, ord(ch) - 97, nxt, dec)
+            else:
+                folder.add_edge(nxt, ord(ch) - 65, v, _dec_inv(dec))
+            v = nxt
+        folder.run()
+    # run() leaves each edge stored between roots (absorbing a vertex
+    # re-queues its edges), and the base is never absorbed
+    return _canonicalize(k, 0, folder.out, folder.inn, decorations=True if track else None)
 
 
 def from_generators(words, k: int) -> SubgroupGraph:
@@ -296,20 +314,7 @@ def fold_with_expressions(words, k: int):
     meaning words[i]^{+-1}, multiplying left to right.
     """
     graph, decf = _fold_words(list(words), k, track=True)
-    data = _tree_data(graph)
-    exprs = []
-    potentials = [None] * graph.m
-    potentials[0] = ()
-    for v, x in data.tree_order:
-        w = graph.fwd[x][v]
-        if potentials[w] is None:
-            potentials[w] = _dec_mul(potentials[v], decf[x][v])
-        else:
-            potentials[v] = _dec_mul(potentials[w], _dec_inv(decf[x][v]))
-    for v, x in data.nontree:
-        w = graph.fwd[x][v]
-        exprs.append(_dec_mul(potentials[v], decf[x][v], _dec_inv(potentials[w])))
-    return graph, tuple(exprs)
+    return graph, tree_products(graph, lambda v, x: decf[x][v], (), _dec_mul, _dec_inv)
 
 
 def whole_group(k: int) -> SubgroupGraph:
@@ -324,31 +329,16 @@ def from_permutations(k: int, perms) -> SubgroupGraph:
     for p in perms:
         if sorted(p) != list(range(m)):
             raise PreconditionError(f"not a permutation of 0..{m - 1}: {p}")
-    if not _is_transitive(perms, m):
-        raise PreconditionError("permutations do not act transitively")
     out_maps = {v: {x: (perms[x][v], ()) for x in range(k)} for v in range(m)}
     in_maps = {v: {} for v in range(m)}
     for x in range(k):
         for v in range(m):
             in_maps[perms[x][v]][x] = (v, ())
-    return _canonicalize(k, 0, out_maps, in_maps)
-
-
-def _is_transitive(perms, m: int) -> bool:
-    seen = {0}
-    stack = [0]
-    inv = [[0] * m for _ in perms]
-    for x, p in enumerate(perms):
-        for v in range(m):
-            inv[x][p[v]] = v
-    while stack:
-        v = stack.pop()
-        for x in range(len(perms)):
-            for t in (perms[x][v], inv[x][v]):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-    return len(seen) == m
+    graph = _canonicalize(k, 0, out_maps, in_maps)
+    # the labeling reaches every vertex exactly when the action is transitive
+    if graph.m != m:
+        raise PreconditionError("permutations do not act transitively")
+    return graph
 
 
 # -- basic queries ---------------------------------------------------------------
@@ -380,67 +370,76 @@ def index(graph: SubgroupGraph) -> int:
     return graph.m
 
 
-def is_subgroup(inner: SubgroupGraph, outer: SubgroupGraph) -> bool:
-    """True iff every based loop of `inner` is one of `outer`."""
-    if inner.k != outer.k:
-        raise PreconditionError("rank mismatch")
-    for w in basis(inner):
-        if not contains(outer, w):
-            return False
-    return True
-
-
 @lru_cache(maxsize=2048)
 def intersect(g1: SubgroupGraph, g2: SubgroupGraph) -> SubgroupGraph:
     """Based component of the fiber product."""
     if g1.k != g2.k:
         raise PreconditionError("rank mismatch")
     k = g1.k
-    pos = {(0, 0): 0}
-    order = [(0, 0)]
-    qi = 0
-    while qi < len(order):
-        v1, v2 = order[qi]
-        qi += 1
-        for x in range(k):
-            for t in (
-                (g1.fwd[x][v1], g2.fwd[x][v2]),
-                (g1.bwd[x][v1], g2.bwd[x][v2]),
-            ):
-                if -1 not in t and t not in pos:
-                    pos[t] = len(order)
-                    order.append(t)
-    out_maps = {}
-    in_maps = {}
-    for pair in order:
+    # one search over the pairs reachable from the base pair; the
+    # canonical labeling orders them
+    out_maps, in_maps = {}, {}
+    stack = [(0, 0)]
+    while stack:
+        pair = stack.pop()
+        if pair in out_maps:
+            continue
         v1, v2 = pair
-        omap = {}
-        imap = {}
+        omap, imap = {}, {}
         for x in range(k):
             t = (g1.fwd[x][v1], g2.fwd[x][v2])
-            if -1 not in t and t in pos:
+            if -1 not in t:
                 omap[x] = (t, ())
+                stack.append(t)
             s = (g1.bwd[x][v1], g2.bwd[x][v2])
-            if -1 not in s and s in pos:
+            if -1 not in s:
                 imap[x] = (s, ())
-        out_maps[pair] = omap
-        in_maps[pair] = imap
+                stack.append(s)
+        out_maps[pair], in_maps[pair] = omap, imap
     return _canonicalize(k, (0, 0), out_maps, in_maps)
+
+
+def cover_vertices(inner: SubgroupGraph, outer: SubgroupGraph):
+    """The covering X_inner -> X_outer, as the tuple of the vertices of
+    `outer` below the vertices of `inner`, or None when `inner` is not a
+    subgroup of `outer`.
+
+    One search from the base pairs each vertex of X_inner with the vertex
+    of X_outer its paths reach; `outer` is folded, so the pairing is forced,
+    and an edge of X_inner with no edge below it, or a vertex met again over
+    another vertex, shows a loop of `inner` that is not one of `outer`."""
+    if inner.k != outer.k:
+        raise PreconditionError("rank mismatch")
+    rows = [*zip(inner.fwd, outer.fwd), *zip(inner.bwd, outer.bwd)]
+    below = [0] + [-1] * (inner.m - 1)
+    queue = [0]
+    for v in queue:
+        for row, orow in rows:
+            t, d = row[v], orow[below[v]]
+            if t == -1:
+                continue
+            if d == -1 or below[t] not in (-1, d):
+                return None
+            if below[t] == -1:
+                below[t] = d
+                queue.append(t)
+    return tuple(below)
+
+
+def is_subgroup(inner: SubgroupGraph, outer: SubgroupGraph) -> bool:
+    """True iff every based loop of `inner` is one of `outer`: iff X_inner
+    covers X_outer (cover_vertices).  Between finite indices the index of
+    `outer` must divide that of `inner`, which settles most pairs without
+    a search."""
+    if inner.complete and outer.complete and inner.k == outer.k and inner.m % outer.m:
+        return False
+    return cover_vertices(inner, outer) is not None
 
 
 # -- spanning tree, basis, rewriting ----------------------------------------------
 
 
-class _TreeData:
-    __slots__ = ("tree_edges", "tree_order", "tree_words", "nontree", "nontree_index", "basis")
-
-    def __init__(self, tree_edges, tree_order, tree_words, nontree, nontree_index, basis):
-        self.tree_edges = tree_edges
-        self.tree_order = tree_order
-        self.tree_words = tree_words
-        self.nontree = nontree
-        self.nontree_index = nontree_index
-        self.basis = basis
+_TreeData = namedtuple("_TreeData", "tree_order tree_words nontree nontree_index basis")
 
 
 @lru_cache(maxsize=4096)
@@ -485,7 +484,6 @@ def _tree_data(graph: SubgroupGraph) -> _TreeData:
         )
     nontree_index = {e: i for i, e in enumerate(nontree)}
     return _TreeData(
-        frozenset(tree_edges),
         tuple(tree_order),
         tuple(tree_words),
         tuple(nontree),
@@ -505,13 +503,26 @@ def tree_words(graph: SubgroupGraph) -> tuple[str, ...]:
     return _tree_data(graph).tree_words
 
 
-class _ReturnTable:
-    __slots__ = ("dist", "best", "second")
+def tree_products(graph: SubgroupGraph, label, one, mul, inv) -> tuple:
+    """Per element of basis(graph), the product of label(v, x) over the
+    edges v -x-> of its loop, inverted where the loop runs backward: with
+    P(v) the product along the tree path to v, the element crossing the
+    nontree edge v -x-> w gives P(v) label(v, x) P(w)^-1."""
+    data = _tree_data(graph)
+    paths = [None] * graph.m
+    paths[0] = one
+    for v, x in data.tree_order:
+        w = graph.fwd[x][v]
+        if paths[w] is None:
+            paths[w] = mul(paths[v], label(v, x))
+        else:
+            paths[v] = mul(paths[w], inv(label(v, x)))
+    return tuple(
+        mul(mul(paths[v], label(v, x)), inv(paths[graph.fwd[x][v]])) for v, x in data.nontree
+    )
 
-    def __init__(self, dist, best, second):
-        self.dist = dist
-        self.best = best
-        self.second = second
+
+_ReturnTable = namedtuple("_ReturnTable", "dist best second")
 
 
 @lru_cache(maxsize=4096)

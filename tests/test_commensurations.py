@@ -21,6 +21,7 @@ from commsol.commensurations import (
     from_ambient,
     from_matrix,
     identity_comm,
+    images_on,
     inner,
     invert,
     make_fk,
@@ -378,3 +379,53 @@ def test_cached_results_keep_their_own_provenance():
             assert (c.ambient is None) == (phi.ambient is None)
             z = zeta(phi, 2)
             assert all(comp.ambient == phi.ambient for comp in z.components)
+
+
+# -- images read off the covering, against evaluation ---------------------------
+
+
+def evaluated_images(comm, sub):
+    """The images images_on replaced: comm evaluated on each basis element
+    of sub."""
+    return tuple(evaluate(comm, b) for b in comm.group.basis(sub))
+
+
+def test_images_on_matches_evaluate_on_catalog_meets():
+    # depth-4 objects include the depth-3 ones
+    objects = build_system("F", 2, 4).objects
+    for phi in catalog.f2_catalog().values():
+        assert images_on(phi, phi.domain) is phi.images
+        stored = {w.letters: w for w in phi.images}
+        for obj in objects:
+            sub = stallings.intersect(obj, phi.domain)
+            got = images_on(phi, sub)
+            assert got == evaluated_images(phi, sub)
+            # an image that spells a stored image is that Word, not a copy
+            assert all(w is stored.get(w.letters, w) for w in got)
+
+
+def test_images_on_matches_evaluate_on_parsed_maps_and_composites():
+    parsed = [parse_comm(format_comm(c)) for c in catalog.f2_catalog().values()]
+    parsed.append(parse_comm("comm F 2 : aa -> bb ; b -> a ; abA -> baB"))
+    composites = [compose(phi, psi) for phi in parsed[::3] for psi in parsed[1::3]]
+    assert all(c.ambient is None for c in parsed + composites)
+    objects = build_system("F", 2, 3).objects
+    for phi in parsed + composites:
+        for obj in objects:
+            sub = stallings.intersect(obj, phi.domain)
+            assert images_on(phi, sub) == evaluated_images(phi, sub)
+
+
+def test_images_on_matches_evaluate_on_zn():
+    for phi in (make_zn([[2, 0], [1, 3]]), make_zn([[F(1, 2), 1], [0, 3]]), times(F(2, 3))):
+        n = phi.rank
+        for obj in build_system("Z", n, 4).objects:
+            sub = lattices.intersect(obj, phi.domain)
+            assert images_on(phi, sub) == evaluated_images(phi, sub)
+
+
+def test_images_on_refuses_a_subgroup_outside_the_domain():
+    shift_ka = catalog.f2_catalog()["shift|ker_a"]
+    for sub in (stallings.whole_group(2), catalog.ker_b()):
+        with pytest.raises(PreconditionError, match="not inside the domain"):
+            images_on(shift_ka, sub)

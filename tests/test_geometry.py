@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from commsol import catalog, lattices, stallings
+from commsol import catalog, lattices, solenoid, stallings
 from commsol.commensurations import (
     compose,
     equivalent,
@@ -550,3 +550,33 @@ def test_boundary_action_respects_equivalence():
             assert boundary_action(cat[a], fixed_point(g)) == boundary_action(
                 cat[b], fixed_point(g)
             )
+
+
+def test_factorization_check_reports_a_wrong_lift(monkeypatch):
+    # the word equality is the whole check: a lift that spells a wrong
+    # word for one element is reported with that word
+    phi = catalog.f2_catalog()["shift|ker_a"]
+    real = solenoid.lift_through_covers(phi)
+    wrong = W("ab")
+
+    class Spoiled:
+        def apply_to_path(self, g):
+            return wrong if g == W("aa") else real.apply_to_path(g)
+
+    monkeypatch.setattr(solenoid, "lift_through_covers", lambda comm: Spoiled())
+    rep = factorization_check(phi, 2, 3)
+    assert not rep.passed
+    assert rep.mismatches == [(W("aa"), baseleaf_map(phi)(W("aa")), wrong)]
+
+
+def test_factorization_check_validates_depth_first():
+    phi = catalog.f2_catalog()["swap"]
+    with pytest.raises(PreconditionError) as want:
+        solenoid.kernel("F", 2, 0)
+    for depth in (0, -1):
+        with pytest.raises(PreconditionError) as got:
+            factorization_check(phi, depth, 3)
+        assert str(got.value) == str(want.value)
+    # before the guard, which would refuse this radius
+    with pytest.raises(PreconditionError):
+        factorization_check(phi, 0, 40)

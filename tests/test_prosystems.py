@@ -152,6 +152,19 @@ def test_strict_commutation_is_checked():
     assert not swapped
 
 
+def test_strict_commutation_compares_images_on_nested_sources():
+    # a component with the right source but another map's images
+    from commsol.prosystems import SystemMorphism
+
+    cat = catalog.f2_catalog()
+    for phi, other in ((cat["shift"], cat["identity"]), (make_zn([[2]]), make_zn([[3]]))):
+        m = zeta(phi, 2)
+        bad = list(m.components)
+        bad[1] = commensurations.restriction(other, bad[1].domain)
+        with pytest.raises(PreconditionError, match="do not commute strictly"):
+            SystemMorphism(m.target, m.target, bad)
+
+
 def test_cofinal_restrict_even_index():
     s = build_system("Z", 1, 6)
     sub, restr, inv = cofinal_restrict(s, lambda lat: lattices.index(lat) % 2 == 0)

@@ -194,9 +194,10 @@ def enumerate_by_permutation_tuples(k, max_index):
     for m in range(1, max_index + 1):
         seen = set()
         for tup in product(list(permutations(range(m))), repeat=k):
-            if not stallings._is_transitive(tup, m):
-                continue
-            g = from_permutations(k, tup)
+            try:
+                g = from_permutations(k, tup)
+            except PreconditionError:
+                continue  # not transitive
             if g not in seen:
                 seen.add(g)
                 out.append(g)
@@ -383,3 +384,147 @@ def test_text_round_trip():
     for g in enumerate_subgroups(2, 3):
         assert parse_subgroup(format_subgroup(g)) == g
     assert parse_subgroup("F 2\naa\nb\nabA") == from_generators([W(w) for w in KER_A], 2)
+
+
+# -- oracles for the reading fold and the covering walk ------------------------
+
+
+def per_letter_fold(words, k, track):
+    """The fold the reading fold replaced: a fresh vertex for every letter
+    of every word, all folded together at the end."""
+    folder = stallings._Folder(k, track)
+    base = folder.new_vertex()
+    for gi, w in enumerate(words):
+        if w.rank != k:
+            raise PreconditionError(f"word rank {w.rank} does not match k={k}")
+        cur = base
+        n = len(w.letters)
+        for i, ch in enumerate(w.letters):
+            nxt = base if i == n - 1 else folder.new_vertex()
+            dec = (gi + 1,) if (track and i == n - 1) else ()
+            x = ord(ch.lower()) - ord("a")
+            if x >= k:
+                raise PreconditionError(f"letter {ch!r} outside alphabet of rank {k}")
+            if ch.islower():
+                folder.add_edge(cur, x, nxt, dec)
+            else:
+                folder.add_edge(nxt, x, cur, stallings._dec_inv(dec))
+            cur = nxt
+        if n == 0 and track:
+            raise PreconditionError("identity word cannot be part of a free basis")
+    folder.run()
+    # read the folded graph off the roots, normalizing every stored edge
+    dec_mul, dec_inv = stallings._dec_mul, stallings._dec_inv
+    rbase, pbase = folder.find(base)
+    assert pbase == ()
+    out_maps, in_maps = {}, {}
+    stack = [rbase]
+    while stack:
+        v = stack.pop()
+        if v in out_maps:
+            continue
+        out_maps[v], in_maps[v] = {}, {}
+        for x, (t, d) in folder.out[v].items():
+            rt, pt = folder.find(t)
+            out_maps[v][x] = (rt, dec_mul(d, dec_inv(pt)) if track else ())
+            stack.append(rt)
+        for x, (t, d) in folder.inn[v].items():
+            rs, _ = folder.find(t)
+            in_maps[v][x] = (rs, ())
+            stack.append(rs)
+    return stallings._canonicalize(k, rbase, out_maps, in_maps, decorations=True if track else None)
+
+
+def fold_outcome(words, k, track):
+    """What from_generators (untracked) or fold_with_expressions (tracked)
+    gives: the graph's arrays and the expressions, or the error."""
+    try:
+        if track:
+            graph, exprs = fold_with_expressions(words, k)
+        else:
+            graph, exprs = from_generators(words, k), None
+    except PreconditionError as err:
+        return type(err), str(err)
+    return graph.m, graph.fwd, graph.bwd, graph.complete, exprs
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_reading_fold_matches_per_letter_fold(data):
+    k = data.draw(st.integers(1, 3))
+    letters = "abc"[:k] + "ABC"[:k]
+    words = [
+        Word(k, data.draw(st.text(letters, max_size=10)))
+        for _ in range(data.draw(st.integers(1, 5)))
+    ]
+    if data.draw(st.booleans()):
+        # a relation: the product of two of the words
+        words.append(words[0] * words[-1])
+    spoil = data.draw(st.sampled_from(["none", "empty", "rank", "letter"]))
+    if spoil != "none":
+        bad = {
+            "empty": identity(k),
+            "rank": Word(k % 3 + 1, "a"),
+            # a letter outside the alphabet, as only an unchecked Word holds it
+            "letter": Word(k, "a" + "bcd"[k - 1], _reduced=True),
+        }[spoil]
+        words.insert(data.draw(st.integers(0, len(words))), bad)
+    track = data.draw(st.booleans())
+    got = fold_outcome(words, k, track)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stallings, "_fold_words", per_letter_fold)
+        assert fold_outcome(words, k, track) == got
+
+
+def test_reading_fold_keeps_the_error_order():
+    # every word is checked before any is read, so the invalid word is
+    # reported even when an earlier pair is already a relation
+    words = [W("a"), W("a"), identity(2)]
+    for fold in (stallings._fold_words, per_letter_fold):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stallings, "_fold_words", fold)
+            with pytest.raises(PreconditionError, match="identity word"):
+                fold_with_expressions(words, 2)
+            with pytest.raises(PreconditionError, match="not a free basis"):
+                fold_with_expressions(words[:2], 2)
+
+
+def basis_trace_is_subgroup(inner, outer):
+    """The test is_subgroup made before the covering walk: every basis
+    element of `inner` traces to the base of `outer`."""
+    return all(contains(outer, w) for w in basis(inner))
+
+
+def test_is_subgroup_matches_basis_trace_on_index_4():
+    subs = enumerate_subgroups(2, 4)
+    hits = 0
+    for inner in subs:
+        for outer in subs:
+            want = basis_trace_is_subgroup(inner, outer)
+            assert is_subgroup(inner, outer) == want
+            assert (stallings.cover_vertices(inner, outer) is not None) == want
+            hits += want
+    assert hits > len(subs)  # every subgroup is in itself and in F2
+
+
+def test_is_subgroup_matches_basis_trace_on_infinite_index():
+    rng = random.Random(31)
+    subs = enumerate_subgroups(2, 3)
+    for _ in range(150):
+        gens = [random_word(rng, 2, 6) for _ in range(rng.randrange(1, 3))]
+        thin = from_generators(gens, 2)
+        for other in subs + [from_generators(gens[:1], 2)]:
+            assert is_subgroup(thin, other) == basis_trace_is_subgroup(thin, other)
+            assert is_subgroup(other, thin) == basis_trace_is_subgroup(other, thin)
+        assert is_subgroup(whole_group(2), thin) == (thin == whole_group(2))
+
+
+def test_cover_vertices_is_the_covering():
+    outer = from_generators([W(w) for w in KER_A], 2)
+    inner = intersect(outer, from_generators([W(w) for w in KER_B], 2))
+    below = stallings.cover_vertices(inner, outer)
+    for tw, v in zip(tree_words(inner), below):
+        assert trace(outer, tw) == v
+    assert stallings.cover_vertices(outer, inner) is None
+    with pytest.raises(PreconditionError):
+        stallings.cover_vertices(whole_group(3), outer)

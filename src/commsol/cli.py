@@ -13,11 +13,12 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import acceptance, lattices, prosystems, solenoid, stallings
 from . import commensurations as comm_mod
 from . import geometry
-from .errors import CommsolError, ParseError
+from .errors import CommsolError, ParseError, PreconditionError
 from .freewords import Alphabet, parse_word, serialize_vector
 from .groups import group
 
@@ -60,6 +61,7 @@ def _solpoint_line(p) -> str:
     return f"solpoint {p.tag} {p.rank} N={p.depth} cosets=[{fam}] leaf={leaf}"
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="commsol",
@@ -265,9 +267,10 @@ def run(argv) -> int:
         grp, sub = _parse_subgroup_arg(args.subgroup)
         if grp.tag != "F":
             raise ParseError("covers are computed over the rose (F tag)")
-        cov = solenoid.cover_of(sub)
-        out.append(f"cover sheets={cov.graph.m}")
-        out.append(grp.format(cov.graph, inline=lines_mode))
+        if not sub.complete:
+            raise PreconditionError("a finite-sheeted cover needs a complete graph")
+        out.append(f"cover sheets={sub.m}")
+        out.append(grp.format(sub, inline=lines_mode))
     elif verb == "lift":
         c = _parse_comm_arg(args.comm)
         if c.tag == "Z":

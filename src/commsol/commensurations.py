@@ -233,9 +233,9 @@ def preimage_subgroup(comm: Commensuration, sub):
 
     On F_k the preimage's graph is the coset-action graph of F_k on pairs
     (coset of the domain, coset of sub) (J. Stallings, Topology of finite
-    graphs, 1983), found by one search from the base pair and canonically
-    labeled; no word is built or folded.  The search is guarded by the
-    number of pairs times k.
+    graphs, 1983), which `stallings.orbit_graph` searches from the base
+    pair and labels canonically; no word is built or folded.  The search
+    is guarded by the number of pairs times k.
     """
     if comm.tag == "Z":
         return _integral_preimage(comm.matrix, sub)
@@ -261,27 +261,17 @@ def preimage_subgroup(comm: Commensuration, sub):
             q[t] = c
         inverses.append(q)
     nontree = stallings._tree_data(dom).nontree_index
-    out_maps, in_maps = {}, {}
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        if node in out_maps:
-            continue
+
+    def step(node, x, back):
         v, c = divmod(node, ms)
-        omap, imap = {}, {}
-        for x in range(k):
-            t = dom.fwd[x][v]
-            i = nontree.get((v, x))
-            omap[x] = (t * ms + (c if i is None else perms[i][c]), ())
+        if back:
             s = dom.bwd[x][v]
             i = nontree.get((s, x))
-            imap[x] = (s * ms + (c if i is None else inverses[i][c]), ())
-            for nxt in (omap[x][0], imap[x][0]):
-                if nxt not in out_maps:
-                    stack.append(nxt)
-        out_maps[node] = omap
-        in_maps[node] = imap
-    return stallings._canonicalize(k, 0, out_maps, in_maps)
+            return s * ms + (c if i is None else inverses[i][c])
+        i = nontree.get((v, x))
+        return dom.fwd[x][v] * ms + (c if i is None else perms[i][c])
+
+    return stallings.orbit_graph(k, 0, step)[0]
 
 
 def compose(phi: Commensuration, psi: Commensuration) -> Commensuration:

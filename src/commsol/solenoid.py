@@ -313,32 +313,11 @@ def ball_structure(p: SolenoidPoint, epsilon, depth=None) -> BallReport:
 # -- covers and lifts ---------------------------------------------------------------
 
 
-class CoverGraph:
-    """Finite cover of the rose: a complete subgroup graph with unit edge
-    lengths; the projection is implicit in the edge labels."""
-
-    __slots__ = ("graph",)
-
-    def __init__(self, graph: stallings.SubgroupGraph):
-        if not graph.complete:
-            raise PreconditionError("a finite-sheeted cover needs a complete graph")
-        self.graph = graph
-
-    def __eq__(self, other):
-        return isinstance(other, CoverGraph) and other.graph == self.graph
-
-    def __hash__(self):
-        return hash(("CoverGraph", self.graph))
-
-    def __repr__(self):
-        return f"CoverGraph(sheets={self.graph.m}, k={self.graph.k})"
-
-
-def cover_of(sub: stallings.SubgroupGraph) -> CoverGraph:
-    return CoverGraph(sub)
-
-
 class CoveringMap:
+    """The covering X_src -> X_dst between the complete subgroup graphs of
+    nested subgroups (each graph, with unit edge lengths, is the finite
+    cover of the rose it names); vertex_map[v] is the vertex below v."""
+
     __slots__ = ("src", "dst", "vertex_map")
 
     def __init__(self, src, dst, vertex_map):
@@ -354,16 +333,19 @@ class CoveringMap:
         )
 
     def __repr__(self):
-        return f"CoveringMap({self.src.graph.m} -> {self.dst.graph.m} sheets)"
+        return f"CoveringMap({self.src.m} -> {self.dst.m} sheets)"
 
 
 def covering_map(h: stallings.SubgroupGraph, k: stallings.SubgroupGraph) -> CoveringMap:
-    """The bonding covering map X_H -> X_K, defined when H <= K; sends the
-    coset of a vertex's tree word downstairs."""
-    if not stallings.is_subgroup(h, k):
+    """The bonding covering map X_H -> X_K, defined when H <= K of finite
+    index (stallings.cover_vertices)."""
+    vmap = stallings.cover_vertices(h, k)
+    if vmap is None:
         raise PreconditionError("covering_map requires the source subgroup inside the target")
-    vmap = [stallings.trace(k, tw) for tw in stallings.tree_words(h)]
-    return CoveringMap(cover_of(h), cover_of(k), vmap)
+    if not h.complete:
+        # H <= K, so K has finite index when H has
+        raise PreconditionError("a finite-sheeted cover needs a complete graph")
+    return CoveringMap(h, k, vmap)
 
 
 class GraphMap:

@@ -6,10 +6,15 @@ exactly the elements of the subgroup.  The subgroup has finite index
 precisely when every letter is a total permutation (the graph covers the
 rose); then index = vertex count.
 
-The canonical form relabels vertices by breadth-first search from the base,
-exploring, for each letter in order, first the outgoing then the incoming
-edge.  Based isomorphism of covers is subgroup equality, so equal subgroups
-have identical stored arrays.  The low-index search of
+Canonical labels come from one place, `orbit_graph`: a breadth-first
+search from the base that labels vertices as it meets them, trying, for
+each letter in order, first the outgoing then the incoming edge.  Based
+isomorphism of covers is subgroup equality, so equal subgroups have
+identical stored arrays.  Fiber products (`intersect`, over pairs of
+vertices), permutation covers (`from_permutations`, over the points
+permuted), preimage covers (`commensurations.preimage_subgroup`, over
+pairs of cosets) and folds (over the roots of the folded graph) are each
+that one search over their own nodes.  The low-index search of
 `enumerate_subgroups` fills coset tables in this same scan order, so it
 emits tables already in canonical form.
 
@@ -212,48 +217,48 @@ class SubgroupGraph:
         return (self.m, self.fwd)
 
 
-def _canonicalize(k, base, out_maps, in_maps, decorations=None):
-    """BFS relabeling from `base`; returns canonical arrays (+ decorations)."""
+def orbit_graph(k: int, base, step):
+    """The graph of the nodes reachable from `base`, canonically labeled:
+    (graph, order), order[i] being the node labeled i.
+
+    `step(node, x, back)` gives the node the x-edge out of `node` reaches
+    (into `node` when `back`), or None where there is none; it must be a
+    folded action, each letter a partial injection.  One breadth-first
+    search labels the nodes as it meets them, trying for each letter the
+    out-edge, then the in-edge: the canonical order."""
     order = [base]
     pos = {base: 0}
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
+    fwd = [[] for _ in range(k)]
+    bwd = [[] for _ in range(k)]
+    for node in order:
         for x in range(k):
-            t = out_maps[v].get(x)
-            if t is not None and t[0] not in pos:
-                pos[t[0]] = len(order)
-                order.append(t[0])
-            s = in_maps[v].get(x)
-            if s is not None and s[0] not in pos:
-                pos[s[0]] = len(order)
-                order.append(s[0])
-    m = len(order)
-    fwd = [[-1] * m for _ in range(k)]
-    bwd = [[-1] * m for _ in range(k)]
-    decf = [[None] * m for _ in range(k)] if decorations is not None else None
-    complete = True
-    for v in order:
-        for x in range(k):
-            t = out_maps[v].get(x)
-            if t is None:
-                complete = False
-            else:
-                fwd[x][pos[v]] = pos[t[0]]
-                bwd[x][pos[t[0]]] = pos[v]
-                if decf is not None:
-                    decf[x][pos[v]] = t[1]
-    graph = SubgroupGraph(
-        k,
-        m,
-        tuple(tuple(r) for r in fwd),
-        tuple(tuple(r) for r in bwd),
-        complete,
-    )
-    if decf is None:
+            for back, row in ((False, fwd[x]), (True, bwd[x])):
+                t = step(node, x, back)
+                if t is None:
+                    row.append(-1)
+                    continue
+                i = pos.get(t)
+                if i is None:
+                    i = pos[t] = len(order)
+                    order.append(t)
+                row.append(i)
+    complete = all(-1 not in row for row in fwd)
+    graph = SubgroupGraph(k, len(order), tuple(map(tuple, fwd)), tuple(map(tuple, bwd)), complete)
+    return graph, order
+
+
+def _canonicalize(k, base, out_maps, in_maps, decorations=None):
+    """orbit_graph of edge maps node -> {x: (node, decoration)}; with
+    `decorations`, also the decoration rows decf[x][i] of the out-edges."""
+
+    def step(v, x, back):
+        got = (in_maps if back else out_maps)[v].get(x)
+        return None if got is None else got[0]
+
+    graph, order = orbit_graph(k, base, step)
+    if decorations is None:
         return graph
-    return graph, decf
+    return graph, [[out_maps[v].get(x, (None, None))[1] for v in order] for x in range(k)]
 
 
 def _fold_words(words, k: int, track: bool):
@@ -329,12 +334,11 @@ def from_permutations(k: int, perms) -> SubgroupGraph:
     for p in perms:
         if sorted(p) != list(range(m)):
             raise PreconditionError(f"not a permutation of 0..{m - 1}: {p}")
-    out_maps = {v: {x: (perms[x][v], ()) for x in range(k)} for v in range(m)}
-    in_maps = {v: {} for v in range(m)}
-    for x in range(k):
-        for v in range(m):
-            in_maps[perms[x][v]][x] = (v, ())
-    graph = _canonicalize(k, 0, out_maps, in_maps)
+    inverses = [[0] * m for _ in range(k)]
+    for p, q in zip(perms, inverses):
+        for v, t in enumerate(p):
+            q[t] = v
+    graph, _ = orbit_graph(k, 0, lambda v, x, back: (inverses if back else perms)[x][v])
     # the labeling reaches every vertex exactly when the action is transitive
     if graph.m != m:
         raise PreconditionError("permutations do not act transitively")
@@ -375,28 +379,14 @@ def intersect(g1: SubgroupGraph, g2: SubgroupGraph) -> SubgroupGraph:
     """Based component of the fiber product."""
     if g1.k != g2.k:
         raise PreconditionError("rank mismatch")
-    k = g1.k
-    # one search over the pairs reachable from the base pair; the
-    # canonical labeling orders them
-    out_maps, in_maps = {}, {}
-    stack = [(0, 0)]
-    while stack:
-        pair = stack.pop()
-        if pair in out_maps:
-            continue
-        v1, v2 = pair
-        omap, imap = {}, {}
-        for x in range(k):
-            t = (g1.fwd[x][v1], g2.fwd[x][v2])
-            if -1 not in t:
-                omap[x] = (t, ())
-                stack.append(t)
-            s = (g1.bwd[x][v1], g2.bwd[x][v2])
-            if -1 not in s:
-                imap[x] = (s, ())
-                stack.append(s)
-        out_maps[pair], in_maps[pair] = omap, imap
-    return _canonicalize(k, (0, 0), out_maps, in_maps)
+    rows = ((g1.fwd, g2.fwd), (g1.bwd, g2.bwd))
+
+    def step(pair, x, back):
+        r1, r2 = rows[back]
+        t1, t2 = r1[x][pair[0]], r2[x][pair[1]]
+        return None if t1 == -1 or t2 == -1 else (t1, t2)
+
+    return orbit_graph(g1.k, (0, 0), step)[0]
 
 
 def cover_vertices(inner: SubgroupGraph, outer: SubgroupGraph):
@@ -669,8 +659,8 @@ def enumerate_subgroups(k: int, max_index: int) -> list[SubgroupGraph]:
 
     Sims' low-index search (C. C. Sims, Computation with Finitely Presented
     Groups, 1994, ch. 5): a backtracking search fills the coset table one
-    slot at a time, always the first empty slot in the BFS scan order of
-    `_canonicalize`, with an existing vertex whose opposite slot is free
+    slot at a time, always the first empty slot in the scan order of
+    `orbit_graph`, with an existing vertex whose opposite slot is free
     or with the next new vertex.  Every table it completes is transitive,
     already canonically labeled and met once, so nothing is deduplicated.
     The guard estimate, from Hall's counts, is made before the search.

@@ -1,11 +1,13 @@
 """CLI tests: every verb, exit codes, and machine-readable round trips
 (criterion 12 lives here together with the selftest wrapper)."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import commsol
 from commsol import lattices, stallings
 from commsol.cli import main, run
 from commsol.commensurations import equivalent, parse_comm
@@ -97,9 +99,21 @@ def test_cofinal_verb(capsys):
 def test_cover_and_lift(capsys):
     code, out = cli(capsys, "cover", "F 2; aa; b; abA")
     assert code == 0 and out.splitlines()[0] == "cover sheets=2"
+    code = main(["cover", "F 2; a"])
+    assert code == 1 and "needs a complete graph" in capsys.readouterr().err
     code, out = cli(capsys, "lift", "comm Z 1 : 2/1")
     assert code == 0 and out.splitlines()[0] == "vertices 1"
     assert "edge 1 a -> aa" in out
+
+
+def test_parser_keeps_no_state_between_runs(capsys):
+    # run() reuses one parser; a flag given to one call must not leak
+    subs = ("F 2; aa; b; abA", "F 2; bb; a; baB")
+    code, lines = cli(capsys, "--format", "lines", "intersect", *subs)
+    assert code == 0 and lines.startswith("F 2 graph 4 : ")
+    code, text = cli(capsys, "intersect", *subs)
+    assert code == 0 and text.splitlines()[0] == "F 2 graph 4"
+    assert stallings.parse_subgroup(text) == stallings.parse_subgroup(lines)
 
 
 def test_baseleaf_dpro_sigma(capsys):
@@ -166,12 +180,15 @@ def test_machine_round_trips(capsys):
 
 
 def test_selftest_subprocess_hermetic():
-    # criterion 12: the full acceptance suite through the CLI, exit code 0
+    # criterion 12: the full acceptance suite through the CLI, exit code 0;
+    # the child imports the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(commsol.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "commsol.cli", "selftest"],
         capture_output=True,
         text=True,
         timeout=360,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith(("PASS", "FAIL"))]

@@ -26,7 +26,6 @@ from commsol.solenoid import (
     ball_structure,
     baseleaf,
     baseleaf_path,
-    cover_of,
     covering_map,
     d_inf,
     d_pro,
@@ -50,17 +49,37 @@ def test_metric_value_rendering():
 
 
 def test_cover_and_covering_map_examples():
-    rose = cover_of(stallings.whole_group(2))
-    assert rose.graph.m == 1
+    rose = stallings.whole_group(2)
+    assert covering_map(rose, rose).dst.m == 1
 
     ka = catalog.ker_a()
     cm = covering_map(ka, stallings.whole_group(2))
     assert cm.vertex_map == (0, 0)
+    assert (cm.src, cm.dst) == (ka, rose)
 
     assert covering_map(ka, ka).vertex_map == (0, 1)
 
     with pytest.raises(PreconditionError):
         covering_map(stallings.whole_group(2), ka)
+    a_only = stallings.from_generators([W("a")], 2)
+    with pytest.raises(PreconditionError, match="needs a complete graph"):
+        covering_map(a_only, rose)
+
+
+def test_covering_map_matches_tree_word_traces():
+    # the former vertex map: the vertex below each vertex's tree word
+    subs = stallings.enumerate_subgroups(2, 4)
+    pairs = 0
+    for h in subs:
+        for k in subs:
+            if stallings.is_subgroup(h, k):
+                want = tuple(stallings.trace(k, tw) for tw in stallings.tree_words(h))
+                assert covering_map(h, k).vertex_map == want
+                pairs += 1
+            else:
+                with pytest.raises(PreconditionError, match="inside the target"):
+                    covering_map(h, k)
+    assert pairs == 196
 
 
 def test_covering_map_functoriality():

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from commsol import stallings
 from commsol.errors import InfiniteIndexError, PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity
+from commsol.groups import group
 from commsol.stallings import (
     SubgroupGraph,
     basis,
@@ -92,6 +93,27 @@ def test_intersect_examples():
 
     assert intersect(ga, ga) == ga
     assert intersect(whole_group(2), ga) == ga
+
+
+def test_intersect_matches_membership_and_sims_labels():
+    # oracles: membership in both factors, and the labels Sims' search
+    # gives the same subgroup independently of the fiber product
+    subs = enumerate_subgroups(2, 3)
+    words = group("F", 2).ball(5)
+    listed = {}
+    for g in enumerate_subgroups(2, 5):
+        listed.setdefault(g.m, []).append(g)
+    for i, g1 in enumerate(subs):
+        for g2 in subs[i:]:
+            meet = intersect(g1, g2)
+            for w in words:
+                assert contains(meet, w) == (contains(g1, w) and contains(g2, w))
+            if meet.m > 5:
+                continue
+            (entry,) = [
+                g for g in listed[meet.m] if is_subgroup(g, meet) and is_subgroup(meet, g)
+            ]
+            assert (meet.fwd, meet.bwd, meet.complete) == (entry.fwd, entry.bwd, entry.complete)
 
 
 def test_basis_sizes_and_membership():

@@ -13,7 +13,6 @@ from commsol.commensurations import (
     compose,
     equivalent,
     evaluate,
-    from_matrix,
     identity_comm,
     invert,
     make_zn,
@@ -29,10 +28,10 @@ print(f"(x2) o (x3) has matrix {to_matrix(compose(two, three))[0][0]}")
 half = invert(two)
 print(f"(x2)^-1 is x{to_matrix(half)[0][0]} with domain {half.domain.cols[0][0]}Z")
 
-m = from_matrix([[0, 1], [1, 0]], 2)
+m = make_zn([[0, 1], [1, 0]])
 print(f"swap matrix squared is the identity? {equivalent(compose(m, m), identity_comm('Z', 2))}")
 
-mixed = from_matrix([[Fraction(1, 2), Fraction(1, 3)], [0, 1]], 2)
+mixed = make_zn([[Fraction(1, 2), Fraction(1, 3)], [0, 1]])
 print(f"a matrix with denominators picks its maximal domain: index {__import__('commsol.lattices', fromlist=['index']).index(mixed.domain)}")
 
 print()

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from commsol.freewords import Word, identity as word_identity
 from commsol.solenoid import (
+    INJECTIVITY_RADIUS,
     EdgePoint,
     SolenoidPoint,
     ball_structure,
@@ -18,7 +19,6 @@ from commsol.solenoid import (
     baseleaf_path,
     d_pro,
     distinct_fiber_count,
-    injectivity_radius,
     kernel,
     sheet_count,
     sigma,
@@ -54,7 +54,7 @@ print(f"depth-5 model over the circle has {sheet_count('Z', 1, 5)} sheets")
 
 print()
 print("== small balls are products ==")
-print(f"injectivity radius of the rose: {injectivity_radius(('rose', 2))}")
+print(f"injectivity radius of the rose: {INJECTIVITY_RADIUS}")
 center = baseleaf(word_identity(2), 2)
 report = ball_structure(center, Fraction(1, 10))
 print(report.render())

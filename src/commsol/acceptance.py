@@ -54,8 +54,8 @@ def criterion_1():
         if comm_mod.to_matrix(ab) != ratmat.mul(comm_mod.to_matrix(a), comm_mod.to_matrix(b)):
             return False, f"matrix of composition differs at pair {checked}"
         for c in (a, b):
-            if not comm_mod.equivalent(comm_mod.from_matrix(comm_mod.to_matrix(c), n), c):
-                return False, f"from_matrix round trip failed at pair {checked}"
+            if not comm_mod.equivalent(comm_mod.make_zn(comm_mod.to_matrix(c)), c):
+                return False, f"make_zn round trip failed at pair {checked}"
         checked += 1
     return True, f"{checked} random pairs: exact matrix homomorphism + round trips"
 

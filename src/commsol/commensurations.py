@@ -19,11 +19,11 @@ layer and propagated through compose/restriction when available.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from . import groups, lattices, limits, ratmat, stallings
 from .errors import ParseError, PreconditionError
-from .freewords import Word, identity as word_identity, _join, _LOWER
+from .freewords import Word, _join, _LOWER
 
 
 class Commensuration:
@@ -85,12 +85,6 @@ def make_zn(matrix, domain: lattices.Lattice | None = None) -> Commensuration:
             )
         cod_cols.append(tuple(int(x) for x in img))
     return Commensuration("Z", n, domain, lattices.Lattice(n, cod_cols), matrix=matrix)
-
-
-def from_matrix(matrix, n: int) -> Commensuration:
-    if len(matrix) != n:
-        raise PreconditionError(f"expected a {n}x{n} matrix")
-    return make_zn(matrix)
 
 
 def to_matrix(comm: Commensuration):
@@ -160,11 +154,12 @@ def from_ambient(k, letter_images, domain=None) -> Commensuration:
 
 
 def apply_ambient(letter_images, w: Word) -> Word:
-    out = word_identity(letter_images[0].rank)
-    for ch in w.letters:
-        img = letter_images[ord(ch.lower()) - ord("a")]
-        out = out * (img if ch.islower() else ~img)
-    return out
+    """The image of w under the ambient map a_i -> letter_images[i]: its
+    path in the rose read through the petals' images."""
+    _, img = stallings.path_image(
+        stallings.whole_group(len(letter_images)), w.letters, lambda v, x: letter_images[x].letters
+    )
+    return Word(letter_images[0].rank, img, _reduced=True)
 
 
 def identity_comm(tag: str, rank: int) -> Commensuration:
@@ -188,14 +183,35 @@ def inner(tag: str, rank: int, g=None) -> Commensuration:
 
 
 def evaluate(comm: Commensuration, elem):
-    """Apply the commensuration to an element of its domain."""
+    """Apply the commensuration to an element of its domain.  On F_k the
+    image is that of elem's loop in the domain graph, whose nontree edges
+    carry their basis elements' images (stallings.path_image); a basis
+    element's image is the stored image's own Word."""
     if comm.tag == "Z":
         if not lattices.contains(comm.domain, elem):
             raise PreconditionError(f"{elem} is not in the domain lattice")
         img = ratmat.mul_vec(comm.matrix, elem)
         return tuple(int(x) for x in img)
-    expr = stallings.express(comm.domain, elem)
-    return stallings.substitute(expr, comm.images) if expr else word_identity(comm.rank)
+    nontree = stallings._tree_data(comm.domain).nontree_index
+    crossed = []
+
+    def label(v, x):
+        i = nontree.get((v, x))
+        if i is None:
+            return ""
+        crossed.append(i)
+        return comm.images[i].letters
+
+    letters = elem.letters
+    end, img = stallings.path_image(comm.domain, letters, label)
+    if end is None:
+        raise PreconditionError(f"{letters!r} leaves the subgroup graph")
+    if end != 0:
+        raise PreconditionError(f"{letters!r} is not in the subgroup")
+    if len(crossed) == 1 and img == comm.images[crossed[0]].letters:
+        # share the image itself: cached results then hold no copies of it
+        return comm.images[crossed[0]]
+    return Word(comm.rank, img, _reduced=True)
 
 
 def edge_image(comm: Commensuration, v: int, x: int) -> str:
@@ -274,16 +290,34 @@ def preimage_subgroup(comm: Commensuration, sub):
     return stallings.orbit_graph(k, 0, step)[0]
 
 
+def provenance_cache(maxsize: int):
+    """An lru_cache whose key also holds each argument's `ambient`
+    provenance: Commensuration equality ignores it, and the results of the
+    functions cached this way carry it.  The wrapper exposes the cache's
+    cache_clear and cache_info."""
+
+    def decorate(fn):
+        # one flat key, the arguments then their provenance: a nested pair
+        # would hold two more tuples per entry
+        @lru_cache(maxsize=maxsize)
+        def cached(*key):
+            return fn(*key[: len(key) // 2])
+
+        @wraps(fn)
+        def wrapper(*args):
+            return cached(*args, *[getattr(a, "ambient", None) for a in args])
+
+        wrapper.cache_clear = cached.cache_clear
+        wrapper.cache_info = cached.cache_info
+        return wrapper
+
+    return decorate
+
+
+@provenance_cache(maxsize=4096)
 def compose(phi: Commensuration, psi: Commensuration) -> Commensuration:
     """[phi] o [psi]: apply psi first, restricted to where the composite is
     defined, psi^-1(image(psi) ∩ domain(phi))."""
-    return _compose(phi, psi, phi.ambient, psi.ambient)
-
-
-# Commensuration equality ignores the ambient provenance, so the cached
-# functions whose results carry it take it as an explicit key argument.
-@lru_cache(maxsize=4096)
-def _compose(phi, psi, _phi_ambient, _psi_ambient):
     if (phi.tag, phi.rank) != (psi.tag, psi.rank):
         raise PreconditionError("cannot compose commensurations of different groups")
     dom = preimage_subgroup(psi, phi.group.intersect(psi.codomain, phi.domain))
@@ -308,14 +342,10 @@ def invert(comm: Commensuration) -> Commensuration:
     return _make_fk(comm.codomain, inv_images)
 
 
+@provenance_cache(maxsize=4096)
 def restriction(comm: Commensuration, sub) -> Commensuration:
     """Restrict to a finite-index subgroup of the domain (an equivalent
     commensuration)."""
-    return _restriction(comm, sub, comm.ambient)
-
-
-@lru_cache(maxsize=4096)
-def _restriction(comm, sub, _ambient):
     if not comm.group.is_subgroup(sub, comm.domain):
         raise PreconditionError("restriction target is not inside the domain")
     if comm.tag == "Z":
@@ -323,14 +353,10 @@ def _restriction(comm, sub, _ambient):
     return _make_fk(sub, images_on(comm, sub), ambient=comm.ambient)
 
 
+@provenance_cache(maxsize=4096)
 def restriction_onto(comm: Commensuration, target) -> Commensuration:
     """Restrict to comm^-1(target), for target a finite-index subgroup of
     the codomain: an equivalent commensuration onto target."""
-    return _restriction_onto(comm, target, comm.ambient)
-
-
-@lru_cache(maxsize=4096)
-def _restriction_onto(comm, target, _ambient):
     src = preimage_subgroup(comm, target)
     if comm.tag == "Z":
         return make_zn(comm.matrix, domain=src)

@@ -49,18 +49,16 @@ class BaseleafMap:
     a return path from the vertex g[:j] reaches, so its image is the image
     of the prefix path times that of r.  Both are memoized per instance:
     prefix paths by their letters, so the elements of a ball share their
-    prefixes' work, and return paths by (vertex, letters)."""
+    prefixes' work, and edges and return paths by (vertex, letters)."""
 
-    __slots__ = ("comm", "_prefixes", "_returns", "_edges")
+    __slots__ = ("comm", "_prefixes", "_paths")
 
     def __init__(self, comm):
         self.comm = comm
         # letters -> (vertices of the prefixes, image letters), from the base
         self._prefixes = {"": ((0,), "")}
-        # (vertex, letters) -> image letters of the path from that vertex
-        self._returns = {}
-        # (vertex, letter) -> (head, image letters) of one edge
-        self._edges = {}
+        # (vertex, letters) -> (end, image letters) of the path from that vertex
+        self._paths = {}
 
     def __call__(self, g):
         comm = self.comm
@@ -71,14 +69,7 @@ class BaseleafMap:
         j, r = stallings.geodesic_return(comm.domain, letters, verts)
         if j < len(letters):
             img = self._prefixes[letters[:j]][1]
-        back = self._returns.get((verts[j], r))
-        if back is None:
-            v, back = verts[j], ""
-            for ch in r:
-                v, e = self._edge(v, ch)
-                back = _join(back, e)
-            self._returns[(verts[j], r)] = back
-        return Word(comm.rank, _join(img, back), _reduced=True)
+        return Word(comm.rank, _join(img, self._path(verts[j], r)[1]), _reduced=True)
 
     def _prefix(self, letters):
         """(vertices, image) of the path spelling `letters` from the base,
@@ -89,25 +80,20 @@ class BaseleafMap:
             j -= 1
         verts, img = memo[letters[:j]]
         for j in range(j, len(letters)):
-            t, e = self._edge(verts[-1], letters[j])
+            t, e = self._path(verts[-1], letters[j])
             verts, img = verts + (t,), _join(img, e)
             memo[letters[: j + 1]] = (verts, img)
         return verts, img
 
-    def _edge(self, v, ch):
-        """(head, image letters) of the edge that `ch` reads from v: the
-        image of its basis element (inverted for an uppercase letter) on a
-        nontree edge, nothing on a tree edge."""
-        got = self._edges.get((v, ch))
+    def _path(self, start, letters):
+        """(end, image letters) of the path spelling `letters` from vertex
+        `start` of the domain graph (stallings.path_image), memoized."""
+        got = self._paths.get((start, letters))
         if got is None:
-            comm, x = self.comm, ord(ch.lower()) - ord("a")
-            if ch.islower():
-                t = comm.domain.fwd[x][v]
-                e = comm_mod.edge_image(comm, v, x)
-            else:
-                t = comm.domain.bwd[x][v]
-                e = comm_mod.edge_image(comm, t, x)[::-1].swapcase()
-            got = self._edges[(v, ch)] = (t, e)
+            comm = self.comm
+            got = self._paths[(start, letters)] = stallings.path_image(
+                comm.domain, letters, lambda v, x: comm_mod.edge_image(comm, v, x), start
+            )
         return got
 
     def __repr__(self):

@@ -133,17 +133,12 @@ def zeta_component(phi, obj):
     return comm_mod.restriction_onto(phi, phi.group.intersect(obj, phi.codomain))
 
 
+# the components carry phi's ambient provenance
+@comm_mod.provenance_cache(maxsize=512)
 def zeta(phi, depth: int) -> SystemMorphism:
     """Realize a commensuration as a depth-N system endomorphism.  Source
     subgroups deeper than N are materialized and recorded, which keeps the
     commutation exact instead of approximate."""
-    return _zeta(phi, depth, phi.ambient)
-
-
-# the components carry phi's ambient provenance, which phi's equality
-# ignores, so it is part of the cache key
-@lru_cache(maxsize=512)
-def _zeta(phi, depth, _ambient):
     system = build_system(phi.tag, phi.rank, depth)
     components = [zeta_component(phi, obj) for obj in system.objects]
     return SystemMorphism(system, system, components)

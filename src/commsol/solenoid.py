@@ -26,7 +26,7 @@ from functools import lru_cache
 from . import commensurations as comm_mod
 from . import groups, prosystems, stallings
 from .errors import PreconditionError
-from .freewords import Word, _join, identity as word_identity
+from .freewords import Word, identity as word_identity
 from .groups import EdgePoint  # noqa: F401  (leaf points are part of this API)
 
 # -- metric scalars -----------------------------------------------------------
@@ -224,13 +224,8 @@ def sigma(p1: SolenoidPoint, p2: SolenoidPoint) -> MetricValue:
 # -- injectivity radius and ball structure ------------------------------------------
 
 
-def injectivity_radius(base: tuple) -> Fraction:
-    """1/2 for the unit rose (half the shortest essential loop) and for
-    the unit flat torus."""
-    kind, rank = base
-    if kind not in ("rose", "torus") or rank < 1:
-        raise PreconditionError(f"unknown base space {base!r}")
-    return Fraction(1, 2)
+# of the unit rose (half the shortest essential loop) and of the unit flat torus
+INJECTIVITY_RADIUS = Fraction(1, 2)
 
 
 class BallReport:
@@ -284,7 +279,7 @@ def ball_structure(p: SolenoidPoint, epsilon, depth=None) -> BallReport:
     if depth is not None and depth != p.depth:
         raise PreconditionError("depth does not match the point")
     depth = p.depth
-    injrad = Fraction(1, 2)
+    injrad = INJECTIVITY_RADIUS
     degenerate = sheet_count(p.tag, p.rank, depth) == 1
     if epsilon >= injrad / 4 and not degenerate:
         raise PreconditionError(
@@ -332,6 +327,9 @@ class CoveringMap:
             == (self.src, self.dst, self.vertex_map)
         )
 
+    def __hash__(self):
+        return hash((self.src, self.dst, self.vertex_map))
+
     def __repr__(self):
         return f"CoveringMap({self.src.m} -> {self.dst.m} sheets)"
 
@@ -362,20 +360,12 @@ class GraphMap:
 
     def apply_to_path(self, word: Word) -> Word:
         """Image of the based path spelling `word` (the word read by the
-        image path), in one pass: the edge words are reduced, so letters
-        cancel only at each junction (`freewords._join`)."""
-        g = self.src
-        v = 0
-        out = ""
-        for ch in word.letters:
-            x = ord(ch.lower()) - ord("a")
-            if ch.islower():
-                out = _join(out, self.edge_words[(v, x)].letters)
-                v = g.fwd[x][v]
-            else:
-                v = g.bwd[x][v]
-                out = _join(out, self.edge_words[(v, x)].letters[::-1].swapcase())
-        return Word(self.dst.k, out, _reduced=True)
+        image path), read through the edge words (stallings.path_image)."""
+        edge_words = self.edge_words
+        _, img = stallings.path_image(
+            self.src, word.letters, lambda v, x: edge_words[(v, x)].letters
+        )
+        return Word(self.dst.k, img, _reduced=True)
 
     def __repr__(self):
         return f"GraphMap({self.src.m} -> {self.dst.m} sheets)"

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 from . import limits
 from .errors import InfiniteIndexError, ParseError, PreconditionError
-from .freewords import Word, _LOWER
+from .freewords import Word, _LOWER, _join
 
 # -- decorations: reduced words over +-(i+1), i = generator index --------------
 
@@ -581,37 +581,29 @@ def trace_path(graph: SubgroupGraph, letters: str) -> list[int]:
     return out
 
 
-def express(graph: SubgroupGraph, word) -> tuple[int, ...]:
-    """Rewrite a subgroup element in the canonical basis.
+def path_image(graph: SubgroupGraph, letters: str, label, start: int = 0):
+    """The path spelling `letters` from `start`, read through edge labels:
+    (end, image).  `end` is the vertex the path reaches, or None where it
+    leaves the graph; `image` is the reduced product of label(v, x), the
+    reduced letter string of the x-edge out of v, over the edges crossed
+    (up to where the path leaves), an edge crossed backward contributing
+    its inverse.  Letters cancel only at each junction (freewords._join).
 
-    Returns signed 1-based indices into basis(graph), multiplying left to
-    right.  Raises if the word is not in the subgroup.
-    """
-    data = _tree_data(graph)
-    letters = word.letters if isinstance(word, Word) else word
-    v = 0
-    out = []
+    With the nontree edges of a commensuration's domain graph labelled by
+    their basis elements' images, a based loop's image is the
+    commensuration's value on the element the loop spells."""
+    v, out = start, ""
     for ch in letters:
         x = ord(ch.lower()) - ord("a")
-        if ch.islower():
-            t = graph.fwd[x][v]
-            if t == -1:
-                raise PreconditionError(f"{letters!r} leaves the subgroup graph")
-            idx = data.nontree_index.get((v, x))
-            if idx is not None:
-                out.append(idx + 1)
-            v = t
-        else:
-            s = graph.bwd[x][v]
-            if s == -1:
-                raise PreconditionError(f"{letters!r} leaves the subgroup graph")
-            idx = data.nontree_index.get((s, x))
-            if idx is not None:
-                out.append(-(idx + 1))
-            v = s
-    if v != 0:
-        raise PreconditionError(f"{letters!r} is not in the subgroup")
-    return _dec_mul(out)
+        back = ch.isupper()
+        t = (graph.bwd if back else graph.fwd)[x][v]
+        if t == -1:
+            return None, out
+        e = label(t, x)[::-1].swapcase() if back else label(v, x)
+        if e:
+            out = _join(out, e)
+        v = t
+    return v, out
 
 
 def substitute(expr, images) -> Word:

@@ -19,7 +19,6 @@ from commsol.commensurations import (
     format_comm,
     format_comm_inline,
     from_ambient,
-    from_matrix,
     identity_comm,
     images_on,
     inner,
@@ -108,20 +107,22 @@ def test_matrix_round_trip_examples():
     half = make_zn([[F(1, 2)]], domain=lattices.from_generators([(2,)]))
     assert to_matrix(half) == ((F(1, 2),),)
 
-    sw = from_matrix([[0, 1], [1, 0]], 2)
+    sw = make_zn([[0, 1], [1, 0]])
     assert equivalent(compose(sw, sw), identity_comm("Z", 2))
     with pytest.raises(PreconditionError):
-        from_matrix([[1, 1], [1, 1]], 2)
+        make_zn([[1, 1], [1, 1]])
+    with pytest.raises(PreconditionError, match="square"):
+        make_zn([[1, 0]])
 
 
-def test_from_matrix_canonical_domain():
-    half = from_matrix([[F(1, 2)]], 1)
+def test_make_zn_canonical_domain():
+    half = make_zn([[F(1, 2)]])
     assert half.domain == lattices.from_generators([(2,)])
-    third = from_matrix([[F(2, 3)]], 1)
+    third = make_zn([[F(2, 3)]])
     assert third.domain == lattices.from_generators([(3,)])
     # oracle: v is in the canonical domain iff M v is integral
     m = [[F(1, 2), F(1, 3)], [F(0), F(1)]]
-    c = from_matrix(m, 2)
+    c = make_zn(m)
     mat = ratmat.from_rows(m)
     for x in range(-6, 7):
         for y in range(-6, 7):
@@ -308,7 +309,7 @@ def test_restriction_onto_rejects_a_forged_codomain(monkeypatch):
         restriction_onto(shift_ka, stallings.whole_group(2))
     # a wrong preimage of the right index: swap^-1(ker_a) is ker_b, and
     # swap maps ker_a onto ker_b, so an image leaves the target
-    commensurations._restriction_onto.cache_clear()
+    commensurations.restriction_onto.cache_clear()
     monkeypatch.setattr(commensurations, "preimage_subgroup", lambda comm, sub: sub)
     with pytest.raises(PreconditionError, match="leaves the target"):
         restriction_onto(cat["swap"], catalog.ker_a())

@@ -60,8 +60,6 @@ def test_declared_error_paths():
         )
     with pytest.raises(PreconditionError):
         geometry.fixed_point(Word(2, "ab"), sign="x")
-    with pytest.raises(PreconditionError):
-        solenoid.injectivity_radius(("klein bottle", 2))
 
 
 # -- cache-order independence ------------------------------------------------------

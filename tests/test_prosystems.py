@@ -205,7 +205,7 @@ def test_zeta_components_are_built_without_folding(monkeypatch):
     # preimage is a coset-action search: neither folds a word
     cat = catalog.f2_catalog()
     systems = [build_system("F", 2, depth) for depth in (1, 2, 3)]
-    for cache in (prosystems._zeta, commensurations._restriction_onto,
+    for cache in (prosystems.zeta, commensurations.restriction_onto,
                   commensurations.preimage_subgroup):
         cache.cache_clear()
 

@@ -20,6 +20,7 @@ from commsol.commensurations import (
 from commsol.errors import PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity as word_identity
 from commsol.solenoid import (
+    INJECTIVITY_RADIUS,
     EdgePoint,
     MetricValue,
     SolenoidPoint,
@@ -31,7 +32,6 @@ from commsol.solenoid import (
     d_pro,
     distinct_fiber_count,
     fiber_representatives,
-    injectivity_radius,
     kernel,
     leaf_distance,
     lift_through_covers,
@@ -64,6 +64,13 @@ def test_cover_and_covering_map_examples():
     a_only = stallings.from_generators([W("a")], 2)
     with pytest.raises(PreconditionError, match="needs a complete graph"):
         covering_map(a_only, rose)
+
+
+def test_equal_covering_maps_hash_equal():
+    ka = catalog.ker_a()
+    one, two = covering_map(ka, stallings.whole_group(2)), covering_map(ka, stallings.whole_group(2))
+    assert one == two and one is not two and hash(one) == hash(two)
+    assert {one, two, covering_map(ka, ka)} == {one, covering_map(ka, ka)}
 
 
 def test_covering_map_matches_tree_word_traces():
@@ -279,8 +286,11 @@ def test_leaf_and_sheet_counts():
 
 
 def test_injectivity_radius_constants():
-    assert injectivity_radius(("rose", 2)) == Fraction(1, 2)
-    assert injectivity_radius(("torus", 2)) == Fraction(1, 2)
+    assert INJECTIVITY_RADIUS == Fraction(1, 2)
+    # ball_structure refuses 4 * eps = injrad, on the rose and on the torus
+    for p in (baseleaf(word_identity(2), 2), baseleaf((0, 0), 2)):
+        with pytest.raises(PreconditionError, match=r"4\*eps < injectivity radius 1/2"):
+            ball_structure(p, Fraction(1, 8))
 
 
 def rose_ball_projection_injective(radius: Fraction) -> bool:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from commsol import stallings
+from commsol.commensurations import apply_ambient, evaluate, make_fk
 from commsol.errors import InfiniteIndexError, PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity
 from commsol.groups import group
@@ -17,7 +18,6 @@ from commsol.stallings import (
     basis,
     contains,
     enumerate_subgroups,
-    express,
     fold_with_expressions,
     format_subgroup,
     from_generators,
@@ -25,6 +25,8 @@ from commsol.stallings import (
     index,
     intersect,
     is_subgroup,
+    orbit_graph,
+    path_image,
     parse_subgroup,
     profinite_kernel,
     substitute,
@@ -127,6 +129,33 @@ def test_basis_sizes_and_membership():
     assert from_generators(basis(meet), 2) == meet
     for w in basis(ga):
         assert a_exp(w) % 2 == 0
+
+
+def express(graph, word):
+    """Oracle: a subgroup element in the canonical basis, as signed 1-based
+    indices into basis(graph) multiplying left to right; raises
+    PreconditionError when the word is not in the subgroup."""
+    nontree = stallings._tree_data(graph).nontree_index
+    v = 0
+    out = []
+    for ch in word.letters:
+        x = ord(ch.lower()) - ord("a")
+        if ch.islower():
+            t = graph.fwd[x][v]
+            if t == -1:
+                raise PreconditionError(f"{word.letters!r} leaves the subgroup graph")
+            if (v, x) in nontree:
+                out.append(nontree[(v, x)] + 1)
+            v = t
+        else:
+            v = graph.bwd[x][v]
+            if v == -1:
+                raise PreconditionError(f"{word.letters!r} leaves the subgroup graph")
+            if (v, x) in nontree:
+                out.append(-(nontree[(v, x)] + 1))
+    if v != 0:
+        raise PreconditionError(f"{word.letters!r} is not in the subgroup")
+    return stallings._dec_mul(out)
 
 
 def test_contains_iff_product_of_basis():
@@ -550,3 +579,77 @@ def test_cover_vertices_is_the_covering():
     assert stallings.cover_vertices(outer, inner) is None
     with pytest.raises(PreconditionError):
         stallings.cover_vertices(whole_group(3), outer)
+
+
+# -- path images: evaluate, apply_ambient ----------------------------------------
+
+
+def orbit_cover(data, k, m):
+    """The cover of the stabilizer of 0 under k drawn permutations of m
+    points: their action on the orbit of 0, of index at most m."""
+    perms = [data.draw(st.permutations(range(m))) for _ in range(k)]
+    return orbit_graph(k, 0, lambda v, x, back: perms[x].index(v) if back else perms[x][v])[0]
+
+
+@ORACLE
+@given(st.data())
+def test_evaluate_matches_express_and_substitute(data):
+    k = data.draw(st.integers(1, 3))
+    letters = "abc"[:k] + "ABC"[:k]
+    dom = orbit_cover(data, k, data.draw(st.integers(1, 6)))
+    # a codomain of the same index: letter a acts as a dom.m-cycle
+    cycle = data.draw(st.permutations(range(dom.m)))
+    a = [0] * dom.m
+    for i, c in enumerate(cycle):
+        a[c] = cycle[(i + 1) % dom.m]
+    rest = [data.draw(st.permutations(range(dom.m))) for _ in range(k - 1)]
+    cod = from_permutations(k, [a, *rest])
+    # any bijection of free bases is an isomorphism dom -> cod
+    images = [
+        w if data.draw(st.booleans()) else ~w
+        for w in data.draw(st.permutations(basis(cod)))
+    ]
+    phi = make_fk(k, basis(dom), images)
+    assert (phi.domain, phi.codomain) == (dom, cod)
+    be = basis(dom)
+    for b, img in zip(be, phi.images):
+        assert evaluate(phi, b) is img
+    for _ in range(4):
+        if data.draw(st.booleans()):
+            expr = data.draw(st.lists(st.integers(-len(be), len(be)).filter(bool), max_size=6))
+            w = substitute(expr, be)
+        else:
+            w = Word(k, data.draw(st.text(letters, max_size=12)))
+        try:
+            want = substitute(express(dom, w), phi.images)
+        except PreconditionError as err:
+            with pytest.raises(PreconditionError) as got:
+                evaluate(phi, w)
+            assert str(got.value) == str(err)
+        else:
+            assert evaluate(phi, w) == want
+
+
+@ORACLE
+@given(st.data())
+def test_apply_ambient_matches_letter_products(data):
+    k = data.draw(st.integers(1, 3))
+    letters = "abc"[:k] + "ABC"[:k]
+    letter_images = [Word(k, data.draw(st.text(letters, max_size=5))) for _ in range(k)]
+    w = Word(k, data.draw(st.text(letters, max_size=12)))
+    want = identity(k)
+    for ch in w.letters:
+        img = letter_images[ord(ch.lower()) - ord("a")]
+        want = want * (img if ch.islower() else ~img)
+    assert apply_ambient(letter_images, w) == want
+
+
+def test_path_image_stops_where_the_path_leaves():
+    graph = from_generators([W("ab")], 2)
+    label = lambda v, x: "ab"[x]
+    assert path_image(graph, "abBA", label) == (0, "")
+    assert path_image(graph, "ab", label, start=0) == (0, "ab")
+    assert path_image(graph, "b", label, start=1) == (0, "b")
+    # the path aA then b: b leaves the base, after the image of aA cancels
+    assert path_image(graph, "aAb", label) == (None, "")
+    assert path_image(graph, "aa", label) == (None, "a")

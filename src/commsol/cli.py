@@ -228,7 +228,8 @@ def run(argv) -> int:
             counts[grp.index(sub)] = counts.get(grp.index(sub), 0) + 1
         out.append(" ".join(f"{m}:{counts.get(m, 0)}" for m in range(1, args.max_index + 1)))
     elif verb == "kernel":
-        out.append(grp.format(grp.kernel(args.max_index), inline=lines_mode))
+        ker = solenoid.kernel(args.tag, args.rank, args.max_index)
+        out.append(grp.format(ker, inline=lines_mode))
     elif verb == "compose":
         c = comm_mod.compose(_parse_comm_arg(args.comm1), _parse_comm_arg(args.comm2))
         out.append(_emit_comm(c, lines_mode))

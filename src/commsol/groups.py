@@ -50,10 +50,6 @@ class _Group:
     def index(self, sub) -> int:
         return self.subgroups.index(sub)
 
-    def kernel(self, depth: int):
-        """K_depth: the intersection of all subgroups of index <= depth."""
-        return self.subgroups.profinite_kernel(self.rank, depth)
-
     def leaf_reach(self, leaf) -> Fraction:
         """Distance of a leaf point from the base point, rounded up to an
         integer where it is irrational."""
@@ -127,9 +123,6 @@ class Zn(_Group):
     def coset(self, sub, g):
         """Coset label of g: its canonical residue."""
         return lattices.residue(sub, g)
-
-    # the residue is also the canonical representative
-    coset_rep = coset
 
     def coset_reps(self, sub):
         diag = [sub.cols[i][i] for i in range(self.rank)]
@@ -266,9 +259,6 @@ class Fk(_Group):
     def coset(self, sub, g):
         """Coset label of g: the vertex its path reaches."""
         return stallings.trace(sub, g)
-
-    def coset_rep(self, sub, g):
-        return Word(self.rank, stallings.tree_words(sub)[stallings.trace(sub, g)], _reduced=True)
 
     def coset_reps(self, sub):
         return [Word(self.rank, tw, _reduced=True) for tw in stallings.tree_words(sub)]

@@ -276,18 +276,15 @@ def _count_hnf(n: int, max_index: int) -> int:
 
 
 def profinite_kernel(n: int, max_index: int) -> Lattice:
-    """Intersection of all subgroups of index <= max_index."""
-    out = whole_group(n)
-    for lat in enumerate_lattices(n, max_index):
-        out = intersect(out, lat)
-    return out
+    """Intersection of all subgroups of index <= max_index: lcm(1..N) Z^n,
+    as a lattice of index d contains d Z^n, and {v : d | v_i} has index d."""
+    if n < 1 or max_index < 1:
+        raise PreconditionError("need n >= 1 and max_index >= 1")
+    return Lattice(n, [[lcm_range(max_index) * x for x in c] for c in whole_group(n).cols])
 
 
 def lcm_range(n: int) -> int:
-    out = 1
-    for m in range(2, n + 1):
-        out = out * m // math.gcd(out, m)
-    return out
+    return math.lcm(*range(1, n + 1))
 
 
 # -- text format ---------------------------------------------------------------

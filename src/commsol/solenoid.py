@@ -1,16 +1,16 @@
 """Truncated solenoid over the rose (F_k) and the circle/torus (Z^n).
 
-The depth-N model is the finite cover attached to the kernel
-K_N = ∩ {subgroups of index <= N}: a point carries a profinite coordinate
-(a K_N-coset, equivalently a compatible family of cosets over the whole
-depth-N system) and a universal-cover leaf coordinate, stored as the
-canonical orbit representative (leaf moved as close as possible to the
-base point, ties broken by word order).
+A depth-N point carries a profinite coordinate, the compatible family of
+its cosets in every subgroup of index <= N (the objects of the depth-N
+system, prosystems.build_system), and a universal-cover leaf coordinate,
+stored as the canonical orbit representative (leaf moved as close as
+possible to the base point, ties broken by word order).
 
 Metrics follow the quotient construction: d_pro on fibers (exponential in
 the deepest level where two elements agree, a pseudometric at finite
 depth), the sup product metric d_inf, and sigma = the orbit infimum of
-d_inf, computed exactly by a pruned finite search.
+d_inf, computed exactly by a pruned finite search.  The kernel K_N = ∩
+{subgroups of index <= N} is built only to list the sheets of the cover.
 
 All metric scalars are MetricValue instances carrying their exact form
 (exp(-n), an exact rational, or a float approximation) plus a depth note
@@ -109,20 +109,19 @@ def metric_max(a: MetricValue, b: MetricValue) -> MetricValue:
 @lru_cache(maxsize=64)
 def kernel(tag: str, rank: int, depth: int):
     """K_depth: the intersection of all subgroups of index <= depth."""
-    return groups.group(tag, rank).kernel(depth)
+    return groups.group(tag, rank).subgroups.profinite_kernel(rank, depth)
 
 
 def d_pro(tag: str, rank: int, g, h, depth: int) -> MetricValue:
     """exp(-max{n <= depth : g h^-1 in K_n}); zero (flagged as a depth-N
-    pseudometric) when the difference lies in K_depth."""
+    pseudometric) when the difference lies in K_depth.  The system objects
+    are sorted by index, so the first one missing g h^-1 has index n + 1."""
     grp = groups.group(tag, rank)
     diff = grp.mul(g, grp.inv(h))
-    if grp.contains(kernel(tag, rank, depth), diff):
-        return MetricValue.zero(note=f"pseudometric at depth {depth}")
-    for n in range(depth - 1, 0, -1):
-        if grp.contains(kernel(tag, rank, n), diff):
-            return MetricValue.exp(n)
-    raise AssertionError("unreachable: K_1 is the whole group")
+    for obj in prosystems.build_system(tag, rank, depth).objects:
+        if not grp.contains(obj, diff):
+            return MetricValue.exp(grp.index(obj) - 1)
+    return MetricValue.zero(note=f"pseudometric at depth {depth}")
 
 
 # -- leaf coordinates -----------------------------------------------------------
@@ -141,9 +140,10 @@ def leaf_distance(a, b) -> MetricValue:
 class SolenoidPoint:
     """Depth-N point in canonical form: the leaf coordinate is moved to
     the fundamental neighborhood of the base (exactly the base for vertex
-    leaves) and the K_N-coset absorbs the translation."""
+    leaves) and the fiber absorbs the translation.  Points are equal when
+    their coset families (the profinite coordinate) and leaves are."""
 
-    __slots__ = ("tag", "rank", "depth", "fiber", "leaf", "group")
+    __slots__ = ("tag", "rank", "depth", "fiber", "leaf", "group", "_family")
 
     def __init__(self, tag, rank, depth, fiber, leaf):
         grp = groups.group(tag, rank)
@@ -151,25 +151,26 @@ class SolenoidPoint:
         self.tag = tag
         self.rank = rank
         self.depth = depth
-        self.fiber = grp.coset_rep(kernel(tag, rank, depth), grp.mul(fiber, deck))
+        self.fiber = grp.mul(fiber, deck)
         self.leaf = leaf
         self.group = grp
+        objs = prosystems.build_system(tag, rank, depth).objects
+        self._family = tuple(grp.coset(obj, self.fiber) for obj in objs)
 
     def family(self):
         """Coset of every object of the depth-N system (compatible under
         all bonds by construction)."""
-        objs = prosystems.build_system(self.tag, self.rank, self.depth).objects
-        return tuple(self.group.coset(obj, self.fiber) for obj in objs)
+        return self._family
 
     def __eq__(self, other):
         return (
             isinstance(other, SolenoidPoint)
-            and (other.tag, other.rank, other.depth, other.fiber, other.leaf)
-            == (self.tag, self.rank, self.depth, self.fiber, self.leaf)
+            and (other.tag, other.rank, other.depth, other._family, other.leaf)
+            == (self.tag, self.rank, self.depth, self._family, self.leaf)
         )
 
     def __hash__(self):
-        return hash((self.tag, self.rank, self.depth, self.fiber, self.leaf))
+        return hash((self.tag, self.rank, self.depth, self._family, self.leaf))
 
     def __repr__(self):
         return f"SolenoidPoint(N={self.depth}, fiber={self.fiber}, leaf={self.leaf})"
@@ -393,23 +394,21 @@ def lift_through_covers(phi, sub=None, target=None) -> GraphMap:
                 f"phi does not map the subgroup into the target: basis word {b} "
                 f"maps to {img}, which is not in the target subgroup"
             )
-    twords = stallings.tree_words(h)
-    data = stallings._tree_data(h)
     edge_words = {}
     if phi.ambient is not None:
         vmap = [
             stallings.trace(k_graph, comm_mod.apply_ambient(phi.ambient, Word(h.k, tw)))
-            for tw in twords
+            for tw in stallings.tree_words(h)
         ]
         for v in range(h.m):
             for x in range(h.k):
                 edge_words[(v, x)] = phi.ambient[x]
     else:
         vmap = [0] * h.m
-        nontree = {e: i for i, e in enumerate(data.nontree)}
+        nontree_index = stallings._tree_data(h).nontree_index
         for v in range(h.m):
             for x in range(h.k):
-                idx = nontree.get((v, x))
+                idx = nontree_index.get((v, x))
                 edge_words[(v, x)] = (
                     phi.images[idx] if idx is not None else word_identity(h.k)
                 )

@@ -13,10 +13,10 @@ isomorphism of covers is subgroup equality, so equal subgroups have
 identical stored arrays.  Fiber products (`intersect`, over pairs of
 vertices), permutation covers (`from_permutations`, over the points
 permuted), preimage covers (`commensurations.preimage_subgroup`, over
-pairs of cosets) and folds (over the roots of the folded graph) are each
-that one search over their own nodes.  The low-index search of
-`enumerate_subgroups` fills coset tables in this same scan order, so it
-emits tables already in canonical form.
+pairs of cosets), folds (over the roots of the folded graph) and profinite
+kernels (over coset families) are each that one search over their own
+nodes.  The low-index search of `enumerate_subgroups` fills coset tables
+in this same scan order, so it emits tables already in canonical form.
 
 Folding reads each word into the graph folded so far (J. Stallings,
 Topology of finite graphs, 1983; I. Kapovich and A. Myasnikov, Stallings
@@ -41,6 +41,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import count
+from operator import getitem
 
 from . import limits
 from .errors import InfiniteIndexError, ParseError, PreconditionError
@@ -701,15 +703,26 @@ def enumerate_subgroups(k: int, max_index: int) -> list[SubgroupGraph]:
 
 
 def profinite_kernel(k: int, max_index: int) -> SubgroupGraph:
-    """Intersection of all subgroups of index <= max_index."""
-    out = whole_group(k)
-    for g in enumerate_subgroups(k, max_index):
-        limits.guard(
-            out.m * g.m * k * 4,
-            f"profinite_kernel(k={k}, N={max_index}): partial index reached {out.m}",
-        )
-        out = intersect(out, g)
-    return out
+    """Intersection of all subgroups of index <= max_index: their fiber
+    product, the orbit of the base family of cosets (one per subgroup)
+    under the product action, metered per node expanded."""
+    subs = enumerate_subgroups(k, max_index)
+    # rows[back][x][i] is the x-row of subs[i], forward or backward
+    rows = tuple(zip(*(s.fwd for s in subs))), tuple(zip(*(s.bwd for s in subs)))
+    # coset labels lie below max_index: bytes take a quarter of a tuple's memory
+    pack = bytes if max_index <= 256 else tuple
+    expanded = count(1)
+
+    def step(node, x, back):
+        if not (x or back):
+            n = next(expanded)
+            limits.guard(
+                n * len(subs) * k,
+                f"profinite_kernel(k={k}, N={max_index}): partial index reached {n}",
+            )
+        return pack(map(getitem, rows[back][x], node))
+
+    return orbit_graph(k, pack([0] * len(subs)), step)[0]
 
 
 # -- text format ------------------------------------------------------------------

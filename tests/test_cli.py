@@ -126,6 +126,28 @@ def test_baseleaf_dpro_sigma(capsys):
     assert code == 0 and out.startswith("exp(-4)")
 
 
+def test_metric_verbs_at_depth_4(capsys):
+    # the metric path reads the 88 objects of the depth-4 system, not K_4
+    code, out = cli(capsys, "dpro", "F", "2", "ab", "ba", "--depth", "4")
+    assert code == 0 and out.startswith("exp(-2)")
+    code, out = cli(capsys, "sigma", "F", "2", "ab", "ba", "--depth", "4")
+    assert code == 0 and out.startswith("exp(-2)")
+    code, out = cli(capsys, "baseleaf", "F", "2", "abAB", "--depth", "4")
+    assert code == 0 and out.startswith("solpoint F 2 N=4 cosets=[0,")
+
+
+def test_ball_at_depth_4_lists_sheets_under_the_guard(capsys, monkeypatch):
+    # the point needs the depth-4 enumeration (work 330); its sheets need K_4
+    monkeypatch.setenv("COMMSOL_MAX_WORK", "10000")
+    code = main(["ball", "F", "2", "ab", "--depth", "4"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert (
+        "profinite_kernel(k=2, N=4): partial index reached 57: "
+        "estimated work 10032 exceeds cap 10000"
+    ) in err
+
+
 def test_ball_verb(capsys):
     code, out = cli(capsys, "ball", "F", "2", "1", "--depth", "2", "--epsilon", "0.1")
     assert code == 0 and "components=1" in out

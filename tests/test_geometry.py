@@ -147,7 +147,7 @@ def draw_point(data, sub, max_len=8):
     if kind == "any":
         return Word(sub.k, data.draw(st.text(letters, min_size=2, max_size=max_len)))
     w = Word(sub.k, data.draw(st.text(letters, max_size=max_len // 2)))
-    h = w * ~group("F", sub.k).coset_rep(sub, w)
+    h = w * ~Word(sub.k, stallings.tree_words(sub)[stallings.trace(sub, w)])
     assert stallings.contains(sub, h)
     if kind == "past":
         h = h * Word(sub.k, data.draw(st.sampled_from(letters)))

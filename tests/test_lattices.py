@@ -164,6 +164,31 @@ def test_profinite_kernel_z1_brute_force():
             assert contains(ker, (v,)) == member_oracle
 
 
+def profinite_kernel_by_intersection(n, max_index):
+    """K_N as the running intersection of the enumerated lattices."""
+    out = whole_group(n)
+    for lat in enumerate_lattices(n, max_index):
+        out = intersect(out, lat)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, max_index",
+    [(1, m) for m in range(1, 9)] + [(2, m) for m in range(1, 7)] + [(3, m) for m in range(1, 5)],
+)
+def test_profinite_kernel_closed_form_matches_intersection(n, max_index):
+    assert profinite_kernel(n, max_index) == profinite_kernel_by_intersection(n, max_index)
+
+
+def test_profinite_kernel_keeps_the_enumeration_precondition():
+    for n, max_index in ((2, 0), (0, 3)):
+        with pytest.raises(PreconditionError) as want:
+            enumerate_lattices(n, max_index)
+        with pytest.raises(PreconditionError) as got:
+            profinite_kernel(n, max_index)
+        assert str(got.value) == str(want.value)
+
+
 def test_dimension_mismatch():
     with pytest.raises(PreconditionError):
         contains(whole_group(2), (1, 2, 3))

@@ -4,8 +4,10 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commsol import catalog, lattices, stallings
 from commsol.commensurations import (
@@ -386,3 +388,150 @@ def test_zn_coset_enumeration_is_guarded(monkeypatch):
     monkeypatch.setenv("COMMSOL_MAX_WORK", str(4 * 4 - 1))
     with pytest.raises(ResourceLimitError):
         fiber_representatives("Z", 2, 2)
+
+
+# -- the metric path against coset-family oracles ------------------------------------
+
+METRIC_ORACLE = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+@lru_cache(maxsize=None)
+def subgroups_by_index(tag, rank, depth):
+    """Per index n <= depth, the subgroups of index n, enumerated afresh."""
+    subs = (
+        stallings.enumerate_subgroups(rank, depth)
+        if tag == "F"
+        else lattices.enumerate_lattices(rank, depth)
+    )
+    index = stallings.index if tag == "F" else lattices.index
+    return [[s for s in subs if index(s) == n] for n in range(1, depth + 1)]
+
+
+def coset_label(tag, sub, g):
+    return stallings.trace(sub, g) if tag == "F" else lattices.residue(sub, g)
+
+
+def coset_family_dpro(tag, rank, g, h, depth) -> float:
+    """exp(-n) for the largest n such that g and h lie in the same coset of
+    every subgroup of index <= n; 0 when n reaches the depth."""
+    agree = 0
+    for level in subgroups_by_index(tag, rank, depth):
+        if any(coset_label(tag, s, g) != coset_label(tag, s, h) for s in level):
+            break
+        agree += 1
+    return 0.0 if agree == depth else math.exp(-agree)
+
+
+def lcm_rule_dpro(g, h, depth) -> float:
+    """exp(-n) for the largest n with g - h in lcm(1..n) Z^m, which is K_n on
+    Z^m; 0 when n reaches the depth."""
+    agree = max(
+        n
+        for n in range(1, depth + 1)
+        if all((a - b) % lattices.lcm_range(n) == 0 for a, b in zip(g, h))
+    )
+    return 0.0 if agree == depth else math.exp(-agree)
+
+
+def draw_f2_word(data):
+    return W(data.draw(st.text("abAB", max_size=8)))
+
+
+def draw_vector(data, n):
+    return tuple(data.draw(st.integers(-120, 120)) for _ in range(n))
+
+
+@METRIC_ORACLE
+@given(st.data())
+def test_d_pro_matches_coset_families_on_f2(data):
+    depth = data.draw(st.integers(1, 5))
+    g, h = draw_f2_word(data), draw_f2_word(data)
+    kind = data.draw(st.sampled_from(["any", "k2", "k3"]))
+    if kind == "k2":
+        # members of every index-2 subgroup
+        h = g * W(data.draw(st.sampled_from(["aa", "bb", "abAB", "aabb", "abab"])))
+    elif kind == "k3":
+        k3 = stallings.basis(kernel("F", 2, 3))
+        h = g * k3[data.draw(st.integers(0, len(k3) - 1))]
+    got = d_pro("F", 2, g, h, depth)
+    assert float(got) == coset_family_dpro("F", 2, g, h, depth)
+    assert got.is_zero == (float(got) == 0.0)
+
+
+@METRIC_ORACLE
+@given(st.data())
+def test_d_pro_matches_the_lcm_rule_on_zn(data):
+    n, depth = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 6))
+    g = draw_vector(data, n)
+    step = lattices.lcm_range(data.draw(st.integers(1, 7)))
+    h = tuple(x + step * data.draw(st.integers(-3, 3)) for x in g)
+    want = lcm_rule_dpro(g, h, depth)
+    assert float(d_pro("Z", n, g, h, depth)) == want == coset_family_dpro("Z", n, g, h, depth)
+
+
+@METRIC_ORACLE
+@given(st.data())
+def test_baseleaf_family_is_the_per_object_cosets(data):
+    tag = data.draw(st.sampled_from(["F", "Z"]))
+    if tag == "F":
+        rank, depth, g = 2, data.draw(st.integers(1, 5)), draw_f2_word(data)
+    else:
+        rank, depth = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 6))
+        g = draw_vector(data, rank)
+    want = tuple(
+        coset_label(tag, s, g) for level in subgroups_by_index(tag, rank, depth) for s in level
+    )
+    assert baseleaf(g, depth).family() == want
+
+
+def kernel_coset_key(p):
+    """The point identity of the K_N-coset model: the K_N coset of the
+    fiber, and the leaf."""
+    ker = kernel(p.tag, p.rank, p.depth)
+    if p.tag == "F":
+        return stallings.trace(ker, p.fiber), p.leaf
+    return lattices.residue(ker, p.fiber), p.leaf
+
+
+@METRIC_ORACLE
+@given(st.data())
+def test_point_equality_matches_kernel_cosets(data):
+    tag, depth = data.draw(st.sampled_from(["F", "Z"])), data.draw(st.integers(1, 3))
+    if tag == "F":
+        rank = 2
+        ker_basis = stallings.basis(kernel("F", 2, depth))
+        fiber = draw_f2_word(data)
+        leaf = data.draw(st.sampled_from([word_identity(2), W("a"), W("Ba")]))
+        if data.draw(st.booleans()):
+            leaf = EdgePoint(leaf, data.draw(st.sampled_from("ab")), Fraction(1, 3))
+        deep = ker_basis[data.draw(st.integers(0, len(ker_basis) - 1))]
+        other = fiber * deep if data.draw(st.booleans()) else draw_f2_word(data)
+    else:
+        rank = data.draw(st.integers(2, 3))
+        step = lattices.lcm_range(depth)
+        fiber = draw_vector(data, rank)
+        leaf = tuple(Fraction(data.draw(st.integers(-6, 6)), 4) for _ in range(rank))
+        if data.draw(st.booleans()):
+            other = tuple(x + step * data.draw(st.integers(-2, 2)) for x in fiber)
+        else:
+            other = draw_vector(data, rank)
+    p = SolenoidPoint(tag, rank, depth, fiber, leaf)
+    q = SolenoidPoint(tag, rank, depth, other, leaf)
+    assert (p == q) == (kernel_coset_key(p) == kernel_coset_key(q))
+    if p == q:
+        assert hash(p) == hash(q)
+
+
+# a sigma on Z^3 scans 9^3 translates
+@settings(METRIC_ORACLE, max_examples=50)
+@given(st.data())
+def test_sigma_symmetric_and_below_d_pro_at_depth_4(data):
+    if data.draw(st.booleans()):
+        tag, rank, g, h = "F", 2, draw_f2_word(data), draw_f2_word(data)
+    else:
+        tag, rank = "Z", data.draw(st.integers(2, 3))
+        g, h = draw_vector(data, rank), draw_vector(data, rank)
+    p, q = baseleaf(g, 4), baseleaf(h, 4)
+    s = sigma(p, q)
+    assert s == sigma(q, p)
+    assert s <= d_pro(tag, rank, g, h, 4)

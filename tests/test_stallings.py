@@ -336,6 +336,50 @@ def test_profinite_kernel_depth3_definitional():
         assert contains(ker, w) and all(contains(g, w) for g in subs)
 
 
+def profinite_kernel_by_intersection(k, max_index):
+    """K_N as the running fiber product of the enumerated subgroups."""
+    out = whole_group(k)
+    for g in enumerate_subgroups(k, max_index):
+        out = intersect(out, g)
+    return out
+
+
+@pytest.mark.parametrize(
+    "k, max_index", [(1, n) for n in range(1, 7)] + [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+)
+def test_profinite_kernel_matches_intersection_loop(k, max_index):
+    ker = profinite_kernel(k, max_index)
+    want = profinite_kernel_by_intersection(k, max_index)
+    assert (ker.fwd, ker.bwd, ker.m) == (want.fwd, want.bwd, want.m)
+
+
+def test_profinite_kernel_guard_meters_expanded_families(monkeypatch):
+    # K_3(F_2) has index 972 over the 17 subgroups of index <= 3; each
+    # expanded family costs 17 * 2, and the last one meets the cap exactly
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(972 * 17 * 2))
+    assert profinite_kernel(2, 3).m == 972
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(972 * 17 * 2 - 1))
+    with pytest.raises(ResourceLimitError) as err:
+        profinite_kernel(2, 3)
+    assert "partial index reached 972" in str(err.value)
+    # K_4(F_2) over its 88 subgroups: refused at 569 families, 569 * 88 * 2
+    monkeypatch.setenv("COMMSOL_MAX_WORK", "100000")
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        profinite_kernel(2, 4)
+    assert time.perf_counter() - t0 < 0.5
+    assert (
+        "profinite_kernel(k=2, N=4): partial index reached 569: "
+        "estimated work 100144 exceeds cap 100000"
+    ) in str(err.value)
+    # past index 256 coset labels outgrow a byte: the search goes on as
+    # tuples (labels reach 256 after about 256 families) until the guard
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(300 * 300))
+    with pytest.raises(ResourceLimitError) as err:
+        profinite_kernel(1, 300)
+    assert "partial index reached 301: estimated work 90300" in str(err.value)
+
+
 def test_intersect_index_bound():
     rng = random.Random(43)
     subs = enumerate_subgroups(2, 3)

@@ -19,7 +19,7 @@ from . import acceptance, lattices, prosystems, solenoid, stallings
 from . import commensurations as comm_mod
 from . import geometry
 from .errors import CommsolError, ParseError, PreconditionError
-from .freewords import Alphabet, parse_word, serialize_vector
+from .freewords import Alphabet, inline, parse_int, parse_word, serialize_vector
 from .groups import group
 
 
@@ -27,9 +27,7 @@ def _read_arg(text: str) -> str:
     if os.path.exists(text):
         with open(text, encoding="utf-8") as fh:
             return fh.read()
-    if ":" in text.splitlines()[0]:
-        return text
-    return text.replace(";", "\n")
+    return text
 
 
 def _parse_subgroup_arg(text: str):
@@ -46,8 +44,8 @@ def _parse_comm_arg(text: str):
     return comm_mod.parse_comm(_read_arg(text))
 
 
-def _emit_comm(comm, lines_mode: bool) -> str:
-    return comm_mod.format_comm_inline(comm) if lines_mode else comm_mod.format_comm(comm)
+def _emit(text: str, lines_mode: bool) -> str:
+    return inline(text) if lines_mode else text
 
 
 def _solpoint_line(p) -> str:
@@ -195,7 +193,7 @@ def _where_predicate(grp, where: str):
     if where == "even":
         return lambda obj: grp.index(obj) % 2 == 0
     if where.startswith("index:"):
-        wanted = {int(x) for x in where[len("index:") :].split(",")}
+        wanted = {parse_int(x) for x in where[len("index:") :].split(",")}
         return lambda obj: grp.index(obj) in wanted
     raise ParseError(f"unknown --where value {where!r}")
 
@@ -218,7 +216,7 @@ def run(argv) -> int:
         grp2, s2 = _parse_subgroup_arg(args.sub2)
         if grp.tag != grp2.tag:
             raise ParseError("cannot intersect subgroups of different groups")
-        out.append(grp.format(grp.intersect(s1, s2), inline=lines_mode))
+        out.append(_emit(grp.format(grp.intersect(s1, s2)), lines_mode))
     elif verb == "basis":
         grp, sub = _parse_subgroup_arg(args.subgroup)
         out.extend(grp.format_element(b) for b in grp.basis(sub))
@@ -229,12 +227,13 @@ def run(argv) -> int:
         out.append(" ".join(f"{m}:{counts.get(m, 0)}" for m in range(1, args.max_index + 1)))
     elif verb == "kernel":
         ker = solenoid.kernel(args.tag, args.rank, args.max_index)
-        out.append(grp.format(ker, inline=lines_mode))
+        out.append(_emit(grp.format(ker), lines_mode))
     elif verb == "compose":
         c = comm_mod.compose(_parse_comm_arg(args.comm1), _parse_comm_arg(args.comm2))
-        out.append(_emit_comm(c, lines_mode))
+        out.append(_emit(comm_mod.format_comm(c), lines_mode))
     elif verb == "invert":
-        out.append(_emit_comm(comm_mod.invert(_parse_comm_arg(args.comm)), lines_mode))
+        c = comm_mod.invert(_parse_comm_arg(args.comm))
+        out.append(_emit(comm_mod.format_comm(c), lines_mode))
     elif verb == "equiv":
         eq = comm_mod.equivalent(_parse_comm_arg(args.comm1), _parse_comm_arg(args.comm2))
         out.append("equivalent" if eq else "inequivalent")
@@ -248,7 +247,7 @@ def run(argv) -> int:
     elif verb == "reconstruct":
         c = _parse_comm_arg(args.comm)
         back = prosystems.reconstruct(prosystems.zeta(c, args.depth))
-        out.append(_emit_comm(back, lines_mode))
+        out.append(_emit(comm_mod.format_comm(back), lines_mode))
         out.append(
             "equivalent to input" if comm_mod.equivalent(back, c) else "NOT equivalent"
         )
@@ -271,7 +270,7 @@ def run(argv) -> int:
         if not sub.complete:
             raise PreconditionError("a finite-sheeted cover needs a complete graph")
         out.append(f"cover sheets={sub.m}")
-        out.append(grp.format(sub, inline=lines_mode))
+        out.append(_emit(grp.format(sub), lines_mode))
     elif verb == "lift":
         c = _parse_comm_arg(args.comm)
         if c.tag == "Z":
@@ -304,7 +303,11 @@ def run(argv) -> int:
     elif verb == "ball":
         g = grp.parse_element(args.element)
         p = solenoid.baseleaf(g, args.depth)
-        report = solenoid.ball_structure(p, Fraction(args.epsilon))
+        try:
+            epsilon = Fraction(args.epsilon)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad --epsilon {args.epsilon!r}") from None
+        report = solenoid.ball_structure(p, epsilon)
         out.append(report.render())
     elif verb == "qi":
         est = geometry.qi_estimate(

@@ -23,7 +23,16 @@ from functools import lru_cache, wraps
 
 from . import groups, lattices, limits, ratmat, stallings
 from .errors import ParseError, PreconditionError
-from .freewords import Word, _join, _LOWER
+from .freewords import (
+    _LOWER,
+    Alphabet,
+    Word,
+    _join,
+    inline,
+    parse_int,
+    parse_word,
+    text_lines,
+)
 
 
 class Commensuration:
@@ -407,11 +416,21 @@ def zn1_to_f1(comm: Commensuration) -> Commensuration:
 #   comm Z <n>            comm F <k>
 #   <n rows of p/q>       [domain generator words]
 #                         <basisword -> imageword> lines
+#
+# read through freewords.text_lines, so ';' and the colon form work too
 
 
 def _format_fraction(x: Fraction) -> str:
     # always p/q, per the wire format ("2/1" rather than "2")
     return f"{x.numerator}/{x.denominator}"
+
+
+def _parse_fraction(tok: str) -> Fraction:
+    num, slash, den = tok.partition("/")
+    q = parse_int(den) if slash else 1
+    if q == 0:
+        raise ParseError(f"zero denominator in {tok!r}")
+    return Fraction(parse_int(num), q)
 
 
 def format_comm(comm: Commensuration) -> str:
@@ -427,63 +446,36 @@ def format_comm(comm: Commensuration) -> str:
 
 
 def format_comm_inline(comm: Commensuration) -> str:
-    if comm.tag == "Z":
-        rows = " ; ".join(
-            " ".join(_format_fraction(x) for x in row) for row in comm.matrix
-        )
-        return f"comm Z {comm.rank} : {rows}"
-    arrows = " ; ".join(
-        f"{b} -> {img}" for b, img in zip(stallings.basis(comm.domain), comm.images)
-    )
-    return f"comm F {comm.rank} : {arrows}"
+    return inline(format_comm(comm))
 
 
 def parse_comm(text: str) -> Commensuration:
-    text = text.strip()
-    if not text:
-        raise ParseError("empty commensuration text")
-    if ":" not in text.splitlines()[0] and ";" in text:
-        text = text.replace(";", "\n")
-    first = text.splitlines()[0]
-    if ":" in first and first.lstrip().startswith("comm"):
-        head, _, body = first.partition(":")
-        parts = head.split()
-        lines = [p.strip() for p in body.split(";") if p.strip()]
-    else:
-        all_lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        parts = all_lines[0].split()
-        lines = all_lines[1:]
-    if len(parts) != 3 or parts[0] != "comm":
-        raise ParseError(f"expected 'comm Z <n>' or 'comm F <k>', got {parts!r}")
-    rank = int(parts[2])
+    head, *body = text_lines(text)
+    parts = head.split()
+    if len(parts) != 3 or parts[0] != "comm" or parts[1] not in ("Z", "F"):
+        raise ParseError(f"expected 'comm Z <n>' or 'comm F <k>' header, got {head!r}")
+    rank = parse_int(parts[2])
     if parts[1] == "Z":
-        if len(lines) != rank:
-            raise ParseError(f"expected {rank} matrix rows")
+        if len(body) != rank:
+            raise ParseError(f"expected {rank} matrix rows, got {len(body)}")
         rows = []
-        for ln in lines:
-            entries = []
-            for tok in ln.split():
-                if "/" in tok:
-                    num, den = tok.split("/")
-                    entries.append(Fraction(int(num), int(den)))
-                else:
-                    entries.append(Fraction(int(tok)))
-            if len(entries) != rank:
+        for ln in body:
+            row = [_parse_fraction(tok) for tok in ln.split()]
+            if len(row) != rank:
                 raise ParseError(f"expected {rank} entries per row, got {ln!r}")
-            rows.append(entries)
+            rows.append(row)
         return make_zn(rows)
-    if parts[1] != "F":
-        raise ParseError(f"unknown group tag {parts[1]!r}")
+    alphabet = Alphabet(rank)
     dom_gens = []
     gens = []
     images = []
-    for ln in lines:
+    for ln in body:
         if "->" in ln:
             left, _, right = ln.partition("->")
-            gens.append(Word(rank, left.strip() if left.strip() != "1" else ""))
-            images.append(Word(rank, right.strip() if right.strip() != "1" else ""))
+            gens.append(parse_word(left.strip(), alphabet))
+            images.append(parse_word(right.strip(), alphabet))
         else:
-            dom_gens.append(Word(rank, ln if ln != "1" else ""))
+            dom_gens.append(parse_word(ln, alphabet))
     if not gens:
         raise ParseError("no 'word -> imageword' lines")
     comm = make_fk(rank, gens, images)

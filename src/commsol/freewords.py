@@ -7,6 +7,10 @@ immutable and reduced at construction, so every downstream invariant can
 assume reducedness.
 
 Elements of Z^n are plain tuples of ints (see parse_vector).
+
+The text layout shared by lattices, subgroups and commensurations is read
+and written here too: a header line and body lines, given either as lines,
+as ';'-separated lines, or in the one-line form "header : line ; line".
 """
 
 from __future__ import annotations
@@ -203,16 +207,40 @@ def primitive_root(w: Word) -> tuple[Word, int]:
 # -- Z^n elements -------------------------------------------------------------
 
 
+def parse_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"bad integer {tok!r}") from None
+
+
 def parse_vector(text: str, n: int) -> tuple[int, ...]:
     """Parse a Z^n element: comma- or space-separated integers."""
     parts = text.replace(",", " ").split()
     if len(parts) != n:
         raise ParseError(f"expected {n} integers, got {len(parts)} in {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ParseError(f"bad integer in vector {text!r}") from exc
+    return tuple(map(parse_int, parts))
 
 
 def serialize_vector(v: tuple[int, ...]) -> str:
     return ",".join(str(x) for x in v)
+
+
+# -- header-and-lines text --------------------------------------------------------
+
+
+def text_lines(text: str) -> list[str]:
+    """[header, *body] of a text written with newlines, with ';' for
+    newlines, or as "header : line ; line": the first ':' and every ';'
+    break lines, and blank lines are dropped."""
+    lines = [ln.strip() for ln in text.replace(":", ";", 1).replace(";", "\n").splitlines()]
+    lines = [ln for ln in lines if ln]
+    if not lines:
+        raise ParseError("empty text")
+    return lines
+
+
+def inline(text: str) -> str:
+    """The one-line form "header : line ; line" of a multi-line text."""
+    head, *body = text.splitlines()
+    return f"{head} : {' ; '.join(body)}"

@@ -183,10 +183,6 @@ class BoundedDistanceReport:
             self.bound = None
             self.stabilized_at = None
 
-    @property
-    def growing(self) -> bool:
-        return self.maxima[-1] > self.maxima[min(len(self.maxima) - 1, 6) - 1]
-
     def render(self) -> str:
         trail = " ".join(str(v) for v in self.maxima)
         if self.equivalent:

@@ -51,10 +51,8 @@ class _Group:
         return self.subgroups.index(sub)
 
     def leaf_reach(self, leaf) -> Fraction:
-        """Distance of a leaf point from the base point, rounded up to an
-        integer where it is irrational."""
-        d = self.leaf_distance(leaf, self.identity)
-        return d if isinstance(d, Fraction) else Fraction(int(d) + 1)
+        """Distance of a leaf point from the base point."""
+        return self.leaf_distance(leaf, self.identity)
 
     def ball(self, radius):
         """All elements within `radius` of the identity, sorted by
@@ -146,9 +144,7 @@ class Zn(_Group):
         in the box [0, diag)."""
         return sum(sub.cols[i][i] - 1 for i in range(self.rank))
 
-    def format(self, sub, inline: bool = False) -> str:
-        if inline:
-            return lattices.format_lattice_inline(sub)
+    def format(self, sub) -> str:
         return lattices.format_lattice(sub)
 
     def translate(self, g, leaf):
@@ -160,6 +156,15 @@ class Zn(_Group):
         if len(diffs) == 1:
             return abs(diffs[0])
         return math.sqrt(float(sum(d * d for d in diffs)))
+
+    def leaf_reach(self, leaf) -> Fraction:
+        """Distance of a leaf point from the origin; in dimension 2 and up,
+        where it can be irrational, its exact ceiling: the least m with
+        m^2 >= |leaf|^2, which is isqrt(n - 1) + 1 for n = ceil(|leaf|^2)."""
+        if self.rank == 1:
+            return abs(Fraction(leaf[0]))
+        n = math.ceil(sum(Fraction(x) ** 2 for x in leaf))
+        return Fraction(math.isqrt(n - 1) + 1 if n else 0)
 
     def split_leaf(self, leaf):
         """(deck, rest) with leaf = deck + rest and rest in [-1/2, 1/2)^n."""
@@ -276,9 +281,7 @@ class Fk(_Group):
         distance of a vertex of its graph from the base."""
         return max(stallings._return_table(sub).dist)
 
-    def format(self, sub, inline: bool = False) -> str:
-        if inline:
-            return stallings.format_subgroup_inline(sub)
+    def format(self, sub) -> str:
         return stallings.format_subgroup(sub)
 
     def translate(self, g, leaf):

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import product
 
 from . import limits
 from .errors import InfiniteIndexError, ParseError, PreconditionError
+from .freewords import parse_int, parse_vector, text_lines
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -232,26 +234,13 @@ def enumerate_lattices(n: int, max_index: int) -> list[Lattice]:
     def _emit(diag: list[int]):
         # off-diagonal slots: row i has i entries (columns 0..i-1), each mod diag[i]
         slots = [(i, j) for i in range(n) for j in range(i)]
-        radices = [diag[i] for i, _ in slots]
-        vals = [0] * len(slots)
-        while True:
+        for vals in product(*(range(diag[i]) for i, _ in slots)):
             cols = [[0] * n for _ in range(n)]
             for i in range(n):
                 cols[i][i] = diag[i]
             for (i, j), v in zip(slots, vals):
                 cols[j][i] = v
             out.append(Lattice(n, tuple(tuple(c) for c in cols), _canonical=True))
-            k = len(slots) - 1
-            while k >= 0:
-                vals[k] += 1
-                if vals[k] < radices[k]:
-                    break
-                vals[k] = 0
-                k -= 1
-            else:
-                return
-            if not slots:
-                return
 
     diagonals(0, 1, [])
     out.sort(key=Lattice.sort_key)
@@ -291,6 +280,8 @@ def lcm_range(n: int) -> int:
 #
 #   Z <n>
 #   <n lines of n integers>       (generator columns, written as rows)
+#
+# read through freewords.text_lines, so ';' and the colon form work too
 
 
 def format_lattice(lat: Lattice) -> str:
@@ -300,41 +291,12 @@ def format_lattice(lat: Lattice) -> str:
     return "\n".join(lines)
 
 
-def format_lattice_inline(lat: Lattice) -> str:
-    rows = " ; ".join(" ".join(str(x) for x in c) for c in lat.cols)
-    return f"Z {lat.n} : {rows}"
-
-
 def parse_lattice(text: str) -> Lattice:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty lattice text")
-    if ":" in lines[0]:
-        return parse_lattice_inline(lines[0])
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "Z":
-        raise ParseError(f"expected 'Z <n>' header, got {lines[0]!r}")
-    n = int(head[1])
-    if len(lines) != n + 1:
-        raise ParseError(f"expected {n} generator rows, got {len(lines) - 1}")
-    cols = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != n:
-            raise ParseError(f"expected {n} integers per row, got {ln!r}")
-        cols.append(tuple(int(p) for p in parts))
-    return Lattice(n, cols)
-
-
-def parse_lattice_inline(line: str) -> Lattice:
-    head, _, body = line.partition(":")
+    head, *rows = text_lines(text)
     parts = head.split()
     if len(parts) != 2 or parts[0] != "Z":
-        raise ParseError(f"expected 'Z <n> : ...', got {line!r}")
-    n = int(parts[1])
-    cols = []
-    for chunk in body.split(";"):
-        cols.append(tuple(int(p) for p in chunk.split()))
-    if len(cols) != n:
-        raise ParseError(f"expected {n} generator columns in {line!r}")
-    return Lattice(n, cols)
+        raise ParseError(f"expected 'Z <n>' header, got {head!r}")
+    n = parse_int(parts[1])
+    if len(rows) != n:
+        raise ParseError(f"expected {n} generator rows, got {len(rows)}")
+    return Lattice(n, [parse_vector(row, n) for row in rows])

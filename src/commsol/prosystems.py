@@ -22,13 +22,14 @@ from functools import lru_cache
 from . import commensurations as comm_mod
 from . import groups
 from .errors import PreconditionError
+from .freewords import inline
 
 
 class TruncatedSystem:
     """Objects and reverse-inclusion bonds; pairwise meets are computed on
     demand by meet()."""
 
-    __slots__ = ("tag", "rank", "depth", "objects", "index_of", "bonds", "group")
+    __slots__ = ("tag", "rank", "depth", "objects", "index_of", "group", "_bonds")
 
     def __init__(self, tag, rank, depth, objects):
         self.tag = tag
@@ -37,13 +38,27 @@ class TruncatedSystem:
         self.group = groups.group(tag, rank)
         self.objects = tuple(objects)
         self.index_of = {obj: i for i, obj in enumerate(self.objects)}
-        # bonding maps are inclusions, so they compose automatically
-        self.bonds = tuple(
-            (i, j)
-            for i, big in enumerate(self.objects)
-            for j, small in enumerate(self.objects)
-            if i != j and self.group.is_subgroup(small, big)
-        )
+        self._bonds = None
+
+    @property
+    def bonds(self):
+        """(i, j) for each pair with objects[j] inside objects[i], computed
+        on first read: only format_system and check_strict need them.  A
+        proper subgroup's index is a proper multiple of its overgroup's,
+        so only those pairs are tested for inclusion."""
+        if self._bonds is None:
+            grp = self.group
+            index = [grp.index(obj) for obj in self.objects]
+            # bonding maps are inclusions, so they compose automatically
+            self._bonds = tuple(
+                (i, j)
+                for i, big in enumerate(self.objects)
+                for j, small in enumerate(self.objects)
+                if index[j] > index[i]
+                and index[j] % index[i] == 0
+                and grp.is_subgroup(small, big)
+            )
+        return self._bonds
 
     def meet(self, i, j):
         """(objects[i] ∩ objects[j], its object index); the index is None
@@ -215,7 +230,7 @@ def cofinal_restrict(system: TruncatedSystem, predicate):
         if cover is None:
             raise PreconditionError(
                 f"predicate is not cofinal within depth {system.depth}: "
-                f"object not covered: {grp.format(obj, inline=True)}"
+                f"object not covered: {inline(grp.format(obj))}"
             )
         covers.append(cover)
     sub = TruncatedSystem(
@@ -237,7 +252,7 @@ def cofinal_restrict(system: TruncatedSystem, predicate):
 def format_system(system: TruncatedSystem) -> str:
     grp = system.group
     lines = [
-        f"idx={i} index={grp.index(obj)} subgroup={grp.format(obj, inline=True)}"
+        f"idx={i} index={grp.index(obj)} subgroup={inline(grp.format(obj))}"
         for i, obj in enumerate(system.objects)
     ]
     lines += [f"bond {i} {j}" for i, j in system.bonds]

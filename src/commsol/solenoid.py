@@ -272,13 +272,11 @@ def distinct_fiber_count(tag, rank, depth) -> int:
     )
 
 
-def ball_structure(p: SolenoidPoint, epsilon, depth=None) -> BallReport:
+def ball_structure(p: SolenoidPoint, epsilon) -> BallReport:
     """Path components of the sigma-ball of radius epsilon: one per
     profinite coordinate within epsilon, each isometric to the leaf ball
     (the product decomposition, valid for epsilon < injrad/4)."""
     epsilon = Fraction(epsilon)
-    if depth is not None and depth != p.depth:
-        raise PreconditionError("depth does not match the point")
     depth = p.depth
     injrad = INJECTIVITY_RADIUS
     degenerate = sheet_count(p.tag, p.rank, depth) == 1

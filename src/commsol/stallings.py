@@ -46,7 +46,16 @@ from operator import getitem
 
 from . import limits
 from .errors import InfiniteIndexError, ParseError, PreconditionError
-from .freewords import Word, _LOWER, _join
+from .freewords import (
+    _LOWER,
+    Alphabet,
+    Word,
+    _join,
+    parse_int,
+    parse_vector,
+    parse_word,
+    text_lines,
+)
 
 # -- decorations: reduced words over +-(i+1), i = generator index --------------
 
@@ -729,6 +738,8 @@ def profinite_kernel(k: int, max_index: int) -> SubgroupGraph:
 #
 #   F <k>                         F <k> graph <m>
 #   <one generator word per line> <k permutation lines, images of 1..m>
+#
+# read through freewords.text_lines, so ';' and the colon form work too
 
 
 def format_subgroup(graph: SubgroupGraph) -> str:
@@ -738,52 +749,17 @@ def format_subgroup(graph: SubgroupGraph) -> str:
     return "\n".join(lines)
 
 
-def format_subgroup_inline(graph: SubgroupGraph) -> str:
-    perms = " ; ".join(
-        " ".join(str(t + 1) for t in graph.fwd[x]) for x in range(graph.k)
-    )
-    return f"F {graph.k} graph {graph.m} : {perms}"
-
-
 def parse_subgroup(text: str) -> SubgroupGraph:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty subgroup text")
-    if ":" in lines[0]:
-        return parse_subgroup_inline(lines[0])
-    head = lines[0].split()
-    if not head or head[0] != "F":
-        raise ParseError(f"expected 'F <k>' header, got {lines[0]!r}")
-    k = int(head[1])
-    if len(head) == 4 and head[2] == "graph":
-        m = int(head[3])
-        if len(lines) != k + 1:
-            raise ParseError(f"expected {k} permutation lines")
-        perms = []
-        for ln in lines[1:]:
-            imgs = [int(p) - 1 for p in ln.split()]
-            if len(imgs) != m:
-                raise ParseError(f"expected {m} images per line, got {ln!r}")
-            perms.append(imgs)
-        return from_permutations(k, perms)
-    if len(head) != 2:
-        raise ParseError(f"bad subgroup header {lines[0]!r}")
-    words = [Word(k, ln if ln != "1" else "") for ln in lines[1:]]
-    return from_generators(words, k)
-
-
-def parse_subgroup_inline(line: str) -> SubgroupGraph:
-    head, _, body = line.partition(":")
+    head, *body = text_lines(text)
     parts = head.split()
-    if len(parts) != 4 or parts[0] != "F" or parts[2] != "graph":
-        raise ParseError(f"expected 'F <k> graph <m> : ...', got {line!r}")
-    k, m = int(parts[1]), int(parts[3])
-    perms = []
-    for chunk in body.split(";"):
-        imgs = [int(p) - 1 for p in chunk.split()]
-        if len(imgs) != m:
-            raise ParseError(f"expected {m} images per permutation in {line!r}")
-        perms.append(imgs)
-    if len(perms) != k:
-        raise ParseError(f"expected {k} permutations in {line!r}")
-    return from_permutations(k, perms)
+    graph_form = len(parts) == 4 and parts[2] == "graph"
+    if parts[:1] != ["F"] or not (len(parts) == 2 or graph_form):
+        raise ParseError(f"expected 'F <k>' or 'F <k> graph <m>' header, got {head!r}")
+    alphabet = Alphabet(parse_int(parts[1]))
+    k = alphabet.rank
+    if not graph_form:
+        return from_generators([parse_word(ln, alphabet) for ln in body], k)
+    m = parse_int(parts[3])
+    if len(body) != k:
+        raise ParseError(f"expected {k} permutation lines, got {len(body)}")
+    return from_permutations(k, [[t - 1 for t in parse_vector(ln, m)] for ln in body])

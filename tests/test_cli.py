@@ -126,6 +126,13 @@ def test_baseleaf_dpro_sigma(capsys):
     assert code == 0 and out.startswith("exp(-4)")
 
 
+def test_dpro_at_depth_6(capsys):
+    # the metric path reads the 3,996 objects of the depth-6 system and
+    # never their bonds; the commutator abAB first leaves an index-3 object
+    code, out = cli(capsys, "dpro", "F", "2", "ab", "ba", "--depth", "6")
+    assert code == 0 and out.startswith("exp(-2) = 0.1353352832")
+
+
 def test_metric_verbs_at_depth_4(capsys):
     # the metric path reads the 88 objects of the depth-4 system, not K_4
     code, out = cli(capsys, "dpro", "F", "2", "ab", "ba", "--depth", "4")
@@ -181,6 +188,24 @@ def test_fixpoint_and_baction(capsys):
 def test_domain_error_exit_code():
     assert main(["index", "F 2; aa"]) == 1  # infinite index
     assert main(["tomatrix", "comm F 2; a -> b; b -> a"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "Z x : 1"],
+        ["index", "Z 1 : 1 x"],
+        ["index", "F 2 graph 2 : 1 x ; 1 2"],
+        ["invert", "comm F x : a -> b"],
+        ["invert", "comm Z 1 : 1/0"],
+        ["cofinal", "F", "2", "--where", "index:x"],
+        ["ball", "F", "2", "ab", "--epsilon", "1/0"],
+    ],
+)
+def test_malformed_numbers_are_domain_errors(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_usage_error_exit_code():

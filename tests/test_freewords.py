@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from commsol import catalog, commensurations, lattices, stallings
 from commsol.errors import ParseError, PreconditionError
 from commsol.freewords import (
     Alphabet,
@@ -12,10 +13,12 @@ from commsol.freewords import (
     concat,
     cyclic_decompose,
     identity,
+    inline,
     invert,
     parse_word,
     primitive_root,
     serialize,
+    text_lines,
 )
 from commsol.groups import group
 
@@ -205,3 +208,48 @@ def test_unique_roots_at_desk_scale():
         seen += 1
         for m in (2, 3):
             assert u**m != v**m
+
+
+# -- header-and-lines text ------------------------------------------------------
+
+
+def _lattice_cases():
+    subs = [lat for n in (1, 2, 3) for lat in lattices.enumerate_lattices(n, 4)]
+    return [(lattices.format_lattice(lat), lat) for lat in subs]
+
+
+def _subgroup_cases():
+    cases = [(stallings.format_subgroup(g), g) for g in stallings.enumerate_subgroups(2, 3)]
+    gens = [Word(2, w) for w in ("aa", "b", "abA")]
+    cases.append(("F 2\naa\nb\nabA", stallings.from_generators(gens, 2)))
+    return cases
+
+
+def _comm_cases():
+    comms = list(catalog.f2_catalog().values())
+    rng = random.Random(7)
+    comms += [commensurations.make_zn(catalog.random_zn_matrix(rng, n)) for n in (1, 2, 3) * 3]
+    return [(commensurations.format_comm(c), c) for c in comms]
+
+
+@pytest.mark.parametrize(
+    "parse,cases",
+    [
+        (lattices.parse_lattice, _lattice_cases),
+        (stallings.parse_subgroup, _subgroup_cases),
+        (commensurations.parse_comm, _comm_cases),
+    ],
+    ids=["lattices", "subgroups", "commensurations"],
+)
+def test_text_round_trip_in_every_layout(parse, cases):
+    for text, x in cases():
+        one_line = inline(text)
+        assert ":" in one_line and "\n" not in one_line
+        assert text_lines(one_line) == text.splitlines()
+        assert parse(text) == parse(one_line) == parse(";".join(text.splitlines())) == x
+
+
+def test_text_lines_rejects_empty_text():
+    for text in ("", "  \n ", " ; ; "):
+        with pytest.raises(ParseError):
+            text_lines(text)

@@ -3,7 +3,7 @@ straightened commutation, and cofinal restriction."""
 
 import pytest
 
-from commsol import catalog, commensurations, lattices, prosystems, stallings
+from commsol import catalog, commensurations, groups, lattices, prosystems, stallings
 from commsol.commensurations import (
     compose,
     equivalent,
@@ -16,6 +16,7 @@ from commsol.commensurations import (
 from commsol.errors import PreconditionError
 from commsol.freewords import Word
 from commsol.prosystems import (
+    TruncatedSystem,
     build_system,
     cofinal_restrict,
     compose_morphisms,
@@ -41,6 +42,38 @@ def test_build_system_examples():
 
     s = build_system("Z", 2, 1)
     assert len(s.objects) == 1 and s.bonds == ()
+
+
+def eager_bonds(system):
+    """Oracle: every ordered pair of objects scanned for inclusion."""
+    grp = system.group
+    return tuple(
+        (i, j)
+        for i, big in enumerate(system.objects)
+        for j, small in enumerate(system.objects)
+        if i != j and grp.is_subgroup(small, big)
+    )
+
+
+@pytest.mark.parametrize(
+    "tag,rank,depth",
+    [("F", 2, d) for d in range(1, 6)]
+    + [("F", 3, d) for d in range(1, 4)]
+    + [("Z", 2, 6), ("Z", 3, 4)],
+)
+def test_bonds_are_computed_on_first_read_and_match_the_eager_scan(
+    tag, rank, depth, monkeypatch
+):
+    # a fresh system over the cached objects, so no earlier read has
+    # computed its bonds
+    objects = build_system(tag, rank, depth).objects
+    grp = groups.group(tag, rank)
+    calls = []
+    monkeypatch.setattr(grp, "is_subgroup", lambda a, b: calls.append(1))
+    system = TruncatedSystem(tag, rank, depth, objects)
+    assert calls == []
+    monkeypatch.undo()
+    assert system.bonds == eager_bonds(system)
 
 
 def test_system_meets_record_overflow():

@@ -9,7 +9,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commsol import catalog, lattices, stallings
+from commsol import catalog, groups, lattices, stallings
 from commsol.commensurations import (
     evaluate,
     format_comm,
@@ -261,6 +261,36 @@ def test_sigma_z1_example_and_oracle():
         if best is None or cand < best:
             best = cand
     assert float(val) == pytest.approx(best)
+
+
+def test_zn_leaf_reach_is_the_exact_ceiling_and_sigma_matches_the_padded_scan(monkeypatch):
+    rng = random.Random(11)
+    pairs = []
+    for n in (2, 3):
+        grp = groups.group("Z", n)
+        assert grp.leaf_reach((0,) * n) == 0
+        assert grp.leaf_reach((Fraction(3, 5), Fraction(4, 5), 0)[:n]) == 1
+        for _ in range(5):
+            g, h = (tuple(rng.randint(-7, 7) for _ in range(n)) for _ in range(2))
+            leaf = tuple(Fraction(rng.randint(-6, 6), 4) for _ in range(n))
+            leaf2 = tuple(Fraction(rng.randint(-9, 9), 5) for _ in range(n))
+            for x in (leaf, leaf2, tuple(5 * v for v in leaf2)):
+                r, sq = grp.leaf_reach(x), sum(v * v for v in x)
+                assert r.denominator == 1 and (r == sq == 0 or (r - 1) ** 2 < sq <= r**2)
+            pairs += [
+                (baseleaf(g, 4), baseleaf(h, 4)),
+                (SolenoidPoint("Z", n, 4, g, leaf), baseleaf(h, 4)),
+                (SolenoidPoint("Z", n, 4, g, leaf), SolenoidPoint("Z", n, 4, h, leaf2)),
+            ]
+    exact = [sigma(p, q) for p, q in pairs]
+
+    def padded_reach(self, leaf):
+        # the float distance rounded with int(d) + 1, so 0.0 reaches 1
+        d = self.leaf_distance(leaf, self.identity)
+        return d if isinstance(d, Fraction) else Fraction(int(d) + 1)
+
+    monkeypatch.setattr(groups.Zn, "leaf_reach", padded_reach)
+    assert exact == [sigma(p, q) for p, q in pairs]
 
 
 def test_sigma_same_fiber_edge_points_is_leaf_distance():
@@ -522,7 +552,7 @@ def test_point_equality_matches_kernel_cosets(data):
         assert hash(p) == hash(q)
 
 
-# a sigma on Z^3 scans 9^3 translates
+# a sigma on Z^3 between baseleaf points scans 5^3 translates
 @settings(METRIC_ORACLE, max_examples=50)
 @given(st.data())
 def test_sigma_symmetric_and_below_d_pro_at_depth_4(data):

@@ -1,18 +1,23 @@
 """Partial automorphisms of Z^n and F_k, and the group they generate.
 
-A commensuration is an isomorphism between two finite-index subgroups.
-For Z^n it is stored as the unique rational matrix extending it; for F_k
-it is stored by the images of the canonical Stallings basis of its domain
-(a partial automorphism need not extend to F_k, so storage on ambient
-generators would be unsound).
+A commensuration is an isomorphism between two finite-index subgroups,
+stored the same way on both families: by its domain and the images of
+`group.basis(domain)` (HNF columns, or the canonical Stallings basis); a
+partial automorphism of F_k need not extend to F_k, and the matrix of one
+of Z^n is derived when read.  The steps that depend on the family are
+methods of the group objects (groups.Zn, groups.Fk), so each operation
+here has one path.  The one constructor `_make` checks one injectivity
+rule where the codomain is not known: the images generate a finite-index
+subgroup whose basis is as long as the domain's (a surjection between
+free groups or lattices of equal finite rank is an isomorphism).
 
 equivalent() decides equality in the commensurator group: since both
 group families have the unique root property, two partial automorphisms
 represent the same class exactly when they agree on the full intersection
 of their domains.
 
-F_k commensurations may carry an optional ambient extension (images of
-the ambient generators) as provenance; it is used by the covering-lift
+A commensuration may carry an optional ambient extension (the images of
+the whole group's basis) as provenance; it is used by the covering-lift
 layer and propagated through compose/restriction when available.
 """
 
@@ -21,79 +26,97 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, wraps
 
-from . import groups, lattices, limits, ratmat, stallings
-from .errors import ParseError, PreconditionError
-from .freewords import (
-    _LOWER,
-    Alphabet,
-    Word,
-    _join,
-    inline,
-    parse_int,
-    parse_word,
-    text_lines,
-)
+from . import groups, lattices, ratmat, stallings
+from .errors import InfiniteIndexError, ParseError, PreconditionError
+from .freewords import Alphabet, Word, inline, parse_int, parse_word, text_lines
 
 
 class Commensuration:
-    __slots__ = ("tag", "rank", "domain", "codomain", "matrix", "images", "ambient")
+    """An isomorphism between finite-index subgroups of `group`, stored as
+    its domain and the images of `group.basis(domain)`."""
 
-    def __init__(self, tag, rank, domain, codomain, matrix=None, images=None, ambient=None):
-        self.tag = tag  # "Z" or "F"
-        self.rank = rank
+    __slots__ = ("group", "domain", "codomain", "images", "ambient", "_matrix")
+
+    def __init__(self, group, domain, codomain, images, ambient=None):
+        self.group = group
         self.domain = domain
         self.codomain = codomain
-        self.matrix = matrix
         self.images = images
         self.ambient = ambient
+        self._matrix = None
 
     def __eq__(self, other):
         """Structural equality of representatives (not class equality;
         use equivalent() for that)."""
         return (
             isinstance(other, Commensuration)
-            and other.tag == self.tag
-            and other.rank == self.rank
+            and other.group == self.group
             and other.domain == self.domain
-            and other.matrix == self.matrix
             and other.images == self.images
         )
 
     def __hash__(self):
-        return hash((self.tag, self.rank, self.domain, self.matrix, self.images))
+        return hash((self.domain, self.images))
+
+    tag = property(lambda self: self.group.tag)
+    rank = property(lambda self: self.group.rank)
 
     @property
-    def group(self):
-        return groups.group(self.tag, self.rank)
+    def matrix(self):
+        """The rational matrix extending a Z^n commensuration, derived from
+        the images on first read; None on F_k."""
+        if self._matrix is None:
+            self._matrix = self.group.extension(self.domain, self.images)
+        return self._matrix
 
     def __repr__(self):
-        if self.tag == "Z":
-            return f"Commensuration(Z^{self.rank}, {self.matrix})"
-        imgs = ",".join(str(w) for w in self.images)
-        return f"Commensuration(F_{self.rank}, index {self.domain.m} -> {self.codomain.m}, [{imgs}])"
+        return f"Commensuration({self.domain!r}, {self.images!r})"
 
 
 # -- constructors ---------------------------------------------------------------
 
 
+def _make(grp, domain, images, codomain=None, ambient=None) -> Commensuration:
+    """The commensuration sending basis(domain) to `images`, which pass the
+    injectivity rule unless the caller knows the codomain."""
+    images = tuple(images)
+    size = grp.basis_size(domain)
+    if len(images) != size:
+        raise PreconditionError("need one image per basis element of the domain")
+    if codomain is None:
+        try:
+            codomain = grp.generated(images)
+            rank = grp.basis_size(codomain)
+        except InfiniteIndexError:
+            raise PreconditionError("images generate an infinite-index subgroup") from None
+        if rank != size:
+            raise PreconditionError(
+                f"not injective: domain has index {grp.index(domain)}, "
+                f"image has index {grp.index(codomain)}"
+            )
+    return Commensuration(grp, domain, codomain, images, ambient)
+
+
 def make_zn(matrix, domain: lattices.Lattice | None = None) -> Commensuration:
-    """Commensuration of Z^n given by a nonsingular rational matrix, on the
-    given domain (default: the maximal one, M^-1(Z^n) ∩ Z^n)."""
+    """Commensuration of Z^n given by a nonsingular rational matrix M, on
+    the given domain (default: the maximal one, {v : M v integral})."""
     n = len(matrix)
     matrix = ratmat.from_rows(matrix)
-    if ratmat.det(matrix) == 0:
-        raise PreconditionError("matrix is singular")
+    grp = groups.group("Z", n)
     if domain is None:
-        domain = _integral_preimage(matrix, lattices.whole_group(n))
-    cod_cols = []
+        # M = P/q, and M v is integral iff P v lies in q Z^n
+        p, q = ratmat.common_denominator(matrix)
+        scaled = lattices.Lattice(n, [[q * x for x in c] for c in grp.whole.cols])
+        domain = lattices.preimage(grp.whole, list(zip(*p)), scaled)
+    images = []
     for col in domain.cols:
         img = ratmat.mul_vec(matrix, col)
         if any(x.denominator != 1 for x in img):
             raise PreconditionError(
                 f"matrix does not map the domain into Z^{n}: image of {col} is {img}"
             )
-        cod_cols.append(tuple(int(x) for x in img))
-    return Commensuration("Z", n, domain, lattices.Lattice(n, cod_cols), matrix=matrix)
+        images.append(tuple(int(x) for x in img))
+    return _make(grp, domain, images)
 
 
 def to_matrix(comm: Commensuration):
@@ -102,201 +125,67 @@ def to_matrix(comm: Commensuration):
     return comm.matrix
 
 
-def _integral_preimage(matrix, target: lattices.Lattice) -> lattices.Lattice:
-    """The lattice {v in Z^n : M v in target}."""
-    n = target.n
-    rel = ratmat.mul(ratmat.inverse(ratmat.from_int_columns(target.cols)), matrix)
-    p, q = ratmat.common_denominator(rel)
-    cols = [tuple(p[i][j] for i in range(n)) for j in range(n)]
-    cols += [tuple(q if i == r else 0 for i in range(n)) for r in range(n)]
-    gens = []
-    for kvec in lattices.integer_kernel(cols, n):
-        gens.append(kvec[:n])
-    return lattices.Lattice(n, gens)
-
-
-def _make_fk(domain, images, ambient=None) -> Commensuration:
-    """Build an F_k commensuration from images of the canonical basis,
-    validating that the assignment is an isomorphism onto its image."""
-    k = domain.k
-    images = tuple(images)
-    if len(images) != len(stallings.basis(domain)):
-        raise PreconditionError("need one image per canonical basis element")
-    codomain = stallings.from_generators(images, k)
-    if not codomain.complete:
-        raise PreconditionError("images generate an infinite-index subgroup")
-    if k >= 2 and codomain.m != domain.m:
-        # surjections of free groups of equal finite rank are isomorphisms,
-        # so rank (equivalently index) must be preserved
-        raise PreconditionError(
-            f"not injective: domain has index {domain.m}, image has index {codomain.m}"
-        )
-    if k == 1 and not images[0]:
-        raise PreconditionError("not injective: generator maps to the identity")
-    return Commensuration("F", k, domain, codomain, images=images, ambient=ambient)
-
-
 def make_fk(k, gens, images, ambient=None) -> Commensuration:
     """F_k commensuration from generator words `gens` (a free basis of the
-    domain) and their images.  Internally re-expressed on the canonical
-    basis of the folded domain."""
+    domain) and their images, re-expressed on the canonical basis."""
     gens = list(gens)
     images = list(images)
     if len(gens) != len(images):
         raise PreconditionError("need one image per generator")
     graph, exprs = stallings.fold_with_expressions(gens, k)
     canon_images = [stallings.substitute(e, images) for e in exprs]
-    return _make_fk(graph, canon_images, ambient=ambient)
+    return _make(groups.group("F", k), graph, canon_images, ambient=ambient)
 
 
-def from_ambient(k, letter_images, domain=None) -> Commensuration:
-    """Restriction of the ambient map a_i -> letter_images[i] to `domain`
-    (default: all of F_k); the ambient images must define an injective
-    endomorphism when restricted."""
-    letter_images = tuple(letter_images)
-    if len(letter_images) != k:
-        raise PreconditionError(f"need {k} letter images")
-    if domain is None:
-        domain = stallings.whole_group(k)
-    images = [apply_ambient(letter_images, b) for b in stallings.basis(domain)]
-    return _make_fk(domain, images, ambient=letter_images)
+def from_ambient(k, letter_images) -> Commensuration:
+    """The map a_i -> letter_images[i] on all of F_k, which must be
+    injective; the images are kept as its ambient provenance."""
+    grp, images = groups.group("F", k), tuple(letter_images)
+    return _make(grp, grp.whole, images, ambient=images)
 
 
-def apply_ambient(letter_images, w: Word) -> Word:
-    """The image of w under the ambient map a_i -> letter_images[i]: its
-    path in the rose read through the petals' images."""
-    _, img = stallings.path_image(
-        stallings.whole_group(len(letter_images)), w.letters, lambda v, x: letter_images[x].letters
-    )
-    return Word(letter_images[0].rank, img, _reduced=True)
-
-
-def identity_comm(tag: str, rank: int) -> Commensuration:
-    if tag == "Z":
-        return make_zn(ratmat.identity(rank))
-    gens = [Word(rank, _LOWER[i]) for i in range(rank)]
-    return from_ambient(rank, gens)
+def apply_ambient(ambient, g):
+    """The image of g under the endomorphism of the whole group that sends
+    its basis to `ambient`."""
+    grp = groups.of_element(g)
+    return grp.evaluate(grp.whole, ambient, g)
 
 
 def inner(tag: str, rank: int, g=None) -> Commensuration:
-    """Conjugation by g on the whole group (the identity for Z^n)."""
-    if tag == "Z":
-        return identity_comm("Z", rank)
+    """Conjugation by g (default: the identity) on the whole group, which
+    carries its images as its ambient provenance."""
+    grp = groups.group(tag, rank)
     if g is None:
-        raise PreconditionError("inner() for F_k needs a group element")
-    gens = [g * Word(rank, _LOWER[i]) * ~g for i in range(rank)]
-    return from_ambient(rank, gens)
+        g = grp.identity
+    images = tuple(grp.mul(grp.mul(g, b), grp.inv(g)) for b in grp.basis(grp.whole))
+    return _make(grp, grp.whole, images, codomain=grp.whole, ambient=images)
+
+
+def identity_comm(tag: str, rank: int) -> Commensuration:
+    return inner(tag, rank)
 
 
 # -- evaluation and the group operations -----------------------------------------
 
 
 def evaluate(comm: Commensuration, elem):
-    """Apply the commensuration to an element of its domain.  On F_k the
-    image is that of elem's loop in the domain graph, whose nontree edges
-    carry their basis elements' images (stallings.path_image); a basis
-    element's image is the stored image's own Word."""
-    if comm.tag == "Z":
-        if not lattices.contains(comm.domain, elem):
-            raise PreconditionError(f"{elem} is not in the domain lattice")
-        img = ratmat.mul_vec(comm.matrix, elem)
-        return tuple(int(x) for x in img)
-    nontree = stallings._tree_data(comm.domain).nontree_index
-    crossed = []
-
-    def label(v, x):
-        i = nontree.get((v, x))
-        if i is None:
-            return ""
-        crossed.append(i)
-        return comm.images[i].letters
-
-    letters = elem.letters
-    end, img = stallings.path_image(comm.domain, letters, label)
-    if end is None:
-        raise PreconditionError(f"{letters!r} leaves the subgroup graph")
-    if end != 0:
-        raise PreconditionError(f"{letters!r} is not in the subgroup")
-    if len(crossed) == 1 and img == comm.images[crossed[0]].letters:
-        # share the image itself: cached results then hold no copies of it
-        return comm.images[crossed[0]]
-    return Word(comm.rank, img, _reduced=True)
-
-
-def edge_image(comm: Commensuration, v: int, x: int) -> str:
-    """The image letters of the x-edge out of vertex v of an F_k
-    commensuration's domain graph: its basis element's image on a nontree
-    edge, nothing on a tree edge."""
-    i = stallings._tree_data(comm.domain).nontree_index.get((v, x))
-    return "" if i is None else comm.images[i].letters
+    """Apply the commensuration to an element of its domain."""
+    return comm.group.evaluate(comm.domain, comm.images, elem)
 
 
 def images_on(comm: Commensuration, sub) -> tuple:
     """comm's images of the basis of `sub`, a subgroup of the domain: the
-    stored images when `sub` is the domain.  On F_k each loop of X_sub
-    maps to the product of the images of the domain edges below its edges
-    (stallings.cover_vertices), and is a stored image's own Word when it
-    spells one."""
-    if comm.tag == "Z":
-        return tuple([evaluate(comm, b) for b in sub.cols])
+    stored images when `sub` is the domain."""
     if sub == comm.domain:
         return comm.images
-    below = stallings.cover_vertices(sub, comm.domain)
-    if below is None:
-        raise PreconditionError("images_on: the subgroup is not inside the domain")
-    shared = {w.letters: w for w in comm.images}
-    imgs = stallings.tree_products(
-        sub, lambda v, x: edge_image(comm, below[v], x), "", _join, lambda s: s[::-1].swapcase()
-    )
-    return tuple(shared.get(s) or Word(comm.rank, s, _reduced=True) for s in imgs)
+    return comm.group.images_on(comm.domain, comm.images, sub)
 
 
 @lru_cache(maxsize=4096)
 def preimage_subgroup(comm: Commensuration, sub):
     """The subgroup comm^-1(sub) of the domain, for sub a finite-index
-    subgroup of the codomain.
-
-    On F_k the preimage's graph is the coset-action graph of F_k on pairs
-    (coset of the domain, coset of sub) (J. Stallings, Topology of finite
-    graphs, 1983), which `stallings.orbit_graph` searches from the base
-    pair and labels canonically; no word is built or folded.  The search
-    is guarded by the number of pairs times k.
-    """
-    if comm.tag == "Z":
-        return _integral_preimage(comm.matrix, sub)
-    k, dom = comm.rank, comm.domain
-    if sub.k != k or not sub.complete:
-        raise PreconditionError("preimage_subgroup needs a finite-index subgroup of F_k")
-    ms = sub.m
-    limits.guard(
-        dom.m * ms * k,
-        f"preimage_subgroup(domain index {dom.m}, subgroup index {ms}, k={k})",
-    )
-    # The cover of comm^-1(sub) is the coset action of F_k on pairs (v, c),
-    # v a vertex of the domain graph and c a coset of sub, from (0, 0): a
-    # letter moves v along its edge and, on the nontree edge of basis
-    # element i, moves c by the permutation that images[i] induces on the
-    # cosets of sub (tree edges leave c in place).  A pair is stored as
-    # v * ms + c.
-    perms = [[stallings.trace(sub, w, c) for c in range(ms)] for w in comm.images]
-    inverses = []
-    for p in perms:
-        q = [0] * ms
-        for c, t in enumerate(p):
-            q[t] = c
-        inverses.append(q)
-    nontree = stallings._tree_data(dom).nontree_index
-
-    def step(node, x, back):
-        v, c = divmod(node, ms)
-        if back:
-            s = dom.bwd[x][v]
-            i = nontree.get((s, x))
-            return s * ms + (c if i is None else inverses[i][c])
-        i = nontree.get((v, x))
-        return dom.fwd[x][v] * ms + (c if i is None else perms[i][c])
-
-    return stallings.orbit_graph(k, 0, step)[0]
+    subgroup of the codomain."""
+    return comm.group.preimage(comm.domain, comm.images, sub)
 
 
 def provenance_cache(maxsize: int):
@@ -327,28 +216,23 @@ def provenance_cache(maxsize: int):
 def compose(phi: Commensuration, psi: Commensuration) -> Commensuration:
     """[phi] o [psi]: apply psi first, restricted to where the composite is
     defined, psi^-1(image(psi) ∩ domain(phi))."""
-    if (phi.tag, phi.rank) != (psi.tag, psi.rank):
+    grp = phi.group
+    if psi.group != grp:
         raise PreconditionError("cannot compose commensurations of different groups")
-    dom = preimage_subgroup(psi, phi.group.intersect(psi.codomain, phi.domain))
-    if phi.tag == "Z":
-        return make_zn(ratmat.mul(phi.matrix, psi.matrix), domain=dom)
+    dom = preimage_subgroup(psi, grp.intersect(psi.codomain, phi.domain))
     images = [evaluate(phi, w) for w in images_on(psi, dom)]
     ambient = None
     if phi.ambient is not None and psi.ambient is not None:
         ambient = tuple(apply_ambient(phi.ambient, w) for w in psi.ambient)
-    return _make_fk(dom, images, ambient=ambient)
+    return _make(grp, dom, images, ambient=ambient)
 
 
 @lru_cache(maxsize=4096)
 def invert(comm: Commensuration) -> Commensuration:
     """The inverse isomorphism codomain -> domain."""
-    if comm.tag == "Z":
-        return make_zn(ratmat.inverse(comm.matrix), domain=comm.codomain)
-    graph, exprs = stallings.fold_with_expressions(list(comm.images), comm.rank)
-    assert graph == comm.codomain, "image fold must reproduce the codomain"
-    dom_basis = stallings.basis(comm.domain)
-    inv_images = [stallings.substitute(e, dom_basis) for e in exprs]
-    return _make_fk(comm.codomain, inv_images)
+    grp = comm.group
+    images = grp.inverse_images(comm.domain, comm.images, comm.codomain)
+    return _make(grp, comm.codomain, images, codomain=comm.domain)
 
 
 @provenance_cache(maxsize=4096)
@@ -357,38 +241,34 @@ def restriction(comm: Commensuration, sub) -> Commensuration:
     commensuration)."""
     if not comm.group.is_subgroup(sub, comm.domain):
         raise PreconditionError("restriction target is not inside the domain")
-    if comm.tag == "Z":
-        return make_zn(comm.matrix, domain=sub)
-    return _make_fk(sub, images_on(comm, sub), ambient=comm.ambient)
+    return _make(comm.group, sub, images_on(comm, sub), ambient=comm.ambient)
 
 
 @provenance_cache(maxsize=4096)
 def restriction_onto(comm: Commensuration, target) -> Commensuration:
     """Restrict to comm^-1(target), for target a finite-index subgroup of
     the codomain: an equivalent commensuration onto target."""
+    grp = comm.group
     src = preimage_subgroup(comm, target)
-    if comm.tag == "Z":
-        return make_zn(comm.matrix, domain=src)
     images = images_on(comm, src)
-    # Instead of folding the images: they lie in target iff comm(src) does,
-    # and comm maps the domain H onto the codomain K injectively, so
-    # [K : comm(src)] = [H : src]; comm(src) is then target exactly when
-    # [K : target] = [H : src] as well.
-    if not all(stallings.contains(target, w) for w in images):
+    # Instead of generating the codomain: comm maps H onto K injectively,
+    # so [K : comm(src)] = [H : src], and comm(src), inside target once the
+    # images are, is target exactly when [K : target] = [H : src] too.
+    if not all(grp.contains(target, w) for w in images):
         raise PreconditionError("restriction_onto: an image leaves the target")
-    if target.m * comm.domain.m != comm.codomain.m * src.m:
+    if grp.index(target) * grp.index(comm.domain) != grp.index(comm.codomain) * grp.index(src):
         raise PreconditionError(
-            f"restriction_onto: the target (index {target.m}) is not the image "
-            f"of the preimage (index {src.m}) inside the codomain"
+            f"restriction_onto: the target (index {grp.index(target)}) is not the image "
+            f"of the preimage (index {grp.index(src)}) inside the codomain"
         )
-    return Commensuration("F", comm.rank, src, target, images=images, ambient=comm.ambient)
+    return _make(grp, src, images, codomain=target, ambient=comm.ambient)
 
 
 @lru_cache(maxsize=4096)
 def equivalent(phi: Commensuration, psi: Commensuration) -> bool:
     """Equality in Comm(G): agreement on the intersection of the domains
     (complete for Z^n and F_k by the unique root property)."""
-    if (phi.tag, phi.rank) != (psi.tag, psi.rank):
+    if psi.group != phi.group:
         return False
     meet = phi.group.intersect(phi.domain, psi.domain)
     return images_on(phi, meet) == images_on(psi, meet)
@@ -403,12 +283,10 @@ def zn1_to_f1(comm: Commensuration) -> Commensuration:
     if comm.tag != "Z" or comm.rank != 1:
         raise PreconditionError("zn1_to_f1 needs a Z^1 commensuration")
     h = comm.domain.cols[0][0]
-    scale = comm.matrix[0][0]
-    img = scale * h
-    assert img.denominator == 1
+    img = comm.images[0][0]
     a = Word(1, "a")
-    ambient = (a ** int(scale),) if scale.denominator == 1 else None
-    return make_fk(1, [a**h], [a ** int(img)], ambient=ambient)
+    ambient = (a ** (img // h),) if img % h == 0 else None
+    return make_fk(1, [a**h], [a**img], ambient=ambient)
 
 
 # -- text format ----------------------------------------------------------------

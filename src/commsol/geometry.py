@@ -92,7 +92,7 @@ class BaseleafMap:
         if got is None:
             comm = self.comm
             got = self._paths[(start, letters)] = stallings.path_image(
-                comm.domain, letters, lambda v, x: comm_mod.edge_image(comm, v, x), start
+                comm.domain, letters, comm.group.edge_labels(comm.domain, comm.images), start
             )
         return got
 

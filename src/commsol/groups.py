@@ -4,10 +4,12 @@ Cayley tree).
 
 `group(tag, rank)` is the one place where a family tag ("Z" or "F") is
 resolved, and `of_element` the one place where an element or leaf point
-is.  A group object carries the element operations, the finite-index
-subgroup operations and the universal-cover leaf operations of its
-family.  Subgroup operations go through the `lattices`/`stallings` module
-attributes at call time, so instrumentation installed there sees them.
+is.  A group object carries the element, finite-index subgroup and
+universal-cover leaf operations of its family, and the commensuration
+steps that depend on it (evaluate, images_on, preimage, inverse_images,
+generated, extension) of a map given by a domain and the images of
+`basis(domain)`.  Subgroup operations go through the `lattices`/`stallings`
+module attributes at call time, so instrumentation installed there sees them.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from . import lattices, limits, stallings
+from . import lattices, limits, ratmat, stallings
 from .errors import PreconditionError
 from .freewords import (
     _LOWER,
     Alphabet,
     Word,
+    _join,
     parse_vector,
     parse_word,
     serialize,
@@ -38,6 +41,13 @@ class _Group:
     # the largest ball radius geometry.qi_estimate accepts
     qi_radius_cap = math.inf
 
+    def __eq__(self, other):
+        # by value: emptying the cache of group() makes new instances
+        return type(other) is type(self) and other.rank == self.rank
+
+    def __hash__(self):
+        return hash((self.tag, self.rank))
+
     def contains(self, sub, g) -> bool:
         return self.subgroups.contains(sub, g)
 
@@ -49,6 +59,15 @@ class _Group:
 
     def index(self, sub) -> int:
         return self.subgroups.index(sub)
+
+    def generated(self, gens):
+        return self.subgroups.from_generators(gens, self.rank)
+
+    def preimage(self, domain, images, sub):
+        return self.subgroups.preimage(domain, images, sub)
+
+    def images_on(self, domain, images, sub):
+        return tuple(self.evaluate(domain, images, b) for b in self.basis(sub))
 
     def leaf_reach(self, leaf) -> Fraction:
         """Distance of a leaf point from the base point."""
@@ -72,6 +91,7 @@ class Zn(_Group):
     def __init__(self, n: int):
         self.rank = n
         self.identity = (0,) * n
+        self.whole = lattices.whole_group(n)
 
     def mul(self, a, b):
         return tuple(map(operator.add, a, b))
@@ -147,6 +167,27 @@ class Zn(_Group):
     def format(self, sub) -> str:
         return lattices.format_lattice(sub)
 
+    def evaluate(self, domain, images, g):
+        """The image of g: the images weighted by g's basis coordinates."""
+        coords = lattices.coordinates(domain, g)
+        if coords is None:
+            raise PreconditionError(f"{g} is not in the domain lattice")
+        return tuple(sum(c * img[r] for c, img in zip(coords, images)) for r in range(self.rank))
+
+    def inverse_images(self, domain, images, codomain):
+        """The preimages of the codomain's basis, by the inverse matrix."""
+        back = ratmat.inverse(self.extension(domain, images))
+        return tuple(tuple(int(x) for x in ratmat.mul_vec(back, t)) for t in codomain.cols)
+
+    def basis_size(self, sub) -> int:
+        return self.rank
+
+    def extension(self, domain, images):
+        """The rational matrix extending the map to Z^n: C D^-1."""
+        return ratmat.mul(
+            ratmat.from_int_columns(images), ratmat.inverse(ratmat.from_int_columns(domain.cols))
+        )
+
     def translate(self, g, leaf):
         return tuple(Fraction(x) + y for x, y in zip(g, leaf))
 
@@ -192,6 +233,7 @@ class Fk(_Group):
     def __init__(self, k: int):
         self.rank = k
         self.identity = Word(k, "", _reduced=True)
+        self.whole = stallings.whole_group(k)
         self.letters = _LOWER[:k] + _LOWER[:k].upper()
 
     def mul(self, a, b):
@@ -283,6 +325,59 @@ class Fk(_Group):
 
     def format(self, sub) -> str:
         return stallings.format_subgroup(sub)
+
+    def evaluate(self, domain, images, g):
+        """The image of g: its loop in the domain graph read through the
+        edge labels; a stored image's own Word, so caches hold no copies."""
+        letters = g.letters
+        end, img = stallings.path_image(domain, letters, self.edge_labels(domain, images))
+        if end is None:
+            raise PreconditionError(f"{letters!r} leaves the subgroup graph")
+        if end != 0:
+            raise PreconditionError(f"{letters!r} is not in the subgroup")
+        shared = next((w for w in images if w.letters == img), None)
+        return shared or Word(self.rank, img, _reduced=True)
+
+    def edge_labels(self, domain, images):
+        """label(v, x) for stallings.path_image: the image letters of the
+        x-edge out of v, those of its basis element on a nontree edge."""
+        nontree = stallings._tree_data(domain).nontree_index
+
+        def label(v, x):
+            i = nontree.get((v, x))
+            return "" if i is None else images[i].letters
+
+        return label
+
+    def images_on(self, domain, images, sub):
+        """Each loop of X_sub maps to the product of the images of the
+        domain edges below its edges (stallings.cover_vertices), and is a
+        stored image's own Word when it spells one."""
+        below = stallings.cover_vertices(sub, domain)
+        if below is None:
+            raise PreconditionError("images_on: the subgroup is not inside the domain")
+        label = self.edge_labels(domain, images)
+        imgs = stallings.tree_products(
+            sub, lambda v, x: label(below[v], x), "", _join, lambda s: s[::-1].swapcase()
+        )
+        shared = {w.letters: w for w in images}
+        return tuple(shared.get(s) or Word(self.rank, s, _reduced=True) for s in imgs)
+
+    def inverse_images(self, domain, images, codomain):
+        """The preimages of the codomain's basis, expressed in the images
+        by folding them, with the domain's basis substituted."""
+        graph, exprs = stallings.fold_with_expressions(list(images), self.rank)
+        assert graph == codomain, "image fold must reproduce the codomain"
+        dom_basis = stallings.basis(domain)
+        return tuple(stallings.substitute(e, dom_basis) for e in exprs)
+
+    def basis_size(self, sub) -> int:
+        """The rank of a finite-index subgroup (Schreier): 1 + m(k - 1)."""
+        return 1 + self.index(sub) * (self.rank - 1)
+
+    def extension(self, domain, images):
+        """None: a partial automorphism of F_k need not extend to F_k."""
+        return None
 
     def translate(self, g, leaf):
         if isinstance(leaf, EdgePoint):

@@ -126,20 +126,27 @@ def index(lat: Lattice) -> int:
     return out
 
 
-def contains(lat: Lattice, v) -> bool:
-    """Exact membership by forward substitution on the triangular basis."""
+def coordinates(lat: Lattice, v):
+    """The coefficients of v on the basis of lat, by forward substitution
+    on the triangular basis; None when v is not in lat."""
     if len(v) != lat.n:
         raise PreconditionError(f"dimension mismatch: {len(v)} vs {lat.n}")
     r = list(v)
+    out = []
     for i in range(lat.n):
-        d = lat.cols[i][i]
-        if r[i] % d != 0:
-            return False
-        c = r[i] // d
+        c, rem = divmod(r[i], lat.cols[i][i])
+        if rem:
+            return None
+        out.append(c)
         if c:
             for j in range(i, lat.n):
                 r[j] -= c * lat.cols[i][j]
-    return not any(r)
+    return out
+
+
+def contains(lat: Lattice, v) -> bool:
+    """Exact membership: v has integral coordinates on the basis."""
+    return coordinates(lat, v) is not None
 
 
 def residue(lat: Lattice, v) -> tuple[int, ...]:
@@ -193,19 +200,23 @@ def integer_kernel(cols, n: int):
     return kernel
 
 
-@lru_cache(maxsize=2048)
-def intersect(l1: Lattice, l2: Lattice) -> Lattice:
-    """Exact intersection via the integer kernel of [B1 | -B2]."""
-    if l1.n != l2.n:
-        raise PreconditionError("dimension mismatch")
-    n = l1.n
-    cols = list(l1.cols) + [tuple(-x for x in c) for c in l2.cols]
+def preimage(domain: Lattice, images, target: Lattice) -> Lattice:
+    """{D x : C x in target}, D the basis of `domain` and C the columns
+    `images`: the x-parts of the integer kernel of [C | -T] mapped by D."""
+    n = domain.n
+    cols = list(images) + [tuple(-x for x in c) for c in target.cols]
     gens = []
     for kvec in integer_kernel(cols, n):
-        gens.append(
-            tuple(sum(kvec[t] * l1.cols[t][r] for t in range(n)) for r in range(n))
-        )
+        gens.append(tuple(sum(kvec[t] * domain.cols[t][r] for t in range(n)) for r in range(n)))
     return Lattice(n, gens)
+
+
+@lru_cache(maxsize=2048)
+def intersect(l1: Lattice, l2: Lattice) -> Lattice:
+    """Exact intersection: the preimage of l2 under the inclusion of l1."""
+    if l1.n != l2.n:
+        raise PreconditionError("dimension mismatch")
+    return preimage(l1, l1.cols, l2)
 
 
 def enumerate_lattices(n: int, max_index: int) -> list[Lattice]:

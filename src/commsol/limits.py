@@ -6,19 +6,17 @@ overrides it (an integer, roughly "elementary steps allowed").
 
 import os
 
-from .errors import ResourceLimitError
+from .errors import CommsolError, ResourceLimitError
 
 DEFAULT_MAX_WORK = 20_000_000
 
 
 def max_work() -> int:
-    raw = os.environ.get("COMMSOL_MAX_WORK")
-    if raw is None:
-        return DEFAULT_MAX_WORK
+    raw = os.environ.get("COMMSOL_MAX_WORK", str(DEFAULT_MAX_WORK))
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_MAX_WORK
+        raise CommsolError(f"COMMSOL_MAX_WORK={raw!r} is not an integer") from None
 
 
 def guard(estimate: int, context: str) -> None:

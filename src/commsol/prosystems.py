@@ -17,6 +17,7 @@ top object (the whole group), where the component is phi itself.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 from . import commensurations as comm_mod
@@ -45,18 +46,18 @@ class TruncatedSystem:
         """(i, j) for each pair with objects[j] inside objects[i], computed
         on first read: only format_system and check_strict need them.  A
         proper subgroup's index is a proper multiple of its overgroup's,
-        so only those pairs are tested for inclusion."""
+        and only objects of such an index are tested for inclusion."""
         if self._bonds is None:
             grp = self.group
             index = [grp.index(obj) for obj in self.objects]
+            # the objects are sorted by index, so the pairs come out in order;
             # bonding maps are inclusions, so they compose automatically
             self._bonds = tuple(
                 (i, j)
                 for i, big in enumerate(self.objects)
-                for j, small in enumerate(self.objects)
-                if index[j] > index[i]
-                and index[j] % index[i] == 0
-                and grp.is_subgroup(small, big)
+                for d in range(2 * index[i], index[-1] + 1, index[i])
+                for j in range(bisect_left(index, d), bisect_right(index, d))
+                if grp.is_subgroup(self.objects[j], big)
             )
         return self._bonds
 

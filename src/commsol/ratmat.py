@@ -7,6 +7,7 @@ column vectors.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -90,17 +91,5 @@ def from_int_columns(cols) -> Matrix:
 
 def common_denominator(a: Matrix) -> tuple[list[list[int]], int]:
     """Write a = P/q with P integral; returns (P as row lists, q)."""
-    q = 1
-    for row in a:
-        for x in row:
-            d = x.denominator
-            g = _gcd(q, d)
-            q = q // g * d
-    p = [[int(x * q) for x in row] for row in a]
-    return p, q
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    q = math.lcm(*(x.denominator for row in a for x in row))
+    return [[int(x * q) for x in row] for row in a], q

@@ -370,10 +370,9 @@ class GraphMap:
         return f"GraphMap({self.src.m} -> {self.dst.m} sheets)"
 
 
-def lift_through_covers(phi, sub=None, target=None) -> GraphMap:
+def lift_through_covers(phi, target=None) -> GraphMap:
     """The based lift X_H -> X_K of the base map induced by phi, where
-    H = phi's domain (or a finite-index subgroup of it) and K contains
-    phi(H).
+    H = phi's domain and K (default: phi's codomain) contains phi(H).
 
     With ambient provenance the base map is the rose self-map sending each
     petal to its image word; otherwise the spanning tree of X_H collapses
@@ -382,8 +381,6 @@ def lift_through_covers(phi, sub=None, target=None) -> GraphMap:
     the lift is the unique basepoint-preserving one over its base map,
     which is re-derived and asserted.
     """
-    if sub is not None and sub != phi.domain:
-        phi = comm_mod.restriction(phi, sub)
     h = phi.domain
     k_graph = target if target is not None else phi.codomain
     for b, img in zip(stallings.basis(h), phi.images):

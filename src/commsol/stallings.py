@@ -12,10 +12,10 @@ each letter in order, first the outgoing then the incoming edge.  Based
 isomorphism of covers is subgroup equality, so equal subgroups have
 identical stored arrays.  Fiber products (`intersect`, over pairs of
 vertices), permutation covers (`from_permutations`, over the points
-permuted), preimage covers (`commensurations.preimage_subgroup`, over
-pairs of cosets), folds (over the roots of the folded graph) and profinite
-kernels (over coset families) are each that one search over their own
-nodes.  The low-index search of `enumerate_subgroups` fills coset tables
+permuted), preimage covers (`preimage`, over pairs of a vertex and a
+coset), folds (over the roots of the folded graph) and profinite kernels
+(over coset families) are each that one search over their own nodes.
+The low-index search of `enumerate_subgroups` fills coset tables
 in this same scan order, so it emits tables already in canonical form.
 
 Folding reads each word into the graph folded so far (J. Stallings,
@@ -425,6 +425,36 @@ def cover_vertices(inner: SubgroupGraph, outer: SubgroupGraph):
                 below[t] = d
                 queue.append(t)
     return tuple(below)
+
+
+def preimage(domain: SubgroupGraph, images, sub: SubgroupGraph) -> SubgroupGraph:
+    """The preimage of `sub` under the map sending basis(domain) to
+    `images`: the action of F_k on pairs (vertex of the domain graph, coset
+    of sub), where a letter moves the vertex along its edge and, on the
+    nontree edge of basis element i, the coset as images[i] does.  Guarded
+    by the number of pairs times k; no word is built or folded."""
+    k, ms = domain.k, sub.m
+    if sub.k != k or not sub.complete:
+        raise PreconditionError("preimage_subgroup needs a finite-index subgroup of F_k")
+    limits.guard(
+        domain.m * ms * k,
+        f"preimage_subgroup(domain index {domain.m}, subgroup index {ms}, k={k})",
+    )
+    perms = [[trace(sub, w, c) for c in range(ms)] for w in images]
+    inverses = [sorted(range(ms), key=p.__getitem__) for p in perms]
+    nontree = _tree_data(domain).nontree_index
+
+    # a pair (v, c) is stored as v * ms + c
+    def step(node, x, back):
+        v, c = divmod(node, ms)
+        if back:
+            s = domain.bwd[x][v]
+            i = nontree.get((s, x))
+            return s * ms + (c if i is None else inverses[i][c])
+        i = nontree.get((v, x))
+        return domain.fwd[x][v] * ms + (c if i is None else perms[i][c])
+
+    return orbit_graph(k, 0, step)[0]
 
 
 def is_subgroup(inner: SubgroupGraph, outer: SubgroupGraph) -> bool:

@@ -55,6 +55,13 @@ def test_enumerate_low_index_and_guard(capsys, monkeypatch):
     assert "enumerate_subgroups(k=2, N=9): estimated work 27877637 exceeds cap 20000000" in err
 
 
+def test_malformed_max_work_is_a_domain_error(capsys, monkeypatch):
+    monkeypatch.setenv("COMMSOL_MAX_WORK", "1e6")
+    code = main(["enumerate", "F", "2", "--max-index", "3"])
+    err = capsys.readouterr().err
+    assert code == 1 and "COMMSOL_MAX_WORK='1e6'" in err
+
+
 def test_kernel_verb(capsys):
     code, out = cli(capsys, "kernel", "Z", "1", "--max-index", "4")
     assert code == 0 and lattices.parse_lattice(out).cols == ((12,),)

@@ -115,6 +115,25 @@ def test_matrix_round_trip_examples():
         make_zn([[1, 0]])
 
 
+A1 = Word(1, "a")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_zn([[1, 2], [2, 4]]),
+        lambda: make_fk(1, [A1], [word_identity(1)]),
+        lambda: make_fk(2, [W("a"), W("b")], [W("aa"), W("b")]),
+        lambda: make_fk(2, [W("aa"), W("b"), W("abA")], [W("a"), W("b"), W("ab")]),
+        lambda: make_fk(2, [W("a"), W("b")], [W("a")]),
+    ],
+    ids=["singular", "f1_to_identity", "infinite_index", "index_drops", "image_count"],
+)
+def test_constructors_refuse_non_injective_maps(build):
+    with pytest.raises(PreconditionError):
+        build()
+
+
 def test_make_zn_canonical_domain():
     half = make_zn([[F(1, 2)]])
     assert half.domain == lattices.from_generators([(2,)])

@@ -347,6 +347,16 @@ def test_qi_estimate_refuses_large_balls_early(monkeypatch):
     assert qi_estimate(baseleaf_map(identity_comm("F", 2)), 2).pairs == 17 * 16 // 2
 
 
+def test_qi_estimate_at_the_default_cap_refuses_f2_at_radius_8(monkeypatch):
+    # 13,121 elements: the pairs guard refuses before any work
+    monkeypatch.delenv("COMMSOL_MAX_WORK", raising=False)
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        qi_estimate(baseleaf_map(identity_comm("F", 2)), 8)
+    assert time.perf_counter() - t0 < 0.5
+    assert f"estimated work {13121 * 13120 // 2} exceeds cap 20000000" in str(err.value)
+
+
 def test_projection_bound_covers_every_projection():
     # F_k: the largest distance from an element to the subgroup, found by
     # projecting a ball that meets every coset; Z^n: an upper bound on it

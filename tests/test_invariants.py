@@ -11,9 +11,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import commsol
-from commsol import catalog, commensurations, geometry, lattices, prosystems, solenoid, stallings
+from commsol import (
+    catalog,
+    commensurations,
+    geometry,
+    lattices,
+    limits,
+    prosystems,
+    solenoid,
+    stallings,
+)
 from commsol.commensurations import equivalent, identity_comm, make_zn, restriction
-from commsol.errors import PreconditionError, ResourceLimitError
+from commsol.errors import CommsolError, PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity as word_identity
 
 
@@ -46,6 +55,15 @@ def test_resource_guard_stallings(monkeypatch):
     with pytest.raises(ResourceLimitError) as err:
         stallings.profinite_kernel(2, 2)
     assert "partial index" in str(err.value)
+
+
+def test_malformed_max_work_is_refused(monkeypatch):
+    for raw in ("1e6", "", "twenty"):
+        monkeypatch.setenv("COMMSOL_MAX_WORK", raw)
+        with pytest.raises(CommsolError, match="COMMSOL_MAX_WORK"):
+            limits.max_work()
+        with pytest.raises(CommsolError, match=f"COMMSOL_MAX_WORK={raw!r}"):
+            stallings.enumerate_subgroups(2, 3)
 
 
 def test_declared_error_paths():
@@ -90,6 +108,15 @@ def _outcome(op, args):
         return _key(op(*args))
     except PreconditionError as err:
         return type(err), str(err)
+
+
+def test_maps_built_on_either_side_of_emptied_caches_still_meet():
+    swap = catalog.f2_catalog()["swap"]
+    zn = make_zn([[2, 1], [0, 1]])
+    _clear_every_cache()
+    assert commensurations.parse_comm(commensurations.format_comm(swap)) == swap
+    assert equivalent(commensurations.compose(swap, swap), identity_comm("F", 2))
+    assert commensurations.compose(zn, identity_comm("Z", 2)) == zn
 
 
 def _twin(c):

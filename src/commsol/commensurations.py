@@ -184,7 +184,9 @@ def images_on(comm: Commensuration, sub) -> tuple:
 @lru_cache(maxsize=4096)
 def preimage_subgroup(comm: Commensuration, sub):
     """The subgroup comm^-1(sub) of the domain, for sub a finite-index
-    subgroup of the codomain."""
+    subgroup of the codomain: the domain itself when sub is the codomain."""
+    if sub == comm.codomain:
+        return comm.domain
     return comm.group.preimage(comm.domain, comm.images, sub)
 
 
@@ -215,16 +217,22 @@ def provenance_cache(maxsize: int):
 @provenance_cache(maxsize=4096)
 def compose(phi: Commensuration, psi: Commensuration) -> Commensuration:
     """[phi] o [psi]: apply psi first, restricted to where the composite is
-    defined, psi^-1(image(psi) ∩ domain(phi))."""
+    defined, psi^-1(meet) for meet = image(psi) ∩ domain(phi).
+
+    psi maps that preimage onto the meet, so when the meet is all of phi's
+    domain the composite's image is phi's codomain and nothing is folded;
+    otherwise its codomain is generated from the images."""
     grp = phi.group
     if psi.group != grp:
         raise PreconditionError("cannot compose commensurations of different groups")
-    dom = preimage_subgroup(psi, grp.intersect(psi.codomain, phi.domain))
+    meet = grp.intersect(psi.codomain, phi.domain)
+    dom = preimage_subgroup(psi, meet)
     images = [evaluate(phi, w) for w in images_on(psi, dom)]
     ambient = None
     if phi.ambient is not None and psi.ambient is not None:
         ambient = tuple(apply_ambient(phi.ambient, w) for w in psi.ambient)
-    return _make(grp, dom, images, ambient=ambient)
+    codomain = phi.codomain if meet == phi.domain else None
+    return _make(grp, dom, images, codomain=codomain, ambient=ambient)
 
 
 @lru_cache(maxsize=4096)
@@ -247,7 +255,10 @@ def restriction(comm: Commensuration, sub) -> Commensuration:
 @provenance_cache(maxsize=4096)
 def restriction_onto(comm: Commensuration, target) -> Commensuration:
     """Restrict to comm^-1(target), for target a finite-index subgroup of
-    the codomain: an equivalent commensuration onto target."""
+    the codomain: an equivalent commensuration onto target, comm itself
+    when target is the codomain."""
+    if target == comm.codomain:
+        return comm
     grp = comm.group
     src = preimage_subgroup(comm, target)
     images = images_on(comm, src)

@@ -135,12 +135,9 @@ def qi_estimate(m: BaseleafMap, radius: int) -> QIEstimate:
 
     A pair's bounds and its inequality depend only on (d(x,y), d(fx,fy)),
     so one pass tallies the pairs per distance pair, and the constants and
-    the certificate are worked out once per distinct distance pair."""
+    the certificate are worked out once per distinct distance pair.  The
+    number of pairs is guarded before any element is listed."""
     grp = m.comm.group
-    if radius > grp.qi_radius_cap:
-        raise PreconditionError(
-            f"radius capped at {grp.qi_radius_cap} for {grp.tag}_k ball enumeration"
-        )
     size = grp.ball_size(radius)
     limits.guard(size * (size - 1) // 2, f"qi_estimate({grp.tag}_{grp.rank}, R={radius}) pairs")
     elems = ball_elements(grp.tag, grp.rank, radius)

@@ -38,9 +38,6 @@ class _Group:
     """What both families share; `subgroups` is the module implementing
     the family's finite-index subgroups."""
 
-    # the largest ball radius geometry.qi_estimate accepts
-    qi_radius_cap = math.inf
-
     def __eq__(self, other):
         # by value: emptying the cache of group() makes new instances
         return type(other) is type(self) and other.rank == self.rank
@@ -228,7 +225,6 @@ class Fk(_Group):
 
     tag = "F"
     subgroups = stallings
-    qi_radius_cap = 10
 
     def __init__(self, k: int):
         self.rank = k

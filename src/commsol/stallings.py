@@ -13,7 +13,8 @@ isomorphism of covers is subgroup equality, so equal subgroups have
 identical stored arrays.  Fiber products (`intersect`, over pairs of
 vertices), permutation covers (`from_permutations`, over the points
 permuted), preimage covers (`preimage`, over pairs of a vertex and a
-coset), folds (over the roots of the folded graph) and profinite kernels
+coset, each image permuting the cosets by the target's per-letter rows),
+folds (over the roots of the folded graph) and profinite kernels
 (over coset families) are each that one search over their own nodes.
 The low-index search of `enumerate_subgroups` fills coset tables
 in this same scan order, so it emits tables already in canonical form.
@@ -427,20 +428,33 @@ def cover_vertices(inner: SubgroupGraph, outer: SubgroupGraph):
     return tuple(below)
 
 
+def coset_action(graph: SubgroupGraph, word) -> list[int]:
+    """The permutation `word` induces on the cosets of a finite-index
+    subgroup: entry c is trace(graph, word, c).  Built from the graph's
+    per-letter rows, one pass over all cosets per letter."""
+    perm = list(range(graph.m))
+    for ch in word.letters:
+        row = (graph.fwd if ch.islower() else graph.bwd)[ord(ch.lower()) - 97]
+        perm = list(map(row.__getitem__, perm))
+    return perm
+
+
 def preimage(domain: SubgroupGraph, images, sub: SubgroupGraph) -> SubgroupGraph:
     """The preimage of `sub` under the map sending basis(domain) to
     `images`: the action of F_k on pairs (vertex of the domain graph, coset
     of sub), where a letter moves the vertex along its edge and, on the
-    nontree edge of basis element i, the coset as images[i] does.  Guarded
-    by the number of pairs times k; no word is built or folded."""
+    nontree edge of basis element i, the coset as images[i] does
+    (`coset_action`).  Guarded by the number of pairs times k plus the row
+    work of the images' permutations (cosets times image letters); no word
+    is built or folded."""
     k, ms = domain.k, sub.m
     if sub.k != k or not sub.complete:
         raise PreconditionError("preimage_subgroup needs a finite-index subgroup of F_k")
     limits.guard(
-        domain.m * ms * k,
+        domain.m * ms * k + ms * sum(map(len, images)),
         f"preimage_subgroup(domain index {domain.m}, subgroup index {ms}, k={k})",
     )
-    perms = [[trace(sub, w, c) for c in range(ms)] for w in images]
+    perms = [coset_action(sub, w) for w in images]
     inverses = [sorted(range(ms), key=p.__getitem__) for p in perms]
     nontree = _tree_data(domain).nontree_index
 

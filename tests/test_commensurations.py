@@ -254,6 +254,34 @@ def test_preimage_matches_schreier_fold_on_composites():
             assert_preimage_matches_fold(psi, stallings.intersect(psi.codomain, phi.domain))
 
 
+def random_zn_pairs(seed):
+    """Six pairs of random GL_n(Q) maps on each of Z^2 and Z^3."""
+    rng = random.Random(seed)
+    draw = lambda n: make_zn(catalog.random_zn_matrix(rng, n))
+    return [(draw(n), draw(n)) for n in (2, 3) for _ in range(6)]
+
+
+def test_composite_codomain_matches_generated_images():
+    # where the meet is all of phi's domain compose takes phi's codomain
+    # instead of generating it; both branches are checked against the fold
+    cat = list(catalog.f2_catalog().values())
+    pairs = [(phi, psi) for phi in cat for psi in cat] + random_zn_pairs(29)
+    known = 0
+    for phi, psi in pairs:
+        grp = phi.group
+        got = compose(phi, psi)
+        assert got.codomain == grp.generated(got.images)
+        known += grp.intersect(psi.codomain, phi.domain) == phi.domain
+    assert 0 < known < len(pairs)
+
+
+def test_preimage_of_the_codomain_is_the_domain():
+    maps = list(catalog.f2_catalog().values()) + [c for p in random_zn_pairs(31) for c in p]
+    for c in maps:
+        assert preimage_subgroup(c, c.codomain) == c.domain
+        assert c.group.preimage(c.domain, c.images, c.codomain) == c.domain
+
+
 def test_preimage_matches_schreier_fold_on_f1_and_f3():
     a1 = Word(1, "a")
     f1_maps = [
@@ -288,13 +316,34 @@ def test_preimage_subgroup_guard_refuses_before_the_search(monkeypatch):
     preimage_subgroup.cache_clear()
     phi = catalog.f2_catalog()["swap|ker_a"]
     sub = stallings.intersect(catalog.ker_a(), catalog.ker_b())
-    estimate = phi.domain.m * sub.m * 2  # 2 * 4 * 2
+    # pairs times k, plus cosets times image letters (bb, a, baB)
+    estimate = phi.domain.m * sub.m * 2 + sub.m * 6  # 2 * 4 * 2 + 4 * 6
     monkeypatch.setenv("COMMSOL_MAX_WORK", str(estimate - 1))
     t0 = time.perf_counter()
     with pytest.raises(ResourceLimitError) as err:
         preimage_subgroup(phi, sub)
     assert time.perf_counter() - t0 < 0.5
     assert "preimage_subgroup(domain index 2, subgroup index 4, k=2)" in str(err.value)
+    assert f"estimated work {estimate} exceeds cap {estimate - 1}" in str(err.value)
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(estimate))
+    assert preimage_subgroup(phi, sub) == preimage_by_schreier_fold(phi, sub)
+
+
+def test_preimage_subgroup_guard_meters_long_images_before_any_row(monkeypatch):
+    # a -> a b^40, b -> b on F2: 4 pairs-times-k, but 2 * 42 row steps
+    preimage_subgroup.cache_clear()
+    phi = from_ambient(2, [W("a" + "b" * 40), W("b")])
+    sub = catalog.ker_a()
+    estimate = 1 * 2 * 2 + 2 * 42
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(estimate - 1))
+
+    def no_rows(*args):
+        raise AssertionError("row built before the guard")
+
+    with monkeypatch.context() as m:
+        m.setattr(stallings, "coset_action", no_rows)
+        with pytest.raises(ResourceLimitError) as err:
+            preimage_subgroup(phi, sub)
     assert f"estimated work {estimate} exceeds cap {estimate - 1}" in str(err.value)
     monkeypatch.setenv("COMMSOL_MAX_WORK", str(estimate))
     assert preimage_subgroup(phi, sub) == preimage_by_schreier_fold(phi, sub)

@@ -357,6 +357,13 @@ def test_qi_estimate_at_the_default_cap_refuses_f2_at_radius_8(monkeypatch):
     assert f"estimated work {13121 * 13120 // 2} exceeds cap 20000000" in str(err.value)
 
 
+def test_qi_estimate_runs_f1_at_radius_11(monkeypatch):
+    # the pairs guard is the one limit: 23 elements, 253 pairs
+    monkeypatch.delenv("COMMSOL_MAX_WORK", raising=False)
+    est = qi_estimate(baseleaf_map(identity_comm("F", 1)), 11)
+    assert (est.pairs, est.L, est.C) == (23 * 22 // 2, 1, 0)
+
+
 def test_projection_bound_covers_every_projection():
     # F_k: the largest distance from an element to the subgroup, found by
     # projecting a ball that meets every coset; Z^n: an upper bound on it

@@ -72,7 +72,7 @@ def test_declared_error_paths():
         restriction(catalog.f2_catalog()["identity|ker_a"], stallings.whole_group(2))
     with pytest.raises(PreconditionError):
         solenoid.EdgePoint(word_identity(2), "a", Fraction(3, 2))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ResourceLimitError):
         geometry.qi_estimate(
             geometry.baseleaf_map(identity_comm("F", 2)), 11
         )

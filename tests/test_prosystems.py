@@ -249,3 +249,24 @@ def test_zeta_components_are_built_without_folding(monkeypatch):
     for phi in cat.values():
         for system in systems:
             assert len(zeta(phi, system.depth).components) == len(system.objects)
+
+
+def test_zeta_composites_of_whole_group_maps_are_built_without_folding(monkeypatch):
+    # each component of zeta(g) is onto the object the matching component
+    # of zeta(f) is defined on, so every composite takes f's codomain
+    cat = catalog.f2_catalog()
+    names = ["identity", "swap", "shift", "inner_a", "inner_b", "inner_ab"]
+    systems = [build_system("F", 2, depth) for depth in (1, 2, 3)]
+    for cache in (prosystems.zeta, commensurations.compose, commensurations.restriction_onto,
+                  commensurations.preimage_subgroup):
+        cache.cache_clear()
+
+    def no_fold(*args):
+        raise AssertionError("fold on the zeta composition path")
+
+    monkeypatch.setattr(stallings, "_fold_words", no_fold)
+    for system in systems:
+        for f in names:
+            for g in names:
+                m = compose_morphisms(zeta(cat[f], system.depth), zeta(cat[g], system.depth))
+                assert len(m.components) == len(system.objects)

@@ -17,6 +17,7 @@ from commsol.stallings import (
     SubgroupGraph,
     basis,
     contains,
+    coset_action,
     enumerate_subgroups,
     fold_with_expressions,
     format_subgroup,
@@ -612,6 +613,16 @@ def test_is_subgroup_matches_basis_trace_on_infinite_index():
             assert is_subgroup(thin, other) == basis_trace_is_subgroup(thin, other)
             assert is_subgroup(other, thin) == basis_trace_is_subgroup(other, thin)
         assert is_subgroup(whole_group(2), thin) == (thin == whole_group(2))
+
+
+def test_coset_action_matches_per_coset_trace():
+    # the oracle is the former preimage step: one trace per coset
+    rng = random.Random(13)
+    for k in (1, 2, 3):
+        for sub in enumerate_subgroups(k, 4):
+            words = [identity(k)] + [random_word(rng, k, 8) for _ in range(3)]
+            for w in words:
+                assert coset_action(sub, w) == [trace(sub, w, c) for c in range(sub.m)]
 
 
 def test_cover_vertices_is_the_covering():

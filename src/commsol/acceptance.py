@@ -207,7 +207,7 @@ def criterion_6():
             "Z", 1, g, h, 5
         ):
             return False, "Z right-invariance failed"
-    words = [w for layer in group("F", 2).layers(6) for w in layer]
+    words = group("F", 2).ball(6)
     for _ in range(250):
         g, h, w = rng.choice(words), rng.choice(words), rng.choice(words)
         dgh = float(solenoid.d_pro("F", 2, g, h, 2))
@@ -359,7 +359,7 @@ def criterion_10():
 
 
 def criterion_11():
-    elements = [w for layer in group("F", 2).layers(4) for w in layer if w]
+    elements = group("F", 2).ball(4)[1:]
     for g in elements:
         p = geometry.fixed_point(g)
         iterate = g**30

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from itertools import repeat
+from functools import lru_cache, reduce
+from itertools import accumulate, chain
 
 from . import commensurations as comm_mod
 from . import groups, limits, solenoid, stallings
@@ -25,6 +25,22 @@ def ball_elements(tag: str, rank: int, radius: int):
     """All group elements within `radius` of the identity, sorted by
     (distance, value)."""
     return groups.group(tag, rank).ball(radius)
+
+
+@lru_cache(maxsize=64)
+def ball_distances(tag: str, rank: int, radius: int):
+    """The distance_rows of ball_elements(tag, rank, radius), one row
+    after another in one tuple."""
+    elems = ball_elements(tag, rank, radius)
+    n = len(elems)
+    # filled in place: one block, where a tuple per row would take a size
+    # class each and a growing tuple would be moved as it grows
+    flat = [0] * (n * (n - 1) // 2)
+    end = 0
+    for i, row in enumerate(groups.group(tag, rank).distance_rows(elems)):
+        start, end = end, end + n - 1 - i
+        flat[start:end] = row
+    return tuple(flat)
 
 
 # -- closest-point projection and the baseleaf map ---------------------------------
@@ -46,17 +62,18 @@ class BaseleafMap:
     map factors through the covering lift X_H -> X_K): the image of a path
     is the product of the images of the nontree edges it crosses, which
     for a loop h is phi(h).  The projection of g spells g[:j] + r, with r
-    a return path from the vertex g[:j] reaches, so its image is the image
-    of the prefix path times that of r.  Both are memoized per instance:
-    prefix paths by their letters, so the elements of a ball share their
-    prefixes' work, and edges and return paths by (vertex, letters)."""
+    a return path from the vertex v_j that g[:j] reaches, for j in g's
+    outward run: dist[v_j] - j never increases, so the candidates j are
+    the suffix where dist rises by 1 per letter (geodesic_return).  A
+    word's candidates are its parent's plus its own length if its last
+    letter steps outward, else that alone, so its state takes one edge
+    from its parent's: `on_ball` walks a ball's prefix tree so, and a
+    single word its letters.  Edges and return paths are memoized."""
 
-    __slots__ = ("comm", "_prefixes", "_paths")
+    __slots__ = ("comm", "_paths")
 
     def __init__(self, comm):
         self.comm = comm
-        # letters -> (vertices of the prefixes, image letters), from the base
-        self._prefixes = {"": ((0,), "")}
         # (vertex, letters) -> (end, image letters) of the path from that vertex
         self._paths = {}
 
@@ -64,26 +81,44 @@ class BaseleafMap:
         comm = self.comm
         if comm.tag != "F":
             return comm_mod.evaluate(comm, closest_point_project(comm, g))
-        letters = g.letters
-        verts, img = self._prefix(letters)
-        j, r = stallings.geodesic_return(comm.domain, letters, verts)
-        if j < len(letters):
-            img = self._prefixes[letters[:j]][1]
-        return Word(comm.rank, _join(img, self._path(verts[j], r)[1]), _reduced=True)
+        return self._image(reduce(self._step(), g.letters, _ROOT))
 
-    def _prefix(self, letters):
-        """(vertices, image) of the path spelling `letters` from the base,
-        extending the longest memoized prefix and memoizing each step."""
-        memo = self._prefixes
-        j = len(letters)
-        while letters[:j] not in memo:
-            j -= 1
-        verts, img = memo[letters[:j]]
-        for j in range(j, len(letters)):
-            t, e = self._path(verts[-1], letters[j])
-            verts, img = verts + (t,), _join(img, e)
-            memo[letters[: j + 1]] = (verts, img)
-        return verts, img
+    def on_ball(self, radius):
+        """The images of ball_elements(radius), in that order, as an
+        iterator."""
+        comm = self.comm
+        if comm.tag != "F":
+            return map(self, ball_elements(comm.tag, comm.rank, radius))
+        return map(self._image, comm.group.walk(radius, _ROOT, self._step()))
+
+    def _image(self, state):
+        return Word(self.comm.rank, state[4], _reduced=True)
+
+    def _step(self):
+        """step(state, x) for Fk.walk; a state is (letters, vertex, path
+        image, least candidate, its image)."""
+        table = stallings._return_table(self.comm.domain)
+        dist = table.dist
+        least_return = stallings._least_return
+        paths, path = self._paths, self._path
+
+        def step(state, x):
+            letters, v, img, least, least_img = state
+            t, e = paths.get((v, x)) or path(v, x)
+            letters += x
+            if e:
+                img = _join(img, e)
+            # off the outward run the new candidate is the only one and
+            # exists, as the step back to v leads no closer
+            r = least_return(table, t, x.swapcase())
+            if r is not None:
+                s = letters + r
+                if dist[t] != dist[v] + 1 or s < least:
+                    e = (paths.get((t, r)) or path(t, r))[1]
+                    least, least_img = s, _join(img, e) if e else img
+            return letters, t, img, least, least_img
+
+        return step
 
     def _path(self, start, letters):
         """(end, image letters) of the path spelling `letters` from vertex
@@ -98,6 +133,10 @@ class BaseleafMap:
 
     def __repr__(self):
         return f"BaseleafMap({self.comm!r})"
+
+
+# the state of the identity: it is its own projection, with image the identity
+_ROOT = ("", 0, "", "", "")
 
 
 def baseleaf_map(comm) -> BaseleafMap:
@@ -136,18 +175,13 @@ def qi_estimate(m: BaseleafMap, radius: int) -> QIEstimate:
     A pair's bounds and its inequality depend only on (d(x,y), d(fx,fy)),
     so one pass tallies the pairs per distance pair, and the constants and
     the certificate are worked out once per distinct distance pair.  The
-    number of pairs is guarded before any element is listed."""
+    distances on the ball side are shared by every map (ball_distances).
+    The number of pairs is guarded before any element is listed."""
     grp = m.comm.group
     size = grp.ball_size(radius)
     limits.guard(size * (size - 1) // 2, f"qi_estimate({grp.tag}_{grp.rank}, R={radius}) pairs")
-    elems = ball_elements(grp.tag, grp.rank, radius)
-    images = [m(x) for x in elems]
-    dist = grp.dist
-    tally = Counter()
-    for i, (x, fx) in enumerate(zip(elems, images)):
-        tally.update(
-            zip(map(dist, repeat(x), elems[i + 1 :]), map(dist, repeat(fx), images[i + 1 :]))
-        )
+    images = chain.from_iterable(grp.distance_rows(list(m.on_ball(radius))))
+    tally = Counter(zip(ball_distances(grp.tag, grp.rank, radius), images))
     up = max([Fraction(1)] + [Fraction(df, d) for d, df in tally if df])
     low = max([Fraction(1)] + [Fraction(d, df) for d, df in tally if df])
     collapse = max([0] + [d for d, df in tally if not df])
@@ -203,17 +237,9 @@ def bounded_distance(m1: BaseleafMap, m2: BaseleafMap, radius: int) -> BoundedDi
         f"bounded_distance({grp.tag}_{grp.rank}, R={radius})",
     )
     eq = comm_mod.equivalent(m1.comm, m2.comm)
-    maxima = []
-    cur = 0
-    for g in ball_elements(grp.tag, grp.rank, radius):
-        r = grp.dist(g, grp.identity)
-        cur = max(cur, grp.dist(m1(g), m2(g)))
-        while len(maxima) <= r:
-            maxima.append(cur)
-        maxima[r] = cur
-    while len(maxima) <= radius:
-        maxima.append(cur)
-    return BoundedDistanceReport(eq, maxima)
+    # the ball is sorted by distance: its first ball_size(r) elements are the r-ball
+    running = list(accumulate(map(grp.dist, m1.on_ball(radius), m2.on_ball(radius)), max))
+    return BoundedDistanceReport(eq, [running[grp.ball_size(r) - 1] for r in range(radius + 1)])
 
 
 # -- factorization through the covering lifts -------------------------------------------
@@ -247,22 +273,21 @@ def factorization_check(comm, depth: int, radius: int) -> FactorizationReport:
     phi = comm_mod.zn1_to_f1(comm) if comm.tag == "Z" else comm
     if phi.tag != "F":
         raise PreconditionError("factorization check handles F_k and Z^1")
-    # per ball element: a membership trace and two images, each of length
-    # about R
+    # per ball element: one edge on each of two walks, each joining an
+    # image of length about R
     limits.guard(
         phi.group.ball_size(radius) * radius,
         f"factorization_check(F_{phi.rank}, R={radius})",
     )
     lift = solenoid.lift_through_covers(phi)
-    bm = baseleaf_map(phi)
     checked = 0
     mismatches = []
-    for g in ball_elements("F", phi.rank, radius):
-        if not stallings.contains(phi.domain, g):
+    ball = ball_elements("F", phi.rank, radius)
+    walks = zip(ball, baseleaf_map(phi).on_ball(radius), lift.on_ball(radius))
+    for g, via_map, via_lift in walks:
+        if via_lift is None:
             continue
         checked += 1
-        via_map = bm(g)
-        via_lift = lift.apply_to_path(g)
         if via_map != via_lift:
             mismatches.append((g, via_map, via_lift))
     return FactorizationReport(checked, mismatches)

@@ -15,10 +15,10 @@ module attributes at call time, so instrumentation installed there sees them.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product, repeat
+from operator import add, sub, xor
 
 from . import lattices, limits, ratmat, stallings
 from .errors import PreconditionError
@@ -70,12 +70,11 @@ class _Group:
         """Distance of a leaf point from the base point."""
         return self.leaf_distance(leaf, self.identity)
 
-    def ball(self, radius):
-        """All elements within `radius` of the identity, sorted by
-        (distance, order key)."""
-        return tuple(
-            h for layer in self.layers(radius) for h in sorted(layer, key=self.order_key)
-        )
+    def distance_rows(self, elems):
+        """Per element of the sequence `elems`, an iterator over its
+        distances to the elements after it."""
+        for i, x in enumerate(elems):
+            yield map(self.dist, repeat(x), elems[i + 1 :])
 
 
 class Zn(_Group):
@@ -91,16 +90,13 @@ class Zn(_Group):
         self.whole = lattices.whole_group(n)
 
     def mul(self, a, b):
-        return tuple(map(operator.add, a, b))
+        return tuple(map(add, a, b))
 
     def inv(self, a):
         return tuple(-x for x in a)
 
     def dist(self, a, b) -> int:
-        return sum(map(abs, map(operator.sub, a, b)))
-
-    def order_key(self, g):
-        return g
+        return sum(map(abs, map(sub, a, b)))
 
     def ball_size(self, radius: int) -> int:
         """Number of elements within l1 distance `radius` of the origin."""
@@ -111,6 +107,11 @@ class Zn(_Group):
         """The l1 spheres of radius 0..radius, each in lexicographic order."""
         for d in range(radius + 1):
             yield list(_sphere(self.rank, d))
+
+    def ball(self, radius):
+        """All elements within `radius` of the identity, sorted by
+        (distance, vector)."""
+        return tuple(chain.from_iterable(self.layers(radius)))
 
     def path(self, g):
         """Vertices of the staircase edge path from the identity to g."""
@@ -250,8 +251,23 @@ class Fk(_Group):
             n += 1
         return len(x) + len(y) - 2 * n
 
-    def order_key(self, g):
-        return g.letters
+    def distance_rows(self, elems):
+        """As for any group, from integer codes: a word's letters as
+        nonzero bytes, left-aligned under a leading 1.  Twice the common
+        prefix of two words is read from a table by the bit length of
+        the XOR of their codes; equal words XOR to 0, and that entry is
+        twice the row's length."""
+        spell = str.maketrans(dict(zip(self.letters, map("{:02x}".format, range(1, 53)))))
+        lens = list(map(len, elems))
+        width = 2 * max(lens, default=0)
+        codes = [int("1" + w.letters.translate(spell).ljust(width, "0"), 16) for w in elems]
+        bits = 4 * width
+        prefix2 = [2 * ((bits - t) // 8) for t in range(bits + 1)]
+        for i, n in enumerate(lens):
+            twice = prefix2.copy()
+            twice[0] = 2 * n
+            bit_lengths = map(int.bit_length, map(xor, repeat(codes[i]), codes[i + 1 :]))
+            yield map(sub, map(add, repeat(n), lens[i + 1 :]), map(twice.__getitem__, bit_lengths))
 
     def ball_size(self, radius: int) -> int:
         """Number of reduced words of length at most `radius`."""
@@ -260,28 +276,37 @@ class Fk(_Group):
             return 2 * radius + 1
         return 1 + 2 * k * ((2 * k - 1) ** radius - 1) // (2 * k - 2)
 
-    def layers(self, radius):
-        """Reduced words of length 0..radius, one layer per length, in
-        generation order: each word of the previous layer extended by the
-        lowercase letters, then the uppercase ones."""
-        frontier = [""]
-        for r in range(radius + 1):
-            if r:
-                frontier = [
-                    w + ch
-                    for w in frontier
-                    for ch in self.letters
-                    if not w or w[-1] != ch.swapcase()
-                ]
-            yield [Word(self.rank, w, _reduced=True) for w in frontier]
-
-    def ball(self, radius):
+    def walk(self, radius, root, step):
+        """One state per element of ball(radius), in that order: `root`
+        for the identity, step(s, x) for a word ending in x with s the
+        state of its parent.  A layer's children, each parent's in
+        letter order, are the next layer in order, so one layer of
+        states is held at a time."""
         k = self.rank
         limits.guard(
             (2 * k) * max(2 * k - 1, 1) ** max(radius - 1, 0),
             f"ball_elements(F_{k}, R={radius})",
         )
-        return super().ball(radius)
+        moves = [(x, x.swapcase()) for x in sorted(self.letters)]
+        yield root
+        layer = [(None, root)]
+        for r in range(radius - 1, -1, -1):
+            nxt = []
+            for back, s in layer:
+                for x, inv in moves:
+                    if x != back:
+                        t = step(s, x)
+                        yield t
+                        if r:
+                            nxt.append((inv, t))
+            layer = nxt
+
+    def ball(self, radius):
+        """All reduced words of length at most `radius`, sorted by
+        (length, letter string)."""
+        # built as a list: a tuple grown from a generator is reallocated
+        # as it grows, which leaves the heap fragmented
+        return tuple([Word(self.rank, w, _reduced=True) for w in self.walk(radius, "", add)])
 
     def path(self, g):
         """Prefixes of g: the vertices of its tree geodesic."""
@@ -401,9 +426,7 @@ class Fk(_Group):
     def sigma_translates(self, reach):
         """Nontrivial deck translations that can beat a sigma candidate at
         leaf distance `reach`."""
-        layers = self.layers(int(reach) + 1)
-        next(layers)
-        return (g for layer in layers for g in layer)
+        return iter(self.ball(int(reach) + 1)[1:])
 
 
 class EdgePoint:

@@ -357,14 +357,21 @@ class GraphMap:
         self.vertex_map = tuple(vertex_map)
         self.edge_words = edge_words
 
-    def apply_to_path(self, word: Word) -> Word:
-        """Image of the based path spelling `word` (the word read by the
-        image path), read through the edge words (stallings.path_image)."""
-        edge_words = self.edge_words
-        _, img = stallings.path_image(
-            self.src, word.letters, lambda v, x: edge_words[(v, x)].letters
-        )
-        return Word(self.dst.k, img, _reduced=True)
+    def on_ball(self, radius):
+        """For each g of geometry.ball_elements("F", k, radius), in that
+        order: the image of g's based path (the word the image path
+        reads, through the edge words) if the path is a loop, else None.
+        Each path is its parent's plus one edge (groups.Fk.walk)."""
+        src, edge_words = self.src, self.edge_words
+
+        def label(v, x):
+            return edge_words[(v, x)].letters
+
+        def step(state, x):
+            return stallings.path_image(src, x, label, *state)
+
+        walk = groups.group("F", src.k).walk(radius, (0, ""), step)
+        return (Word(self.dst.k, img, _reduced=True) if v == 0 else None for v, img in walk)
 
     def __repr__(self):
         return f"GraphMap({self.src.m} -> {self.dst.m} sheets)"

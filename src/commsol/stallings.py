@@ -596,6 +596,15 @@ def _return_table(graph: SubgroupGraph) -> _ReturnTable:
     return _ReturnTable(dist, tuple(best), tuple(second))
 
 
+def _least_return(table: _ReturnTable, v: int, back) -> str | None:
+    """The least shortest path from v to the base not starting with
+    `back` (the inverse of the letter that reached v), or None."""
+    r = table.best[v]
+    if r[:1] == back:
+        r = table.second[v]
+    return r
+
+
 def geodesic_return(graph: SubgroupGraph, letters: str, verts) -> tuple[int, str]:
     """The element of the subgroup nearest to the reduced word `letters`,
     least letter string on ties, as (j, r): it spells letters[:j] + r.
@@ -604,22 +613,21 @@ def geodesic_return(graph: SubgroupGraph, letters: str, verts) -> tuple[int, str
     distance of the whole word's vertex from the base, the nearest
     elements are the reduced strings letters[:j] + r with r a shortest
     path from verts[j] to the base of length D - (n - j), so only the j
-    with dist[verts[j]] = D - (n - j) are candidates, each with its least
-    return path whose first letter does not cancel letters[j - 1]."""
+    with dist[verts[j]] - j = D - n are candidates, each with its least
+    return path whose first letter does not cancel letters[j - 1].  As
+    dist[verts[j]] - j never increases (a letter moves dist by at most
+    1), they are the outward run: the suffix where dist rises by 1 per
+    letter."""
     table = _return_table(graph)
     dist = table.dist
-    n = len(letters)
-    far = dist[verts[n]] - n
+    n = j = len(letters)
+    while j and dist[verts[j - 1]] == dist[verts[j]] - 1:
+        j -= 1
     least = out = None
-    for j in range(max(-far, 0), n + 1):
-        v = verts[j]
-        if dist[v] != far + j:
+    for j in range(j, n + 1):
+        r = _least_return(table, verts[j], letters[j - 1].swapcase() if j else None)
+        if r is None:
             continue
-        r = table.best[v]
-        if j and r[:1] == letters[j - 1].swapcase():
-            r = table.second[v]
-            if r is None:
-                continue
         s = letters[:j] + r
         if least is None or s < least:
             least, out = s, (j, r)
@@ -636,18 +644,19 @@ def trace_path(graph: SubgroupGraph, letters: str) -> list[int]:
     return out
 
 
-def path_image(graph: SubgroupGraph, letters: str, label, start: int = 0):
+def path_image(graph: SubgroupGraph, letters: str, label, start: int = 0, out: str = ""):
     """The path spelling `letters` from `start`, read through edge labels:
     (end, image).  `end` is the vertex the path reaches, or None where it
-    leaves the graph; `image` is the reduced product of label(v, x), the
-    reduced letter string of the x-edge out of v, over the edges crossed
-    (up to where the path leaves), an edge crossed backward contributing
-    its inverse.  Letters cancel only at each junction (freewords._join).
+    leaves the graph; `image` is `out` times the reduced product of
+    label(v, x), the reduced letter string of the x-edge out of v, over
+    the edges crossed (up to where the path leaves), an edge crossed
+    backward contributing its inverse.  Letters cancel only at each
+    junction (freewords._join).
 
     With the nontree edges of a commensuration's domain graph labelled by
     their basis elements' images, a based loop's image is the
     commensuration's value on the element the loop spells."""
-    v, out = start, ""
+    v = start
     for ch in letters:
         x = ord(ch.lower()) - ord("a")
         back = ch.isupper()

@@ -140,6 +140,12 @@ def test_dpro_at_depth_6(capsys):
     assert code == 0 and out.startswith("exp(-2) = 0.1353352832")
 
 
+def test_dpro_at_depth_7(capsys):
+    # the depth-7 system, in about a second
+    code, out = cli(capsys, "dpro", "F", "2", "ab", "ba", "--depth", "7")
+    assert code == 0 and out.startswith("exp(-2) = 0.1353352832")
+
+
 def test_metric_verbs_at_depth_4(capsys):
     # the metric path reads the 88 objects of the depth-4 system, not K_4
     code, out = cli(capsys, "dpro", "F", "2", "ab", "ba", "--depth", "4")

@@ -115,7 +115,7 @@ def test_sigma_matches_brute_force_f2_edge_points():
 
         p, q = rnd_point(), rnd_point()
         got = float(sigma(p, q))
-        candidates = [w for layer in group("F", 2).layers(3) for w in layer]
+        candidates = group("F", 2).ball(3)
         brute = min(
             max(
                 float(d_pro("F", 2, p.fiber, q.fiber * ~g, 2)),
@@ -173,8 +173,9 @@ def test_lift_of_deep_restriction():
     deep = restriction(ident, ker2)
     gm = lift_through_covers(deep, target=catalog.ker_a())
     # the lift of an inclusion acts as the covering projection on sheets
+    label = lambda v, x: gm.edge_words[(v, x)].letters  # noqa: E731
     for h in basis(ker2):
-        assert gm.apply_to_path(h) == h
+        assert stallings.path_image(gm.src, h.letters, label) == (0, h.letters)
 
 
 def test_compose_chain_domains_shrink_correctly():

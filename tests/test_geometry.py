@@ -4,6 +4,7 @@ factorization, and the boundary fixed-point action."""
 import random
 import time
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -20,6 +21,7 @@ from commsol.commensurations import (
     make_zn,
     parse_comm,
     restriction,
+    zn1_to_f1,
 )
 from commsol.errors import InfiniteIndexError, PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity as word_identity
@@ -119,7 +121,7 @@ def probe_project(comm, g):
     the first layer in which some g*w lands in the domain (g traced once,
     each w read from the vertex g reaches); the least such g*w."""
     v = stallings.trace(comm.domain, g)
-    for layer in group("F", comm.rank).layers(comm.domain.m - 1):
+    for _, layer in groupby(group("F", comm.rank).ball(comm.domain.m - 1), len):
         hits = [g * w for w in layer if stallings.contains(comm.domain, w, v)]
         if hits:
             return min(hits, key=lambda h: h.letters)
@@ -577,8 +579,9 @@ def test_factorization_check_reports_a_wrong_lift(monkeypatch):
     wrong = W("ab")
 
     class Spoiled:
-        def apply_to_path(self, g):
-            return wrong if g == W("aa") else real.apply_to_path(g)
+        def on_ball(self, radius):
+            for g, img in zip(ball_elements("F", 2, radius), real.on_ball(radius)):
+                yield wrong if g == W("aa") else img
 
     monkeypatch.setattr(solenoid, "lift_through_covers", lambda comm: Spoiled())
     rep = factorization_check(phi, 2, 3)
@@ -597,3 +600,151 @@ def test_factorization_check_validates_depth_first():
     # before the guard, which would refuse this radius
     with pytest.raises(PreconditionError):
         factorization_check(phi, 0, 40)
+
+
+# -- ball-at-once evaluation against the per-element paths ---------------------------
+
+
+def per_element_image(m, g):
+    """Reference: the projection of g to the domain, then the map."""
+    return evaluate(m.comm, closest_point_project(m.comm, g))
+
+
+def assert_walk_matches(m, radius):
+    ball = ball_elements(m.comm.tag, m.comm.rank, radius)
+    got = list(m.on_ball(radius))
+    assert got == [m(x) for x in ball]
+    assert got == [per_element_image(m, x) for x in ball]
+
+
+def random_restriction(rng, k, max_index):
+    """An automorphism of F_k from random Nielsen moves, restricted to a
+    random subgroup of index <= max_index."""
+    gens = [Word(k, x) for x in "abc"[:k]]
+    for _ in range(rng.randrange(5)):
+        i, j = rng.sample(range(k), 2)
+        gens[i] = gens[i] * (gens[j] if rng.randrange(2) else ~gens[j])
+    sub = rng.choice(stallings.enumerate_subgroups(k, max_index))
+    return restriction(from_ambient(k, gens), sub)
+
+
+def test_f_ball_is_sorted_by_length_then_letters():
+    from itertools import product
+
+    for k, radius in ((1, 6), (2, 4), (3, 3)):
+        alphabet = "abc"[:k] + "ABC"[:k]
+        words = [
+            "".join(t) for n in range(radius + 1) for t in product(alphabet, repeat=n)
+        ]
+        reduced = [w for w in words if Word(k, w).letters == w]
+        want = sorted(reduced, key=lambda w: (len(w), w))
+        assert [g.letters for g in ball_elements("F", k, radius)] == want
+
+
+def test_on_ball_matches_per_element_images_on_the_catalog():
+    cat = catalog.f2_catalog()
+    maps = list(cat.values()) + [parse_comm(format_comm(phi)) for phi in cat.values()]
+    for phi in maps:
+        m = baseleaf_map(phi)
+        for radius in (0, 1, 3, 6):
+            assert_walk_matches(m, radius)
+
+
+def test_on_ball_matches_per_element_images_on_restrictions():
+    rng = random.Random(2024)
+    for k, max_index, radius in [(2, 4, 5)] * 30 + [(3, 3, 3)] * 20:
+        assert_walk_matches(baseleaf_map(random_restriction(rng, k, max_index)), radius)
+
+
+def test_on_ball_matches_per_element_images_on_f1_and_zn():
+    f1 = identity_comm("F", 1)
+    for m in (3, 4):
+        sub = stallings.from_generators([Word(1, "a" * m)], 1)
+        assert_walk_matches(baseleaf_map(restriction(f1, sub)), 9)
+    assert_walk_matches(baseleaf_map(zn1_to_f1(make_zn([[3]]))), 9)
+    rng = random.Random(31)
+    for _ in range(5):
+        assert_walk_matches(baseleaf_map(make_zn(catalog.random_zn_matrix(rng, 2))), 4)
+
+
+def bounded_distance_reference(m1, m2, radius):
+    """Reference: running maxima of the per-element displacement."""
+    grp = m1.comm.group
+    maxima, cur = [], 0
+    for g in ball_elements(grp.tag, grp.rank, radius):
+        r = grp.dist(g, grp.identity)
+        cur = max(cur, grp.dist(per_element_image(m1, g), per_element_image(m2, g)))
+        while len(maxima) <= r:
+            maxima.append(cur)
+        maxima[r] = cur
+    return maxima + [cur] * (radius + 1 - len(maxima))
+
+
+def test_bounded_distance_matches_the_per_element_reference():
+    cat = catalog.f2_catalog()
+    pairs = [(cat[a], cat[b]) for a, b in catalog.EQUIVALENT_PAIRS]
+    pairs.append(tuple(cat[x] for x in catalog.INEQUIVALENT_WITNESS))
+    rng = random.Random(37)
+    pairs += [(random_restriction(rng, 2, 4), random_restriction(rng, 2, 4)) for _ in range(6)]
+    for phi, psi in pairs:
+        m1, m2 = baseleaf_map(phi), baseleaf_map(psi)
+        for radius in (0, 2, 6):
+            want = bounded_distance_reference(m1, m2, radius)
+            assert bounded_distance(m1, m2, radius).maxima == want
+    for _ in range(4):
+        m1, m2 = (baseleaf_map(make_zn(catalog.random_zn_matrix(rng, 2))) for _ in "12")
+        assert bounded_distance(m1, m2, 4).maxima == bounded_distance_reference(m1, m2, 4)
+
+
+def factorization_reference(phi, radius):
+    """Reference: per ball element, a membership trace, the lift applied
+    to its path and the per-element image."""
+    lift = solenoid.lift_through_covers(phi)
+    label = lambda v, x: lift.edge_words[(v, x)].letters  # noqa: E731
+    m = baseleaf_map(phi)
+    checked, mismatches = 0, []
+    for g in ball_elements("F", phi.rank, radius):
+        if stallings.contains(phi.domain, g):
+            checked += 1
+            via_map = per_element_image(m, g)
+            via_lift = Word(phi.rank, stallings.path_image(lift.src, g.letters, label)[1])
+            if via_map != via_lift:
+                mismatches.append((g, via_map, via_lift))
+    return checked, mismatches
+
+
+def test_factorization_check_matches_the_per_element_reference():
+    cat = catalog.f2_catalog()
+    rng = random.Random(41)
+    maps = list(cat.values()) + [parse_comm(format_comm(phi)) for phi in cat.values()]
+    maps += [random_restriction(rng, 2, 4) for _ in range(6)]
+    for phi in maps:
+        rep = factorization_check(phi, 2, 6)
+        assert (rep.checked, rep.mismatches) == factorization_reference(phi, 6)
+    rep = factorization_check(make_zn([[2]]), 3, 12)
+    assert (rep.checked, rep.mismatches) == factorization_reference(zn1_to_f1(make_zn([[2]])), 12)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 26])
+def test_fk_distance_rows_match_dist_pair_by_pair(rank):
+    grp = group("F", rank)
+    rng = random.Random(rank)
+    a, big = grp.letters[0], grp.letters[-1]
+    words = [
+        Word(rank, "".join(rng.choice(grp.letters) for _ in range(rng.randrange(10))))
+        for _ in range(30)
+    ]
+    # repeats, prefixes of each other, the identity, and distances over 255
+    words += [words[0], words[0], grp.identity, grp.identity]
+    words += [Word(rank, words[1].letters[:i]) for i in range(len(words[1].letters) + 1)]
+    words += [Word(rank, a * 200), Word(rank, a.upper() * 100), Word(rank, a * 130 + big)]
+    rows = [list(row) for row in grp.distance_rows(words)]
+    assert rows == [[grp.dist(x, y) for y in words[i + 1 :]] for i, x in enumerate(words)]
+    assert max(map(max, filter(None, rows))) == 300
+    assert list(map(list, grp.distance_rows([]))) == []
+    assert list(map(list, grp.distance_rows([grp.identity]))) == [[]]
+
+
+def test_qi_estimate_on_f1_at_radius_130_matches_the_pair_tally():
+    # 261 elements: distances on the ball reach 260 and between images 520
+    assert_same_estimate(baseleaf_map(zn1_to_f1(make_zn([[2]]))), 130)

@@ -164,3 +164,24 @@ def test_results_do_not_depend_on_cache_order(data):
     for (op, args), got in zip(calls, warm):
         _clear_every_cache()
         assert _outcome(op, args) == got, (op.__name__, args)
+
+
+def test_qi_estimate_does_not_depend_on_warm_caches():
+    # a radius's ball and its cached distances, left by an earlier call at
+    # another radius or for another map, leave the estimate as it is cold
+    fields = ("radius", "L", "C", "upper", "lower", "pairs")
+    cat = catalog.f2_catalog()
+    for first, then in (("shift", "swap|ker_a"), ("swap|ker_a", "shift|ker_a")):
+        for r0, r in ((3, 4), (4, 3), (4, 4)):
+            _clear_every_cache()
+            geometry.qi_estimate(geometry.baseleaf_map(cat[first]), r0)
+            warm = geometry.qi_estimate(geometry.baseleaf_map(cat[then]), r)
+            _clear_every_cache()
+            cold = geometry.qi_estimate(geometry.baseleaf_map(cat[then]), r)
+            assert [getattr(warm, f) for f in fields] == [getattr(cold, f) for f in fields]
+    zn = make_zn([[2, 1], [0, 1]])
+    geometry.qi_estimate(geometry.baseleaf_map(make_zn([[1, 0], [0, 3]])), 4)
+    warm = geometry.qi_estimate(geometry.baseleaf_map(zn), 4)
+    _clear_every_cache()
+    cold = geometry.qi_estimate(geometry.baseleaf_map(zn), 4)
+    assert [getattr(warm, f) for f in fields] == [getattr(cold, f) for f in fields]

@@ -116,7 +116,7 @@ def test_lift_identity():
     ka = catalog.ker_a()
     gm = lift_through_covers(restriction(ident, ka))
     assert gm.vertex_map == (0, 1)
-    assert gm.apply_to_path(W("aa")) == W("aa")
+    assert apply_to_path(gm, W("aa")) == W("aa")
 
 
 def test_lift_shift_on_kernel():
@@ -127,7 +127,7 @@ def test_lift_shift_on_kernel():
         assert sum(1 if c == "a" else -1 if c == "A" else 0 for c in img.letters) % 2 == 0
     gm = lift_through_covers(phi)
     for h in [W("aa"), W("b"), W("abA"), W("aabB")]:
-        assert gm.apply_to_path(h) == evaluate(phi, h)
+        assert apply_to_path(gm, h) == evaluate(phi, h)
 
 
 def test_lift_swap_swaps_sheets():
@@ -136,7 +136,7 @@ def test_lift_swap_swaps_sheets():
     gm = lift_through_covers(swap_on_ka)
     # trace-coset-table oracle: the nontrivial sheet goes to the nontrivial sheet
     assert gm.vertex_map == (0, 1)
-    assert gm.apply_to_path(W("aa")) == W("bb")
+    assert apply_to_path(gm, W("aa")) == W("bb")
 
 
 def test_lift_collapse_case_agrees_with_evaluation():
@@ -149,7 +149,14 @@ def test_lift_collapse_case_agrees_with_evaluation():
     for _ in range(30):
         expr = [rng.choice([1, -1]) * rng.randrange(1, len(bas) + 1) for _ in range(4)]
         h = stallings.substitute(tuple(expr), list(bas))
-        assert gm.apply_to_path(h) == evaluate(phi, h)
+        assert apply_to_path(gm, h) == evaluate(phi, h)
+
+
+def apply_to_path(gm, word):
+    """Reference: the lift's image of the based path spelling `word` (the
+    word the image path reads), one path at a time through the edge words."""
+    label = lambda v, x: gm.edge_words[(v, x)].letters  # noqa: E731
+    return Word(gm.dst.k, stallings.path_image(gm.src, word.letters, label)[1], _reduced=True)
 
 
 def apply_by_products(gm, word):
@@ -184,7 +191,7 @@ def test_apply_to_path_matches_word_products():
                  for _ in range(40)]
         words += list(stallings.basis(phi.domain))
         for w in words:
-            assert gm.apply_to_path(w) == apply_by_products(gm, w)
+            assert apply_to_path(gm, w) == apply_by_products(gm, w)
     assert kinds == {True, False}
 
 
@@ -398,7 +405,7 @@ def test_zn1_to_f1_lift_round_trip():
     f1 = zn1_to_f1(two)
     gm = lift_through_covers(f1)
     a = Word(1, "a")
-    assert gm.apply_to_path(a) == a**2
+    assert apply_to_path(gm, a) == a**2
     assert gm.src.m == 1 and gm.dst.m == 2
 
 
@@ -565,3 +572,16 @@ def test_sigma_symmetric_and_below_d_pro_at_depth_4(data):
     s = sigma(p, q)
     assert s == sigma(q, p)
     assert s <= d_pro(tag, rank, g, h, 4)
+
+
+def test_graph_map_on_ball_matches_per_path_lifts():
+    # oracle: a membership trace and the path's image per ball element
+    maps = list(catalog.f2_catalog().values())
+    maps += [parse_comm(format_comm(phi)) for phi in maps]
+    maps.append(zn1_to_f1(make_zn([[2]])))
+    for phi in maps:
+        gm = lift_through_covers(phi)
+        radius = 9 if phi.rank == 1 else 4
+        ball = groups.group("F", phi.rank).ball(radius)
+        want = [apply_to_path(gm, g) if stallings.contains(phi.domain, g) else None for g in ball]
+        assert list(gm.on_ball(radius)) == want

@@ -708,3 +708,49 @@ def test_path_image_stops_where_the_path_leaves():
     # the path aA then b: b leaves the base, after the image of aA cancels
     assert path_image(graph, "aAb", label) == (None, "")
     assert path_image(graph, "aa", label) == (None, "a")
+
+
+def geodesic_return_full_scan(graph, letters, verts):
+    """Reference: geodesic_return scanning every j from max(-far, 0) to n,
+    with far = dist[verts[n]] - n, for the candidates dist[verts[j]] = far + j."""
+    table = stallings._return_table(graph)
+    dist = table.dist
+    n = len(letters)
+    far = dist[verts[n]] - n
+    least = out = None
+    for j in range(max(-far, 0), n + 1):
+        v = verts[j]
+        if dist[v] != far + j:
+            continue
+        r = table.best[v]
+        if j and r[:1] == letters[j - 1].swapcase():
+            r = table.second[v]
+            if r is None:
+                continue
+        s = letters[:j] + r
+        if least is None or s < least:
+            least, out = s, (j, r)
+    return out
+
+
+@ORACLE
+@given(st.data())
+def test_geodesic_return_candidates_are_the_outward_run(data):
+    # F1-F3, subgroups of index <= 6 from random transitive permutations
+    k = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 6))
+    try:
+        sub = from_permutations(k, [data.draw(st.permutations(range(m))) for _ in range(k)])
+    except PreconditionError:
+        assume(False)  # not transitive
+    letters = Word(k, data.draw(st.text("abc"[:k] + "ABC"[:k], max_size=12))).letters
+    verts = stallings.trace_path(sub, letters)
+    dist = stallings._return_table(sub).dist
+    n = j = len(letters)
+    while j and dist[verts[j - 1]] == dist[verts[j]] - 1:
+        j -= 1
+    candidates = [i for i in range(n + 1) if dist[verts[i]] - i == dist[verts[n]] - n]
+    assert candidates == list(range(j, n + 1))
+    got = stallings.geodesic_return(sub, letters, verts)
+    assert got == geodesic_return_full_scan(sub, letters, verts)
+

@@ -30,17 +30,17 @@ def ball_elements(tag: str, rank: int, radius: int):
 @lru_cache(maxsize=64)
 def ball_distances(tag: str, rank: int, radius: int):
     """The distance_rows of ball_elements(tag, rank, radius), one row
-    after another in one tuple."""
-    elems = ball_elements(tag, rank, radius)
-    n = len(elems)
-    # filled in place: one block, where a tuple per row would take a size
-    # class each and a growing tuple would be moved as it grows
-    flat = [0] * (n * (n - 1) // 2)
-    end = 0
-    for i, row in enumerate(groups.group(tag, rank).distance_rows(elems)):
-        start, end = end, end + n - 1 - i
-        flat[start:end] = row
-    return tuple(flat)
+    after another.  Distances on the ball are at most 2R: while that fits
+    in a byte, one byte a pair, read-only since the cache hands the same
+    buffer to every caller; past that (only rank 1 under the default cap
+    on pairs) a tuple."""
+    rows = groups.group(tag, rank).distance_rows(ball_elements(tag, rank, radius))
+    if 2 * radius > 255:
+        return tuple(chain.from_iterable(rows))
+    flat = bytearray()
+    for row in rows:
+        flat += bytes(row)
+    return memoryview(flat).toreadonly()
 
 
 # -- closest-point projection and the baseleaf map ---------------------------------

@@ -103,15 +103,10 @@ class Zn(_Group):
         n = self.rank
         return sum(2**j * math.comb(n, j) * math.comb(radius, j) for j in range(n + 1))
 
-    def layers(self, radius):
-        """The l1 spheres of radius 0..radius, each in lexicographic order."""
-        for d in range(radius + 1):
-            yield list(_sphere(self.rank, d))
-
     def ball(self, radius):
         """All elements within `radius` of the identity, sorted by
         (distance, vector)."""
-        return tuple(chain.from_iterable(self.layers(radius)))
+        return tuple(chain.from_iterable(_sphere(self.rank, d) for d in range(radius + 1)))
 
     def path(self, g):
         """Vertices of the staircase edge path from the identity to g."""
@@ -149,10 +144,15 @@ class Zn(_Group):
     def project(self, sub, g):
         """The member of sub nearest to g in the l1 metric, least vector on
         ties: the l1 spheres around g, searched outward up to the distance
-        of g minus its residue, which is a member."""
+        of g minus its residue, which is a member.  Each element of that
+        ball costs one mul and one triangular membership test."""
         radius = sum(abs(x) for x in lattices.residue(sub, g))
-        for layer in self.layers(radius):
-            hits = [h for h in (self.mul(g, w) for w in layer) if lattices.contains(sub, h)]
+        limits.guard(
+            self.ball_size(radius) * self.rank**2, f"project(Z^{self.rank}, radius {radius})"
+        )
+        for d in range(radius + 1):
+            layer = (self.mul(g, w) for w in _sphere(self.rank, d))
+            hits = [h for h in layer if lattices.contains(sub, h)]
             if hits:
                 return min(hits)
         raise AssertionError("unreachable: g minus its residue lies in sub")
@@ -173,9 +173,13 @@ class Zn(_Group):
         return tuple(sum(c * img[r] for c, img in zip(coords, images)) for r in range(self.rank))
 
     def inverse_images(self, domain, images, codomain):
-        """The preimages of the codomain's basis, by the inverse matrix."""
-        back = ratmat.inverse(self.extension(domain, images))
-        return tuple(tuple(int(x) for x in ratmat.mul_vec(back, t)) for t in codomain.cols)
+        """The preimages of the codomain's basis: eliminating the image
+        rows of the columns (c_i; d_i) leaves the codomain's HNF basis on
+        top and, below it, the domain vectors mapped onto that basis."""
+        n = self.rank
+        basis, _ = lattices._echelon([(*c, *d) for c, d in zip(images, domain.cols)], n)
+        assert tuple(tuple(c[:n]) for c in basis) == codomain.cols, "image HNF must be the codomain"
+        return tuple(tuple(c[n:]) for c in basis)
 
     def basis_size(self, sub) -> int:
         return self.rank
@@ -482,6 +486,8 @@ def group(tag: str, rank: int) -> _Group:
     family = _FAMILIES.get(tag)
     if family is None:
         raise PreconditionError(f"unknown group tag {tag!r}")
+    if rank < 1:
+        raise PreconditionError(f"group rank must be at least 1, got {rank}")
     return family(rank)
 
 

@@ -6,7 +6,11 @@ off-diagonal entry reduced modulo the diagonal entry of its row.  Equal
 subgroups therefore have identical stored matrices, and the index is the
 product of the diagonal.
 
-All arithmetic is over arbitrary-precision integers.
+One Hermite elimination (`_echelon`) gives the HNF, and on columns
+stacked over a second block also `preimage`, `intersect` and the inverse
+images of a Z^n commensuration (Cohen, *A Course in Computational
+Algebraic Number Theory*, 1993, 2.4).  All arithmetic is over
+arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -35,17 +39,19 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def _hnf_columns(cols, n: int):
-    """Reduce a list of integer columns to the canonical HNF basis.
-
-    Raises InfiniteIndexError if the columns do not span a finite-index
-    sublattice (rank < n over Q).
+def _echelon(cols, n: int):
+    """Hermite elimination of the first n rows of integer columns of any
+    length >= n: (basis, rest), where basis[i] has a positive pivot in row
+    i, zeros above it, and reduces the row-i entries of the earlier basis
+    columns into [0, pivot); rest spans the integer combinations of the
+    columns whose first n entries are 0.  On n-row columns basis is the
+    canonical HNF.  Raises InfiniteIndexError if some row has no pivot.
     """
     work = [list(c) for c in cols if any(c)]
     basis: list[list[int]] = []
     for i in range(n):
         cand = [c for c in work if c[i] != 0]
-        rest = [c for c in work if c[i] == 0]
+        work = [c for c in work if c[i] == 0]
         if not cand:
             raise InfiniteIndexError(
                 f"generators span a rank-deficient sublattice (no pivot in row {i})"
@@ -57,23 +63,19 @@ def _hnf_columns(cols, n: int):
             x, y, g = _xgcd(a, b)
             ag, bg = a // g, b // g
             p, q = (
-                [x * p[j] + y * q[j] for j in range(n)],
-                [ag * q[j] - bg * p[j] for j in range(n)],
+                [x * s + y * t for s, t in zip(p, q)],
+                [ag * t - bg * s for s, t in zip(p, q)],
             )
             if any(q):
-                rest.append(q)
+                work.append(q)
         if p[i] < 0:
             p = [-v for v in p]
-        basis.append(p)
-        work = rest
-    # normalize off-diagonal entries: 0 <= basis[j][i] < basis[i][i] for j < i
-    for i in range(n):
-        d = basis[i][i]
-        for j in range(i):
-            q = basis[j][i] // d
+        for j, col in enumerate(basis):
+            q = col[i] // p[i]
             if q:
-                basis[j] = [basis[j][r] - q * basis[i][r] for r in range(n)]
-    return tuple(tuple(c) for c in basis)
+                basis[j] = [s - q * t for s, t in zip(col, p)]
+        basis.append(p)
+    return basis, work
 
 
 class Lattice:
@@ -84,7 +86,7 @@ class Lattice:
 
     def __init__(self, n: int, cols, _canonical: bool = False):
         if not _canonical:
-            cols = _hnf_columns(cols, n)
+            cols = tuple(map(tuple, _echelon(cols, n)[0]))
         self.n = n
         self.cols = cols
         self._hash = hash((n, cols))
@@ -167,48 +169,14 @@ def is_subgroup(inner: Lattice, outer: Lattice) -> bool:
     return all(contains(outer, c) for c in inner.cols)
 
 
-def integer_kernel(cols, n: int):
-    """Basis of the integer kernel of the n x m matrix with the given columns."""
-    m = len(cols)
-    work = [list(c) for c in cols]
-    u = [[1 if r == j else 0 for r in range(m)] for j in range(m)]
-    used = 0
-    for i in range(n):
-        idxs = [j for j in range(used, m) if work[j][i] != 0]
-        if not idxs:
-            continue
-        j0 = idxs[0]
-        for j in idxs[1:]:
-            a, b = work[j0][i], work[j][i]
-            x, y, g = _xgcd(a, b)
-            ag, bg = a // g, b // g
-            work[j0], work[j] = (
-                [x * work[j0][r] + y * work[j][r] for r in range(n)],
-                [ag * work[j][r] - bg * work[j0][r] for r in range(n)],
-            )
-            u[j0], u[j] = (
-                [x * u[j0][r] + y * u[j][r] for r in range(m)],
-                [ag * u[j][r] - bg * u[j0][r] for r in range(m)],
-            )
-        work[used], work[j0] = work[j0], work[used]
-        u[used], u[j0] = u[j0], u[used]
-        used += 1
-    kernel = []
-    for j in range(used, m):
-        assert not any(work[j]), "echelon reduction left a nonzero trailing column"
-        kernel.append(tuple(u[j]))
-    return kernel
-
-
 def preimage(domain: Lattice, images, target: Lattice) -> Lattice:
     """{D x : C x in target}, D the basis of `domain` and C the columns
-    `images`: the x-parts of the integer kernel of [C | -T] mapped by D."""
+    `images`: eliminating the first n rows of the columns (c_i; d_i) and
+    (-t_j; 0) leaves the combinations with C x in target, as (0; D x)."""
     n = domain.n
-    cols = list(images) + [tuple(-x for x in c) for c in target.cols]
-    gens = []
-    for kvec in integer_kernel(cols, n):
-        gens.append(tuple(sum(kvec[t] * domain.cols[t][r] for t in range(n)) for r in range(n)))
-    return Lattice(n, gens)
+    cols = [(*c, *d) for c, d in zip(images, domain.cols)]
+    cols += [tuple(-x for x in t) + (0,) * n for t in target.cols]
+    return Lattice(n, [c[n:] for c in _echelon(cols, n)[1]])
 
 
 @lru_cache(maxsize=2048)
@@ -227,52 +195,28 @@ def enumerate_lattices(n: int, max_index: int) -> list[Lattice]:
     """
     if n < 1 or max_index < 1:
         raise PreconditionError("need n >= 1 and max_index >= 1")
-    total = _count_hnf(n, max_index)
+    total = sum(math.prod(d**i for i, d in enumerate(diag)) for diag in _diagonals(n, max_index))
     limits.guard(total * n * n, f"enumerate_lattices(n={n}, N={max_index})")
     out: list[Lattice] = []
-
-    def diagonals(i: int, prod: int, diag: list[int]):
-        if i == n:
-            _emit(diag)
-            return
-        d = 1
-        while prod * d <= max_index:
-            diag.append(d)
-            diagonals(i + 1, prod * d, diag)
-            diag.pop()
-            d += 1
-
-    def _emit(diag: list[int]):
-        # off-diagonal slots: row i has i entries (columns 0..i-1), each mod diag[i]
-        slots = [(i, j) for i in range(n) for j in range(i)]
-        for vals in product(*(range(diag[i]) for i, _ in slots)):
-            cols = [[0] * n for _ in range(n)]
-            for i in range(n):
-                cols[i][i] = diag[i]
-            for (i, j), v in zip(slots, vals):
-                cols[j][i] = v
-            out.append(Lattice(n, tuple(tuple(c) for c in cols), _canonical=True))
-
-    diagonals(0, 1, [])
+    for diag in _diagonals(n, max_index):
+        # column j: zeros above the pivot diag[j], each entry below it mod its row's pivot
+        columns = [
+            [(0,) * j + (d, *below) for below in product(*map(range, diag[j + 1 :]))]
+            for j, d in enumerate(diag)
+        ]
+        out.extend(Lattice(n, cols, _canonical=True) for cols in product(*columns))
     out.sort(key=Lattice.sort_key)
     return out
 
 
-def _count_hnf(n: int, max_index: int) -> int:
-    count = 0
-
-    def rec(i, prod, weight):
-        nonlocal count
-        if i == n:
-            count += weight
-            return
-        d = 1
-        while prod * d <= max_index:
-            rec(i + 1, prod * d, weight * d**i)
-            d += 1
-
-    rec(0, 1, 1)
-    return count
+def _diagonals(n: int, max_index: int):
+    """The n-tuples of positive integers with product <= max_index."""
+    if n == 0:
+        yield ()
+        return
+    for d in range(1, max_index + 1):
+        for rest in _diagonals(n - 1, max_index // d):
+            yield (d, *rest)
 
 
 def profinite_kernel(n: int, max_index: int) -> Lattice:
@@ -308,6 +252,8 @@ def parse_lattice(text: str) -> Lattice:
     if len(parts) != 2 or parts[0] != "Z":
         raise ParseError(f"expected 'Z <n>' header, got {head!r}")
     n = parse_int(parts[1])
+    if n < 1:
+        raise ParseError(f"lattice dimension must be at least 1, got {n}")
     if len(rows) != n:
         raise ParseError(f"expected {n} generator rows, got {len(rows)}")
     return Lattice(n, [parse_vector(row, n) for row in rows])

@@ -221,6 +221,21 @@ def test_malformed_numbers_are_domain_errors(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qi", "comm Z 0"],
+        ["bounded", "comm Z 0", "comm Z 0"],
+        ["index", "Z 0"],
+        ["parse", "Z", "0", ""],
+    ],
+)
+def test_rank_zero_is_a_domain_error(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["unknown-verb"])

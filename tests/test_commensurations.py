@@ -77,6 +77,26 @@ def test_invert_examples():
     assert equivalent(compose(inv, shift_restricted), identity_comm("F", 2))
 
 
+def inverse_images_by_inverse_matrix(comm):
+    """Reference: the codomain's basis mapped back by (C D^-1)^-1."""
+    back = ratmat.inverse(comm.matrix)
+    return tuple(tuple(int(x) for x in ratmat.mul_vec(back, t)) for t in comm.codomain.cols)
+
+
+def test_zn_inverse_images_match_the_inverse_matrix():
+    rng = random.Random(59)
+    checked = 0
+    while checked < 200:
+        n = rng.choice([1, 2, 3])
+        rows = [[F(rng.randrange(-5, 6), rng.randrange(1, 5)) for _ in range(n)] for _ in range(n)]
+        if ratmat.det(ratmat.from_rows(rows)) == 0:
+            continue
+        comm = make_zn(rows)
+        got = comm.group.inverse_images(comm.domain, comm.images, comm.codomain)
+        assert got == inverse_images_by_inverse_matrix(comm)
+        checked += 1
+
+
 def test_invert_random_f2_round_trips():
     rng = random.Random(61)
     cat = list(catalog.f2_catalog().values())

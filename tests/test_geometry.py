@@ -28,6 +28,7 @@ from commsol.freewords import Word, identity as word_identity
 from commsol.geometry import (
     BaseleafMap,
     QIEstimate,
+    ball_distances,
     ball_elements,
     baseleaf_map,
     bounded_distance,
@@ -723,6 +724,42 @@ def test_factorization_check_matches_the_per_element_reference():
         assert (rep.checked, rep.mismatches) == factorization_reference(phi, 6)
     rep = factorization_check(make_zn([[2]]), 3, 12)
     assert (rep.checked, rep.mismatches) == factorization_reference(zn1_to_f1(make_zn([[2]])), 12)
+
+
+@pytest.mark.parametrize("tag, rank, radius, one_byte", [("F", 2, 4, True), ("F", 1, 130, False)])
+def test_ball_distances_are_the_flattened_distance_rows(tag, rank, radius, one_byte):
+    # one byte a pair, read-only, while 2R fits in one
+    flat = ball_distances(tag, rank, radius)
+    rows = group(tag, rank).distance_rows(ball_elements(tag, rank, radius))
+    assert list(flat) == [d for row in rows for d in row]
+    assert isinstance(flat, memoryview) == one_byte
+    if one_byte:
+        assert flat.itemsize == 1 and flat.readonly
+
+
+def test_zn_project_guard_refuses_before_the_sphere_walk(monkeypatch):
+    # r0 = 48 + 44 + 41 = 133 and 3,172,583 elements in that l1 ball, 9 steps each
+    monkeypatch.delenv("COMMSOL_MAX_WORK", raising=False)
+    z3 = group("Z", 3)
+    sub = lattices.from_generators([(97, 0, 0), (0, 89, 0), (0, 0, 83)])
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        z3.project(sub, (48, 44, 41))
+    assert time.perf_counter() - start < 0.5
+    assert "project(Z^3, radius 133): estimated work 28553247 exceeds cap 20000000" in str(
+        err.value
+    )
+
+
+def test_zn_project_guard_admits_its_estimate(monkeypatch):
+    # r0 = 3 on Z^2: 25 elements in the l1 ball, 4 steps each
+    z2 = group("Z", 2)
+    sub = lattices.from_generators([(5, 0), (0, 3)])
+    monkeypatch.setenv("COMMSOL_MAX_WORK", "100")
+    assert z2.project(sub, (2, 1)) == (0, 0)
+    monkeypatch.setenv("COMMSOL_MAX_WORK", "99")
+    with pytest.raises(ResourceLimitError, match="estimated work 100 exceeds cap 99"):
+        z2.project(sub, (2, 1))
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 26])

@@ -2,10 +2,12 @@
 
 import math
 import random
+from itertools import product
 
 import pytest
 
-from commsol.errors import InfiniteIndexError, PreconditionError
+from commsol import ratmat
+from commsol.errors import InfiniteIndexError, ParseError, PreconditionError, ResourceLimitError
 from commsol.lattices import (
     Lattice,
     contains,
@@ -17,6 +19,7 @@ from commsol.lattices import (
     is_subgroup,
     lcm_range,
     parse_lattice,
+    preimage,
     profinite_kernel,
     whole_group,
 )
@@ -206,3 +209,48 @@ def test_text_round_trip():
         except InfiniteIndexError:
             continue
         assert parse_lattice(format_lattice(lat)) == lat
+
+
+def test_preimage_matches_membership_on_a_box():
+    # X = {x : C x in T} contains index(T) Z^n, and {x : D x in P} has index
+    # index(P) / index(D): each has its HNF basis in [0, B]^n, so agreement
+    # on that box makes the two lattices equal
+    rng = random.Random(53)
+    largest = {1: 200, 2: 30, 3: 10}
+    checked = 0
+    while checked < 150:
+        n = rng.choice([1, 2, 3])
+        square = lambda r: [tuple(rng.randrange(-r, r + 1) for _ in range(n)) for _ in range(n)]
+        try:
+            domain, target = from_generators(square(4), n), from_generators(square(3), n)
+        except InfiniteIndexError:
+            continue
+        images = square(4)
+        if ratmat.det(ratmat.from_int_columns(images)) == 0:
+            continue
+        got = preimage(domain, images, target)
+        assert is_subgroup(got, domain)
+        bound = max(index(target), index(got) // index(domain))
+        if bound > largest[n]:
+            continue
+        checked += 1
+        for x in product(range(bound + 1), repeat=n):
+            dx = [sum(x[t] * domain.cols[t][r] for t in range(n)) for r in range(n)]
+            cx = [sum(x[t] * images[t][r] for t in range(n)) for r in range(n)]
+            assert contains(got, dx) == contains(target, cx)
+
+
+def test_enumerate_lattices_guard_estimates(monkeypatch):
+    monkeypatch.setenv("COMMSOL_MAX_WORK", "1000")
+    for n, max_index, estimate in ((3, 30, 169812), (3, 16, 26649)):
+        with pytest.raises(ResourceLimitError) as err:
+            enumerate_lattices(n, max_index)
+        assert f"enumerate_lattices(n={n}, N={max_index}): estimated work {estimate}" in str(
+            err.value
+        )
+
+
+def test_rank_zero_lattice_text_is_a_parse_error():
+    for text in ("Z 0", "Z -1"):
+        with pytest.raises(ParseError):
+            parse_lattice(text)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain
 
 from . import commensurations as comm_mod
@@ -50,7 +50,8 @@ def closest_point_project(comm, g):
     """The element of the domain nearest to g in the word metric;
     lexicographically least on ties.  On F_k it is read from the return
     table of the domain graph (stallings.geodesic_return) after one trace
-    of g; on Z^n the l1 spheres around g are searched outward."""
+    of g; on Z^n it is a pruned search down the domain's HNF triangle
+    (lattices.nearest)."""
     return comm.group.project(comm.domain, g)
 
 
@@ -85,10 +86,11 @@ class BaseleafMap:
 
     def on_ball(self, radius):
         """The images of ball_elements(radius), in that order, as an
-        iterator."""
+        iterator; on Z^n with one projection search per coset."""
         comm = self.comm
         if comm.tag != "F":
-            return map(self, ball_elements(comm.tag, comm.rank, radius))
+            ball = ball_elements(comm.tag, comm.rank, radius)
+            return map(partial(comm_mod.evaluate, comm), comm.group.projections(comm.domain, ball))
         return map(self._image, comm.group.walk(radius, _ROOT, self._step()))
 
     def _image(self, state):
@@ -228,10 +230,13 @@ def bounded_distance(m1: BaseleafMap, m2: BaseleafMap, radius: int) -> BoundedDi
     if (m1.comm.tag, m1.comm.rank) != (m2.comm.tag, m2.comm.rank):
         raise PreconditionError("maps live on different groups")
     grp = m1.comm.group
-    # per element: two projections, each costing at most the ball of its
-    # domain's projection bound (the Z^n sphere search; on F_k, which reads
-    # a return table, this over-counts), and two evaluations of length about R
-    probes = sum(grp.ball_size(grp.projection_bound(m.comm.domain)) for m in (m1, m2))
+    # per element: two projections, each costing at most the work of a
+    # search within its domain's projection bound (the nodes of the Z^n
+    # search; on F_k, which reads a return table, the ball of that radius,
+    # an over-count), and two evaluations of length about R
+    probes = sum(
+        grp.projection_work(m.comm.domain, grp.projection_bound(m.comm.domain)) for m in (m1, m2)
+    )
     limits.guard(
         grp.ball_size(radius) * radius * probes,
         f"bounded_distance({grp.tag}_{grp.rank}, R={radius})",

@@ -98,6 +98,16 @@ class Zn(_Group):
     def dist(self, a, b) -> int:
         return sum(map(abs, map(sub, a, b)))
 
+    def distance_rows(self, elems):
+        """As for any group, a row at a time: the absolute differences to
+        the later elements, added up one coordinate at a time."""
+        coords = list(zip(*elems))
+        for i, x in enumerate(elems):
+            row = [0] * (len(elems) - i - 1)
+            for a, col in zip(x, coords):
+                row = [r + abs(y - a) for r, y in zip(row, col[i + 1 :])]
+            yield row
+
     def ball_size(self, radius: int) -> int:
         """Number of elements within l1 distance `radius` of the origin."""
         n = self.rank
@@ -143,24 +153,40 @@ class Zn(_Group):
 
     def project(self, sub, g):
         """The member of sub nearest to g in the l1 metric, least vector on
-        ties: the l1 spheres around g, searched outward up to the distance
-        of g minus its residue, which is a member.  Each element of that
-        ball costs one mul and one triangular membership test."""
-        radius = sum(abs(x) for x in lattices.residue(sub, g))
+        ties (lattices.nearest): the search starts from the radius of g
+        reduced by the nearest multiple of each pivot, and is guarded by
+        the number of nodes it can visit."""
+        radius = sum(map(abs, lattices.centered_residue(sub, g)))
         limits.guard(
-            self.ball_size(radius) * self.rank**2, f"project(Z^{self.rank}, radius {radius})"
+            self.projection_work(sub, radius), f"project(Z^{self.rank}, radius {radius})"
         )
-        for d in range(radius + 1):
-            layer = (self.mul(g, w) for w in _sphere(self.rank, d))
-            hits = [h for h in layer if lattices.contains(sub, h)]
-            if hits:
-                return min(hits)
-        raise AssertionError("unreachable: g minus its residue lies in sub")
+        return lattices.nearest(sub, g, radius)[0]
+
+    def projections(self, sub, elems):
+        """project(sub, g) for each g of `elems`, as an iterator, with one
+        search per coset: the metric and the tie-break are invariant under
+        translation by sub, so project(sub, g) = g + project(sub, r) - r for
+        r the residue of g."""
+        offsets = {}
+        for g in elems:
+            r = lattices.residue(sub, g)
+            off = offsets.get(r)
+            if off is None:
+                off = offsets[r] = tuple(p - q for p, q in zip(self.project(sub, r), r))
+            yield tuple(map(add, g, off))
+
+    def projection_work(self, sub, radius: int) -> int:
+        """A bound on the nodes of a projection onto sub searched within
+        `radius`: a coset has at most 2 radius // d_i + 1 entries within
+        radius of g_i in row i, so no row holds more nodes than the
+        product of those counts over all rows."""
+        return self.rank * math.prod(2 * radius // sub.cols[i][i] + 1 for i in range(self.rank))
 
     def projection_bound(self, sub) -> int:
-        """A bound on the distance from any element to sub: residues lie
-        in the box [0, diag)."""
-        return sum(sub.cols[i][i] - 1 for i in range(self.rank))
+        """A bound on the distance from any element to sub: a residue
+        reduced by the nearest multiple of each pivot has |r_i| <= d_i / 2;
+        on a diagonal lattice it is the largest distance."""
+        return sum(sub.cols[i][i] // 2 for i in range(self.rank))
 
     def format(self, sub) -> str:
         return lattices.format_lattice(sub)
@@ -183,6 +209,18 @@ class Zn(_Group):
 
     def basis_size(self, sub) -> int:
         return self.rank
+
+    def separating_index(self, g, depth: int):
+        """The least index n <= depth of a subgroup missing g, None when
+        every subgroup of index <= depth contains g: the least n that does
+        not divide gcd(g), as the lattices of index n meet in n Z^n."""
+        if depth < 1:
+            raise PreconditionError("depth must be >= 1")
+        common = math.gcd(*g)
+        if not common:
+            return None
+        # lcm(2..n-1) divides a nonzero gcd, so n stays small whatever the depth
+        return next((n for n in range(2, depth + 1) if common % n), None)
 
     def extension(self, domain, images):
         """The rational matrix extending the map to Z^n: C D^-1."""
@@ -348,6 +386,11 @@ class Fk(_Group):
         distance of a vertex of its graph from the base."""
         return max(stallings._return_table(sub).dist)
 
+    def projection_work(self, sub, radius: int) -> int:
+        """The size of the ball of `radius`: an over-count, since project
+        reads a return table after one trace of g."""
+        return self.ball_size(radius)
+
     def format(self, sub) -> str:
         return stallings.format_subgroup(sub)
 
@@ -399,6 +442,18 @@ class Fk(_Group):
     def basis_size(self, sub) -> int:
         """The rank of a finite-index subgroup (Schreier): 1 + m(k - 1)."""
         return 1 + self.index(sub) * (self.rank - 1)
+
+    def separating_index(self, g, depth: int):
+        """The least index n <= depth of a subgroup missing g, None when
+        every subgroup of index <= depth contains g: the objects of the
+        depth-N system are sorted by index, so it is that of the first one
+        missing g."""
+        from . import prosystems  # imports this module
+
+        for obj in prosystems.build_system(self.tag, self.rank, depth).objects:
+            if not self.contains(obj, g):
+                return self.index(obj)
+        return None
 
     def extension(self, domain, images):
         """None: a partial automorphism of F_k need not extend to F_k."""

@@ -163,6 +163,69 @@ def residue(lat: Lattice, v) -> tuple[int, ...]:
     return tuple(r)
 
 
+def centered_residue(lat: Lattice, v) -> tuple[int, ...]:
+    """A coset representative of v + lat reduced row by row by the nearest
+    multiple of each pivot, ties upward: entry i lies in [-d_i/2, d_i/2)."""
+    r = list(v)
+    for i in range(lat.n):
+        d = lat.cols[i][i]
+        c = (2 * r[i] + d) // (2 * d)
+        if c:
+            for j in range(i, lat.n):
+                r[j] -= c * lat.cols[i][j]
+    return tuple(r)
+
+
+def nearest(lat: Lattice, g, radius: int):
+    """(member, nodes): the member of lat nearest to g in the l1 metric,
+    least vector on ties, found by a depth-first search down the basis
+    triangle (Fincke-Pohst, Math. Comp. 1985) given that some member lies
+    within `radius` of g; nodes counts the row entries tried.
+
+    Row i of sum c_j cols[j] depends only on c_0..c_i, so row by row the
+    search tries the entries of the member's coset in that row, nearest to
+    g_i first (Schnorr-Euchner, Math. Programming 1994), and drops a
+    branch once its partial distance passes the least distance found.  In
+    the last row only the nearest entry, the lower on a tie, can win."""
+    n, cols = lat.n, lat.cols
+    best = None
+    nodes = 0
+    x = [0] * n
+
+    def descend(i, acc, partial):
+        nonlocal best, radius, nodes
+        d, gi = cols[i][i], g[i]
+        lo = gi - (gi - acc[i]) % d  # the entry at or just below g_i
+        hi = lo + d
+        if i == n - 1:
+            x[i], step = (lo, gi - lo) if gi - lo <= hi - gi else (hi, hi - gi)
+            if partial + step <= radius:
+                nodes += 1
+                found = (partial + step, tuple(x))
+                if best is None or found < best:
+                    best = found
+                    radius = found[0]
+            return
+        col = cols[i]
+        while True:
+            if gi - lo <= hi - gi:
+                xi, step = lo, gi - lo
+                lo -= d
+            else:
+                xi, step = hi, hi - gi
+                hi += d
+            if partial + step > radius:
+                return
+            nodes += 1
+            x[i] = xi
+            c = (xi - acc[i]) // d
+            descend(i + 1, [a + c * b for a, b in zip(acc, col)], partial + step)
+
+    descend(0, [0] * n, 0)
+    assert best is not None, "no member within the given radius"
+    return best[1], nodes
+
+
 def is_subgroup(inner: Lattice, outer: Lattice) -> bool:
     if inner.n != outer.n:
         raise PreconditionError("dimension mismatch")

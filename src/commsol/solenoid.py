@@ -114,14 +114,13 @@ def kernel(tag: str, rank: int, depth: int):
 
 def d_pro(tag: str, rank: int, g, h, depth: int) -> MetricValue:
     """exp(-max{n <= depth : g h^-1 in K_n}); zero (flagged as a depth-N
-    pseudometric) when the difference lies in K_depth.  The system objects
-    are sorted by index, so the first one missing g h^-1 has index n + 1."""
+    pseudometric) when the difference lies in K_depth.  The least index of
+    a subgroup missing g h^-1 (the group's separating_index) is n + 1."""
     grp = groups.group(tag, rank)
-    diff = grp.mul(g, grp.inv(h))
-    for obj in prosystems.build_system(tag, rank, depth).objects:
-        if not grp.contains(obj, diff):
-            return MetricValue.exp(grp.index(obj) - 1)
-    return MetricValue.zero(note=f"pseudometric at depth {depth}")
+    n = grp.separating_index(grp.mul(g, grp.inv(h)), depth)
+    if n is None:
+        return MetricValue.zero(note=f"pseudometric at depth {depth}")
+    return MetricValue.exp(n - 1)
 
 
 # -- leaf coordinates -----------------------------------------------------------

@@ -4,7 +4,7 @@ factorization, and the boundary fixed-point action."""
 import random
 import time
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -79,24 +79,23 @@ def test_projection_examples_and_oracle():
         assert closest_point_project(phi, g) == oracle_project(phi, g)
 
 
-def test_projection_zn_matches_box_scan():
-    # oracle: scan the whole box of radius r0 = |g - h0| around g, where h0
-    # is g minus its residue, for the least (l1 distance, vector)
-    from itertools import product
+def box_scan_project(sub, g):
+    """Reference: the least (l1 distance, vector) over the members in the
+    box of radius r0 around g, r0 the distance from g to g minus its
+    canonical residue, which is a member."""
+    r0 = sum(map(abs, lattices.residue(sub, g)))
+    box = (tuple(map(sum, zip(g, delta))) for delta in product(range(-r0, r0 + 1), repeat=len(g)))
+    members = [h for h in box if lattices.contains(sub, h)]
+    return min(members, key=lambda h: (sum(abs(a - b) for a, b in zip(g, h)), h))
 
+
+def test_projection_zn_matches_box_scan():
     rng = random.Random(103)
     for _ in range(30):
         n = rng.choice([2, 3])
         phi = make_zn(catalog.random_zn_matrix(rng, n))
         g = tuple(rng.randrange(-6, 7) for _ in range(n))
-        r0 = sum(abs(x) for x in lattices.residue(phi.domain, g))
-        box = (
-            tuple(a + d for a, d in zip(g, delta))
-            for delta in product(range(-r0, r0 + 1), repeat=n)
-        )
-        members = [h for h in box if lattices.contains(phi.domain, h)]
-        want = min(members, key=lambda h: (sum(abs(a - b) for a, b in zip(g, h)), h))
-        assert closest_point_project(phi, g) == want
+        assert closest_point_project(phi, g) == box_scan_project(phi.domain, g)
     for n, r in ((1, 4), (2, 3), (3, 2)):
         box = [p for p in product(range(-r, r + 1), repeat=n) if sum(map(abs, p)) <= r]
         assert list(ball_elements("Z", n, r)) == sorted(box, key=lambda p: (sum(map(abs, p)), p))
@@ -380,6 +379,9 @@ def test_projection_bound_covers_every_projection():
         phi = make_zn([[1, 0], [0, 1]], sub)
         worst = max(z2.dist(g, closest_point_project(phi, g)) for g in z2.coset_reps(sub))
         assert z2.projection_bound(sub) >= worst
+        if sub.cols[0][1] == 0:
+            # diagonal: the bound is the largest distance
+            assert z2.projection_bound(sub) == worst
 
 
 def test_bounded_distance_refuses_large_balls_early(monkeypatch):
@@ -400,15 +402,23 @@ def test_bounded_distance_refuses_large_balls_early(monkeypatch):
     monkeypatch.setenv("COMMSOL_MAX_WORK", str(17 * 2 * 6 - 1))
     with pytest.raises(ResourceLimitError):
         bounded_distance(shift, half, 2)
-    # on Z^n the projection bound is the residue box: (2-1) + (3-1)
+    # on Z^n each projection costs the nodes of a search within the
+    # projection bound 2 // 2 + 3 // 2 = 2: 2 rows * (4 // 2 + 1) * (4 // 3 + 1)
     sub = lattices.from_generators([(2, 0), (0, 3)], 2)
     m = baseleaf_map(make_zn([[1, 0], [0, 1]], sub))
     grp = group("Z", 2)
-    cost = grp.ball_size(3) * 3 * 2 * grp.ball_size(3)
+    cost = grp.ball_size(3) * 3 * 2 * 12
+    assert grp.projection_work(sub, grp.projection_bound(sub)) == 12
     monkeypatch.setenv("COMMSOL_MAX_WORK", str(cost - 1))
+    t0 = time.perf_counter()
     with pytest.raises(ResourceLimitError) as err:
         bounded_distance(m, m, 3)
-    assert f"estimated work {cost} exceeds" in str(err.value)
+    assert time.perf_counter() - t0 < 0.5
+    assert f"bounded_distance(Z_2, R=3): estimated work {cost} exceeds cap {cost - 1}" in str(
+        err.value
+    )
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(cost))
+    assert bounded_distance(m, m, 3).equivalent
 
 
 def test_qi_estimate_certified_on_catalog_sample():
@@ -726,7 +736,10 @@ def test_factorization_check_matches_the_per_element_reference():
     assert (rep.checked, rep.mismatches) == factorization_reference(zn1_to_f1(make_zn([[2]])), 12)
 
 
-@pytest.mark.parametrize("tag, rank, radius, one_byte", [("F", 2, 4, True), ("F", 1, 130, False)])
+@pytest.mark.parametrize(
+    "tag, rank, radius, one_byte",
+    [("F", 2, 4, True), ("F", 1, 130, False), ("Z", 2, 4, True), ("Z", 1, 130, False)],
+)
 def test_ball_distances_are_the_flattened_distance_rows(tag, rank, radius, one_byte):
     # one byte a pair, read-only, while 2R fits in one
     flat = ball_distances(tag, rank, radius)
@@ -737,29 +750,136 @@ def test_ball_distances_are_the_flattened_distance_rows(tag, rank, radius, one_b
         assert flat.itemsize == 1 and flat.readonly
 
 
-def test_zn_project_guard_refuses_before_the_sphere_walk(monkeypatch):
-    # r0 = 48 + 44 + 41 = 133 and 3,172,583 elements in that l1 ball, 9 steps each
+def test_zn_project_guard_refuses_before_the_search(monkeypatch):
+    # pivots 1 and 10,000,001, and g at radius 5,000,000 from the member g
+    # reduces to: 2 rows * (2 * 5,000,000 + 1) * (0 + 1) nodes, just past the cap
     monkeypatch.delenv("COMMSOL_MAX_WORK", raising=False)
-    z3 = group("Z", 3)
-    sub = lattices.from_generators([(97, 0, 0), (0, 89, 0), (0, 0, 83)])
+    z2 = group("Z", 2)
+    sub = lattices.Lattice(2, ((1, 3_000_000), (0, 10_000_001)))
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError) as err:
-        z3.project(sub, (48, 44, 41))
+        z2.project(sub, (0, 5_000_000))
     assert time.perf_counter() - start < 0.5
-    assert "project(Z^3, radius 133): estimated work 28553247 exceeds cap 20000000" in str(
+    assert "project(Z^2, radius 5000000): estimated work 20000002 exceeds cap 20000000" in str(
         err.value
     )
 
 
 def test_zn_project_guard_admits_its_estimate(monkeypatch):
-    # r0 = 3 on Z^2: 25 elements in the l1 ball, 4 steps each
+    # radius 2 + 1 = 3 on 5Z x 3Z: 2 rows * (6 // 5 + 1) * (6 // 3 + 1) nodes
     z2 = group("Z", 2)
     sub = lattices.from_generators([(5, 0), (0, 3)])
-    monkeypatch.setenv("COMMSOL_MAX_WORK", "100")
+    monkeypatch.setenv("COMMSOL_MAX_WORK", "12")
     assert z2.project(sub, (2, 1)) == (0, 0)
-    monkeypatch.setenv("COMMSOL_MAX_WORK", "99")
-    with pytest.raises(ResourceLimitError, match="estimated work 100 exceeds cap 99"):
+    # (-2, -1) reduces by the nearest multiples to itself, not to (3, 2)
+    assert z2.project(sub, (-2, -1)) == (0, 0)
+    monkeypatch.setenv("COMMSOL_MAX_WORK", "11")
+    with pytest.raises(ResourceLimitError, match="estimated work 12 exceeds cap 11"):
         z2.project(sub, (2, 1))
+
+
+def test_zn_project_runs_large_diagonal_domains_at_the_default_cap(monkeypatch):
+    monkeypatch.delenv("COMMSOL_MAX_WORK", raising=False)
+    z3 = group("Z", 3)
+    diagonal = lattices.from_generators([(61, 0, 0), (0, 59, 0), (0, 0, 53)])
+    assert z3.project(diagonal, (30, 29, 26)) == (0, 0, 0)
+    assert z3.project(diagonal, (31, -30, 27)) == (61, -59, 53)
+    phi = parse_comm("comm Z 3 : 1/97 0 0 ; 0 1/89 0 ; 0 0 1/83")
+    est = qi_estimate(baseleaf_map(phi), 2)
+    assert (est.L, est.C, est.pairs) == (1, 4, 25 * 24 // 2)
+
+
+def random_hnf(rng, n, pivots, spread):
+    """An HNF basis with pivots drawn from `pivots` and entries below them
+    drawn from [-spread, spread] (the constructor reduces them)."""
+    cols = [
+        [0] * j + [rng.choice(pivots)] + [rng.randint(-spread, spread) for _ in range(n - j - 1)]
+        for j in range(n)
+    ]
+    return lattices.Lattice(n, cols)
+
+
+# (rank, pivots, spread of the entries below them, cases): unit pivots and
+# large off-diagonals, in boxes small enough to scan
+BOX_SCAN_SHAPES = [
+    (1, (1, 2, 5, 12, 37), 0, 80),
+    (2, (1, 1, 2, 3, 7, 11), 40, 80),
+    (3, (1, 1, 2, 3, 5), 40, 60),
+    (4, (1, 1, 2), 40, 30),
+]
+
+
+@pytest.mark.parametrize("rank, pivots, spread, cases", BOX_SCAN_SHAPES)
+def test_zn_project_matches_a_box_scan(rank, pivots, spread, cases):
+    rng = random.Random(rank)
+    z = group("Z", rank)
+    for _ in range(cases):
+        sub = random_hnf(rng, rank, pivots, spread)
+        g = tuple(rng.randint(-40, 40) for _ in range(rank))
+        assert z.project(sub, g) == box_scan_project(sub, g)
+
+
+def test_zn_project_breaks_ties_by_the_least_vector():
+    cases = [
+        (lattices.from_generators([(2,)]), (1,), (0,)),
+        (lattices.from_generators([(2,)]), (-3,), (-4,)),
+        (lattices.from_generators([(2, 0), (0, 2)]), (1, 1), (0, 0)),
+        (lattices.from_generators([(2, 0), (0, 2)]), (-1, 3), (-2, 2)),
+        (lattices.from_generators([(1, 1), (0, 2)]), (0, 1), (-1, 1)),
+        (lattices.from_generators([(2, 0, 0), (0, 2, 0), (0, 0, 2)]), (1, -1, 1), (0, -2, 0)),
+        (lattices.from_generators([(1, 1, 1), (0, 2, 0), (0, 0, 2)]), (0, 1, 1), (-1, 1, 1)),
+    ]
+    for sub, g, want in cases:
+        assert group("Z", sub.n).project(sub, g) == want == box_scan_project(sub, g)
+
+
+def test_zn_project_is_equivariant_under_the_lattice():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        z = group("Z", n)
+        sub = random_hnf(rng, n, (1, 2, 3, 7, 40), 60)
+        g = tuple(rng.randint(-100, 100) for _ in range(n))
+        coeffs = [rng.randint(-50, 50) for _ in range(n)]
+        h = tuple(sum(c * col[i] for c, col in zip(coeffs, sub.cols)) for i in range(n))
+        assert z.project(sub, z.mul(g, h)) == z.mul(z.project(sub, g), h)
+
+
+def test_zn_project_nodes_stay_within_the_guard_estimate():
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        z = group("Z", n)
+        sub = random_hnf(rng, n, (1, 1, 2, 5, 13, 61), 100)
+        g = tuple(rng.randint(-200, 200) for _ in range(n))
+        radius = sum(map(abs, lattices.centered_residue(sub, g)))
+        member, nodes = lattices.nearest(sub, g, radius)
+        assert member == z.project(sub, g)
+        assert n <= nodes <= z.projection_work(sub, radius)
+
+
+def test_zn_projections_are_the_projections_one_by_one():
+    rng = random.Random(23)
+    for n, radius in ((1, 9), (2, 4), (3, 2)):
+        z = group("Z", n)
+        ball = ball_elements("Z", n, radius)
+        for _ in range(10):
+            sub = random_hnf(rng, n, (1, 2, 3, 4, 6), 20)
+            assert list(z.projections(sub, ball)) == [z.project(sub, g) for g in ball]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_zn_distance_rows_match_dist_pair_by_pair(rank):
+    grp = group("Z", rank)
+    rng = random.Random(rank)
+    vecs = [tuple(rng.randint(-50, 50) for _ in range(rank)) for _ in range(30)]
+    # repeats, the identity, and distances over 255
+    vecs += [vecs[0], vecs[0], grp.identity, grp.identity, (200,) * rank, (-150,) * rank]
+    rows = [list(row) for row in grp.distance_rows(vecs)]
+    assert rows == [[grp.dist(x, y) for y in vecs[i + 1 :]] for i, x in enumerate(vecs)]
+    assert max(map(max, filter(None, rows))) == 350 * rank
+    assert list(map(list, grp.distance_rows([]))) == []
+    assert list(map(list, grp.distance_rows([grp.identity]))) == [[]]
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 26])

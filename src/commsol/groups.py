@@ -70,12 +70,6 @@ class _Group:
         """Distance of a leaf point from the base point."""
         return self.leaf_distance(leaf, self.identity)
 
-    def distance_rows(self, elems):
-        """Per element of the sequence `elems`, an iterator over its
-        distances to the elements after it."""
-        for i, x in enumerate(elems):
-            yield map(self.dist, repeat(x), elems[i + 1 :])
-
 
 class Zn(_Group):
     """Z^n acting on R^n by translations: elements are int tuples, leaf
@@ -99,8 +93,9 @@ class Zn(_Group):
         return sum(map(abs, map(sub, a, b)))
 
     def distance_rows(self, elems):
-        """As for any group, a row at a time: the absolute differences to
-        the later elements, added up one coordinate at a time."""
+        """Per element of the sequence `elems`, its distances to the
+        elements after it: the absolute differences added up one coordinate
+        at a time."""
         coords = list(zip(*elems))
         for i, x in enumerate(elems):
             row = [0] * (len(elems) - i - 1)
@@ -153,10 +148,14 @@ class Zn(_Group):
 
     def project(self, sub, g):
         """The member of sub nearest to g in the l1 metric, least vector on
-        ties (lattices.nearest): the search starts from the radius of g
-        reduced by the nearest multiple of each pivot, and is guarded by
-        the number of nodes it can visit."""
-        radius = sum(map(abs, lattices.centered_residue(sub, g)))
+        ties (lattices.nearest): the search starts from the distance to
+        the nearer of two members, g minus its residue and g minus its
+        residue reduced by the nearest multiple of each pivot, and is
+        guarded by the number of nodes it can visit."""
+        radius = min(
+            sum(map(abs, lattices.residue(sub, g))),
+            sum(map(abs, lattices.centered_residue(sub, g))),
+        )
         limits.guard(
             self.projection_work(sub, radius), f"project(Z^{self.rank}, radius {radius})"
         )
@@ -294,7 +293,8 @@ class Fk(_Group):
         return len(x) + len(y) - 2 * n
 
     def distance_rows(self, elems):
-        """As for any group, from integer codes: a word's letters as
+        """Per element of the sequence `elems`, its distances to the
+        elements after it, from integer codes: a word's letters as
         nonzero bytes, left-aligned under a leading 1.  Twice the common
         prefix of two words is read from a table by the bit length of
         the XOR of their codes; equal words XOR to 0, and that entry is

@@ -789,6 +789,28 @@ def test_zn_project_runs_large_diagonal_domains_at_the_default_cap(monkeypatch):
     assert (est.L, est.C, est.pairs) == (1, 4, 25 * 24 // 2)
 
 
+def test_zn_project_starts_from_the_nearer_residue(monkeypatch):
+    monkeypatch.delenv("COMMSOL_MAX_WORK", raising=False)
+    z2 = group("Z", 2)
+    # g = (2, 0) reduces by the nearest multiples to (-1, -8,000,000) but is
+    # its own canonical residue: 2 rows * (4 // 3 + 1) * 1 nodes
+    sub = lattices.Lattice(2, ((3, 8_000_000), (0, 16_000_000)))
+    assert z2.projection_work(sub, 2) == 4
+    assert z2.project(sub, (2, 0)) == (0, 0) == box_scan_project(sub, (2, 0))
+    # wherever the canonical residue is small, under pivots and entries
+    # below them in the millions, the search runs at the default cap
+    rng = random.Random(31)
+    scanned = 0
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        sub = random_hnf(rng, n, (1, 2, 3, 5, 1_000_003, 16_000_000), 10**7)
+        g = tuple(rng.randint(-3, 3) for _ in range(n))
+        if sum(map(abs, lattices.residue(sub, g))) <= 4:
+            assert group("Z", n).project(sub, g) == box_scan_project(sub, g)
+            scanned += 1
+    assert scanned >= 100
+
+
 def random_hnf(rng, n, pivots, spread):
     """An HNF basis with pivots drawn from `pivots` and entries below them
     drawn from [-spread, spread] (the constructor reduces them)."""
@@ -852,7 +874,10 @@ def test_zn_project_nodes_stay_within_the_guard_estimate():
         z = group("Z", n)
         sub = random_hnf(rng, n, (1, 1, 2, 5, 13, 61), 100)
         g = tuple(rng.randint(-200, 200) for _ in range(n))
-        radius = sum(map(abs, lattices.centered_residue(sub, g)))
+        radius = min(
+            sum(map(abs, lattices.residue(sub, g))),
+            sum(map(abs, lattices.centered_residue(sub, g))),
+        )
         member, nodes = lattices.nearest(sub, g, radius)
         assert member == z.project(sub, g)
         assert n <= nodes <= z.projection_work(sub, radius)

@@ -82,7 +82,8 @@ class MetricValue:
         return float(self) < float(other) - 1e-12
 
     def __hash__(self):
-        return hash((self.exp_n, self.exact))
+        # __eq__ compares exp_n when either side has one, else the values
+        return hash(self.exp_n if self.exp_n is not None else float(self))
 
     def __repr__(self):
         return f"MetricValue({self.render()})"
@@ -271,10 +272,19 @@ def distinct_fiber_count(tag, rank, depth) -> int:
     )
 
 
+def _least_depth_below(epsilon, depth: int) -> int:
+    """The least n in 1..depth-1 with exp(-n) < epsilon, else depth."""
+    return next(
+        (n for n in range(1, depth) if float(MetricValue.exp(n)) < float(epsilon)), depth
+    )
+
+
 def ball_structure(p: SolenoidPoint, epsilon) -> BallReport:
     """Path components of the sigma-ball of radius epsilon: one per
     profinite coordinate within epsilon, each isometric to the leaf ball
-    (the product decomposition, valid for epsilon < injrad/4)."""
+    (the product decomposition, valid for epsilon < injrad/4).  Only the
+    sheets in p's coset of K_n, n = _least_depth_below(epsilon, depth),
+    can lie within epsilon, and only they are measured."""
     epsilon = Fraction(epsilon)
     depth = p.depth
     injrad = INJECTIVITY_RADIUS
@@ -283,8 +293,14 @@ def ball_structure(p: SolenoidPoint, epsilon) -> BallReport:
         raise PreconditionError(
             f"epsilon {epsilon} violates the bound 4*eps < injectivity radius {injrad}"
         )
+    # d_pro is exp(-n) or 0, so a sheet within epsilon lies in p's coset of
+    # K_n for the least such n < depth (or n = depth); K_n is normal
+    home = kernel(p.tag, p.rank, _least_depth_below(epsilon, depth))
+    fiber = p.group.coset(home, p.fiber)
     comps = []
     for rep in fiber_representatives(p.tag, p.rank, depth):
+        if p.group.coset(home, rep) != fiber:
+            continue
         dist = d_pro(p.tag, p.rank, p.fiber, rep, depth)
         if float(dist) < float(epsilon):
             comps.append((rep, dist))

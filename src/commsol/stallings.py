@@ -484,7 +484,7 @@ def is_subgroup(inner: SubgroupGraph, outer: SubgroupGraph) -> bool:
 # -- spanning tree, basis, rewriting ----------------------------------------------
 
 
-_TreeData = namedtuple("_TreeData", "tree_order tree_words nontree nontree_index basis")
+_TreeData = namedtuple("_TreeData", "tree_order tree_words nontree nontree_index")
 
 
 @lru_cache(maxsize=4096)
@@ -521,26 +521,23 @@ def _tree_data(graph: SubgroupGraph) -> _TreeData:
         for x in range(k):
             if graph.fwd[x][v] != -1 and (v, x) not in tree_edges:
                 nontree.append((v, x))
-    basis_words = []
-    for v, x in nontree:
-        w = graph.fwd[x][v]
-        basis_words.append(
-            Word(k, tree_words[v] + _LOWER[x] + tree_words[w][::-1].swapcase())
-        )
     nontree_index = {e: i for i, e in enumerate(nontree)}
-    return _TreeData(
-        tuple(tree_order),
-        tuple(tree_words),
-        tuple(nontree),
-        nontree_index,
-        tuple(basis_words),
-    )
+    return _TreeData(tuple(tree_order), tuple(tree_words), tuple(nontree), nontree_index)
 
 
+@lru_cache(maxsize=4096)
 def basis(graph: SubgroupGraph) -> tuple[Word, ...]:
     """Free basis from the canonical spanning tree (Schreier generators);
-    size m(k-1)+1 for a complete graph on m vertices."""
-    return _tree_data(graph).basis
+    size m(k-1)+1 for a complete graph on m vertices.  The word
+    T(v) x T(w)^-1 of a nontree edge v -x-> w is reduced as it stands: in
+    a folded graph, a cancellation at either junction would make (v, x)
+    a tree edge."""
+    data = _tree_data(graph)
+    words, fwd = data.tree_words, graph.fwd
+    return tuple(
+        Word(graph.k, words[v] + _LOWER[x] + words[fwd[x][v]][::-1].swapcase(), _reduced=True)
+        for v, x in data.nontree
+    )
 
 
 def tree_words(graph: SubgroupGraph) -> tuple[str, ...]:

@@ -9,7 +9,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commsol import catalog, groups, lattices, stallings
+from commsol import catalog, groups, lattices, prosystems, solenoid, stallings
 from commsol.commensurations import (
     evaluate,
     format_comm,
@@ -23,6 +23,7 @@ from commsol.errors import PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity as word_identity
 from commsol.solenoid import (
     INJECTIVITY_RADIUS,
+    BallReport,
     EdgePoint,
     MetricValue,
     SolenoidPoint,
@@ -48,6 +49,14 @@ def test_metric_value_rendering():
     assert MetricValue.exp(4).render().startswith("exp(-4) = 0.0183156")
     assert MetricValue.zero().render() == "0"
     assert float(MetricValue.exp(1)) == pytest.approx(math.exp(-1))
+
+
+def test_equal_metric_values_hash_equal():
+    half = MetricValue.of_fraction(Fraction(1, 2))
+    assert half == MetricValue(approx=0.5)
+    assert len({half, MetricValue(approx=0.5)}) == 1
+    assert len({MetricValue.zero(note="pseudometric at depth 3"), MetricValue.zero()}) == 1
+    assert len({MetricValue.exp(2), MetricValue.exp(2), MetricValue.exp(3)}) == 2
 
 
 def test_cover_and_covering_map_examples():
@@ -389,6 +398,69 @@ def test_ball_structure_counts_fibers_within_epsilon():
         if float(d_pro("F", 2, p.fiber, other, 3)) < 0.1
     )
     assert rep.count == expected == 1
+
+
+def scanned_ball(p, epsilon) -> BallReport:
+    """Oracle: the components by d_pro on every sheet of K_N; the other
+    fields as reported."""
+    rep = ball_structure(p, epsilon)
+    comps = []
+    for sheet in fiber_representatives(p.tag, p.rank, p.depth):
+        dist = d_pro(p.tag, p.rank, p.fiber, sheet, p.depth)
+        if float(dist) < float(epsilon):
+            comps.append((sheet, dist))
+    return BallReport(rep.depth, rep.epsilon, rep.degenerate, comps, rep.certificate)
+
+
+BALL_EPSILONS = [-1, 0, Fraction(1, 10**9), Fraction(1, 1000), Fraction(1, 100),
+                 Fraction(1, 20), Fraction(1, 9)]
+
+
+def ball_points():
+    for rank, depth in ((1, 5), (2, 3), (3, 2)):
+        for n in range(1, depth + 1):
+            for w in ("", "a", "AA", "ab", "abAB", "bbb", "ca", "aaaaaa"):
+                if all(ord(ch.lower()) - ord("a") < rank for ch in w):
+                    yield baseleaf(Word(rank, w), n)
+    for rank, depth in ((1, 5), (2, 4), (3, 3)):
+        for n in range(1, depth + 1):
+            for v in ((0,), (1,), (6,), (-7,), (12,), (1, 2, 3), (6, 12, -18)):
+                yield baseleaf((v * rank)[:rank], n)
+    yield SolenoidPoint("F", 2, 3, W("ab"), EdgePoint(W("b"), "a", Fraction(1, 3)))
+
+
+def test_ball_structure_matches_the_per_sheet_scan():
+    several = 0
+    for p in ball_points():
+        for eps in BALL_EPSILONS + ([3] if p.depth == 1 else []):
+            rep = ball_structure(p, eps)
+            assert rep.render() == scanned_ball(p, eps).render(), (p, eps)
+            several += rep.count > 1
+    # Z^2 at depth 4 and eps = 1/20: [K_3 : K_4] = [6Z^2 : 12Z^2] = 4 components
+    rep = ball_structure(baseleaf((1, 2), 4), Fraction(1, 20))
+    assert rep.count == 4 and several > 0
+
+
+def test_ball_structure_measures_only_the_home_coset(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return d_pro(*args)
+
+    monkeypatch.setattr(solenoid, "d_pro", counted)
+    rep = ball_structure(baseleaf(W("ab"), 3), Fraction(1, 20))
+    assert rep.count == 1 and len(fiber_representatives("F", 2, 3)) == 972
+    assert len(calls) == 1
+
+
+def test_ball_structure_and_tree_words_build_no_basis():
+    for cache in (solenoid.kernel, prosystems.build_system, stallings._tree_data, stallings.basis):
+        cache.cache_clear()
+    ball_structure(baseleaf(W("ab"), 3), Fraction(1, 20))
+    ball_structure(baseleaf((1, 2), 4), Fraction(1, 20))
+    stallings.tree_words(kernel("F", 3, 2))
+    assert stallings.basis.cache_info().misses == 0
 
 
 def test_d_inf_mixes_fiber_and_leaf():

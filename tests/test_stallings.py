@@ -119,6 +119,19 @@ def test_intersect_matches_membership_and_sims_labels():
             assert (meet.fwd, meet.bwd, meet.complete) == (entry.fwd, entry.bwd, entry.complete)
 
 
+def test_schreier_words_are_reduced_as_built():
+    # oracle: T(v) x T(w)^-1 read with free reduction
+    graphs = [*enumerate_subgroups(2, 4), *enumerate_subgroups(3, 3), profinite_kernel(2, 3)]
+    graphs += [from_generators([W("ab"), W("aBBa")], 2), from_generators([W("aab")], 2)]
+    for graph in graphs:
+        words = tree_words(graph)
+        want = tuple(
+            Word(graph.k, words[v] + chr(ord("a") + x) + words[graph.fwd[x][v]][::-1].swapcase())
+            for v, x in stallings._tree_data(graph).nontree
+        )
+        assert basis(graph) == want
+
+
 def test_basis_sizes_and_membership():
     assert len(basis(whole_group(2))) == 2
     ga = from_generators([W(w) for w in KER_A], 2)

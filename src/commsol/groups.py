@@ -70,6 +70,13 @@ class _Group:
         """Distance of a leaf point from the base point."""
         return self.leaf_distance(leaf, self.identity)
 
+    def coset_reps_within(self, inner, outer, g):
+        """The coset representatives of `inner` (in coset_reps order) that
+        lie in g's coset of `outer`, for inner <= outer: one coset test
+        each."""
+        home = self.coset(outer, g)
+        return [r for r in self.coset_reps(inner) if self.coset(outer, r) == home]
+
 
 class Zn(_Group):
     """Z^n acting on R^n by translations: elements are int tuples, leaf
@@ -372,6 +379,18 @@ class Fk(_Group):
 
     def coset_reps(self, sub):
         return [Word(self.rank, tw, _reduced=True) for tw in stallings.tree_words(sub)]
+
+    def coset_reps_within(self, inner, outer, g):
+        """The representatives of the vertices of X_inner over g's vertex
+        of X_outer, read from one covering walk (stallings.cover_vertices)
+        rather than a trace per representative."""
+        home = self.coset(outer, g)
+        words = stallings.tree_words(inner)
+        return [
+            Word(self.rank, words[v], _reduced=True)
+            for v, below in enumerate(stallings.cover_vertices(inner, outer))
+            if below == home
+        ]
 
     def project(self, sub, g):
         """The member of sub nearest to g in the word metric, least letter

@@ -296,11 +296,8 @@ def ball_structure(p: SolenoidPoint, epsilon) -> BallReport:
     # d_pro is exp(-n) or 0, so a sheet within epsilon lies in p's coset of
     # K_n for the least such n < depth (or n = depth); K_n is normal
     home = kernel(p.tag, p.rank, _least_depth_below(epsilon, depth))
-    fiber = p.group.coset(home, p.fiber)
     comps = []
-    for rep in fiber_representatives(p.tag, p.rank, depth):
-        if p.group.coset(home, rep) != fiber:
-            continue
+    for rep in p.group.coset_reps_within(kernel(p.tag, p.rank, depth), home, p.fiber):
         dist = d_pro(p.tag, p.rank, p.fiber, rep, depth)
         if float(dist) < float(epsilon):
             comps.append((rep, dist))

@@ -18,6 +18,10 @@ folds (over the roots of the folded graph) and profinite kernels
 (over coset families) are each that one search over their own nodes.
 The low-index search of `enumerate_subgroups` fills coset tables
 in this same scan order, so it emits tables already in canonical form.
+It reads its slots from a flat table built once, and it fills the last
+level in closed form: once every vertex is open the labels are fixed,
+and the tables below are each letter's partial bijection completed
+independently (the product over the letters of their completions).
 
 Folding reads each word into the graph folded so far (J. Stallings,
 Topology of finite graphs, 1983; I. Kapovich and A. Myasnikov, Stallings
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import count
+from itertools import count, permutations, product
 from operator import getitem
 
 from . import limits
@@ -716,6 +720,13 @@ def enumerate_subgroups(k: int, max_index: int) -> list[SubgroupGraph]:
     `orbit_graph`, with an existing vertex whose opposite slot is free
     or with the next new vertex.  Every table it completes is transitive,
     already canonically labeled and met once, so nothing is deduplicated.
+
+    Once max_index vertices are open the labels are fixed: every vertex
+    was first met at a slot already filled, and no slot can open another.
+    The tables below that node are then exactly the completions of each
+    letter's partial bijection, chosen independently, so the last level
+    is filled in closed form: each letter's completed rows are built once
+    and the leaves are their product, sharing the rows.
     The guard estimate, from Hall's counts, is made before the search.
     """
     if k < 1 or max_index < 1:
@@ -724,15 +735,48 @@ def enumerate_subgroups(k: int, max_index: int) -> list[SubgroupGraph]:
     limits.guard(work, f"enumerate_subgroups(k={k}, N={max_index})")
     fwd = [[-1] * max_index for _ in range(k)]
     bwd = [[-1] * max_index for _ in range(k)]
+    # (row filled, opposite row, vertex) per slot, in the scan order of
+    # orbit_graph: per vertex, per letter, the out-edge then the in-edge
+    slots = [
+        (here, there, v)
+        for v in range(max_index)
+        for f, b in zip(fwd, bwd)
+        for here, there in ((f, b), (b, f))
+    ]
     out = []
 
+    def last_level():
+        fwd_rows, bwd_rows = [], []
+        for f, b in zip(fwd, bwd):
+            tails = [v for v in range(max_index) if f[v] == -1]
+            heads = [t for t in range(max_index) if b[t] == -1]
+            fs, bs = [], []
+            # each permutation overwrites every free slot of the letter
+            for perm in permutations(heads):
+                for v, t in zip(tails, perm):
+                    f[v] = t
+                    b[t] = v
+                fs.append(tuple(f))
+                bs.append(tuple(b))
+            for v in tails:
+                f[v] = -1
+            for t in heads:
+                b[t] = -1
+            fwd_rows.append(fs)
+            bwd_rows.append(bs)
+        # the two products run in step, one choice per letter
+        out.extend(
+            SubgroupGraph(k, max_index, f, b, True)
+            for f, b in zip(product(*fwd_rows), product(*bwd_rows))
+        )
+
     def search(slot: int, m: int):
-        # slot 2(kv + x) is fwd[x][v], slot 2(kv + x) + 1 is bwd[x][v]
+        if m == max_index:
+            last_level()
+            return
         end = 2 * k * m
         while slot < end:
-            v, rest = divmod(slot, 2 * k)
-            x, back = divmod(rest, 2)
-            here, there = (bwd[x], fwd[x]) if back else (fwd[x], bwd[x])
+            here, there, v = slots[slot]
             if here[v] == -1:
                 break
             slot += 1
@@ -747,13 +791,17 @@ def enumerate_subgroups(k: int, max_index: int) -> list[SubgroupGraph]:
                 )
             )
             return
-        # t == m opens the next new vertex, whose slots are all empty
-        for t in range(m + (m < max_index)):
+        for t in range(m):
             if there[t] == -1:
                 here[v] = t
                 there[t] = v
-                search(slot + 1, max(m, t + 1))
+                search(slot + 1, m)
                 there[t] = -1
+        # open the next new vertex, whose slots are all empty
+        here[v] = m
+        there[m] = v
+        search(slot + 1, m + 1)
+        there[m] = -1
         here[v] = -1
 
     search(0, 1)
@@ -764,21 +812,26 @@ def enumerate_subgroups(k: int, max_index: int) -> list[SubgroupGraph]:
 def profinite_kernel(k: int, max_index: int) -> SubgroupGraph:
     """Intersection of all subgroups of index <= max_index: their fiber
     product, the orbit of the base family of cosets (one per subgroup)
-    under the product action, metered per node expanded."""
+    under the product action, metered per node expanded: the n-th costs
+    an estimated n * (number of subgroups) * k, and the guard is called
+    with that estimate once it passes the cap read at the start."""
     subs = enumerate_subgroups(k, max_index)
     # rows[back][x][i] is the x-row of subs[i], forward or backward
     rows = tuple(zip(*(s.fwd for s in subs))), tuple(zip(*(s.bwd for s in subs)))
     # coset labels lie below max_index: bytes take a quarter of a tuple's memory
     pack = bytes if max_index <= 256 else tuple
     expanded = count(1)
+    per_node = len(subs) * k
+    cap = limits.max_work()
 
     def step(node, x, back):
         if not (x or back):
             n = next(expanded)
-            limits.guard(
-                n * len(subs) * k,
-                f"profinite_kernel(k={k}, N={max_index}): partial index reached {n}",
-            )
+            if n * per_node > cap:
+                limits.guard(
+                    n * per_node,
+                    f"profinite_kernel(k={k}, N={max_index}): partial index reached {n}",
+                )
         return pack(map(getitem, rows[back][x], node))
 
     return orbit_graph(k, pack([0] * len(subs)), step)[0]

@@ -454,6 +454,35 @@ def test_ball_structure_measures_only_the_home_coset(monkeypatch):
     assert len(calls) == 1
 
 
+def test_ball_structure_reads_the_home_coset_from_one_covering_walk(monkeypatch):
+    point, line_point = baseleaf(W("ab"), 3), baseleaf(Word(1, "aa"), 5)
+    traced, walked = [], []
+    coset, cover_vertices = groups.Fk.coset, stallings.cover_vertices
+
+    def counted_coset(self, sub, g):
+        traced.append(g)
+        return coset(self, sub, g)
+
+    def counted_walk(inner, outer):
+        walked.append((inner.m, outer.m))
+        return cover_vertices(inner, outer)
+
+    monkeypatch.setattr(groups.Fk, "coset", counted_coset)
+    monkeypatch.setattr(stallings, "cover_vertices", counted_walk)
+    rep = ball_structure(point, Fraction(1, 20))
+    # only the point itself is traced, not each of the 972 sheets of K_3;
+    # at depth 3 every epsilon below injrad/4 leaves the home kernel K_3
+    assert rep.count == 1 and traced == [W("ab")]
+    assert walked == [(972, 972)]
+    # F_1 at depth 5 and epsilon 1/20: the 10 sheets of K_5 = 60Z over
+    # the home coset of K_3 = 6Z, all within epsilon
+    traced.clear()
+    walked.clear()
+    rep = ball_structure(line_point, Fraction(1, 20))
+    assert rep.count == 10 and traced == [Word(1, "aa")]
+    assert walked == [(60, 6)]
+
+
 def test_ball_structure_and_tree_words_build_no_basis():
     for cache in (solenoid.kernel, prosystems.build_system, stallings._tree_data, stallings.basis):
         cache.cache_clear()

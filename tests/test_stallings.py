@@ -270,13 +270,74 @@ def enumerate_by_permutation_tuples(k, max_index):
     return out
 
 
-@pytest.mark.parametrize("k,max_index", [(1, 6), (2, 4), (2, 5), (3, 3)])
+def stored(subs):
+    return [(g.k, g.m, g.fwd, g.bwd, g.complete) for g in subs]
+
+
+@pytest.mark.parametrize("k,max_index", [(1, 6), (2, 4), (2, 5), (3, 3), (4, 3)])
 def test_enumerate_matches_permutation_brute_force(k, max_index):
     fast = enumerate_subgroups(k, max_index)
     slow = enumerate_by_permutation_tuples(k, max_index)
-    assert [(g.k, g.m, g.fwd, g.bwd, g.complete) for g in fast] == [
-        (g.k, g.m, g.fwd, g.bwd, g.complete) for g in slow
-    ]
+    assert stored(fast) == stored(slow)
+
+
+def enumerate_slot_by_slot(k, max_index):
+    """Oracle: the low-index search before the last level was filled in
+    closed form, every slot a branch point, down to the last vertex."""
+    fwd = [[-1] * max_index for _ in range(k)]
+    bwd = [[-1] * max_index for _ in range(k)]
+    out = []
+
+    def search(slot, m):
+        # slot 2(kv + x) is fwd[x][v], slot 2(kv + x) + 1 is bwd[x][v]
+        end = 2 * k * m
+        while slot < end:
+            v, rest = divmod(slot, 2 * k)
+            x, back = divmod(rest, 2)
+            here, there = (bwd[x], fwd[x]) if back else (fwd[x], bwd[x])
+            if here[v] == -1:
+                break
+            slot += 1
+        else:
+            rows = lambda table: tuple(tuple(r[:m]) for r in table)
+            out.append(SubgroupGraph(k, m, rows(fwd), rows(bwd), True))
+            return
+        # t == m opens the next new vertex, whose slots are all empty
+        for t in range(m + (m < max_index)):
+            if there[t] == -1:
+                here[v] = t
+                there[t] = v
+                search(slot + 1, max(m, t + 1))
+                there[t] = -1
+        here[v] = -1
+
+    search(0, 1)
+    out.sort(key=SubgroupGraph.sort_key)
+    return out
+
+
+@pytest.mark.parametrize("k,max_index", [(1, 6), (2, 1), (2, 6), (3, 4), (4, 3)])
+def test_enumerate_matches_the_slot_by_slot_search(k, max_index):
+    assert stored(enumerate_subgroups(k, max_index)) == stored(
+        enumerate_slot_by_slot(k, max_index)
+    )
+
+
+@pytest.mark.parametrize("k,max_index", [(2, 5), (3, 4)])
+def test_enumerated_tables_are_already_canonical(k, max_index):
+    # relabeling each table from its own permutations changes nothing, so
+    # every leaf of the closed-form last level is canonical as emitted
+    for g in enumerate_subgroups(k, max_index):
+        again = from_permutations(k, g.fwd)
+        assert again == g and again.bwd == g.bwd
+
+
+@pytest.mark.parametrize("k,max_index", [(1, 5), (2, 1), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_enumeration_is_a_prefix_of_the_next_index(k, max_index):
+    longer = enumerate_subgroups(k, max_index + 1)
+    assert stored(enumerate_subgroups(k, max_index)) == stored(
+        g for g in longer if g.m <= max_index
+    )
 
 
 @pytest.mark.parametrize(
@@ -369,13 +430,22 @@ def test_profinite_kernel_matches_intersection_loop(k, max_index):
 
 def test_profinite_kernel_guard_meters_expanded_families(monkeypatch):
     # K_3(F_2) has index 972 over the 17 subgroups of index <= 3; each
-    # expanded family costs 17 * 2, and the last one meets the cap exactly
+    # expanded family costs 17 * 2, and the last one meets the cap exactly;
+    # the cap is read once per call, so one set between calls holds next
     monkeypatch.setenv("COMMSOL_MAX_WORK", str(972 * 17 * 2))
     assert profinite_kernel(2, 3).m == 972
     monkeypatch.setenv("COMMSOL_MAX_WORK", str(972 * 17 * 2 - 1))
     with pytest.raises(ResourceLimitError) as err:
         profinite_kernel(2, 3)
     assert "partial index reached 972" in str(err.value)
+    # the refusal the CLI's `ball F 2 ab --depth 4` reports, word for word
+    monkeypatch.setenv("COMMSOL_MAX_WORK", "10000")
+    with pytest.raises(ResourceLimitError) as err:
+        profinite_kernel(2, 4)
+    assert str(err.value) == (
+        "profinite_kernel(k=2, N=4): partial index reached 57: "
+        "estimated work 10032 exceeds cap 10000 (set COMMSOL_MAX_WORK to override)"
+    )
     # K_4(F_2) over its 88 subgroups: refused at 569 families, 569 * 88 * 2
     monkeypatch.setenv("COMMSOL_MAX_WORK", "100000")
     t0 = time.perf_counter()

@@ -6,10 +6,14 @@ stored the same way on both families: by its domain and the images of
 partial automorphism of F_k need not extend to F_k, and the matrix of one
 of Z^n is derived when read.  The steps that depend on the family are
 methods of the group objects (groups.Zn, groups.Fk), so each operation
-here has one path.  The one constructor `_make` checks one injectivity
-rule where the codomain is not known: the images generate a finite-index
-subgroup whose basis is as long as the domain's (a surjection between
-free groups or lattices of equal finite rank is an isomorphism).
+here has one path.  The injectivity rule is: the images generate a
+finite-index subgroup whose basis is as long as the domain's (a surjection
+between free groups or lattices of equal finite rank is an isomorphism).
+The constructor `_make` checks it at once for images a caller gives
+(make_zn, make_fk, from_ambient).  A composite or restriction is an
+isomorphism by construction, so compose and restriction store no codomain
+unless they know it: it is generated from the images (a fold on F_k, an
+HNF on Z^n), and the rule checked, on the first read of `codomain`.
 
 equivalent() decides equality in the commensurator group: since both
 group families have the unique root property, two partial automorphisms
@@ -33,17 +37,26 @@ from .freewords import Alphabet, Word, inline, parse_int, parse_word, text_lines
 
 class Commensuration:
     """An isomorphism between finite-index subgroups of `group`, stored as
-    its domain and the images of `group.basis(domain)`."""
+    its domain and the images of `group.basis(domain)`; a codomain of None
+    is generated from the images when read."""
 
-    __slots__ = ("group", "domain", "codomain", "images", "ambient", "_matrix")
+    __slots__ = ("group", "domain", "_codomain", "images", "ambient", "_matrix")
 
     def __init__(self, group, domain, codomain, images, ambient=None):
         self.group = group
         self.domain = domain
-        self.codomain = codomain
+        self._codomain = codomain
         self.images = images
         self.ambient = ambient
         self._matrix = None
+
+    @property
+    def codomain(self):
+        """The image of the domain, generated from the images on first read
+        when it was not given, and checked by the injectivity rule then."""
+        if self._codomain is None:
+            self._codomain = _generated_image(self.group, self.domain, self.images)
+        return self._codomain
 
     def __eq__(self, other):
         """Structural equality of representatives (not class equality;
@@ -76,24 +89,33 @@ class Commensuration:
 # -- constructors ---------------------------------------------------------------
 
 
+def _generated_image(grp, domain, images):
+    """The subgroup the images generate, which must pass the injectivity
+    rule: finite index, and a basis as long as the domain's."""
+    try:
+        codomain = grp.generated(images)
+        rank = grp.basis_size(codomain)
+    except InfiniteIndexError:
+        raise PreconditionError("images generate an infinite-index subgroup") from None
+    if rank != len(images):
+        raise PreconditionError(
+            f"not injective: domain has index {grp.index(domain)}, "
+            f"image has index {grp.index(codomain)}"
+        )
+    return codomain
+
+
 def _make(grp, domain, images, codomain=None, ambient=None) -> Commensuration:
-    """The commensuration sending basis(domain) to `images`, which pass the
-    injectivity rule unless the caller knows the codomain."""
+    """The commensuration sending basis(domain) to `images`, one per basis
+    element.  Images a caller gives pass the injectivity rule here, unless
+    the caller knows the codomain; compose and restriction, whose maps are
+    injective by construction, build theirs directly and leave the
+    codomain to be generated on first read."""
     images = tuple(images)
-    size = grp.basis_size(domain)
-    if len(images) != size:
+    if len(images) != grp.basis_size(domain):
         raise PreconditionError("need one image per basis element of the domain")
     if codomain is None:
-        try:
-            codomain = grp.generated(images)
-            rank = grp.basis_size(codomain)
-        except InfiniteIndexError:
-            raise PreconditionError("images generate an infinite-index subgroup") from None
-        if rank != size:
-            raise PreconditionError(
-                f"not injective: domain has index {grp.index(domain)}, "
-                f"image has index {grp.index(codomain)}"
-            )
+        codomain = _generated_image(grp, domain, images)
     return Commensuration(grp, domain, codomain, images, ambient)
 
 
@@ -220,19 +242,19 @@ def compose(phi: Commensuration, psi: Commensuration) -> Commensuration:
     defined, psi^-1(meet) for meet = image(psi) ∩ domain(phi).
 
     psi maps that preimage onto the meet, so when the meet is all of phi's
-    domain the composite's image is phi's codomain and nothing is folded;
-    otherwise its codomain is generated from the images."""
+    domain the composite's image is phi's codomain; otherwise it is
+    generated from the images when first read."""
     grp = phi.group
     if psi.group != grp:
         raise PreconditionError("cannot compose commensurations of different groups")
     meet = grp.intersect(psi.codomain, phi.domain)
     dom = preimage_subgroup(psi, meet)
-    images = [evaluate(phi, w) for w in images_on(psi, dom)]
+    images = tuple(evaluate(phi, w) for w in images_on(psi, dom))
     ambient = None
     if phi.ambient is not None and psi.ambient is not None:
         ambient = tuple(apply_ambient(phi.ambient, w) for w in psi.ambient)
     codomain = phi.codomain if meet == phi.domain else None
-    return _make(grp, dom, images, codomain=codomain, ambient=ambient)
+    return Commensuration(grp, dom, codomain, images, ambient)
 
 
 @lru_cache(maxsize=4096)
@@ -246,10 +268,12 @@ def invert(comm: Commensuration) -> Commensuration:
 @provenance_cache(maxsize=4096)
 def restriction(comm: Commensuration, sub) -> Commensuration:
     """Restrict to a finite-index subgroup of the domain (an equivalent
-    commensuration)."""
-    if not comm.group.is_subgroup(sub, comm.domain):
+    commensuration, whose codomain is generated when first read)."""
+    grp = comm.group
+    if not grp.is_subgroup(sub, comm.domain):
         raise PreconditionError("restriction target is not inside the domain")
-    return _make(comm.group, sub, images_on(comm, sub), ambient=comm.ambient)
+    grp.index(sub)  # raises InfiniteIndexError for an infinite-index target
+    return Commensuration(grp, sub, None, images_on(comm, sub), comm.ambient)
 
 
 @provenance_cache(maxsize=4096)
@@ -279,6 +303,8 @@ def restriction_onto(comm: Commensuration, target) -> Commensuration:
 def equivalent(phi: Commensuration, psi: Commensuration) -> bool:
     """Equality in Comm(G): agreement on the intersection of the domains
     (complete for Z^n and F_k by the unique root property)."""
+    if phi == psi:
+        return True
     if psi.group != phi.group:
         return False
     meet = phi.group.intersect(phi.domain, psi.domain)

@@ -49,7 +49,7 @@ class _Group:
         return self.subgroups.contains(sub, g)
 
     def intersect(self, a, b):
-        return self.subgroups.intersect(a, b)
+        return a if a == b else self.subgroups.intersect(a, b)
 
     def is_subgroup(self, inner, outer) -> bool:
         return self.subgroups.is_subgroup(inner, outer)

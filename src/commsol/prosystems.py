@@ -114,15 +114,18 @@ class SystemMorphism:
     def check_strict(self):
         """Assert strict commutation: along every bond, the deeper
         component is the restriction of the shallower one (compared on
-        the basis of the deeper source, commensurations.images_on)."""
+        the basis of the deeper source, commensurations.images_on, which
+        refuses a source outside the shallower one)."""
         grp = self.target.group
         for i, j in self.target.bonds:
             fi, fj = self.components[i], self.components[j]
-            if not grp.is_subgroup(fj.domain, fi.domain):
+            try:
+                restricted = comm_mod.images_on(fi, fj.domain)
+            except PreconditionError:
                 raise PreconditionError(
                     f"components at bond ({i},{j}) have non-nested sources"
-                )
-            if comm_mod.images_on(fi, fj.domain) != comm_mod.images_on(fj, fj.domain):
+                ) from None
+            if restricted != fj.images:
                 raise PreconditionError(
                     f"components at bond ({i},{j}) do not commute strictly"
                 )

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from commsol import catalog, commensurations, lattices, ratmat, stallings
+from commsol import catalog, commensurations, groups, lattices, ratmat, stallings
 from commsol.commensurations import (
     apply_ambient,
     compose,
@@ -32,7 +32,7 @@ from commsol.commensurations import (
     to_matrix,
     zn1_to_f1,
 )
-from commsol.errors import PreconditionError, ResourceLimitError
+from commsol.errors import InfiniteIndexError, PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity as word_identity
 from commsol.prosystems import build_system, zeta_component
 
@@ -293,6 +293,62 @@ def test_composite_codomain_matches_generated_images():
         assert got.codomain == grp.generated(got.images)
         known += grp.intersect(psi.codomain, phi.domain) == phi.domain
     assert 0 < known < len(pairs)
+
+
+def derived_maps(seed):
+    """Maps built by compose and restriction: every ordered catalog pair,
+    each catalog map on its meets with the depth-3 objects, and seeded
+    composites and restrictions on Z^2 and Z^3."""
+    cat = list(catalog.f2_catalog().values())
+    objects = build_system("F", 2, 3).objects
+    maps = [compose(phi, psi) for phi in cat for psi in cat]
+    maps += [restriction(phi, stallings.intersect(obj, phi.domain)) for phi in cat for obj in objects]
+    for a, b in random_zn_pairs(seed):
+        maps += [compose(a, b), compose(b, a)]
+        for obj in build_system("Z", a.rank, 2).objects:
+            maps.append(restriction(a, lattices.intersect(obj, a.domain)))
+    return maps
+
+
+def test_derived_codomains_match_the_eager_maps():
+    # compose and restriction leave the codomain to its first read, where
+    # it must be what _make would have generated, under the same rule
+    compose.cache_clear()
+    restriction.cache_clear()
+    maps = derived_maps(37)
+    assert sum(c._codomain is None for c in maps) > len(maps) // 2
+    for c in maps:
+        grp = c.group
+        eager = commensurations._make(grp, c.domain, c.images, ambient=c.ambient)
+        assert c == eager and hash(c) == hash(eager)
+        assert format_comm(c) == format_comm(eager)
+        assert c.codomain == eager.codomain == grp.generated(c.images)
+        assert grp.basis_size(c.codomain) == len(c.images)
+
+
+def test_restriction_refuses_an_infinite_index_target():
+    ident = identity_comm("F", 2)
+    with pytest.raises(InfiniteIndexError):
+        restriction(ident, stallings.from_generators([W("aa"), W("b")], 2))
+
+
+def test_equal_arguments_are_answered_without_a_meet(monkeypatch):
+    for grp in (groups.group("F", 2), groups.group("Z", 2)):
+        for a in grp.enumerate(3):
+            assert grp.intersect(a, a) is a
+            assert grp.intersect(a, grp.generated(grp.basis(a))) is a
+    maps = list(catalog.f2_catalog().values()) + [c for p in random_zn_pairs(41) for c in p]
+    twins = [parse_comm(format_comm(c)) for c in maps]
+    equivalent.cache_clear()
+
+    def no_meet(*args):
+        raise AssertionError("a meet for equal arguments")
+
+    monkeypatch.setattr(stallings, "intersect", no_meet)
+    monkeypatch.setattr(lattices, "intersect", no_meet)
+    for phi, twin in zip(maps, twins):
+        assert equivalent(phi, phi)
+        assert twin is not phi and equivalent(phi, twin)
 
 
 def test_preimage_of_the_codomain_is_the_domain():

@@ -1,6 +1,8 @@
 """Truncated inverse system tests: the zeta correspondence both ways,
 straightened commutation, and cofinal restriction."""
 
+from fractions import Fraction
+
 import pytest
 
 from commsol import catalog, commensurations, groups, lattices, prosystems, stallings
@@ -198,6 +200,36 @@ def test_strict_commutation_compares_images_on_nested_sources():
             SystemMorphism(m.target, m.target, bad)
 
 
+@pytest.mark.parametrize(
+    "phi, other",
+    [
+        (catalog.f2_catalog()["shift|ker_a"], catalog.f2_catalog()["swap"]),
+        (make_zn([[Fraction(1, 2), 0], [0, 1]]), make_zn([[0, 1], [1, 0]])),
+    ],
+    ids=["F2", "Z2"],
+)
+def test_strict_check_names_each_tampering(phi, other):
+    from commsol.prosystems import SystemMorphism
+
+    grp = phi.group
+    # phi's domain is proper, so the whole group is not inside the top
+    # component's source
+    m = zeta(phi, 2)
+    nested = list(m.components)
+    nested[1] = identity_comm(grp.tag, grp.rank)
+    with pytest.raises(PreconditionError, match=r"bond \(0,1\) have non-nested sources"):
+        SystemMorphism(m.target, m.target, nested)
+    strict = list(m.components)
+    strict[1] = restriction(other, strict[1].domain)
+    with pytest.raises(PreconditionError, match="do not commute strictly"):
+        SystemMorphism(m.target, m.target, strict)
+    # restrictions of one map commute strictly, but `other` moves objects
+    system = build_system(grp.tag, grp.rank, 2)
+    moved = [restriction(other, obj) for obj in system.objects]
+    with pytest.raises(PreconditionError, match="does not land in its object"):
+        SystemMorphism(system, system, moved)
+
+
 def test_cofinal_restrict_even_index():
     s = build_system("Z", 1, 6)
     sub, restr, inv = cofinal_restrict(s, lambda lat: lattices.index(lat) % 2 == 0)
@@ -270,3 +302,20 @@ def test_zeta_composites_of_whole_group_maps_are_built_without_folding(monkeypat
             for g in names:
                 m = compose_morphisms(zeta(cat[f], system.depth), zeta(cat[g], system.depth))
                 assert len(m.components) == len(system.objects)
+
+
+def test_composing_zeta_morphisms_of_proper_maps_folds_nothing(monkeypatch):
+    # a composite's codomain is generated only when read, and composing
+    # zeta morphisms never reads it
+    cat = catalog.f2_catalog()
+    m1, m2 = zeta(cat["ker_a_to_ker_total"], 3), zeta(cat["inner_a|ker_a_mod3"], 3)
+    commensurations.compose.cache_clear()
+    folds = []
+    fold = stallings._fold_words
+    monkeypatch.setattr(
+        stallings, "_fold_words", lambda *args, **kw: folds.append(args) or fold(*args, **kw)
+    )
+    m = compose_morphisms(m1, m2)
+    assert folds == []
+    assert all(c.codomain == c.group.generated(c.images) for c in m.components)
+    assert folds

@@ -270,10 +270,13 @@ def restriction(comm: Commensuration, sub) -> Commensuration:
     """Restrict to a finite-index subgroup of the domain (an equivalent
     commensuration, whose codomain is generated when first read)."""
     grp = comm.group
-    if not grp.is_subgroup(sub, comm.domain):
-        raise PreconditionError("restriction target is not inside the domain")
+    grp.check_rank(sub)
+    try:
+        images = images_on(comm, sub)  # one walk, which refuses a target outside the domain
+    except PreconditionError:
+        raise PreconditionError("restriction target is not inside the domain") from None
     grp.index(sub)  # raises InfiniteIndexError for an infinite-index target
-    return Commensuration(grp, sub, None, images_on(comm, sub), comm.ambient)
+    return Commensuration(grp, sub, None, images, comm.ambient)
 
 
 @provenance_cache(maxsize=4096)

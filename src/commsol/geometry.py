@@ -176,7 +176,8 @@ def qi_estimate(m: BaseleafMap, radius: int) -> QIEstimate:
 
     A pair's bounds and its inequality depend only on (d(x,y), d(fx,fy)),
     so one pass tallies the pairs per distance pair, and the constants and
-    the certificate are worked out once per distinct distance pair.  The
+    the certificate are worked out once per distinct distance pair
+    (certified_constants).  The
     distances on the ball side are shared by every map (ball_distances).
     The number of pairs is guarded before any element is listed."""
     grp = m.comm.group
@@ -184,14 +185,33 @@ def qi_estimate(m: BaseleafMap, radius: int) -> QIEstimate:
     limits.guard(size * (size - 1) // 2, f"qi_estimate({grp.tag}_{grp.rank}, R={radius}) pairs")
     images = chain.from_iterable(grp.distance_rows(list(m.on_ball(radius))))
     tally = Counter(zip(ball_distances(grp.tag, grp.rank, radius), images))
-    up = max([Fraction(1)] + [Fraction(df, d) for d, df in tally if df])
-    low = max([Fraction(1)] + [Fraction(d, df) for d, df in tally if df])
-    collapse = max([0] + [d for d, df in tally if not df])
-    L = max(up, low)
-    C = Fraction(collapse, 1) / L if collapse else Fraction(0)
+    return QIEstimate(radius, *certified_constants(tally), sum(tally.values()))
+
+
+def certified_constants(tally):
+    """(L, C, upper, lower) for pairs tallied by (d, df), d >= 1: upper
+    and lower are the largest df/d and d/df (at least 1), L the larger,
+    and C = collapse/L for collapse the largest d with df = 0; each key
+    is then checked against L and C.  The maxima are kept as integer
+    pairs, compared by cross-multiplying, and the check runs over the
+    common denominator, so the Fractions are built once, at the end."""
+    up_n = up_d = low_n = low_d = 1
+    collapse = 0
     for d, df in tally:
-        assert df <= L * d + C and Fraction(d) / L - C <= df, "certificate failed"
-    return QIEstimate(radius, L, C, up, low, sum(tally.values()))
+        if not df:
+            collapse = max(collapse, d)
+            continue
+        if df * up_d > up_n * d:
+            up_n, up_d = df, d
+        if d * low_d > low_n * df:
+            low_n, low_d = d, df
+    p, q = (up_n, up_d) if up_n * low_d >= low_n * up_d else (low_n, low_d)
+    # with L = p/q and C = collapse q/p: df <= L d + C and d/L - C <= df,
+    # multiplied by pq and by p
+    pq, pp, cqq = p * q, p * p, collapse * q * q
+    for d, df in tally:
+        assert df * pq <= pp * d + cqq and q * (d - collapse) <= df * p, "certificate failed"
+    return Fraction(p, q), Fraction(collapse * q, p), Fraction(up_n, up_d), Fraction(low_n, low_d)
 
 
 # -- bounded distance ------------------------------------------------------------------

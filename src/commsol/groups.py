@@ -140,6 +140,11 @@ class Zn(_Group):
     def basis(self, sub):
         return sub.cols
 
+    def check_rank(self, sub):
+        """Refuse a lattice of another dimension, as lattices.is_subgroup does."""
+        if sub.n != self.rank:
+            raise PreconditionError("dimension mismatch")
+
     def enumerate(self, max_index: int):
         return lattices.enumerate_lattices(self.rank, max_index)
 
@@ -261,9 +266,13 @@ class Zn(_Group):
         return shift, tuple(x - s for x, s in zip(leaf, shift))
 
     def sigma_translates(self, reach):
-        """Nonzero deck translations that can beat a sigma candidate at
-        leaf distance `reach`."""
-        bound = int(reach) + 2
+        """Nonzero deck translations that can beat a sigma candidate, for
+        reach = best + r1 + r2 (solenoid.sigma): the box of radius
+        floor(reach).  A translate g moves a leaf by at least
+        |g| - r1 - r2 (triangle inequality), so it can only win when its
+        Euclidean length, and so each coordinate, is below reach; the
+        1e-9 absorbs float rounding in reach."""
+        bound = math.floor(reach + 1e-9)
         return (g for g in product(range(-bound, bound + 1), repeat=self.rank) if any(g))
 
 
@@ -369,6 +378,11 @@ class Fk(_Group):
 
     def basis(self, sub):
         return stallings.basis(sub)
+
+    def check_rank(self, sub):
+        """Refuse a subgroup graph of another rank, as stallings.cover_vertices does."""
+        if sub.k != self.rank:
+            raise PreconditionError("rank mismatch")
 
     def enumerate(self, max_index: int):
         return stallings.enumerate_subgroups(self.rank, max_index)
@@ -502,9 +516,12 @@ class Fk(_Group):
         return leaf, self.identity
 
     def sigma_translates(self, reach):
-        """Nontrivial deck translations that can beat a sigma candidate at
-        leaf distance `reach`."""
-        return iter(self.ball(int(reach) + 1)[1:])
+        """Nontrivial deck translations that can beat a sigma candidate,
+        for reach = best + r1 + r2 (solenoid.sigma): the ball of radius
+        floor(reach).  A translate g moves a leaf by at least
+        |g| - r1 - r2 (triangle inequality in the tree), so it can only
+        win when |g| < reach; the 1e-9 absorbs float rounding in reach."""
+        return iter(self.ball(math.floor(reach + 1e-9))[1:])
 
 
 class EdgePoint:

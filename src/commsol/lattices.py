@@ -100,9 +100,6 @@ class Lattice:
     def __repr__(self):
         return f"Lattice({self.n}, {self.cols})"
 
-    def sort_key(self):
-        return (index(self), self.cols)
-
 
 def whole_group(n: int) -> Lattice:
     cols = tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n))
@@ -251,7 +248,7 @@ def intersect(l1: Lattice, l2: Lattice) -> Lattice:
 
 
 def enumerate_lattices(n: int, max_index: int) -> list[Lattice]:
-    """All subgroups of Z^n of index <= max_index, canonically sorted.
+    """All subgroups of Z^n of index <= max_index, sorted by (index, cols).
 
     Every HNF matrix with 0 < det <= max_index appears exactly once, so the
     enumeration is duplicate-free by construction.
@@ -260,16 +257,17 @@ def enumerate_lattices(n: int, max_index: int) -> list[Lattice]:
         raise PreconditionError("need n >= 1 and max_index >= 1")
     total = sum(math.prod(d**i for i, d in enumerate(diag)) for diag in _diagonals(n, max_index))
     limits.guard(total * n * n, f"enumerate_lattices(n={n}, N={max_index})")
-    out: list[Lattice] = []
+    # one bucket per index, the product of the diagonal: sorted by the
+    # columns within each, the buckets in turn list by (index, cols)
+    buckets: list[list] = [[] for _ in range(max_index + 1)]
     for diag in _diagonals(n, max_index):
         # column j: zeros above the pivot diag[j], each entry below it mod its row's pivot
         columns = [
             [(0,) * j + (d, *below) for below in product(*map(range, diag[j + 1 :]))]
             for j, d in enumerate(diag)
         ]
-        out.extend(Lattice(n, cols, _canonical=True) for cols in product(*columns))
-    out.sort(key=Lattice.sort_key)
-    return out
+        buckets[math.prod(diag)].extend(product(*columns))
+    return [Lattice(n, cols, _canonical=True) for bucket in buckets for cols in sorted(bucket)]
 
 
 def _diagonals(n: int, max_index: int):

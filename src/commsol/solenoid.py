@@ -202,9 +202,12 @@ def _check_same_model(p1, p2):
 
 def sigma(p1: SolenoidPoint, p2: SolenoidPoint) -> MetricValue:
     """Quotient (solenoid) metric: min over group translates g of
-    d_inf(p1, g . p2).  The leaf displacement of g is at least
-    |g| - r1 - r2, so candidates beyond the current best are pruned and
-    the search is finite and exact."""
+    d_inf(p1, g . p2).  With r1, r2 the leaf reaches of the points (exact
+    upper bounds on their distance from the base point), the triangle
+    inequality puts g . p2's leaf at least |g| - r1 - r2 from p1's, so
+    only translates with |g| <= floor(best + r1 + r2), best the identity
+    candidate, can do better, and the search over them is finite and
+    exact."""
     _check_same_model(p1, p2)
     grp = p1.group
 

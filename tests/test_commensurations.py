@@ -332,6 +332,41 @@ def test_restriction_refuses_an_infinite_index_target():
         restriction(ident, stallings.from_generators([W("aa"), W("b")], 2))
 
 
+def test_restriction_refusals():
+    f_map, z_map = catalog.f2_catalog()["shift|ker_a"], make_zn([[2, 0], [1, 3]])
+    outside = [
+        (f_map, stallings.whole_group(2)),
+        (f_map, catalog.ker_b()),
+        # of infinite index and outside the domain: the outside comes first
+        (f_map, stallings.from_generators([W("a")], 2)),
+        (restriction(z_map, lattices.from_generators([(2, 0), (0, 2)])), lattices.whole_group(2)),
+    ]
+    for phi, sub in outside:
+        with pytest.raises(PreconditionError, match="^restriction target is not inside the domain$"):
+            restriction(phi, sub)
+    with pytest.raises(PreconditionError, match="^rank mismatch$"):
+        restriction(f_map, stallings.whole_group(3))
+    with pytest.raises(PreconditionError, match="^dimension mismatch$"):
+        restriction(z_map, lattices.whole_group(3))
+
+
+def test_restriction_walks_the_covering_once(monkeypatch):
+    walked = []
+    cover_vertices = stallings.cover_vertices
+
+    def counted(inner, outer):
+        walked.append((inner, outer))
+        return cover_vertices(inner, outer)
+
+    monkeypatch.setattr(stallings, "cover_vertices", counted)
+    restriction.cache_clear()
+    shift = from_ambient(2, [W("ab"), W("b")])
+    objects = [obj for obj in build_system("F", 2, 3).objects if obj != shift.domain]
+    restricted = [restriction(shift, obj) for obj in objects]
+    assert len(objects) == len(walked) == 16
+    assert [r.images for r in restricted] == [images_on(shift, obj) for obj in objects]
+
+
 def test_equal_arguments_are_answered_without_a_meet(monkeypatch):
     for grp in (groups.group("F", 2), groups.group("Z", 2)):
         for a in grp.enumerate(3):

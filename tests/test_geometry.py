@@ -33,6 +33,7 @@ from commsol.geometry import (
     baseleaf_map,
     bounded_distance,
     boundary_action,
+    certified_constants,
     closest_point_project,
     factorization_check,
     fixed_point,
@@ -330,6 +331,32 @@ def test_qi_estimate_matches_two_pass_on_zn_maps(data):
 
 def test_qi_estimate_matches_two_pass_on_doubling():
     assert_same_estimate(baseleaf_map(make_zn([[2]])), 12)
+
+
+def fraction_constants(tally):
+    """Reference: the constants and the certificate in Fractions, key by key."""
+    up = max([Fraction(1)] + [Fraction(df, d) for d, df in tally if df])
+    low = max([Fraction(1)] + [Fraction(d, df) for d, df in tally if df])
+    collapse = max([0] + [d for d, df in tally if not df])
+    L = max(up, low)
+    C = Fraction(collapse, 1) / L if collapse else Fraction(0)
+    for d, df in tally:
+        assert df <= L * d + C and Fraction(d) / L - C <= df, "certificate failed"
+    return L, C, up, low
+
+
+def test_certified_constants_match_the_fraction_reference():
+    rng = random.Random(20)
+    kinds = set()
+    for _ in range(400):
+        keys = {(rng.randint(1, 16), rng.randint(0, 40)) for _ in range(rng.randint(1, 30))}
+        got = certified_constants(keys)
+        want = fraction_constants(keys)
+        assert got == want and all(type(x) is Fraction for x in got)
+        L, C, up, low = got
+        kinds.add((C > 0, L == low > up))
+    # collapsing tallies, and tallies whose L comes from the lower ratio
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_qi_estimate_refuses_large_balls_early(monkeypatch):

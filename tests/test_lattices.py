@@ -152,6 +152,19 @@ def test_enumerate_examples():
     assert sum(1 for c in lats if index(c) == 2) == 2 + 1
 
 
+@pytest.mark.parametrize("n, max_index", [(1, 40), (2, 24), (3, 12), (4, 6)])
+def test_enumerate_lattices_is_sorted_by_index_then_columns(n, max_index):
+    lats = enumerate_lattices(n, max_index)
+    assert lats == sorted(lats, key=lambda lat: (index(lat), lat.cols))
+    assert len(set(lats)) == len(lats)
+    # the count per index is the number of HNF matrices of that determinant
+    assert len(lats) == sum(
+        math.prod(d**i for i, d in enumerate(diag))
+        for diag in product(range(1, max_index + 1), repeat=n)
+        if math.prod(diag) <= max_index
+    )
+
+
 def test_profinite_kernel_examples():
     assert profinite_kernel(1, 4).cols[0][0] == lcm_range(4) == 12
     assert profinite_kernel(1, 1) == whole_group(1)

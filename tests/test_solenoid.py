@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,6 +308,73 @@ def test_zn_leaf_reach_is_the_exact_ceiling_and_sigma_matches_the_padded_scan(mo
 
     monkeypatch.setattr(groups.Zn, "leaf_reach", padded_reach)
     assert exact == [sigma(p, q) for p, q in pairs]
+
+
+def random_sigma_pairs(rng, tag, rank, depth, count):
+    """Pairs of points with random fibers and, about two times in three,
+    a leaf off the base vertex: a fractional vector on Z^n, an EdgePoint
+    on F_k."""
+    grp = groups.group(tag, rank)
+
+    def point():
+        if tag == "Z":
+            fiber = tuple(rng.randint(-30, 30) for _ in range(rank))
+            leaf = tuple(Fraction(rng.randint(-9, 9), rng.choice([2, 3, 4, 5])) for _ in range(rank))
+        else:
+            fiber = Word(rank, "".join(rng.choice(grp.letters) for _ in range(rng.randrange(6))))
+            leaf = EdgePoint(fiber, rng.choice(grp.letters[:rank]), Fraction(rng.randint(1, 7), 8))
+        if rng.random() < 1 / 3:
+            leaf = grp.identity
+        return SolenoidPoint(tag, rank, depth, fiber, leaf)
+
+    return [(point(), point()) for _ in range(count)]
+
+
+def test_sigma_matches_the_padded_candidate_sets(monkeypatch):
+    rng = random.Random(20)
+    models = [("F", 1, 4), ("F", 2, 3), ("Z", 1, 5), ("Z", 2, 4), ("Z", 3, 3)]
+    pairs = [pair for model in models for pair in random_sigma_pairs(rng, *model, 64)]
+    exact = [sigma(p, q) for p, q in pairs]
+    at_identity = [float(d_inf(p, q)) for p, q in pairs]
+    reaches = [
+        best + float(p.group.leaf_reach(p.leaf) + p.group.leaf_reach(q.leaf))
+        for best, (p, q) in zip(at_identity, pairs)
+    ]
+    assert sum(r >= 1 for r in reaches) >= 100 and sum(r < 1 for r in reaches) >= 50
+    # a nonzero translate wins often enough for the candidate sets to matter
+    assert sum(float(v) < best for v, best in zip(exact, at_identity)) >= 50
+
+    def padded_zn(self, reach):
+        bound = int(reach) + 2
+        return (g for g in product(range(-bound, bound + 1), repeat=self.rank) if any(g))
+
+    def padded_fk(self, reach):
+        return iter(self.ball(int(reach) + 1)[1:])
+
+    monkeypatch.setattr(groups.Zn, "sigma_translates", padded_zn)
+    monkeypatch.setattr(groups.Fk, "sigma_translates", padded_fk)
+    padded = [sigma(p, q) for p, q in pairs]
+    assert [v.render() for v in exact] == [v.render() for v in padded]
+
+
+def test_sigma_on_baseleaf_points_evaluates_only_the_identity(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return d_pro(*args)
+
+    monkeypatch.setattr(solenoid, "d_pro", counted)
+    for points in (
+        [baseleaf(g, 5) for g in ((0, 0), (1, 2), (-3, 4), (6, 0))],
+        [baseleaf(W(w), 3) for w in ("", "a", "ab", "BaB")],
+    ):
+        for p in points:
+            for q in points:
+                calls.clear()
+                sigma(p, q)
+                # both leaves sit at the base, so reach = best <= exp(-1) < 1
+                assert len(calls) == 1
 
 
 def test_sigma_same_fiber_edge_points_is_leaf_distance():

@@ -197,10 +197,24 @@ def evaluate(comm: Commensuration, elem):
 
 def images_on(comm: Commensuration, sub) -> tuple:
     """comm's images of the basis of `sub`, a subgroup of the domain: the
-    stored images when `sub` is the domain."""
+    stored images when `sub` is the domain.
+
+    A walk is memoized by value, so a hit may come from an equal but
+    distinct map; its result shares that map's stored Words, so the walk
+    is made again for any map whose images are not the stored owner's."""
     if sub == comm.domain:
         return comm.images
-    return comm.group.images_on(comm.domain, comm.images, sub)
+    owner, result = _images_on(comm, sub)
+    if owner is not comm.images:
+        return comm.group.images_on(comm.domain, comm.images, sub)
+    return result
+
+
+@lru_cache(maxsize=4096)
+def _images_on(comm: Commensuration, sub):
+    """(comm.images, the images of basis(sub)): one covering walk per map
+    and subgroup, which check_strict asks again after restriction_onto."""
+    return comm.images, comm.group.images_on(comm.domain, comm.images, sub)
 
 
 @lru_cache(maxsize=4096)
@@ -252,9 +266,16 @@ def compose(phi: Commensuration, psi: Commensuration) -> Commensuration:
     images = tuple(evaluate(phi, w) for w in images_on(psi, dom))
     ambient = None
     if phi.ambient is not None and psi.ambient is not None:
-        ambient = tuple(apply_ambient(phi.ambient, w) for w in psi.ambient)
+        ambient = _compose_ambient(phi.ambient, psi.ambient)
     codomain = phi.codomain if meet == phi.domain else None
     return Commensuration(grp, dom, codomain, images, ambient)
+
+
+@lru_cache(maxsize=4096)
+def _compose_ambient(phi_ambient, psi_ambient):
+    """The ambient provenance of a composite: phi's endomorphism applied to
+    psi's images."""
+    return tuple(apply_ambient(phi_ambient, w) for w in psi_ambient)
 
 
 @lru_cache(maxsize=4096)

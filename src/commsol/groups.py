@@ -267,13 +267,18 @@ class Zn(_Group):
 
     def sigma_translates(self, reach):
         """Nonzero deck translations that can beat a sigma candidate, for
-        reach = best + r1 + r2 (solenoid.sigma): the box of radius
-        floor(reach).  A translate g moves a leaf by at least
-        |g| - r1 - r2 (triangle inequality), so it can only win when its
-        Euclidean length, and so each coordinate, is below reach; the
-        1e-9 absorbs float rounding in reach."""
-        bound = math.floor(reach + 1e-9)
-        return (g for g in product(range(-bound, bound + 1), repeat=self.rank) if any(g))
+        reach = best + r1 + r2 (solenoid.sigma): the points of the box of
+        radius floor(reach) within Euclidean length reach.  A translate g
+        moves a leaf by at least |g| - r1 - r2 (triangle inequality), so it
+        can only win when its Euclidean length is below reach; the 1e-9
+        absorbs float rounding in reach."""
+        reach += 1e-9
+        bound, square = math.floor(reach), reach * reach
+        return (
+            g
+            for g in product(range(-bound, bound + 1), repeat=self.rank)
+            if any(g) and sum(x * x for x in g) <= square
+        )
 
 
 class Fk(_Group):

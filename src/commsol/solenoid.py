@@ -205,9 +205,9 @@ def sigma(p1: SolenoidPoint, p2: SolenoidPoint) -> MetricValue:
     d_inf(p1, g . p2).  With r1, r2 the leaf reaches of the points (exact
     upper bounds on their distance from the base point), the triangle
     inequality puts g . p2's leaf at least |g| - r1 - r2 from p1's, so
-    only translates with |g| <= floor(best + r1 + r2), best the identity
-    candidate, can do better, and the search over them is finite and
-    exact."""
+    only translates with |g| <= best + r1 + r2, best the identity
+    candidate, can do better, and the search over them
+    (`sigma_translates`) is finite and exact."""
     _check_same_model(p1, p2)
     grp = p1.group
 

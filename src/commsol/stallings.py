@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import count, permutations, product
-from operator import getitem
+from operator import attrgetter, getitem
 
 from . import limits
 from .errors import InfiniteIndexError, ParseError, PreconditionError
@@ -405,6 +405,7 @@ def intersect(g1: SubgroupGraph, g2: SubgroupGraph) -> SubgroupGraph:
     return orbit_graph(g1.k, (0, 0), step)[0]
 
 
+@lru_cache(maxsize=4096)
 def cover_vertices(inner: SubgroupGraph, outer: SubgroupGraph):
     """The covering X_inner -> X_outer, as the tuple of the vertices of
     `outer` below the vertices of `inner`, or None when `inner` is not a
@@ -727,6 +728,8 @@ def enumerate_subgroups(k: int, max_index: int) -> list[SubgroupGraph]:
     letter's partial bijection, chosen independently, so the last level
     is filled in closed form: each letter's completed rows are built once
     and the leaves are their product, sharing the rows.
+    The tables are collected in one bucket per index and each bucket is
+    sorted by its forward rows, which lists them in (index, fwd) order.
     The guard estimate, from Hall's counts, is made before the search.
     """
     if k < 1 or max_index < 1:
@@ -743,7 +746,7 @@ def enumerate_subgroups(k: int, max_index: int) -> list[SubgroupGraph]:
         for f, b in zip(fwd, bwd)
         for here, there in ((f, b), (b, f))
     ]
-    out = []
+    out = [[] for _ in range(max_index + 1)]
 
     def last_level():
         fwd_rows, bwd_rows = [], []
@@ -765,7 +768,7 @@ def enumerate_subgroups(k: int, max_index: int) -> list[SubgroupGraph]:
             fwd_rows.append(fs)
             bwd_rows.append(bs)
         # the two products run in step, one choice per letter
-        out.extend(
+        out[max_index].extend(
             SubgroupGraph(k, max_index, f, b, True)
             for f, b in zip(product(*fwd_rows), product(*bwd_rows))
         )
@@ -781,7 +784,7 @@ def enumerate_subgroups(k: int, max_index: int) -> list[SubgroupGraph]:
                 break
             slot += 1
         else:
-            out.append(
+            out[m].append(
                 SubgroupGraph(
                     k,
                     m,
@@ -805,8 +808,7 @@ def enumerate_subgroups(k: int, max_index: int) -> list[SubgroupGraph]:
         here[v] = -1
 
     search(0, 1)
-    out.sort(key=SubgroupGraph.sort_key)
-    return out
+    return [g for bucket in out for g in sorted(bucket, key=attrgetter("fwd"))]
 
 
 def profinite_kernel(k: int, max_index: int) -> SubgroupGraph:

@@ -360,6 +360,7 @@ def test_restriction_walks_the_covering_once(monkeypatch):
 
     monkeypatch.setattr(stallings, "cover_vertices", counted)
     restriction.cache_clear()
+    commensurations._images_on.cache_clear()
     shift = from_ambient(2, [W("ab"), W("b")])
     objects = [obj for obj in build_system("F", 2, 3).objects if obj != shift.domain]
     restricted = [restriction(shift, obj) for obj in objects]
@@ -582,6 +583,29 @@ def test_images_on_matches_evaluate_on_catalog_meets():
             assert got == evaluated_images(phi, sub)
             # an image that spells a stored image is that Word, not a copy
             assert all(w is stored.get(w.letters, w) for w in got)
+
+
+def test_a_warm_images_on_hit_answers_a_copy_with_its_own_words():
+    # the walk is memoized by value: a copy equal to phi, with Words of its
+    # own, must not receive phi's Words from phi's entry
+    objects = build_system("F", 2, 3).objects
+    shared = 0
+    for phi in catalog.f2_catalog().values():
+        copy = parse_comm(format_comm(phi))
+        own = {w.letters: w for w in copy.images}
+        assert copy == phi and all(w is not v for w, v in zip(copy.images, phi.images))
+        for obj in objects:
+            sub = stallings.intersect(obj, phi.domain)
+            if sub == phi.domain:
+                continue
+            walked = images_on(phi, sub)
+            hits = commensurations._images_on.cache_info().hits
+            got = images_on(copy, sub)
+            assert commensurations._images_on.cache_info().hits == hits + 1
+            assert got == walked
+            assert all(w is own.get(w.letters, w) for w in got)
+            shared += sum(w.letters in own for w in got)
+    assert shared > 0
 
 
 def test_images_on_matches_evaluate_on_parsed_maps_and_composites():

@@ -3,9 +3,11 @@ equivalence-relation laws on the catalog, the resource guards, the
 declared error paths, and results that do not depend on what earlier
 calls left in the caches."""
 
+import ast
 import importlib
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +166,81 @@ def test_results_do_not_depend_on_cache_order(data):
     for (op, args), got in zip(calls, warm):
         _clear_every_cache()
         assert _outcome(op, args) == got, (op.__name__, args)
+
+
+def test_zeta_compose_and_equivalent_do_not_depend_on_warm_caches():
+    # each call once from cold caches, then every call again on an equal
+    # but distinct copy of the catalog after the first copy warmed every
+    # memo: the memos keyed by value answer the copy from the first one
+    names = list(catalog.f2_catalog())
+    pairs = [(f, g) for f in names for g in names[::4]]
+
+    def composed(f, g):
+        return prosystems.compose_morphisms(prosystems.zeta(f, 3), prosystems.zeta(g, 3))
+
+    def calls(cat):
+        return (
+            [(prosystems.zeta, (cat[f], 3)) for f in names]
+            + [(composed, (cat[f], cat[g])) for f, g in pairs]
+            + [(equivalent, (cat[f], cat[g])) for f in names for g in names]
+        )
+
+    cold = []
+    for op, args in calls(catalog.f2_catalog()):
+        _clear_every_cache()
+        cold.append(_outcome(op, args))
+    _clear_every_cache()
+    for op, args in calls(catalog.f2_catalog()):
+        op(*args)
+    assert [_outcome(op, args) for op, args in calls(catalog.f2_catalog())] == cold
+
+
+def _is_cache_decorator(dec):
+    target = dec.func if isinstance(dec, ast.Call) else dec
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+    return name in ("lru_cache", "cache", "provenance_cache")
+
+
+def _cached_definitions(path):
+    """(scope, name) for each function of a module's source decorated with
+    lru_cache, cache or provenance_cache; scope names the classes and
+    functions it is defined in, outermost first."""
+    found = []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, functions) and any(map(_is_cache_decorator, child.decorator_list)):
+                found.append((scope, child.name))
+            named = isinstance(child, (*functions, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_every_cache_site_is_a_module_or_class_attribute_with_its_statistics():
+    # each pass of the benchmark empties the caches it finds on modules and
+    # classes, and per-site statistics read cache_info() there: a memo kept
+    # anywhere else would outlive the emptying
+    package = Path(commsol.__file__).parent
+    sites = []
+    for path in sorted(package.glob("*.py")):
+        mod = importlib.import_module(f"commsol.{path.stem}")
+        for scope, name in _cached_definitions(path):
+            # provenance_cache's own lru_cache is reached through the
+            # wrapper it returns, which exposes both calls
+            if scope == ("provenance_cache", "decorate"):
+                continue
+            assert len(scope) <= 1, (path.name, scope, name)
+            owner = vars(mod)[scope[0]] if scope else mod
+            assert isinstance(owner, type) or not scope, (path.name, scope, name)
+            site = vars(owner)[name]
+            assert callable(site.cache_clear) and callable(site.cache_info), (path.name, name)
+            sites.append(f"{path.stem}.{name}")
+    for site in ("commensurations._images_on", "commensurations._compose_ambient",
+                 "stallings.cover_vertices", "commensurations.compose"):
+        assert site in sites
 
 
 def test_qi_estimate_does_not_depend_on_warm_caches():

@@ -212,9 +212,18 @@ def test_strict_check_names_each_tampering(phi, other):
     from commsol.prosystems import SystemMorphism
 
     grp = phi.group
+    # zeta of both maps leaves every walk check_strict could ask in the
+    # memos, and an untampered check answers its comparisons from them;
+    # each tampering must still be caught
+    for depth in (2, 3):
+        zeta(phi, depth)
+        zeta(other, depth)
+    hits = commensurations._images_on.cache_info().hits
+    m = zeta(phi, 2)
+    SystemMorphism(m.target, m.target, m.components)
+    assert commensurations._images_on.cache_info().hits > hits
     # phi's domain is proper, so the whole group is not inside the top
     # component's source
-    m = zeta(phi, 2)
     nested = list(m.components)
     nested[1] = identity_comm(grp.tag, grp.rank)
     with pytest.raises(PreconditionError, match=r"bond \(0,1\) have non-nested sources"):

@@ -357,6 +357,37 @@ def test_sigma_matches_the_padded_candidate_sets(monkeypatch):
     assert [v.render() for v in exact] == [v.render() for v in padded]
 
 
+def test_sigma_on_zn_evaluates_only_translates_within_the_reach(monkeypatch):
+    # the Z^2 and Z^3 pairs of the padded-set test: the box of radius
+    # floor(reach) held 6,376 nonzero translates, the Euclidean ball of
+    # radius reach holds 3,856, and no sigma value moves
+    rng = random.Random(20)
+    models = [("F", 1, 4), ("F", 2, 3), ("Z", 1, 5), ("Z", 2, 4), ("Z", 3, 3)]
+    pairs = [pair for model in models for pair in random_sigma_pairs(rng, *model, 64)]
+    pairs = [(p, q) for p, q in pairs if p.tag == "Z" and p.rank >= 2]
+    assert len(pairs) == 128
+
+    def box(self, reach):
+        bound = math.floor(reach + 1e-9)
+        return (g for g in product(range(-bound, bound + 1), repeat=self.rank) if any(g))
+
+    runs = []
+    for translates in (groups.Zn.sigma_translates, box):
+        evaluated = []
+
+        def counted(self, reach, translates=translates, evaluated=evaluated):
+            for g in translates(self, reach):
+                evaluated.append(g)
+                yield g
+
+        monkeypatch.setattr(groups.Zn, "sigma_translates", counted)
+        values = [sigma(p, q).render() for p, q in pairs]
+        runs.append((len(evaluated), values))
+    (filtered, values), (boxed, box_values) = runs
+    assert (filtered, boxed) == (3856, 6376)
+    assert values == box_values
+
+
 def test_sigma_on_baseleaf_points_evaluates_only_the_identity(monkeypatch):
     calls = []
 

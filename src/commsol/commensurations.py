@@ -200,13 +200,15 @@ def images_on(comm: Commensuration, sub) -> tuple:
     stored images when `sub` is the domain.
 
     A walk is memoized by value, so a hit may come from an equal but
-    distinct map; its result shares that map's stored Words, so the walk
-    is made again for any map whose images are not the stored owner's."""
+    distinct map; its result shares that map's stored images, so for any
+    map whose images are not the stored owner's, each image equal to one
+    of its own is replaced by that one, as its own walk would share."""
     if sub == comm.domain:
         return comm.images
     owner, result = _images_on(comm, sub)
     if owner is not comm.images:
-        return comm.group.images_on(comm.domain, comm.images, sub)
+        own = {x: x for x in comm.images}
+        return tuple([own.get(x, x) for x in result])
     return result
 
 

@@ -9,10 +9,11 @@ rationals certified by exhaustive pair checks on the sampled ball.
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain
+from operator import itemgetter
 
 from . import commensurations as comm_mod
 from . import groups, limits, solenoid, stallings
@@ -30,10 +31,12 @@ def ball_elements(tag: str, rank: int, radius: int):
 @lru_cache(maxsize=64)
 def ball_distances(tag: str, rank: int, radius: int):
     """The distance_rows of ball_elements(tag, rank, radius), one row
-    after another.  Distances on the ball are at most 2R: while that fits
-    in a byte, one byte a pair, read-only since the cache hands the same
-    buffer to every caller; past that (only rank 1 under the default cap
-    on pairs) a tuple."""
+    after another: the ball side of qi_estimate's pairs, aligned with the
+    rows of the images' distances.  Distances on the ball are at most 2R:
+    while that fits in a byte, one byte a pair, read-only since the cache
+    hands the same buffer to every caller, which distinct_pairs
+    interleaves as it is; past that (only rank 1 under the default cap
+    on pairs) a tuple, whose pairs distinct_pairs collects as tuples."""
     rows = groups.group(tag, rank).distance_rows(ball_elements(tag, rank, radius))
     if 2 * radius > 255:
         return tuple(chain.from_iterable(rows))
@@ -59,6 +62,11 @@ class BaseleafMap:
     """The quasi-isometry of G induced by a commensuration: closest-point
     projection to the domain followed by the isomorphism.
 
+    Its one walk over a ball, `raw_on_ball`, yields raw images, which the
+    group's metric kernels read as they are (groups.Fk.raw_dist,
+    raw_distance_rows): letter strings on F_k, vectors on Z^n.  `on_ball`
+    and calls give group elements (the group's from_raw).
+
     On F_k the isomorphism is read off paths in the domain graph X_H (the
     map factors through the covering lift X_H -> X_K): the image of a path
     is the product of the images of the nontree edges it crosses, which
@@ -68,70 +76,67 @@ class BaseleafMap:
     the suffix where dist rises by 1 per letter (geodesic_return).  A
     word's candidates are its parent's plus its own length if its last
     letter steps outward, else that alone, so its state takes one edge
-    from its parent's: `on_ball` walks a ball's prefix tree so, and a
-    single word its letters.  Edges and return paths are memoized."""
+    from its parent's: the walk goes down a ball's prefix tree so, and a
+    single word along its letters.  The images of the edges and of the
+    least returns from each vertex are tabled before a walk."""
 
-    __slots__ = ("comm", "_paths")
+    __slots__ = ("comm",)
 
     def __init__(self, comm):
         self.comm = comm
-        # (vertex, letters) -> (end, image letters) of the path from that vertex
-        self._paths = {}
 
     def __call__(self, g):
         comm = self.comm
         if comm.tag != "F":
             return comm_mod.evaluate(comm, closest_point_project(comm, g))
-        return self._image(reduce(self._step(), g.letters, _ROOT))
+        return comm.group.from_raw(reduce(self._step(), g.letters, _ROOT)[4])
 
     def on_ball(self, radius):
         """The images of ball_elements(radius), in that order, as an
+        iterator of group elements."""
+        return map(self.comm.group.from_raw, self.raw_on_ball(radius))
+
+    def raw_on_ball(self, radius):
+        """The raw images of ball_elements(radius), in that order, as an
         iterator; on Z^n with one projection search per coset."""
         comm = self.comm
         if comm.tag != "F":
             ball = ball_elements(comm.tag, comm.rank, radius)
             return map(partial(comm_mod.evaluate, comm), comm.group.projections(comm.domain, ball))
-        return map(self._image, comm.group.walk(radius, _ROOT, self._step()))
-
-    def _image(self, state):
-        return Word(self.comm.rank, state[4], _reduced=True)
+        return map(itemgetter(4), comm.group.walk(radius, _ROOT, self._step()))
 
     def _step(self):
         """step(state, x) for Fk.walk; a state is (letters, vertex, path
         image, least candidate, its image)."""
-        table = stallings._return_table(self.comm.domain)
-        dist = table.dist
-        least_return = stallings._least_return
-        paths, path = self._paths, self._path
+        domain = self.comm.domain
+        label = self.comm.group.edge_labels(domain, self.comm.images)
+        edges = stallings.edge_images(domain, label)
+        dist, best, second = stallings._return_table(domain)
+        best_img, second_img = (
+            [r and stallings.path_image(domain, r, label, v)[1] for v, r in enumerate(rs)]
+            for rs in (best, second)
+        )
 
         def step(state, x):
             letters, v, img, least, least_img = state
-            t, e = paths.get((v, x)) or path(v, x)
+            t, e = edges[x][v]
             letters += x
             if e:
                 img = _join(img, e)
-            # off the outward run the new candidate is the only one and
-            # exists, as the step back to v leads no closer
-            r = least_return(table, t, x.swapcase())
+            # the least return from t that does not step back along x
+            # (stallings._least_return); off the outward run the new
+            # candidate is the only one and exists, as the step back to v
+            # leads no closer
+            r, e = best[t], best_img[t]
+            if r[:1] == x.swapcase():
+                r, e = second[t], second_img[t]
             if r is not None:
                 s = letters + r
                 if dist[t] != dist[v] + 1 or s < least:
-                    e = (paths.get((t, r)) or path(t, r))[1]
                     least, least_img = s, _join(img, e) if e else img
             return letters, t, img, least, least_img
 
         return step
-
-    def _path(self, start, letters):
-        """(end, image letters) of the path spelling `letters` from vertex
-        `start` of the domain graph (stallings.path_image), memoized."""
-        got = self._paths.get((start, letters))
-        if got is None:
-            comm = self.comm
-            got = self._paths[(start, letters)] = stallings.path_image(
-                comm.domain, letters, comm.group.edge_labels(comm.domain, comm.images), start
-            )
-        return got
 
     def __repr__(self):
         return f"BaseleafMap({self.comm!r})"
@@ -175,29 +180,50 @@ def qi_estimate(m: BaseleafMap, radius: int) -> QIEstimate:
     by rechecking every pair against the produced (L, C).
 
     A pair's bounds and its inequality depend only on (d(x,y), d(fx,fy)),
-    so one pass tallies the pairs per distance pair, and the constants and
-    the certificate are worked out once per distinct distance pair
-    (certified_constants).  The
+    so the constants and the certificate are worked out once per distinct
+    distance pair (certified_constants), and those are collected from the
+    ball's distances and the raw images' ones (distinct_pairs).  The
     distances on the ball side are shared by every map (ball_distances).
     The number of pairs is guarded before any element is listed."""
     grp = m.comm.group
     size = grp.ball_size(radius)
     limits.guard(size * (size - 1) // 2, f"qi_estimate({grp.tag}_{grp.rank}, R={radius}) pairs")
-    images = chain.from_iterable(grp.distance_rows(list(m.on_ball(radius))))
-    tally = Counter(zip(ball_distances(grp.tag, grp.rank, radius), images))
-    return QIEstimate(radius, *certified_constants(tally), sum(tally.values()))
+    images = list(m.raw_on_ball(radius))
+    dists = list(chain.from_iterable(grp.raw_distance_rows(images)))
+    keys = distinct_pairs(ball_distances(grp.tag, grp.rank, radius), dists)
+    return QIEstimate(radius, *certified_constants(keys), len(dists))
 
 
-def certified_constants(tally):
-    """(L, C, upper, lower) for pairs tallied by (d, df), d >= 1: upper
-    and lower are the largest df/d and d/df (at least 1), L the larger,
-    and C = collapse/L for collapse the largest d with df = 0; each key
-    is then checked against L and C.  The maxima are kept as integer
-    pairs, compared by cross-multiplying, and the check runs over the
-    common denominator, so the Fractions are built once, at the end."""
+def distinct_pairs(ds, fs):
+    """The distinct pairs (ds[i], fs[i]) of two aligned sequences of
+    distances.  While every distance fits in a byte the two are
+    interleaved in a bytearray and read back two bytes at a time as one
+    integer, which a set collects at C speed; the distinct integers are
+    split again through the same memory, so byte order cannot matter.  A
+    distance past a byte, which bytes() refuses, leaves the pairs to a
+    set of tuples."""
+    try:
+        ball, image = bytes(ds), bytes(fs)
+    except ValueError:  # a distance of 256 or more
+        return set(zip(ds, fs))
+    both = bytearray(2 * len(image))
+    both[0::2], both[1::2] = ball, image
+    keys = array("H", set(memoryview(both).cast("H"))).tobytes()
+    return list(zip(keys[0::2], keys[1::2]))
+
+
+def certified_constants(keys):
+    """(L, C, upper, lower) for the distinct distance pairs (d, df) of
+    a ball's pairs, d >= 1, given as a collection that can be read twice:
+    upper and lower are the largest df/d and d/df (at least 1), L the
+    larger, and C = collapse/L for collapse the largest d with df = 0;
+    each key is then checked against L and C.  How often a key occurs
+    changes none of these.  The maxima are kept as integer pairs,
+    compared by cross-multiplying, and the check runs over the common
+    denominator, so the Fractions are built once, at the end."""
     up_n = up_d = low_n = low_d = 1
     collapse = 0
-    for d, df in tally:
+    for d, df in keys:
         if not df:
             collapse = max(collapse, d)
             continue
@@ -209,7 +235,7 @@ def certified_constants(tally):
     # with L = p/q and C = collapse q/p: df <= L d + C and d/L - C <= df,
     # multiplied by pq and by p
     pq, pp, cqq = p * q, p * p, collapse * q * q
-    for d, df in tally:
+    for d, df in keys:
         assert df * pq <= pp * d + cqq and q * (d - collapse) <= df * p, "certificate failed"
     return Fraction(p, q), Fraction(collapse * q, p), Fraction(up_n, up_d), Fraction(low_n, low_d)
 
@@ -263,7 +289,9 @@ def bounded_distance(m1: BaseleafMap, m2: BaseleafMap, radius: int) -> BoundedDi
     )
     eq = comm_mod.equivalent(m1.comm, m2.comm)
     # the ball is sorted by distance: its first ball_size(r) elements are the r-ball
-    running = list(accumulate(map(grp.dist, m1.on_ball(radius), m2.on_ball(radius)), max))
+    running = list(
+        accumulate(map(grp.raw_dist, m1.raw_on_ball(radius), m2.raw_on_ball(radius)), max)
+    )
     return BoundedDistanceReport(eq, [running[grp.ball_size(r) - 1] for r in range(radius + 1)])
 
 
@@ -307,14 +335,14 @@ def factorization_check(comm, depth: int, radius: int) -> FactorizationReport:
     lift = solenoid.lift_through_covers(phi)
     checked = 0
     mismatches = []
-    ball = ball_elements("F", phi.rank, radius)
-    walks = zip(ball, baseleaf_map(phi).on_ball(radius), lift.on_ball(radius))
-    for g, via_map, via_lift in walks:
+    walks = zip(baseleaf_map(phi).raw_on_ball(radius), lift.on_ball(radius))
+    for i, (via_map, via_lift) in enumerate(walks):
         if via_lift is None:
             continue
         checked += 1
-        if via_map != via_lift:
-            mismatches.append((g, via_map, via_lift))
+        if via_map != via_lift.letters:
+            g = ball_elements("F", phi.rank, radius)[i]
+            mismatches.append((g, phi.group.from_raw(via_map), via_lift))
     return FactorizationReport(checked, mismatches)
 
 

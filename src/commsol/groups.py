@@ -99,6 +99,12 @@ class Zn(_Group):
     def dist(self, a, b) -> int:
         return sum(map(abs, map(sub, a, b)))
 
+    def from_raw(self, v):
+        """The element a walk's raw image v stands for (see Fk.from_raw):
+        a vector is its own, so dist and distance_rows read raw images
+        too."""
+        return v
+
     def distance_rows(self, elems):
         """Per element of the sequence `elems`, its distances to the
         elements after it: the absolute differences added up one coordinate
@@ -109,6 +115,9 @@ class Zn(_Group):
             for a, col in zip(x, coords):
                 row = [r + abs(y - a) for r, y in zip(row, col[i + 1 :])]
             yield row
+
+    raw_dist = dist
+    raw_distance_rows = distance_rows
 
     def ball_size(self, radius: int) -> int:
         """Number of elements within l1 distance `radius` of the origin."""
@@ -302,10 +311,24 @@ class Fk(_Group):
         return ~a
 
     def dist(self, a, b) -> int:
-        """len(~a * b): the letters past the common prefix of a and b."""
+        """len(~a * b), from the letters (raw_dist)."""
         if a.rank != b.rank:
             raise PreconditionError(f"alphabet mismatch: rank {a.rank} vs {b.rank}")
-        x, y = a.letters, b.letters
+        return self.raw_dist(a.letters, b.letters)
+
+    def from_raw(self, letters):
+        """The element a walk's raw image stands for: the Word of a reduced
+        letter string.  The metric kernels raw_dist and raw_distance_rows
+        read the strings themselves, so a walk that only measures builds
+        no Word."""
+        return Word(self.rank, letters, _reduced=True)
+
+    @staticmethod
+    def raw_dist(x: str, y: str) -> int:
+        """The distance of two reduced letter strings: the letters past
+        their common prefix."""
+        if x == y:
+            return 0
         n = 0
         for p, q in zip(x, y):
             if p != q:
@@ -314,16 +337,20 @@ class Fk(_Group):
         return len(x) + len(y) - 2 * n
 
     def distance_rows(self, elems):
-        """Per element of the sequence `elems`, its distances to the
-        elements after it, from integer codes: a word's letters as
+        """raw_distance_rows of the words' letters."""
+        return self.raw_distance_rows([w.letters for w in elems])
+
+    def raw_distance_rows(self, elems):
+        """Per reduced letter string of the sequence `elems`, its distances
+        to the strings after it, from integer codes: the letters as
         nonzero bytes, left-aligned under a leading 1.  Twice the common
-        prefix of two words is read from a table by the bit length of
-        the XOR of their codes; equal words XOR to 0, and that entry is
+        prefix of two strings is read from a table by the bit length of
+        the XOR of their codes; equal strings XOR to 0, and that entry is
         twice the row's length."""
         spell = str.maketrans(dict(zip(self.letters, map("{:02x}".format, range(1, 53)))))
         lens = list(map(len, elems))
         width = 2 * max(lens, default=0)
-        codes = [int("1" + w.letters.translate(spell).ljust(width, "0"), 16) for w in elems]
+        codes = [int("1" + w.translate(spell).ljust(width, "0"), 16) for w in elems]
         bits = 4 * width
         prefix2 = [2 * ((bits - t) // 8) for t in range(bits + 1)]
         for i, n in enumerate(lens):

@@ -26,7 +26,7 @@ from functools import lru_cache
 from . import commensurations as comm_mod
 from . import groups, prosystems, stallings
 from .errors import PreconditionError
-from .freewords import Word, identity as word_identity
+from .freewords import Word, _join, identity as word_identity
 from .groups import EdgePoint  # noqa: F401  (leaf points are part of this API)
 
 # -- metric scalars -----------------------------------------------------------
@@ -376,14 +376,15 @@ class GraphMap:
         """For each g of geometry.ball_elements("F", k, radius), in that
         order: the image of g's based path (the word the image path
         reads, through the edge words) if the path is a loop, else None.
-        Each path is its parent's plus one edge (groups.Fk.walk)."""
+        Each path is its parent's plus one edge (groups.Fk.walk), read
+        from a table of the edges' images (stallings.edge_images)."""
         src, edge_words = self.src, self.edge_words
-
-        def label(v, x):
-            return edge_words[(v, x)].letters
+        edges = stallings.edge_images(src, lambda v, x: edge_words[(v, x)].letters)
 
         def step(state, x):
-            return stallings.path_image(src, x, label, *state)
+            v, img = state
+            t, e = edges[x][v]
+            return t, _join(img, e) if e else img
 
         walk = groups.group("F", src.k).walk(radius, (0, ""), step)
         return (Word(self.dst.k, img, _reduced=True) if v == 0 else None for v, img in walk)

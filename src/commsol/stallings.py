@@ -672,6 +672,14 @@ def path_image(graph: SubgroupGraph, letters: str, label, start: int = 0, out: s
     return v, out
 
 
+def edge_images(graph: SubgroupGraph, label) -> dict:
+    """path_image of each one-letter path: per letter ch, the list of
+    (end, image) of the ch-edge out of each vertex, for walks that grow
+    a path one letter at a time."""
+    letters = _LOWER[: graph.k] + _LOWER[: graph.k].upper()
+    return {ch: [path_image(graph, ch, label, v) for v in range(graph.m)] for ch in letters}
+
+
 def substitute(expr, images) -> Word:
     """Evaluate a signed-index expression against image words."""
     if not images:

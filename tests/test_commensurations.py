@@ -608,6 +608,37 @@ def test_a_warm_images_on_hit_answers_a_copy_with_its_own_words():
     assert shared > 0
 
 
+def test_a_parsed_copy_is_answered_from_the_memo_with_its_own_words(monkeypatch):
+    # a map equal to one already walked but built anew, here by a text round
+    # trip, makes no walk of its own, and an image it stores is its own Word
+    objects = build_system("F", 2, 3).objects
+    walks = []
+    walk = groups.Fk.images_on
+
+    def counted(self, domain, images, sub):
+        walks.append(sub)
+        return walk(self, domain, images, sub)
+
+    monkeypatch.setattr(groups.Fk, "images_on", counted)
+    commensurations._images_on.cache_clear()
+    shared = 0
+    for phi in catalog.f2_catalog().values():
+        copy = parse_comm(format_comm(phi))
+        own = {w.letters: w for w in copy.images}
+        for obj in objects:
+            sub = stallings.intersect(obj, phi.domain)
+            if sub == phi.domain:
+                continue
+            walked = images_on(phi, sub)
+            before = len(walks)
+            got = images_on(copy, sub)
+            assert len(walks) == before
+            assert got == walked
+            assert all(w is own[w.letters] for w in got if w.letters in own)
+            shared += sum(w.letters in own for w in got)
+    assert walks and shared > 0
+
+
 def test_images_on_matches_evaluate_on_parsed_maps_and_composites():
     parsed = [parse_comm(format_comm(c)) for c in catalog.f2_catalog().values()]
     parsed.append(parse_comm("comm F 2 : aa -> bb ; b -> a ; abA -> baB"))

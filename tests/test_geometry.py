@@ -35,6 +35,7 @@ from commsol.geometry import (
     boundary_action,
     certified_constants,
     closest_point_project,
+    distinct_pairs,
     factorization_check,
     fixed_point,
     qi_estimate,
@@ -957,3 +958,59 @@ def test_fk_distance_rows_match_dist_pair_by_pair(rank):
 def test_qi_estimate_on_f1_at_radius_130_matches_the_pair_tally():
     # 261 elements: distances on the ball reach 260 and between images 520
     assert_same_estimate(baseleaf_map(zn1_to_f1(make_zn([[2]]))), 130)
+
+
+def test_qi_estimate_with_image_distances_past_a_byte_matches_the_pair_tally():
+    # 121 elements: distances on the ball reach 120, one byte each, and
+    # between images 360, which do not fit
+    tripling = make_zn([[3]])
+    for m in (baseleaf_map(tripling), baseleaf_map(zn1_to_f1(tripling))):
+        grp = m.comm.group
+        assert isinstance(ball_distances(grp.tag, 1, 60), memoryview)
+        images = list(m.on_ball(60))
+        assert grp.dist(images[-2], images[-1]) == 360
+        assert_same_estimate(m, 60)
+
+
+def test_distinct_pairs_agree_across_widths():
+    rng = random.Random(5)
+    ds = [rng.randrange(256) for _ in range(2000)]
+    fs = [rng.randrange(256) for _ in range(2000)]
+    got = distinct_pairs(bytes(ds), fs)
+    assert len(got) == len(set(got)) and set(got) == set(zip(ds, fs))
+    # the ball side or the image side past a byte
+    assert distinct_pairs(ds + [300], fs + [7]) == set(zip(ds, fs)) | {(300, 7)}
+    assert distinct_pairs(ds + [7], fs + [300]) == set(zip(ds, fs)) | {(7, 300)}
+    assert list(distinct_pairs(b"", [])) == []
+
+
+def test_the_qi_layer_builds_no_word_per_ball_element(monkeypatch):
+    # the baseleaf walks yield letter strings, which the distance kernels
+    # read as they are: bounded_distance and qi_estimate build almost no
+    # Word, and factorization_check only the lift's images of the loops,
+    # which GraphMap.on_ball returns as Words, and the lift's own set-up
+    cat = catalog.f2_catalog()
+    ball_distances("F", 2, 4)  # the ball side, shared by every map
+    built = []
+    init = Word.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Word, "__init__", counted)
+    few = 20
+    assert few * 8 < group("F", 2).ball_size(4) < group("F", 2).ball_size(6)
+    for a, b in catalog.EQUIVALENT_PAIRS:
+        del built[:]
+        assert bounded_distance(baseleaf_map(cat[a]), baseleaf_map(cat[b]), 6).equivalent
+        assert len(built) < few
+    restrictions = [cat[b] for _, b in catalog.EQUIVALENT_PAIRS]
+    assert all(phi.domain.m > 1 for phi in restrictions)
+    for phi in restrictions:
+        del built[:]
+        qi_estimate(baseleaf_map(phi), 4)
+        assert len(built) < few
+        del built[:]
+        rep = factorization_check(phi, 2, 6)
+        assert rep.passed and len(built) < rep.checked + few

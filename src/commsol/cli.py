@@ -20,7 +20,7 @@ from . import commensurations as comm_mod
 from . import geometry
 from .errors import CommsolError, ParseError, PreconditionError
 from .freewords import Alphabet, inline, parse_int, parse_word, serialize_vector
-from .groups import group
+from .groups import group, of_subgroup
 
 
 def _read_arg(text: str) -> str:
@@ -33,11 +33,9 @@ def _read_arg(text: str) -> str:
 def _parse_subgroup_arg(text: str):
     """(group, subgroup) parsed from a lattice or subgroup-graph text."""
     body = _read_arg(text)
-    if body.lstrip().startswith("Z"):
-        lat = lattices.parse_lattice(body)
-        return group("Z", lat.n), lat
-    graph = stallings.parse_subgroup(body)
-    return group("F", graph.k), graph
+    parse = lattices.parse_lattice if body.lstrip().startswith("Z") else stallings.parse_subgroup
+    sub = parse(body)
+    return of_subgroup(sub), sub
 
 
 def _parse_comm_arg(text: str):
@@ -49,13 +47,9 @@ def _emit(text: str, lines_mode: bool) -> str:
 
 
 def _solpoint_line(p) -> str:
-    fam = ",".join(
-        str(v) if isinstance(v, int) else serialize_vector(v) for v in p.family()
-    )
-    if isinstance(p.leaf, solenoid.EdgePoint):
-        leaf = f"{p.leaf.tail or '1'}:{p.leaf.letter}:{p.leaf.t}"
-    else:
-        leaf = p.group.format_element(p.leaf)
+    """The line of a baseleaf point, whose leaf is a group element."""
+    fam = ",".join(str(v) if isinstance(v, int) else serialize_vector(v) for v in p.family())
+    leaf = p.group.format_element(p.leaf)
     return f"solpoint {p.tag} {p.rank} N={p.depth} cosets=[{fam}] leaf={leaf}"
 
 
@@ -68,122 +62,65 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=["text", "lines"], default="text")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def add(name, *arg_specs, **kw):
-        p = sub.add_parser(name, **kw)
-        for args, kwargs in arg_specs:
-            p.add_argument(*args, **kwargs)
-        return p
+    def add(name, help, *arg_specs):
+        """A verb; each argument is a name, or a (name, add_argument keywords) pair."""
+        p = sub.add_parser(name, help=help)
+        for spec in arg_specs:
+            arg, kwargs = spec if isinstance(spec, tuple) else (spec, {})
+            p.add_argument(arg, **kwargs)
 
-    group_args = [
-        ((["tag"], {"choices": ["Z", "F"]})),
-        ((["rank"], {"type": int})),
-    ]
-    add("parse", *group_args, ((["element"], {})), help="canonicalize a group element")
-    add("index", ((["subgroup"], {})), help="index of a subgroup")
-    add("intersect", ((["sub1"], {})), ((["sub2"], {})), help="intersection of subgroups")
-    add("basis", ((["subgroup"], {})), help="free basis of an F_k subgroup")
-    add(
-        "enumerate",
-        *group_args,
-        ((["--max-index"], {"type": int, "required": True})),
-        help="count subgroups per index",
-    )
-    add(
-        "kernel",
-        *group_args,
-        ((["--max-index"], {"type": int, "required": True})),
-        help="intersection of all subgroups of index <= N",
-    )
-    add("compose", ((["comm1"], {})), ((["comm2"], {})), help="compose commensurations")
-    add("invert", ((["comm"], {})), help="invert a commensuration")
-    add("equiv", ((["comm1"], {})), ((["comm2"], {})), help="test Comm(G) equality")
-    add("tomatrix", ((["comm"], {})), help="rational matrix of a Z^n commensuration")
-    add(
-        "zeta",
-        ((["comm"], {})),
-        ((["--depth"], {"type": int, "default": 2})),
-        help="system morphism of a commensuration",
-    )
-    add(
-        "reconstruct",
-        ((["comm"], {})),
-        ((["--depth"], {"type": int, "default": 2})),
-        help="round-trip a commensuration through zeta",
-    )
-    add(
-        "cofinal",
-        *group_args,
-        ((["--depth"], {"type": int, "default": 4})),
-        ((["--where"], {"default": "even", "help": "even | all | index:3,5"})),
-        help="restrict to a cofinal subsystem",
-    )
-    add("cover", ((["subgroup"], {})), help="the cover attached to a subgroup")
-    add(
-        "lift",
-        ((["comm"], {})),
-        ((["--target"], {"default": None})),
-        help="lift a commensuration through covers",
-    )
-    add(
-        "baseleaf",
-        *group_args,
-        ((["element"], {})),
-        ((["--depth"], {"type": int, "default": 2})),
-        help="depth-N baseleaf point",
-    )
-    add(
-        "dpro",
-        *group_args,
-        ((["elem1"], {})),
-        ((["elem2"], {})),
-        ((["--depth"], {"type": int, "default": 5})),
-        help="profinite pseudometric",
-    )
-    add(
-        "sigma",
-        *group_args,
-        ((["elem1"], {})),
-        ((["elem2"], {})),
-        ((["--depth"], {"type": int, "default": 5})),
-        help="solenoid metric between baseleaf points",
-    )
+    def number(flag, default):
+        return flag, {"type": int, "default": default}
+
+    tag_rank = ("tag", {"choices": ["Z", "F"]}), ("rank", {"type": int})
+    max_index = "--max-index", {"type": int, "required": True}
+    add("parse", "canonicalize a group element", *tag_rank, "element")
+    add("index", "index of a subgroup", "subgroup")
+    add("intersect", "intersection of subgroups", "sub1", "sub2")
+    add("basis", "free basis of an F_k subgroup", "subgroup")
+    add("enumerate", "count subgroups per index", *tag_rank, max_index)
+    add("kernel", "intersection of all subgroups of index <= N", *tag_rank, max_index)
+    add("compose", "compose commensurations", "comm1", "comm2")
+    add("invert", "invert a commensuration", "comm")
+    add("equiv", "test Comm(G) equality", "comm1", "comm2")
+    add("tomatrix", "rational matrix of a Z^n commensuration", "comm")
+    add("zeta", "system morphism of a commensuration", "comm", number("--depth", 2))
+    add("reconstruct", "round-trip a commensuration through zeta", "comm", number("--depth", 2))
+    where = "--where", {"default": "even", "help": "even | all | index:3,5"}
+    add("cofinal", "restrict to a cofinal subsystem", *tag_rank, number("--depth", 4), where)
+    add("cover", "the cover attached to a subgroup", "subgroup")
+    add("lift", "lift a commensuration through covers", "comm", ("--target", {"default": None}))
+    add("baseleaf", "depth-N baseleaf point", *tag_rank, "element", number("--depth", 2))
+    pair = *tag_rank, "elem1", "elem2", number("--depth", 5)
+    add("dpro", "profinite pseudometric", *pair)
+    add("sigma", "solenoid metric between baseleaf points", *pair)
     add(
         "ball",
-        *group_args,
-        ((["element"], {})),
-        ((["--depth"], {"type": int, "default": 2})),
-        ((["--epsilon"], {"default": "0.1"})),
-        help="component structure of a sigma-ball",
+        "component structure of a sigma-ball",
+        *tag_rank,
+        "element",
+        number("--depth", 2),
+        ("--epsilon", {"default": "0.1"}),
     )
-    add(
-        "qi",
-        ((["comm"], {})),
-        ((["--radius"], {"type": int, "default": 4})),
-        help="certified quasi-isometry constants",
-    )
+    add("qi", "certified quasi-isometry constants", "comm", number("--radius", 4))
     add(
         "bounded",
-        ((["comm1"], {})),
-        ((["comm2"], {})),
-        ((["--radius"], {"type": int, "default": 6})),
-        help="bounded-distance report for two baseleaf maps",
+        "bounded-distance report for two baseleaf maps",
+        "comm1",
+        "comm2",
+        number("--radius", 6),
     )
     add(
         "factor",
-        ((["comm"], {})),
-        ((["--depth"], {"type": int, "default": 2})),
-        ((["--radius"], {"type": int, "default": 5})),
-        help="compare the covering lift with the baseleaf map",
+        "compare the covering lift with the baseleaf map",
+        "comm",
+        number("--depth", 2),
+        number("--radius", 5),
     )
-    add(
-        "fixpoint",
-        *group_args,
-        ((["element"], {})),
-        ((["--sign"], {"choices": ["+", "-"], "default": "+"})),
-        help="boundary fixed point of a group element",
-    )
-    add("baction", ((["comm"], {})), ((["element"], {})), help="boundary action on g+")
-    add("selftest", help="run the acceptance criteria end to end")
+    sign = "--sign", {"choices": ["+", "-"], "default": "+"}
+    add("fixpoint", "boundary fixed point of a group element", *tag_rank, "element", sign)
+    add("baction", "boundary action on g+", "comm", "element")
+    add("selftest", "run the acceptance criteria end to end")
     return ap
 
 
@@ -214,7 +151,7 @@ def run(argv) -> int:
     elif verb == "intersect":
         grp, s1 = _parse_subgroup_arg(args.sub1)
         grp2, s2 = _parse_subgroup_arg(args.sub2)
-        if grp.tag != grp2.tag:
+        if grp2 != grp:
             raise ParseError("cannot intersect subgroups of different groups")
         out.append(_emit(grp.format(grp.intersect(s1, s2)), lines_mode))
     elif verb == "basis":
@@ -265,25 +202,15 @@ def run(argv) -> int:
         out.append("isomorphism verified" if ident_round else "round trip FAILED")
     elif verb == "cover":
         grp, sub = _parse_subgroup_arg(args.subgroup)
-        if grp.tag != "F":
-            raise ParseError("covers are computed over the rose (F tag)")
+        grp.on_rose()
         if not sub.complete:
             raise PreconditionError("a finite-sheeted cover needs a complete graph")
         out.append(f"cover sheets={sub.m}")
         out.append(_emit(grp.format(sub), lines_mode))
     elif verb == "lift":
-        c = _parse_comm_arg(args.comm)
-        if c.tag == "Z":
-            c = comm_mod.zn1_to_f1(c)
-        target = None
-        if args.target:
-            tgrp, target = _parse_subgroup_arg(args.target)
-            if tgrp.tag != "F":
-                raise ParseError("lift target must be an F subgroup")
-        gm = solenoid.lift_through_covers(c, target=target)
-        out.append(
-            "vertices " + " ".join(str(v + 1) for v in gm.vertex_map)
-        )
+        target = _parse_subgroup_arg(args.target)[1] if args.target else None
+        gm = solenoid.lift_through_covers(_parse_comm_arg(args.comm), target=target)
+        out.append("vertices " + " ".join(str(v + 1) for v in gm.vertex_map))
         for (v, x) in sorted(gm.edge_words):
             w = gm.edge_words[(v, x)]
             out.append(f"edge {v + 1} {'abcdefghijklmnopqrstuvwxyz'[x]} -> {w or '1'}")
@@ -329,8 +256,7 @@ def run(argv) -> int:
         if not rep.passed:
             raise CommsolError("factorization check failed")
     elif verb == "fixpoint":
-        if args.tag != "F":
-            raise ParseError("boundary points are the F_k instance")
+        grp.on_rose()
         g = grp.parse_element(args.element)
         out.append(geometry.fixed_point(g, args.sign).render())
     elif verb == "baction":

@@ -142,7 +142,7 @@ def make_zn(matrix, domain: lattices.Lattice | None = None) -> Commensuration:
 
 
 def to_matrix(comm: Commensuration):
-    if comm.tag != "Z":
+    if comm.matrix is None:
         raise PreconditionError("to_matrix requires a Z^n commensuration")
     return comm.matrix
 
@@ -342,8 +342,8 @@ def equivalent(phi: Commensuration, psi: Commensuration) -> bool:
 
 def zn1_to_f1(comm: Commensuration) -> Commensuration:
     """Translate a Z^1 commensuration to the equivalent F_1 one (mZ becomes
-    the m-cycle cover); used by the covering-lift layer."""
-    if comm.tag != "Z" or comm.rank != 1:
+    the m-cycle cover); used by the covering-lift layer (groups.Zn.on_rose)."""
+    if comm.group != groups.group("Z", 1):
         raise PreconditionError("zn1_to_f1 needs a Z^1 commensuration")
     h = comm.domain.cols[0][0]
     img = comm.images[0][0]

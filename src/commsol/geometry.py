@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache
 from itertools import accumulate, chain
-from operator import itemgetter
 
 from . import commensurations as comm_mod
 from . import groups, limits, solenoid, stallings
 from .errors import PreconditionError
-from .freewords import Word, _join
+from .freewords import Word
 
 
 @lru_cache(maxsize=64)
@@ -50,11 +49,8 @@ def ball_distances(tag: str, rank: int, radius: int):
 
 
 def closest_point_project(comm, g):
-    """The element of the domain nearest to g in the word metric;
-    lexicographically least on ties.  On F_k it is read from the return
-    table of the domain graph (stallings.geodesic_return) after one trace
-    of g; on Z^n it is a pruned search down the domain's HNF triangle
-    (lattices.nearest)."""
+    """The element of the domain nearest to g in the word metric, least on
+    ties (the group's project)."""
     return comm.group.project(comm.domain, g)
 
 
@@ -65,20 +61,8 @@ class BaseleafMap:
     Its one walk over a ball, `raw_on_ball`, yields raw images, which the
     group's metric kernels read as they are (groups.Fk.raw_dist,
     raw_distance_rows): letter strings on F_k, vectors on Z^n.  `on_ball`
-    and calls give group elements (the group's from_raw).
-
-    On F_k the isomorphism is read off paths in the domain graph X_H (the
-    map factors through the covering lift X_H -> X_K): the image of a path
-    is the product of the images of the nontree edges it crosses, which
-    for a loop h is phi(h).  The projection of g spells g[:j] + r, with r
-    a return path from the vertex v_j that g[:j] reaches, for j in g's
-    outward run: dist[v_j] - j never increases, so the candidates j are
-    the suffix where dist rises by 1 per letter (geodesic_return).  A
-    word's candidates are its parent's plus its own length if its last
-    letter steps outward, else that alone, so its state takes one edge
-    from its parent's: the walk goes down a ball's prefix tree so, and a
-    single word along its letters.  The images of the edges and of the
-    least returns from each vertex are tabled before a walk."""
+    and calls give group elements (the group's from_raw).  The walks are
+    the group's: baseleaf_image and baseleaf_images."""
 
     __slots__ = ("comm",)
 
@@ -87,9 +71,7 @@ class BaseleafMap:
 
     def __call__(self, g):
         comm = self.comm
-        if comm.tag != "F":
-            return comm_mod.evaluate(comm, closest_point_project(comm, g))
-        return comm.group.from_raw(reduce(self._step(), g.letters, _ROOT)[4])
+        return comm.group.from_raw(comm.group.baseleaf_image(comm.domain, comm.images, g))
 
     def on_ball(self, radius):
         """The images of ball_elements(radius), in that order, as an
@@ -98,52 +80,12 @@ class BaseleafMap:
 
     def raw_on_ball(self, radius):
         """The raw images of ball_elements(radius), in that order, as an
-        iterator; on Z^n with one projection search per coset."""
+        iterator."""
         comm = self.comm
-        if comm.tag != "F":
-            ball = ball_elements(comm.tag, comm.rank, radius)
-            return map(partial(comm_mod.evaluate, comm), comm.group.projections(comm.domain, ball))
-        return map(itemgetter(4), comm.group.walk(radius, _ROOT, self._step()))
-
-    def _step(self):
-        """step(state, x) for Fk.walk; a state is (letters, vertex, path
-        image, least candidate, its image)."""
-        domain = self.comm.domain
-        label = self.comm.group.edge_labels(domain, self.comm.images)
-        edges = stallings.edge_images(domain, label)
-        dist, best, second = stallings._return_table(domain)
-        best_img, second_img = (
-            [r and stallings.path_image(domain, r, label, v)[1] for v, r in enumerate(rs)]
-            for rs in (best, second)
-        )
-
-        def step(state, x):
-            letters, v, img, least, least_img = state
-            t, e = edges[x][v]
-            letters += x
-            if e:
-                img = _join(img, e)
-            # the least return from t that does not step back along x
-            # (stallings._least_return); off the outward run the new
-            # candidate is the only one and exists, as the step back to v
-            # leads no closer
-            r, e = best[t], best_img[t]
-            if r[:1] == x.swapcase():
-                r, e = second[t], second_img[t]
-            if r is not None:
-                s = letters + r
-                if dist[t] != dist[v] + 1 or s < least:
-                    least, least_img = s, _join(img, e) if e else img
-            return letters, t, img, least, least_img
-
-        return step
+        return comm.group.baseleaf_images(comm.domain, comm.images, radius)
 
     def __repr__(self):
         return f"BaseleafMap({self.comm!r})"
-
-
-# the state of the identity: it is its own projection, with image the identity
-_ROOT = ("", 0, "", "", "")
 
 
 def baseleaf_map(comm) -> BaseleafMap:
@@ -273,9 +215,9 @@ class BoundedDistanceReport:
 
 
 def bounded_distance(m1: BaseleafMap, m2: BaseleafMap, radius: int) -> BoundedDistanceReport:
-    if (m1.comm.tag, m1.comm.rank) != (m2.comm.tag, m2.comm.rank):
-        raise PreconditionError("maps live on different groups")
     grp = m1.comm.group
+    if m2.comm.group != grp:
+        raise PreconditionError("maps live on different groups")
     # per element: two projections, each costing at most the work of a
     # search within its domain's projection bound (the nodes of the Z^n
     # search; on F_k, which reads a return table, the ball of that radius,
@@ -323,9 +265,7 @@ def factorization_check(comm, depth: int, radius: int) -> FactorizationReport:
     if depth < 1:
         # what solenoid.kernel raises for such a depth
         raise PreconditionError("need k >= 1 and max_index >= 1")
-    phi = comm_mod.zn1_to_f1(comm) if comm.tag == "Z" else comm
-    if phi.tag != "F":
-        raise PreconditionError("factorization check handles F_k and Z^1")
+    phi = comm.group.on_rose(comm)
     # per ball element: one edge on each of two walks, each joining an
     # image of length about R
     limits.guard(
@@ -341,7 +281,7 @@ def factorization_check(comm, depth: int, radius: int) -> FactorizationReport:
             continue
         checked += 1
         if via_map != via_lift.letters:
-            g = ball_elements("F", phi.rank, radius)[i]
+            g = ball_elements(phi.tag, phi.rank, radius)[i]
             mismatches.append((g, phi.group.from_raw(via_map), via_lift))
     return FactorizationReport(checked, mismatches)
 
@@ -402,8 +342,7 @@ def boundary_action(comm, point: BoundaryPoint) -> BoundaryPoint:
     """Image of an attracting fixed point: (phi(g^m))+ for the minimal
     m >= 1 with g^m in the domain (the length of the coset orbit of g, at
     most the domain's index); independent of which valid m is used."""
-    if comm.tag != "F":
-        raise PreconditionError("boundary action is the F_k instance")
+    comm.group.on_rose()
     g = point.element
     v = stallings.trace(comm.domain, g, 0)
     m = 1

@@ -3,22 +3,26 @@ torus (universal cover R^n) and F_k over the rose (universal cover the
 Cayley tree).
 
 `group(tag, rank)` is the one place where a family tag ("Z" or "F") is
-resolved, and `of_element` the one place where an element or leaf point
-is.  A group object carries the element, finite-index subgroup and
+resolved, and `of_element`/`of_subgroup` the one place where an element,
+leaf point or subgroup is; no other module tests which family it holds.
+A group object carries the element, finite-index subgroup and
 universal-cover leaf operations of its family, and the commensuration
 steps that depend on it (evaluate, images_on, preimage, inverse_images,
-generated, extension) of a map given by a domain and the images of
-`basis(domain)`.  Subgroup operations go through the `lattices`/`stallings`
-module attributes at call time, so instrumentation installed there sees them.
+generated, extension, the baseleaf walk) of a map given by a domain and
+the images of `basis(domain)`.  `on_rose` says whether a step that runs
+on the rose (covers, covering lifts, the boundary) takes the group or a
+map of it.  Groups compare by value.  Subgroup operations go through the
+`lattices`/`stallings` module attributes at call time, so instrumentation
+installed there sees them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import chain, product, repeat
-from operator import add, sub, xor
+from operator import add, itemgetter, sub, xor
 
 from . import lattices, limits, ratmat, stallings
 from .errors import PreconditionError
@@ -44,6 +48,11 @@ class _Group:
 
     def __hash__(self):
         return hash((self.tag, self.rank))
+
+    def check_rank(self, sub):
+        """Refuse a subgroup of another group, in the words of its module."""
+        if of_subgroup(sub) != self:
+            raise PreconditionError(self.mismatch)
 
     def contains(self, sub, g) -> bool:
         return self.subgroups.contains(sub, g)
@@ -84,6 +93,7 @@ class Zn(_Group):
 
     tag = "Z"
     subgroups = lattices
+    mismatch = "dimension mismatch"
 
     def __init__(self, n: int):
         self.rank = n
@@ -149,11 +159,6 @@ class Zn(_Group):
     def basis(self, sub):
         return sub.cols
 
-    def check_rank(self, sub):
-        """Refuse a lattice of another dimension, as lattices.is_subgroup does."""
-        if sub.n != self.rank:
-            raise PreconditionError("dimension mismatch")
-
     def enumerate(self, max_index: int):
         return lattices.enumerate_lattices(self.rank, max_index)
 
@@ -217,6 +222,29 @@ class Zn(_Group):
         if coords is None:
             raise PreconditionError(f"{g} is not in the domain lattice")
         return tuple(sum(c * img[r] for c, img in zip(coords, images)) for r in range(self.rank))
+
+    def baseleaf_image(self, domain, images, g):
+        """The baseleaf map's image of g: its projection, evaluated."""
+        return self.evaluate(domain, images, self.project(domain, g))
+
+    def baseleaf_images(self, domain, images, radius):
+        """The images of geometry.ball_elements(radius), in that order, as
+        an iterator, with one projection search per coset."""
+        from .geometry import ball_elements  # imports this module
+
+        ball = ball_elements(self.tag, self.rank, radius)
+        return map(partial(self.evaluate, domain, images), self.projections(domain, ball))
+
+    def on_rose(self, comm=None):
+        """See Fk.on_rose: a map of Z^1 converts to F_1 (zn1_to_f1, mZ
+        becomes the m-cycle cover of the circle); all else is refused."""
+        if comm is None or self.rank != 1:
+            raise PreconditionError(
+                "this step runs on the rose: it takes F_k (a covering lift also a map of Z^1)"
+            )
+        from .commensurations import zn1_to_f1  # imports this module
+
+        return zn1_to_f1(comm)
 
     def inverse_images(self, domain, images, codomain):
         """The preimages of the codomain's basis: eliminating the image
@@ -297,6 +325,7 @@ class Fk(_Group):
 
     tag = "F"
     subgroups = stallings
+    mismatch = "rank mismatch"
 
     def __init__(self, k: int):
         self.rank = k
@@ -411,11 +440,6 @@ class Fk(_Group):
     def basis(self, sub):
         return stallings.basis(sub)
 
-    def check_rank(self, sub):
-        """Refuse a subgroup graph of another rank, as stallings.cover_vertices does."""
-        if sub.k != self.rank:
-            raise PreconditionError("rank mismatch")
-
     def enumerate(self, max_index: int):
         return stallings.enumerate_subgroups(self.rank, max_index)
 
@@ -481,6 +505,58 @@ class Fk(_Group):
             return "" if i is None else images[i].letters
 
         return label
+
+    def baseleaf_image(self, domain, images, g):
+        """The baseleaf map's image of g, as letters: a step per letter."""
+        return reduce(self.baseleaf_step(domain, images), g.letters, _ROOT)[4]
+
+    def baseleaf_images(self, domain, images, radius):
+        """The images of ball(radius), in that order, as an iterator: a
+        step per word down the ball's prefix tree."""
+        return map(itemgetter(4), self.walk(radius, _ROOT, self.baseleaf_step(domain, images)))
+
+    def baseleaf_step(self, domain, images):
+        """step(state, x) for walk; a state is (letters, vertex, path image,
+        least candidate, its image).  The image of a path in X_H is the
+        product of the images of the nontree edges it crosses (phi(h) for
+        a loop h), and the projection of g is g[:j] + r, r a return path
+        from the vertex g[:j] reaches, for j in g's outward run, where
+        dist rises by 1 per letter (stallings.geodesic_return): a word's
+        candidates are its parent's plus its own length if its last letter
+        steps outward, else that alone."""
+        label = self.edge_labels(domain, images)
+        edges = stallings.edge_images(domain, label)
+        dist, best, second = stallings._return_table(domain)
+        best_img, second_img = (
+            [r and stallings.path_image(domain, r, label, v)[1] for v, r in enumerate(rs)]
+            for rs in (best, second)
+        )
+
+        def step(state, x):
+            letters, v, img, least, least_img = state
+            t, e = edges[x][v]
+            letters += x
+            if e:
+                img = _join(img, e)
+            # the least return from t that does not step back along x
+            # (stallings._least_return); off the outward run the new
+            # candidate is the only one and exists, as the step back to v
+            # leads no closer
+            r, e = best[t], best_img[t]
+            if r[:1] == x.swapcase():
+                r, e = second[t], second_img[t]
+            if r is not None:
+                s = letters + r
+                if dist[t] != dist[v] + 1 or s < least:
+                    least, least_img = s, _join(img, e) if e else img
+            return letters, t, img, least, least_img
+
+        return step
+
+    def on_rose(self, comm=None):
+        """comm as a map of F_k, for the steps that run on the rose (covers,
+        lifts, the boundary); with no map, only the group is asked."""
+        return comm
 
     def images_on(self, domain, images, sub):
         """Each loop of X_sub maps to the product of the images of the
@@ -556,6 +632,11 @@ class Fk(_Group):
         return iter(self.ball(math.floor(reach + 1e-9))[1:])
 
 
+# the baseleaf walk's state of the identity: it is its own projection, with
+# image the identity
+_ROOT = ("", 0, "", "", "")
+
+
 class EdgePoint:
     """Interior point of a tree edge: parameter t in (0,1) along the
     (lowercase) letter edge out of `tail`."""
@@ -621,3 +702,10 @@ def of_element(x) -> _Group:
     if isinstance(x, Word):
         return group("F", x.rank)
     return group("Z", len(x))
+
+
+def of_subgroup(sub) -> _Group:
+    """The group of a finite-index subgroup: a lattice or a subgroup graph."""
+    if isinstance(sub, lattices.Lattice):
+        return group("Z", sub.n)
+    return group("F", sub.k)

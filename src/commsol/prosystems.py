@@ -30,16 +30,17 @@ class TruncatedSystem:
     """Objects and reverse-inclusion bonds; pairwise meets are computed on
     demand by meet()."""
 
-    __slots__ = ("tag", "rank", "depth", "objects", "index_of", "group", "_bonds")
+    __slots__ = ("group", "depth", "objects", "index_of", "_bonds")
 
     def __init__(self, tag, rank, depth, objects):
-        self.tag = tag
-        self.rank = rank
-        self.depth = depth
         self.group = groups.group(tag, rank)
+        self.depth = depth
         self.objects = tuple(objects)
         self.index_of = {obj: i for i, obj in enumerate(self.objects)}
         self._bonds = None
+
+    tag = property(lambda self: self.group.tag)
+    rank = property(lambda self: self.group.rank)
 
     @property
     def bonds(self):
@@ -71,12 +72,12 @@ class TruncatedSystem:
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedSystem)
-            and (other.tag, other.rank, other.depth, other.objects)
-            == (self.tag, self.rank, self.depth, self.objects)
+            and (other.group, other.depth, other.objects)
+            == (self.group, self.depth, self.objects)
         )
 
     def __hash__(self):
-        return hash((self.tag, self.rank, self.depth, self.objects))
+        return hash((self.group, self.depth, self.objects))
 
     def __repr__(self):
         return (

@@ -1,10 +1,13 @@
 """Truncated solenoid over the rose (F_k) and the circle/torus (Z^n).
 
-A depth-N point carries a profinite coordinate, the compatible family of
-its cosets in every subgroup of index <= N (the objects of the depth-N
-system, prosystems.build_system), and a universal-cover leaf coordinate,
-stored as the canonical orbit representative (leaf moved as close as
-possible to the base point, ties broken by word order).
+A depth-N point stores its group, a fiber element and a universal-cover
+leaf coordinate, as the canonical orbit representative (leaf moved as
+close as possible to the base point, ties broken by word order).  Its
+profinite coordinate, the compatible family of the fiber's cosets in
+every subgroup of index <= N (the objects of the depth-N system,
+prosystems.build_system), is derived when read: equality reads the
+fiber through the group's separating_index instead, and hashing reads
+the family.
 
 Metrics follow the quotient construction: d_pro on fibers (exponential in
 the deepest level where two elements agree, a pseudometric at finite
@@ -141,36 +144,45 @@ class SolenoidPoint:
     """Depth-N point in canonical form: the leaf coordinate is moved to
     the fundamental neighborhood of the base (exactly the base for vertex
     leaves) and the fiber absorbs the translation.  Points are equal when
-    their coset families (the profinite coordinate) and leaves are."""
+    their coset families (the profinite coordinate) and leaves are: the
+    families agree exactly when the fibers differ by an element of K_N,
+    the intersection of all the objects, which is when no subgroup of
+    index <= N separates them (the group's separating_index)."""
 
-    __slots__ = ("tag", "rank", "depth", "fiber", "leaf", "group", "_family")
+    __slots__ = ("group", "depth", "fiber", "leaf")
 
     def __init__(self, tag, rank, depth, fiber, leaf):
+        if depth < 1:
+            raise PreconditionError("depth must be >= 1")
         grp = groups.group(tag, rank)
         deck, leaf = grp.split_leaf(leaf)
-        self.tag = tag
-        self.rank = rank
+        self.group = grp
         self.depth = depth
         self.fiber = grp.mul(fiber, deck)
         self.leaf = leaf
-        self.group = grp
-        objs = prosystems.build_system(tag, rank, depth).objects
-        self._family = tuple(grp.coset(obj, self.fiber) for obj in objs)
+
+    tag = property(lambda self: self.group.tag)
+    rank = property(lambda self: self.group.rank)
 
     def family(self):
         """Coset of every object of the depth-N system (compatible under
-        all bonds by construction)."""
-        return self._family
+        all bonds by construction), derived when read."""
+        grp = self.group
+        objs = prosystems.build_system(grp.tag, grp.rank, self.depth).objects
+        return tuple(grp.coset(obj, self.fiber) for obj in objs)
 
     def __eq__(self, other):
+        grp = self.group
         return (
             isinstance(other, SolenoidPoint)
-            and (other.tag, other.rank, other.depth, other._family, other.leaf)
-            == (self.tag, self.rank, self.depth, self._family, self.leaf)
+            and (other.group, other.depth, other.leaf) == (grp, self.depth, self.leaf)
+            and grp.separating_index(grp.mul(self.fiber, grp.inv(other.fiber)), self.depth) is None
         )
 
     def __hash__(self):
-        return hash((self.tag, self.rank, self.depth, self._family, self.leaf))
+        # the family, not only (group, depth, leaf): every baseleaf point of
+        # a depth has the base as its leaf
+        return hash((self.group, self.depth, self.leaf, self.family()))
 
     def __repr__(self):
         return f"SolenoidPoint(N={self.depth}, fiber={self.fiber}, leaf={self.leaf})"
@@ -196,7 +208,7 @@ def d_inf(p1: SolenoidPoint, p2: SolenoidPoint) -> MetricValue:
 
 
 def _check_same_model(p1, p2):
-    if (p1.tag, p1.rank, p1.depth) != (p2.tag, p2.rank, p2.depth):
+    if (p1.group, p1.depth) != (p2.group, p2.depth):
         raise PreconditionError("points live in different truncated models")
 
 
@@ -373,12 +385,13 @@ class GraphMap:
         self.edge_words = edge_words
 
     def on_ball(self, radius):
-        """For each g of geometry.ball_elements("F", k, radius), in that
-        order: the image of g's based path (the word the image path
-        reads, through the edge words) if the path is a loop, else None.
-        Each path is its parent's plus one edge (groups.Fk.walk), read
-        from a table of the edges' images (stallings.edge_images)."""
+        """For each g of the ball of `radius` in src's group, in ball order:
+        the image of g's based path (the word the image path reads,
+        through the edge words) if the path is a loop, else None.  Each
+        path is its parent's plus one edge (groups.Fk.walk), read from a
+        table of the edges' images (stallings.edge_images)."""
         src, edge_words = self.src, self.edge_words
+        grp = groups.of_subgroup(src)
         edges = stallings.edge_images(src, lambda v, x: edge_words[(v, x)].letters)
 
         def step(state, x):
@@ -386,8 +399,8 @@ class GraphMap:
             t, e = edges[x][v]
             return t, _join(img, e) if e else img
 
-        walk = groups.group("F", src.k).walk(radius, (0, ""), step)
-        return (Word(self.dst.k, img, _reduced=True) if v == 0 else None for v, img in walk)
+        walk = grp.walk(radius, (0, ""), step)
+        return (grp.from_raw(img) if v == 0 else None for v, img in walk)
 
     def __repr__(self):
         return f"GraphMap({self.src.m} -> {self.dst.m} sheets)"
@@ -395,7 +408,9 @@ class GraphMap:
 
 def lift_through_covers(phi, target=None) -> GraphMap:
     """The based lift X_H -> X_K of the base map induced by phi, where
-    H = phi's domain and K (default: phi's codomain) contains phi(H).
+    H = phi's domain and K (default: phi's codomain) contains phi(H); a
+    map of Z^1 is lifted as the equivalent map of F_1, and K must be a
+    subgroup of phi's group (groups.Fk.on_rose).
 
     With ambient provenance the base map is the rose self-map sending each
     petal to its image word; otherwise the spanning tree of X_H collapses
@@ -404,6 +419,9 @@ def lift_through_covers(phi, target=None) -> GraphMap:
     the lift is the unique basepoint-preserving one over its base map,
     which is re-derived and asserted.
     """
+    phi = phi.group.on_rose(phi)
+    if target is not None and groups.of_subgroup(target) != phi.group:
+        raise PreconditionError("the lift target is a subgroup of another group than phi's")
     h = phi.domain
     k_graph = target if target is not None else phi.codomain
     for b, img in zip(stallings.basis(h), phi.images):

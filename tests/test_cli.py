@@ -113,6 +113,43 @@ def test_cover_and_lift(capsys):
     assert "edge 1 a -> aa" in out
 
 
+ROSE_ONLY = "error: this step runs on the rose: it takes F_k (a covering lift also a map of Z^1)\n"
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["lift", "comm Z 2 : 0 1 ; 1 0"], ROSE_ONLY),
+        (["factor", "comm Z 2 : 0 1 ; 1 0"], ROSE_ONLY),
+        (["baction", "comm Z 1 : 2/1", "a"], ROSE_ONLY),
+        (["cover", "Z 1; 2"], ROSE_ONLY),
+        (["fixpoint", "Z", "1", "1"], ROSE_ONLY),
+        (
+            ["intersect", "Z 2; 1 0; 0 1", "Z 3; 1 0 0; 0 1 0; 0 0 1"],
+            "error: cannot intersect subgroups of different groups\n",
+        ),
+        (
+            ["lift", "comm Z 1 : 2/1", "--target", "F 2; a; b"],
+            "error: the lift target is a subgroup of another group than phi's\n",
+        ),
+        (
+            ["lift", "comm F 2; a -> b; b -> a", "--target", "Z 1; 2"],
+            "error: the lift target is a subgroup of another group than phi's\n",
+        ),
+    ],
+)
+def test_refusals_name_the_group_not_an_internal_step(capsys, argv, err):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
+def test_lift_takes_a_target_in_phis_group(capsys):
+    # the Z^1 map lifts as its F_1 equivalent, so an F_1 target is its group
+    code, out = cli(capsys, "lift", "comm Z 1 : 2/1", "--target", "F 1; a")
+    assert (code, out) == (0, "vertices 1\nedge 1 a -> aa")
+
+
 def test_parser_keeps_no_state_between_runs(capsys):
     # run() reuses one parser; a flag given to one call must not leak
     subs = ("F 2; aa; b; abA", "F 2; bb; a; baB")

@@ -262,3 +262,54 @@ def test_qi_estimate_does_not_depend_on_warm_caches():
     _clear_every_cache()
     cold = geometry.qi_estimate(geometry.baseleaf_map(zn), 4)
     assert [getattr(warm, f) for f in fields] == [getattr(cold, f) for f in fields]
+
+
+# the text codec names the families in its headers; everything else asks the
+# group object (groups.group, of_element, of_subgroup and the capabilities)
+_CODEC = {
+    "commensurations.py": {"format_comm", "parse_comm"},
+    "cli.py": {"_parse_subgroup_arg"},
+    "lattices.py": {"parse_lattice"},
+    "stallings.py": {"parse_subgroup"},
+}
+
+
+def _names_family(node):
+    """Whether an operand is a `tag` (attribute or name), the literal "Z" or
+    "F", or a tuple or list holding one; an argument of a call is not."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(map(_names_family, node.elts))
+    return (
+        (isinstance(node, ast.Attribute) and node.attr == "tag")
+        or (isinstance(node, ast.Name) and node.id == "tag")
+        or (isinstance(node, ast.Constant) and node.value in ("Z", "F"))
+    )
+
+
+def _family_tests(path):
+    """(function, line) of each comparison in a module's source with an
+    operand that names a family (_names_family), outside the text codec."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Compare) and function not in _CODEC.get(path.name, ()):
+                if any(map(_names_family, [child.left, *child.comparators])):
+                    found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_only_groups_and_the_text_codec_test_the_family():
+    package = Path(commsol.__file__).parent
+    found = {
+        path.name: sites
+        for path in sorted(package.glob("*.py"))
+        if path.name != "groups.py" and (sites := _family_tests(path))
+    }
+    assert found == {}

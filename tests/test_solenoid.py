@@ -609,6 +609,43 @@ def test_zn1_to_f1_lift_round_trip():
     assert gm.src.m == 1 and gm.dst.m == 2
 
 
+def test_lift_refuses_a_target_in_another_group():
+    f1 = zn1_to_f1(make_zn([[2]]))
+    for phi in (f1, make_zn([[2]])):
+        # F_3 and Z^1 targets are outside F_1, the group phi lifts in
+        for target in (stallings.whole_group(3), lattices.whole_group(1)):
+            with pytest.raises(PreconditionError, match="another group than phi's"):
+                lift_through_covers(phi, target)
+    # a Z^1 map lifts as its F_1 equivalent
+    gm = lift_through_covers(make_zn([[2]]), stallings.whole_group(1))
+    assert apply_to_path(gm, Word(1, "a")) == Word(1, "aa")
+
+
+def test_points_refuse_depth_zero_on_construction():
+    for g, leaf in ((Word(2, "ab"), word_identity(2)), ((1, 2), (Fraction(1, 3), 0))):
+        grp = groups.of_element(g)
+        with pytest.raises(PreconditionError, match="^depth must be >= 1$"):
+            baseleaf(g, 0)
+        with pytest.raises(PreconditionError, match="^depth must be >= 1$"):
+            SolenoidPoint(grp.tag, grp.rank, 0, g, leaf)
+
+
+def test_points_store_their_group_and_build_no_system():
+    assert SolenoidPoint.__slots__ == ("group", "depth", "fiber", "leaf")
+    prosystems.build_system.cache_clear()
+    before = prosystems.build_system.cache_info()
+    p = baseleaf((1, 2), 6)
+    assert prosystems.build_system.cache_info() == before
+    assert (p.tag, p.rank, p.group) == ("Z", 2, groups.group("Z", 2))
+    # the coset family is derived when read
+    objs = prosystems.build_system("Z", 2, 6).objects
+    assert p.family() == tuple(lattices.residue(obj, (1, 2)) for obj in objs)
+    # every baseleaf point of a depth has the base as its leaf, and the
+    # hash still tells the sheets apart
+    points = [baseleaf(r, 3) for r in fiber_representatives("F", 2, 3)]
+    assert len({hash(q) for q in points}) == len(set(points)) == 972
+
+
 def test_zn_coset_enumeration_is_guarded(monkeypatch):
     monkeypatch.delenv("COMMSOL_MAX_WORK", raising=False)
     # K_10 of Z^2 is 2520 Z^2: 6,350,400 cosets at n^2 = 4 each

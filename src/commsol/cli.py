@@ -19,7 +19,7 @@ from . import acceptance, lattices, prosystems, solenoid, stallings
 from . import commensurations as comm_mod
 from . import geometry
 from .errors import CommsolError, ParseError, PreconditionError
-from .freewords import Alphabet, inline, parse_int, parse_word, serialize_vector
+from .freewords import Alphabet, inline, parse_int, parse_word
 from .groups import group, of_subgroup
 
 
@@ -48,7 +48,7 @@ def _emit(text: str, lines_mode: bool) -> str:
 
 def _solpoint_line(p) -> str:
     """The line of a baseleaf point, whose leaf is a group element."""
-    fam = ",".join(str(v) if isinstance(v, int) else serialize_vector(v) for v in p.family())
+    fam = ",".join(map(p.group.format_coset, p.family()))
     leaf = p.group.format_element(p.leaf)
     return f"solpoint {p.tag} {p.rank} N={p.depth} cosets=[{fam}] leaf={leaf}"
 

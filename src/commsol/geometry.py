@@ -275,14 +275,15 @@ def factorization_check(comm, depth: int, radius: int) -> FactorizationReport:
     lift = solenoid.lift_through_covers(phi)
     checked = 0
     mismatches = []
-    walks = zip(baseleaf_map(phi).raw_on_ball(radius), lift.on_ball(radius))
+    # letter strings on both sides: Words only for a mismatch
+    walks = zip(baseleaf_map(phi).raw_on_ball(radius), lift.raw_on_ball(radius))
     for i, (via_map, via_lift) in enumerate(walks):
         if via_lift is None:
             continue
         checked += 1
-        if via_map != via_lift.letters:
+        if via_map != via_lift:
             g = ball_elements(phi.tag, phi.rank, radius)[i]
-            mismatches.append((g, phi.group.from_raw(via_map), via_lift))
+            mismatches.append((g, phi.group.from_raw(via_map), phi.group.from_raw(via_lift)))
     return FactorizationReport(checked, mismatches)
 
 
@@ -344,6 +345,8 @@ def boundary_action(comm, point: BoundaryPoint) -> BoundaryPoint:
     most the domain's index); independent of which valid m is used."""
     comm.group.on_rose()
     g = point.element
+    if groups.of_element(g) != comm.group:
+        raise PreconditionError("the boundary point is of another group than the map's")
     v = stallings.trace(comm.domain, g, 0)
     m = 1
     while v != 0:

@@ -156,6 +156,10 @@ class Zn(_Group):
     def format_element(self, g) -> str:
         return serialize_vector(g)
 
+    def format_coset(self, label) -> str:
+        """The text of a coset label (coset): its residue vector."""
+        return serialize_vector(label)
+
     def basis(self, sub):
         return sub.cols
 
@@ -400,24 +404,30 @@ class Fk(_Group):
         for the identity, step(s, x) for a word ending in x with s the
         state of its parent.  A layer's children, each parent's in
         letter order, are the next layer in order, so one layer of
-        states is held at a time."""
+        states is held at a time.  The moves allowed after each last
+        letter (all letters but its inverse, in order) are listed once
+        per walk, and a state is held with the list of its children's
+        moves, so no child tests for backtracking."""
         k = self.rank
         limits.guard(
             (2 * k) * max(2 * k - 1, 1) ** max(radius - 1, 0),
             f"ball_elements(F_{k}, R={radius})",
         )
-        moves = [(x, x.swapcase()) for x in sorted(self.letters)]
+        letters = sorted(self.letters)
+        # after[x]: the moves (y, after[y]) allowed once a word ends in x
+        after = {x: [] for x in letters}
+        for x in letters:
+            after[x] += [(y, after[y]) for y in letters if y != x.swapcase()]
         yield root
-        layer = [(None, root)]
+        layer = [([(x, after[x]) for x in letters], root)]
         for r in range(radius - 1, -1, -1):
             nxt = []
-            for back, s in layer:
-                for x, inv in moves:
-                    if x != back:
-                        t = step(s, x)
-                        yield t
-                        if r:
-                            nxt.append((inv, t))
+            for moves, s in layer:
+                for x, follow in moves:
+                    t = step(s, x)
+                    yield t
+                    if r:
+                        nxt.append((follow, t))
             layer = nxt
 
     def ball(self, radius):
@@ -436,6 +446,10 @@ class Fk(_Group):
 
     def format_element(self, g) -> str:
         return serialize(g)
+
+    def format_coset(self, label) -> str:
+        """The text of a coset label (coset): its vertex number."""
+        return str(label)
 
     def basis(self, sub):
         return stallings.basis(sub)
@@ -523,32 +537,48 @@ class Fk(_Group):
         from the vertex g[:j] reaches, for j in g's outward run, where
         dist rises by 1 per letter (stallings.geodesic_return): a word's
         candidates are its parent's plus its own length if its last letter
-        steps outward, else that alone."""
+        steps outward, else that alone.
+
+        All a step needs of the domain graph is read from one row per
+        letter x, built before the walk: per vertex v, (t, e, outward, r,
+        r_img), with t and e the end and image of the x-edge out of v
+        (stallings.edge_images), outward whether it steps one farther
+        from the base, and r the least return from t that does not step
+        back along x (stallings._least_return), with its image."""
         label = self.edge_labels(domain, images)
-        edges = stallings.edge_images(domain, label)
         dist, best, second = stallings._return_table(domain)
-        best_img, second_img = (
-            [r and stallings.path_image(domain, r, label, v)[1] for v, r in enumerate(rs)]
-            for rs in (best, second)
-        )
+        returns = [
+            (r, s, r and stallings.path_image(domain, r, label, v)[1],
+             s and stallings.path_image(domain, s, label, v)[1])
+            for v, (r, s) in enumerate(zip(best, second))
+        ]
+
+        def row(x, v, t, e):
+            r, s, r_img, s_img = returns[t]
+            if r[:1] == x.swapcase():
+                r, r_img = s, s_img
+            return t, e, dist[t] == dist[v] + 1, r, r_img
+
+        rows = {
+            x: [row(x, v, t, e) for v, (t, e) in enumerate(edges)]
+            for x, edges in stallings.edge_images(domain, label).items()
+        }
 
         def step(state, x):
             letters, v, img, least, least_img = state
-            t, e = edges[x][v]
+            t, e, outward, r, r_img = rows[x][v]
             letters += x
             if e:
-                img = _join(img, e)
-            # the least return from t that does not step back along x
-            # (stallings._least_return); off the outward run the new
-            # candidate is the only one and exists, as the step back to v
-            # leads no closer
-            r, e = best[t], best_img[t]
-            if r[:1] == x.swapcase():
-                r, e = second[t], second_img[t]
+                # _join only where the junction can cancel
+                img = img + e if not img or img[-1] != e[0].swapcase() else _join(img, e)
+            # off the outward run the new candidate is the only one and
+            # exists, as the step back to v leads no closer
             if r is not None:
                 s = letters + r
-                if dist[t] != dist[v] + 1 or s < least:
-                    least, least_img = s, _join(img, e) if e else img
+                if not outward or s < least:
+                    least = s
+                    cancels = img and r_img and img[-1] == r_img[0].swapcase()
+                    least_img = _join(img, r_img) if cancels else img + r_img
             return letters, t, img, least, least_img
 
         return step

@@ -374,7 +374,11 @@ def covering_map(h: stallings.SubgroupGraph, k: stallings.SubgroupGraph) -> Cove
 
 class GraphMap:
     """Cellular based map between covers: vertices to vertices, each edge
-    to an edge path (possibly constant) in the target."""
+    to an edge path (possibly constant) in the target.
+
+    Its walk over a ball, `raw_on_ball`, yields the images of the loops
+    as letter strings, which factorization_check compares as they are;
+    `on_ball` gives them as Words."""
 
     __slots__ = ("src", "dst", "vertex_map", "edge_words")
 
@@ -384,23 +388,31 @@ class GraphMap:
         self.vertex_map = tuple(vertex_map)
         self.edge_words = edge_words
 
-    def on_ball(self, radius):
+    def raw_on_ball(self, radius):
         """For each g of the ball of `radius` in src's group, in ball order:
-        the image of g's based path (the word the image path reads,
-        through the edge words) if the path is a loop, else None.  Each
-        path is its parent's plus one edge (groups.Fk.walk), read from a
-        table of the edges' images (stallings.edge_images)."""
+        the letters of the image of g's based path (the reduced word the
+        image path reads, through the edge words) if the path is a loop,
+        else None.  Each path is its parent's plus one edge
+        (groups.Fk.walk), read from a table of the edges' images
+        (stallings.edge_images)."""
         src, edge_words = self.src, self.edge_words
-        grp = groups.of_subgroup(src)
         edges = stallings.edge_images(src, lambda v, x: edge_words[(v, x)].letters)
 
         def step(state, x):
             v, img = state
             t, e = edges[x][v]
-            return t, _join(img, e) if e else img
+            if e:
+                # _join only where the junction can cancel
+                img = img + e if not img or img[-1] != e[0].swapcase() else _join(img, e)
+            return t, img
 
-        walk = grp.walk(radius, (0, ""), step)
-        return (grp.from_raw(img) if v == 0 else None for v, img in walk)
+        walk = groups.of_subgroup(src).walk(radius, (0, ""), step)
+        return (img if v == 0 else None for v, img in walk)
+
+    def on_ball(self, radius):
+        """raw_on_ball with each image a Word."""
+        from_raw = groups.of_subgroup(self.src).from_raw
+        return (img if img is None else from_raw(img) for img in self.raw_on_ball(radius))
 
     def __repr__(self):
         return f"GraphMap({self.src.m} -> {self.dst.m} sheets)"

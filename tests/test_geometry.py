@@ -575,6 +575,18 @@ def test_boundary_action_examples():
     assert iterate.letters[:8] == q.expansion(8)
 
 
+def test_boundary_action_refuses_a_point_of_a_smaller_group():
+    # F_1's a is not F_2's a, though it spells the same letter
+    with pytest.raises(PreconditionError, match="another group"):
+        boundary_action(catalog.f2_catalog()["swap"], fixed_point(Word(1, "a")))
+
+
+def test_boundary_action_refuses_a_point_of_a_larger_group():
+    # a letter the map's alphabet lacks is refused, not looked up
+    with pytest.raises(PreconditionError, match="another group"):
+        boundary_action(catalog.f2_catalog()["swap"], fixed_point(Word(3, "c")))
+
+
 def test_boundary_action_power_independence():
     cat = catalog.f2_catalog()
     phi = cat["inner_a|ker_a_mod3"]
@@ -618,9 +630,9 @@ def test_factorization_check_reports_a_wrong_lift(monkeypatch):
     wrong = W("ab")
 
     class Spoiled:
-        def on_ball(self, radius):
-            for g, img in zip(ball_elements("F", 2, radius), real.on_ball(radius)):
-                yield wrong if g == W("aa") else img
+        def raw_on_ball(self, radius):
+            for g, img in zip(ball_elements("F", 2, radius), real.raw_on_ball(radius)):
+                yield wrong.letters if g == W("aa") else img
 
     monkeypatch.setattr(solenoid, "lift_through_covers", lambda comm: Spoiled())
     rep = factorization_check(phi, 2, 3)
@@ -985,10 +997,10 @@ def test_distinct_pairs_agree_across_widths():
 
 
 def test_the_qi_layer_builds_no_word_per_ball_element(monkeypatch):
-    # the baseleaf walks yield letter strings, which the distance kernels
-    # read as they are: bounded_distance and qi_estimate build almost no
-    # Word, and factorization_check only the lift's images of the loops,
-    # which GraphMap.on_ball returns as Words, and the lift's own set-up
+    # the baseleaf walks and the lift's walk yield letter strings, which
+    # the distance kernels and the factorization check read as they are:
+    # bounded_distance, qi_estimate and factorization_check build almost
+    # no Word, only those of their set-up (the lift's among them)
     cat = catalog.f2_catalog()
     ball_distances("F", 2, 4)  # the ball side, shared by every map
     built = []
@@ -1013,4 +1025,4 @@ def test_the_qi_layer_builds_no_word_per_ball_element(monkeypatch):
         assert len(built) < few
         del built[:]
         rep = factorization_check(phi, 2, 6)
-        assert rep.passed and len(built) < rep.checked + few
+        assert rep.passed and len(built) < few

@@ -273,6 +273,10 @@ _CODEC = {
     "stallings.py": {"parse_subgroup"},
 }
 
+# isinstance(..., int) tells an F_k coset label (a vertex) from a Z^n one (a
+# vector); the one argument check that may ask it refuses a rank
+_ARGUMENT_CHECKS = {"freewords.py": {"Alphabet.__init__"}}
+
 
 def _names_family(node):
     """Whether an operand is a `tag` (attribute or name), the literal "Z" or
@@ -286,19 +290,39 @@ def _names_family(node):
     )
 
 
+def _is_int_test(node):
+    """Whether a node is a call isinstance(x, int), int alone or in a tuple
+    of types."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+    ):
+        return False
+    types = node.args[1]
+    return any(
+        isinstance(t, ast.Name) and t.id == "int"
+        for t in (types.elts if isinstance(types, ast.Tuple) else [types])
+    )
+
+
 def _family_tests(path):
-    """(function, line) of each comparison in a module's source with an
-    operand that names a family (_names_family), outside the text codec."""
+    """(qualified function, line) of each comparison in a module's source
+    with an operand that names a family (_names_family), outside the text
+    codec, and of each isinstance(..., int) outside the argument checks."""
     found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{function}.{child.name}" if function else child.name)
                 continue
             if isinstance(child, ast.Compare) and function not in _CODEC.get(path.name, ()):
                 if any(map(_names_family, [child.left, *child.comparators])):
                     found.append((function, child.lineno))
+            if _is_int_test(child) and function not in _ARGUMENT_CHECKS.get(path.name, ()):
+                found.append((function, child.lineno))
             visit(child, function)
 
     visit(ast.parse(path.read_text()), None)
@@ -313,3 +337,17 @@ def test_only_groups_and_the_text_codec_test_the_family():
         if path.name != "groups.py" and (sites := _family_tests(path))
     }
     assert found == {}
+
+
+def test_the_family_test_finds_a_coset_label_told_apart_by_type(tmp_path):
+    # the test the coset labels were once told apart with, in and out of a
+    # class, alone and in a tuple of types
+    source = tmp_path / "cli.py"
+    source.write_text(
+        "def line(p):\n"
+        "    return [str(v) if isinstance(v, int) else 0 for v in p]\n"
+        "class Alphabet:\n"
+        "    def __init__(self, rank):\n"
+        "        assert isinstance(rank, (str, int))\n"
+    )
+    assert _family_tests(source) == [("line", 2), ("Alphabet.__init__", 5)]

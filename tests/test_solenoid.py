@@ -835,3 +835,33 @@ def test_graph_map_on_ball_matches_per_path_lifts():
         ball = groups.group("F", phi.rank).ball(radius)
         want = [apply_to_path(gm, g) if stallings.contains(phi.domain, g) else None for g in ball]
         assert list(gm.on_ball(radius)) == want
+
+
+def test_graph_map_raw_on_ball_matches_on_ball_and_per_path_lifts():
+    # the catalog maps and seeded restrictions of them to random subgroups
+    # of index <= 4: raw_on_ball spells on_ball's Words, holds None in the
+    # same slots, and agrees with the per-path lifts
+    cat = catalog.f2_catalog()
+    assert len(cat) == 12
+    rng = random.Random(24)
+    subs = stallings.enumerate_subgroups(2, 4)
+    maps = list(cat.values())
+    for _ in range(12):
+        phi = rng.choice(list(cat.values()))
+        maps.append(restriction(phi, stallings.intersect(phi.domain, rng.choice(subs))))
+    assert max(phi.domain.m for phi in maps[12:]) > max(phi.domain.m for phi in maps[:12])
+    loops = 0
+    for i, phi in enumerate(maps):
+        gm = lift_through_covers(phi)
+        radius = 5 if i % 2 else 4
+        ball = groups.group("F", 2).ball(radius)
+        raw = list(gm.raw_on_ball(radius))
+        assert len(raw) == len(ball)
+        assert [None if w is None else w.letters for w in gm.on_ball(radius)] == raw
+        for g, img in zip(ball, raw):
+            if stallings.contains(phi.domain, g):
+                assert img == apply_to_path(gm, g).letters
+                loops += 1
+            else:
+                assert img is None
+    assert loops < sum(groups.group("F", 2).ball_size(4 + i % 2) for i in range(len(maps)))

@@ -280,7 +280,6 @@ def _compose_ambient(phi_ambient, psi_ambient):
     return tuple(apply_ambient(phi_ambient, w) for w in psi_ambient)
 
 
-@lru_cache(maxsize=4096)
 def invert(comm: Commensuration) -> Commensuration:
     """The inverse isomorphism codomain -> domain."""
     grp = comm.group

@@ -128,10 +128,6 @@ def identity(rank: int) -> Word:
     return Word(rank, "", _reduced=True)
 
 
-def generator(rank: int, i: int) -> Word:
-    return Word(rank, _LOWER[i], _reduced=True)
-
-
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse a word literal; "1" (or the empty string) is the identity."""
     if text == "1":

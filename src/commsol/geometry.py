@@ -21,22 +21,15 @@ from .freewords import Word
 
 
 @lru_cache(maxsize=64)
-def ball_elements(tag: str, rank: int, radius: int):
-    """All group elements within `radius` of the identity, sorted by
-    (distance, value)."""
-    return groups.group(tag, rank).ball(radius)
-
-
-@lru_cache(maxsize=64)
-def ball_distances(tag: str, rank: int, radius: int):
-    """The distance_rows of ball_elements(tag, rank, radius), one row
-    after another: the ball side of qi_estimate's pairs, aligned with the
-    rows of the images' distances.  Distances on the ball are at most 2R:
-    while that fits in a byte, one byte a pair, read-only since the cache
-    hands the same buffer to every caller, which distinct_pairs
-    interleaves as it is; past that (only rank 1 under the default cap
-    on pairs) a tuple, whose pairs distinct_pairs collects as tuples."""
-    rows = groups.group(tag, rank).distance_rows(ball_elements(tag, rank, radius))
+def ball_distances(grp, radius: int):
+    """The distance_rows of grp.ball(radius), one row after another: the
+    ball side of qi_estimate's pairs, aligned with the rows of the images'
+    distances.  Distances on the ball are at most 2R: while that fits in a
+    byte, one byte a pair, read-only since the cache hands the same buffer
+    to every caller, which distinct_pairs interleaves as it is; past that
+    (only rank 1 under the default cap on pairs) a tuple, whose pairs
+    distinct_pairs collects as tuples."""
+    rows = grp.distance_rows(grp.ball(radius))
     if 2 * radius > 255:
         return tuple(chain.from_iterable(rows))
     flat = bytearray()
@@ -45,41 +38,26 @@ def ball_distances(tag: str, rank: int, radius: int):
     return memoryview(flat).toreadonly()
 
 
-# -- closest-point projection and the baseleaf map ---------------------------------
-
-
-def closest_point_project(comm, g):
-    """The element of the domain nearest to g in the word metric, least on
-    ties (the group's project)."""
-    return comm.group.project(comm.domain, g)
+# -- the baseleaf map ------------------------------------------------------------------
 
 
 class BaseleafMap:
     """The quasi-isometry of G induced by a commensuration: closest-point
-    projection to the domain followed by the isomorphism.
+    projection to the domain (the group's project) followed by the
+    isomorphism.
 
-    Its one walk over a ball, `raw_on_ball`, yields raw images, which the
-    group's metric kernels read as they are (groups.Fk.raw_dist,
-    raw_distance_rows): letter strings on F_k, vectors on Z^n.  `on_ball`
-    and calls give group elements (the group's from_raw).  The walks are
-    the group's: baseleaf_image and baseleaf_images."""
+    Its one evaluation is a walk over a ball, `raw_on_ball`, the group's
+    baseleaf_images; it yields raw images, which the group's metric
+    kernels read as they are (groups.Fk.raw_dist, raw_distance_rows):
+    letter strings on F_k, vectors on Z^n."""
 
     __slots__ = ("comm",)
 
     def __init__(self, comm):
         self.comm = comm
 
-    def __call__(self, g):
-        comm = self.comm
-        return comm.group.from_raw(comm.group.baseleaf_image(comm.domain, comm.images, g))
-
-    def on_ball(self, radius):
-        """The images of ball_elements(radius), in that order, as an
-        iterator of group elements."""
-        return map(self.comm.group.from_raw, self.raw_on_ball(radius))
-
     def raw_on_ball(self, radius):
-        """The raw images of ball_elements(radius), in that order, as an
+        """The raw images of the group's ball(radius), in that order, as an
         iterator."""
         comm = self.comm
         return comm.group.baseleaf_images(comm.domain, comm.images, radius)
@@ -132,7 +110,7 @@ def qi_estimate(m: BaseleafMap, radius: int) -> QIEstimate:
     limits.guard(size * (size - 1) // 2, f"qi_estimate({grp.tag}_{grp.rank}, R={radius}) pairs")
     images = list(m.raw_on_ball(radius))
     dists = list(chain.from_iterable(grp.raw_distance_rows(images)))
-    keys = distinct_pairs(ball_distances(grp.tag, grp.rank, radius), dists)
+    keys = distinct_pairs(ball_distances(grp, radius), dists)
     return QIEstimate(radius, *certified_constants(keys), len(dists))
 
 
@@ -282,8 +260,10 @@ def factorization_check(comm, depth: int, radius: int) -> FactorizationReport:
             continue
         checked += 1
         if via_map != via_lift:
-            g = ball_elements(phi.tag, phi.rank, radius)[i]
-            mismatches.append((g, phi.group.from_raw(via_map), phi.group.from_raw(via_lift)))
+            g = phi.group.ball(radius)[i]
+            mismatches.append(
+                (g, Word(phi.rank, via_map, _reduced=True), Word(phi.rank, via_lift, _reduced=True))
+            )
     return FactorizationReport(checked, mismatches)
 
 

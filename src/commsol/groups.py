@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from itertools import chain, product, repeat
 from operator import add, itemgetter, sub, xor
 
@@ -109,12 +109,6 @@ class Zn(_Group):
     def dist(self, a, b) -> int:
         return sum(map(abs, map(sub, a, b)))
 
-    def from_raw(self, v):
-        """The element a walk's raw image v stands for (see Fk.from_raw):
-        a vector is its own, so dist and distance_rows read raw images
-        too."""
-        return v
-
     def distance_rows(self, elems):
         """Per element of the sequence `elems`, its distances to the
         elements after it: the absolute differences added up one coordinate
@@ -134,6 +128,7 @@ class Zn(_Group):
         n = self.rank
         return sum(2**j * math.comb(n, j) * math.comb(radius, j) for j in range(n + 1))
 
+    @lru_cache(maxsize=64)
     def ball(self, radius):
         """All elements within `radius` of the identity, sorted by
         (distance, vector)."""
@@ -227,16 +222,12 @@ class Zn(_Group):
             raise PreconditionError(f"{g} is not in the domain lattice")
         return tuple(sum(c * img[r] for c, img in zip(coords, images)) for r in range(self.rank))
 
-    def baseleaf_image(self, domain, images, g):
-        """The baseleaf map's image of g: its projection, evaluated."""
-        return self.evaluate(domain, images, self.project(domain, g))
-
     def baseleaf_images(self, domain, images, radius):
-        """The images of geometry.ball_elements(radius), in that order, as
-        an iterator, with one projection search per coset."""
-        from .geometry import ball_elements  # imports this module
-
-        ball = ball_elements(self.tag, self.rank, radius)
+        """The baseleaf map's images of ball(radius), in that order, as an
+        iterator: each element's projection, evaluated, with one projection
+        search per coset.  A vector is its own raw image, so dist and
+        distance_rows read these as they are."""
+        ball = self.ball(radius)
         return map(partial(self.evaluate, domain, images), self.projections(domain, ball))
 
     def on_rose(self, comm=None):
@@ -349,13 +340,6 @@ class Fk(_Group):
             raise PreconditionError(f"alphabet mismatch: rank {a.rank} vs {b.rank}")
         return self.raw_dist(a.letters, b.letters)
 
-    def from_raw(self, letters):
-        """The element a walk's raw image stands for: the Word of a reduced
-        letter string.  The metric kernels raw_dist and raw_distance_rows
-        read the strings themselves, so a walk that only measures builds
-        no Word."""
-        return Word(self.rank, letters, _reduced=True)
-
     @staticmethod
     def raw_dist(x: str, y: str) -> int:
         """The distance of two reduced letter strings: the letters past
@@ -411,7 +395,7 @@ class Fk(_Group):
         k = self.rank
         limits.guard(
             (2 * k) * max(2 * k - 1, 1) ** max(radius - 1, 0),
-            f"ball_elements(F_{k}, R={radius})",
+            f"ball(F_{k}, R={radius})",
         )
         letters = sorted(self.letters)
         # after[x]: the moves (y, after[y]) allowed once a word ends in x
@@ -430,6 +414,7 @@ class Fk(_Group):
                         nxt.append((follow, t))
             layer = nxt
 
+    @lru_cache(maxsize=64)
     def ball(self, radius):
         """All reduced words of length at most `radius`, sorted by
         (length, letter string)."""
@@ -520,13 +505,11 @@ class Fk(_Group):
 
         return label
 
-    def baseleaf_image(self, domain, images, g):
-        """The baseleaf map's image of g, as letters: a step per letter."""
-        return reduce(self.baseleaf_step(domain, images), g.letters, _ROOT)[4]
-
     def baseleaf_images(self, domain, images, radius):
-        """The images of ball(radius), in that order, as an iterator: a
-        step per word down the ball's prefix tree."""
+        """The baseleaf map's images of ball(radius), in that order, as an
+        iterator of reduced letter strings, which the metric kernels
+        raw_dist and raw_distance_rows read as they are: a step per word
+        down the ball's prefix tree."""
         return map(itemgetter(4), self.walk(radius, _ROOT, self.baseleaf_step(domain, images)))
 
     def baseleaf_step(self, domain, images):

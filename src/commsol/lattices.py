@@ -16,7 +16,6 @@ arbitrary-precision integers.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import product
 
 from . import limits
@@ -239,7 +238,6 @@ def preimage(domain: Lattice, images, target: Lattice) -> Lattice:
     return Lattice(n, [c[n:] for c in _echelon(cols, n)[1]])
 
 
-@lru_cache(maxsize=2048)
 def intersect(l1: Lattice, l2: Lattice) -> Lattice:
     """Exact intersection: the preimage of l2 under the inclusion of l1."""
     if l1.n != l2.n:

@@ -334,51 +334,12 @@ def ball_structure(p: SolenoidPoint, epsilon) -> BallReport:
 # -- covers and lifts ---------------------------------------------------------------
 
 
-class CoveringMap:
-    """The covering X_src -> X_dst between the complete subgroup graphs of
-    nested subgroups (each graph, with unit edge lengths, is the finite
-    cover of the rose it names); vertex_map[v] is the vertex below v."""
-
-    __slots__ = ("src", "dst", "vertex_map")
-
-    def __init__(self, src, dst, vertex_map):
-        self.src = src
-        self.dst = dst
-        self.vertex_map = tuple(vertex_map)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoveringMap)
-            and (other.src, other.dst, other.vertex_map)
-            == (self.src, self.dst, self.vertex_map)
-        )
-
-    def __hash__(self):
-        return hash((self.src, self.dst, self.vertex_map))
-
-    def __repr__(self):
-        return f"CoveringMap({self.src.m} -> {self.dst.m} sheets)"
-
-
-def covering_map(h: stallings.SubgroupGraph, k: stallings.SubgroupGraph) -> CoveringMap:
-    """The bonding covering map X_H -> X_K, defined when H <= K of finite
-    index (stallings.cover_vertices)."""
-    vmap = stallings.cover_vertices(h, k)
-    if vmap is None:
-        raise PreconditionError("covering_map requires the source subgroup inside the target")
-    if not h.complete:
-        # H <= K, so K has finite index when H has
-        raise PreconditionError("a finite-sheeted cover needs a complete graph")
-    return CoveringMap(h, k, vmap)
-
-
 class GraphMap:
     """Cellular based map between covers: vertices to vertices, each edge
     to an edge path (possibly constant) in the target.
 
     Its walk over a ball, `raw_on_ball`, yields the images of the loops
-    as letter strings, which factorization_check compares as they are;
-    `on_ball` gives them as Words."""
+    as letter strings, which factorization_check compares as they are."""
 
     __slots__ = ("src", "dst", "vertex_map", "edge_words")
 
@@ -408,11 +369,6 @@ class GraphMap:
 
         walk = groups.of_subgroup(src).walk(radius, (0, ""), step)
         return (img if v == 0 else None for v, img in walk)
-
-    def on_ball(self, radius):
-        """raw_on_ball with each image a Word."""
-        from_raw = groups.of_subgroup(self.src).from_raw
-        return (img if img is None else from_raw(img) for img in self.raw_on_ball(radius))
 
     def __repr__(self):
         return f"GraphMap({self.src.m} -> {self.dst.m} sheets)"

@@ -229,9 +229,6 @@ class SubgroupGraph:
         tag = "" if self.complete else ", infinite index"
         return f"SubgroupGraph(k={self.k}, m={self.m}{tag})"
 
-    def sort_key(self):
-        return (self.m, self.fwd)
-
 
 def orbit_graph(k: int, base, step):
     """The graph of the nodes reachable from `base`, canonically labeled:
@@ -646,19 +643,20 @@ def trace_path(graph: SubgroupGraph, letters: str) -> list[int]:
     return out
 
 
-def path_image(graph: SubgroupGraph, letters: str, label, start: int = 0, out: str = ""):
+def path_image(graph: SubgroupGraph, letters: str, label, start: int = 0):
     """The path spelling `letters` from `start`, read through edge labels:
     (end, image).  `end` is the vertex the path reaches, or None where it
-    leaves the graph; `image` is `out` times the reduced product of
-    label(v, x), the reduced letter string of the x-edge out of v, over
-    the edges crossed (up to where the path leaves), an edge crossed
-    backward contributing its inverse.  Letters cancel only at each
+    leaves the graph; `image` is the reduced product of label(v, x), the
+    reduced letter string of the x-edge out of v, over the edges crossed
+    (up to where the path leaves), an edge crossed backward contributing
+    its inverse.  Letters cancel only at each
     junction (freewords._join).
 
     With the nontree edges of a commensuration's domain graph labelled by
     their basis elements' images, a based loop's image is the
     commensuration's value on the element the loop spells."""
     v = start
+    out = ""
     for ch in letters:
         x = ord(ch.lower()) - ord("a")
         back = ch.isupper()

@@ -29,12 +29,10 @@ from commsol.geometry import (
     BaseleafMap,
     QIEstimate,
     ball_distances,
-    ball_elements,
     baseleaf_map,
     bounded_distance,
     boundary_action,
     certified_constants,
-    closest_point_project,
     distinct_pairs,
     factorization_check,
     fixed_point,
@@ -58,7 +56,7 @@ def oracle_project(comm, g):
     best = None
     for r in range(comm.domain.m + 1):
         hits = []
-        for w in ball_elements("F", comm.rank, r):
+        for w in group("F", comm.rank).ball(r):
             h = g * w
             if group("F", comm.rank).dist(g, h) == r and stallings.contains(comm.domain, h):
                 hits.append(h)
@@ -73,12 +71,12 @@ def test_projection_examples_and_oracle():
     m = baseleaf_map(phi)
     # golden value: nearest members of ker_a to "a" are "" and "aa";
     # the lexicographically least is "", so the image is the identity
-    assert closest_point_project(phi, W("a")) == word_identity(2)
-    assert m(W("a")) == word_identity(2)
+    assert phi.group.project(phi.domain, W("a")) == word_identity(2)
+    assert walk_images(m, 1)[W("a")] == word_identity(2)
     rng = random.Random(101)
     for _ in range(40):
         g = W("".join(rng.choice("abAB") for _ in range(rng.randrange(5))))
-        assert closest_point_project(phi, g) == oracle_project(phi, g)
+        assert phi.group.project(phi.domain, g) == oracle_project(phi, g)
 
 
 def box_scan_project(sub, g):
@@ -97,10 +95,10 @@ def test_projection_zn_matches_box_scan():
         n = rng.choice([2, 3])
         phi = make_zn(catalog.random_zn_matrix(rng, n))
         g = tuple(rng.randrange(-6, 7) for _ in range(n))
-        assert closest_point_project(phi, g) == box_scan_project(phi.domain, g)
+        assert phi.group.project(phi.domain, g) == box_scan_project(phi.domain, g)
     for n, r in ((1, 4), (2, 3), (3, 2)):
         box = [p for p in product(range(-r, r + 1), repeat=n) if sum(map(abs, p)) <= r]
-        assert list(ball_elements("Z", n, r)) == sorted(box, key=lambda p: (sum(map(abs, p)), p))
+        assert list(group("Z", n).ball(r)) == sorted(box, key=lambda p: (sum(map(abs, p)), p))
 
 
 @settings(ORACLE, max_examples=100)
@@ -115,7 +113,7 @@ def test_projection_matches_oracle_on_random_domains(data):
         assume(False)  # not transitive
     phi = restriction(identity_comm("F", 2), sub)
     g = W(data.draw(st.text("abAB", max_size=6)))
-    assert closest_point_project(phi, g) == oracle_project(phi, g)
+    assert phi.group.project(phi.domain, g) == oracle_project(phi, g)
 
 
 def probe_project(comm, g):
@@ -166,7 +164,7 @@ def test_projection_matches_probe_search_on_f1_to_f3(data):
     phi = restriction(identity_comm("F", sub.k), sub)
     for _ in range(data.draw(st.integers(1, 8))):
         g = draw_point(data, sub)
-        assert closest_point_project(phi, g) == oracle_project(phi, g) == probe_project(phi, g)
+        assert phi.group.project(phi.domain, g) == oracle_project(phi, g) == probe_project(phi, g)
 
 
 def test_projection_matches_probe_search_on_whole_balls():
@@ -174,11 +172,11 @@ def test_projection_matches_probe_search_on_whole_balls():
     # g are rare among random points (about 0.3% of these), so every point
     # of a ball is projected onto every small domain
     for k, max_index, radius in ((1, 8, 8), (2, 4, 5), (3, 3, 3)):
-        ball = ball_elements("F", k, radius)
+        ball = group("F", k).ball(radius)
         for sub in stallings.enumerate_subgroups(k, max_index):
             phi = restriction(identity_comm("F", k), sub)
             for g in ball:
-                assert closest_point_project(phi, g) == probe_project(phi, g)
+                assert phi.group.project(phi.domain, g) == probe_project(phi, g)
 
 
 def draw_map(data):
@@ -206,38 +204,39 @@ def draw_map(data):
 @given(st.data())
 def test_baseleaf_images_match_evaluation_of_the_oracle_projection(data):
     phi = draw_map(data)
-    m = baseleaf_map(phi)
-    for g in data.draw(st.lists(st.text("abAB", max_size=8), min_size=1, max_size=12)):
-        g = W(g)
-        assert m(g) == evaluate(phi, oracle_project(phi, g))
+    images = walk_images(baseleaf_map(phi), data.draw(st.integers(0, 4)))
+    for g, img in images.items():
+        assert img == evaluate(phi, oracle_project(phi, g))
 
 
 @settings(ORACLE, max_examples=40)
 @given(st.data())
 def test_baseleaf_map_is_independent_of_call_order(data):
+    # walks of one map at radii in any order are those of a fresh map, and
+    # each is the start of the walk at a larger radius
     phi = draw_map(data)
-    points = list(ball_elements("F", 2, 3)) + [
-        W(s) for s in data.draw(st.lists(st.text("abAB", max_size=8), max_size=6))
-    ]
+    radii = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
     shared = baseleaf_map(phi)
-    got = [(g, shared(g)) for g in data.draw(st.permutations(points))]
-    assert all(img == baseleaf_map(phi)(g) for g, img in got)
+    got = [(r, list(shared.raw_on_ball(r))) for r in radii]
+    longest = list(baseleaf_map(phi).raw_on_ball(max(radii)))
+    assert all(raw == list(baseleaf_map(phi).raw_on_ball(r)) for r, raw in got)
+    assert all(raw == longest[: len(raw)] for _, raw in got)
 
 
 def test_baseleaf_map_fixes_domain_action():
     cat = catalog.f2_catalog()
     for name in ("identity", "swap|ker_a", "ker_a_to_ker_total"):
         phi = cat[name]
-        m = baseleaf_map(phi)
-        for b in stallings.basis(phi.domain):
-            assert m(b) == evaluate(phi, b)
+        basis = stallings.basis(phi.domain)
+        images = walk_images(baseleaf_map(phi), max(map(len, basis)))
+        for b in basis:
+            assert images[b] == evaluate(phi, b)
 
 
 def test_baseleaf_map_z1():
-    two = make_zn([[2]])
-    m = baseleaf_map(two)
-    assert m((5,)) == (10,)
-    assert m((0,)) == (0,)
+    images = walk_images(baseleaf_map(make_zn([[2]])), 5)
+    assert images[(5,)] == (10,)
+    assert images[(0,)] == (0,)
 
 
 def test_qi_estimate_identity_and_doubling():
@@ -257,8 +256,8 @@ def qi_estimate_two_pass(m, radius):
         return sum(abs(x - y) for x, y in zip(a, b))
 
     grp = m.comm.group
-    elems = ball_elements(grp.tag, grp.rank, radius)
-    images = [m(x) for x in elems]
+    elems = grp.ball(radius)
+    images = [per_element_image(m, x) for x in elems]
     up = Fraction(1)
     low = Fraction(1)
     collapse = 0
@@ -400,12 +399,12 @@ def test_projection_bound_covers_every_projection():
     f2 = group("F", 2)
     for sub in stallings.enumerate_subgroups(2, 4):
         phi = restriction(identity_comm("F", 2), sub)
-        worst = max(f2.dist(g, closest_point_project(phi, g)) for g in ball_elements("F", 2, 3))
+        worst = max(f2.dist(g, phi.group.project(phi.domain, g)) for g in f2.ball(3))
         assert f2.projection_bound(sub) == worst
     z2 = group("Z", 2)
     for sub in lattices.enumerate_lattices(2, 6):
         phi = make_zn([[1, 0], [0, 1]], sub)
-        worst = max(z2.dist(g, closest_point_project(phi, g)) for g in z2.coset_reps(sub))
+        worst = max(z2.dist(g, phi.group.project(phi.domain, g)) for g in z2.coset_reps(sub))
         assert z2.projection_bound(sub) >= worst
         if sub.cols[0][1] == 0:
             # diagonal: the bound is the largest distance
@@ -489,10 +488,10 @@ def test_bounded_distance_inequivalent_grows():
     assert not rep.equivalent
     assert rep.maxima[6] > rep.maxima[3] > 0
     # oracle: on powers of a, swap sends a^n to b^n at distance 2n
-    m1, m2 = baseleaf_map(cat["swap"]), baseleaf_map(cat["identity"])
+    swap, ident = (walk_images(baseleaf_map(cat[x]), 6) for x in ("swap", "identity"))
     for n in (2, 4, 6):
         g = W("a" * n)
-        assert group("F", 2).dist(m1(g), m2(g)) == 2 * n
+        assert group("F", 2).dist(swap[g], ident[g]) == 2 * n
 
 
 def test_factorization_examples():
@@ -631,13 +630,13 @@ def test_factorization_check_reports_a_wrong_lift(monkeypatch):
 
     class Spoiled:
         def raw_on_ball(self, radius):
-            for g, img in zip(ball_elements("F", 2, radius), real.raw_on_ball(radius)):
+            for g, img in zip(group("F", 2).ball(radius), real.raw_on_ball(radius)):
                 yield wrong.letters if g == W("aa") else img
 
     monkeypatch.setattr(solenoid, "lift_through_covers", lambda comm: Spoiled())
     rep = factorization_check(phi, 2, 3)
     assert not rep.passed
-    assert rep.mismatches == [(W("aa"), baseleaf_map(phi)(W("aa")), wrong)]
+    assert rep.mismatches == [(W("aa"), per_element_image(baseleaf_map(phi), W("aa")), wrong)]
 
 
 def test_factorization_check_validates_depth_first():
@@ -658,14 +657,21 @@ def test_factorization_check_validates_depth_first():
 
 def per_element_image(m, g):
     """Reference: the projection of g to the domain, then the map."""
-    return evaluate(m.comm, closest_point_project(m.comm, g))
+    return evaluate(m.comm, m.comm.group.project(m.comm.domain, g))
+
+
+def walk_images(m, radius):
+    """The baseleaf walk's images of the ball of `radius`, in ball order,
+    by element, as group elements."""
+    grp = m.comm.group
+    ball, raw = grp.ball(radius), list(m.raw_on_ball(radius))
+    assert len(raw) == len(ball)
+    return {g: Word(grp.rank, x) if isinstance(x, str) else x for g, x in zip(ball, raw)}
 
 
 def assert_walk_matches(m, radius):
-    ball = ball_elements(m.comm.tag, m.comm.rank, radius)
-    got = list(m.on_ball(radius))
-    assert got == [m(x) for x in ball]
-    assert got == [per_element_image(m, x) for x in ball]
+    for g, img in walk_images(m, radius).items():
+        assert img == per_element_image(m, g)
 
 
 def random_restriction(rng, k, max_index):
@@ -689,7 +695,7 @@ def test_f_ball_is_sorted_by_length_then_letters():
         ]
         reduced = [w for w in words if Word(k, w).letters == w]
         want = sorted(reduced, key=lambda w: (len(w), w))
-        assert [g.letters for g in ball_elements("F", k, radius)] == want
+        assert [g.letters for g in group("F", k).ball(radius)] == want
 
 
 def test_on_ball_matches_per_element_images_on_the_catalog():
@@ -722,7 +728,7 @@ def bounded_distance_reference(m1, m2, radius):
     """Reference: running maxima of the per-element displacement."""
     grp = m1.comm.group
     maxima, cur = [], 0
-    for g in ball_elements(grp.tag, grp.rank, radius):
+    for g in grp.ball(radius):
         r = grp.dist(g, grp.identity)
         cur = max(cur, grp.dist(per_element_image(m1, g), per_element_image(m2, g)))
         while len(maxima) <= r:
@@ -754,7 +760,7 @@ def factorization_reference(phi, radius):
     label = lambda v, x: lift.edge_words[(v, x)].letters  # noqa: E731
     m = baseleaf_map(phi)
     checked, mismatches = 0, []
-    for g in ball_elements("F", phi.rank, radius):
+    for g in group("F", phi.rank).ball(radius):
         if stallings.contains(phi.domain, g):
             checked += 1
             via_map = per_element_image(m, g)
@@ -782,8 +788,9 @@ def test_factorization_check_matches_the_per_element_reference():
 )
 def test_ball_distances_are_the_flattened_distance_rows(tag, rank, radius, one_byte):
     # one byte a pair, read-only, while 2R fits in one
-    flat = ball_distances(tag, rank, radius)
-    rows = group(tag, rank).distance_rows(ball_elements(tag, rank, radius))
+    grp = group(tag, rank)
+    flat = ball_distances(grp, radius)
+    rows = grp.distance_rows(grp.ball(radius))
     assert list(flat) == [d for row in rows for d in row]
     assert isinstance(flat, memoryview) == one_byte
     if one_byte:
@@ -927,7 +934,7 @@ def test_zn_projections_are_the_projections_one_by_one():
     rng = random.Random(23)
     for n, radius in ((1, 9), (2, 4), (3, 2)):
         z = group("Z", n)
-        ball = ball_elements("Z", n, radius)
+        ball = z.ball(radius)
         for _ in range(10):
             sub = random_hnf(rng, n, (1, 2, 3, 4, 6), 20)
             assert list(z.projections(sub, ball)) == [z.project(sub, g) for g in ball]
@@ -978,9 +985,9 @@ def test_qi_estimate_with_image_distances_past_a_byte_matches_the_pair_tally():
     tripling = make_zn([[3]])
     for m in (baseleaf_map(tripling), baseleaf_map(zn1_to_f1(tripling))):
         grp = m.comm.group
-        assert isinstance(ball_distances(grp.tag, 1, 60), memoryview)
-        images = list(m.on_ball(60))
-        assert grp.dist(images[-2], images[-1]) == 360
+        assert isinstance(ball_distances(grp, 60), memoryview)
+        images = list(m.raw_on_ball(60))
+        assert grp.raw_dist(images[-2], images[-1]) == 360
         assert_same_estimate(m, 60)
 
 
@@ -1002,7 +1009,7 @@ def test_the_qi_layer_builds_no_word_per_ball_element(monkeypatch):
     # bounded_distance, qi_estimate and factorization_check build almost
     # no Word, only those of their set-up (the lift's among them)
     cat = catalog.f2_catalog()
-    ball_distances("F", 2, 4)  # the ball side, shared by every map
+    ball_distances(group("F", 2), 4)  # the ball side, shared by every map
     built = []
     init = Word.__init__
 

@@ -86,11 +86,17 @@ def test_declared_error_paths():
 
 
 def _clear_every_cache():
+    """Empty every cache at module or class level, as each benchmark pass
+    does (perfbench/run.py, cache_sites)."""
     for info in pkgutil.iter_modules(commsol.__path__):
         mod = importlib.import_module(f"commsol.{info.name}")
         for obj in vars(mod).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
+            elif isinstance(obj, type) and obj.__module__ == mod.__name__:
+                for member in vars(obj).values():
+                    if hasattr(member, "cache_clear"):
+                        member.cache_clear()
 
 
 def _key(x):
@@ -239,7 +245,7 @@ def test_every_cache_site_is_a_module_or_class_attribute_with_its_statistics():
             assert callable(site.cache_clear) and callable(site.cache_info), (path.name, name)
             sites.append(f"{path.stem}.{name}")
     for site in ("commensurations._images_on", "commensurations._compose_ambient",
-                 "stallings.cover_vertices", "commensurations.compose"):
+                 "stallings.cover_vertices", "commensurations.compose", "groups.ball"):
         assert site in sites
 
 

@@ -31,7 +31,6 @@ from commsol.solenoid import (
     ball_structure,
     baseleaf,
     baseleaf_path,
-    covering_map,
     d_inf,
     d_pro,
     distinct_fiber_count,
@@ -61,28 +60,15 @@ def test_equal_metric_values_hash_equal():
 
 
 def test_cover_and_covering_map_examples():
+    # the covering X_H -> X_K of nested subgroups, as the vertices below
+    # (stallings.cover_vertices); the CLI's cover verb refuses an
+    # incomplete graph (tests/test_cli.py)
     rose = stallings.whole_group(2)
-    assert covering_map(rose, rose).dst.m == 1
-
+    assert stallings.cover_vertices(rose, rose) == (0,)
     ka = catalog.ker_a()
-    cm = covering_map(ka, stallings.whole_group(2))
-    assert cm.vertex_map == (0, 0)
-    assert (cm.src, cm.dst) == (ka, rose)
-
-    assert covering_map(ka, ka).vertex_map == (0, 1)
-
-    with pytest.raises(PreconditionError):
-        covering_map(stallings.whole_group(2), ka)
-    a_only = stallings.from_generators([W("a")], 2)
-    with pytest.raises(PreconditionError, match="needs a complete graph"):
-        covering_map(a_only, rose)
-
-
-def test_equal_covering_maps_hash_equal():
-    ka = catalog.ker_a()
-    one, two = covering_map(ka, stallings.whole_group(2)), covering_map(ka, stallings.whole_group(2))
-    assert one == two and one is not two and hash(one) == hash(two)
-    assert {one, two, covering_map(ka, ka)} == {one, covering_map(ka, ka)}
+    assert stallings.cover_vertices(ka, rose) == (0, 0)
+    assert stallings.cover_vertices(ka, ka) == (0, 1)
+    assert stallings.cover_vertices(rose, ka) is None
 
 
 def test_covering_map_matches_tree_word_traces():
@@ -91,13 +77,12 @@ def test_covering_map_matches_tree_word_traces():
     pairs = 0
     for h in subs:
         for k in subs:
+            below = stallings.cover_vertices(h, k)
             if stallings.is_subgroup(h, k):
-                want = tuple(stallings.trace(k, tw) for tw in stallings.tree_words(h))
-                assert covering_map(h, k).vertex_map == want
+                assert below == tuple(stallings.trace(k, tw) for tw in stallings.tree_words(h))
                 pairs += 1
             else:
-                with pytest.raises(PreconditionError, match="inside the target"):
-                    covering_map(h, k)
+                assert below is None
     assert pairs == 196
 
 
@@ -109,12 +94,10 @@ def test_covering_map_functoriality():
         for k in subs:
             if not stallings.is_subgroup(h, k):
                 continue
-            hk = covering_map(h, k)
-            kl = covering_map(k, whole)
-            hl = covering_map(h, whole)
-            assert hl.vertex_map == tuple(
-                kl.vertex_map[v] for v in hk.vertex_map
-            )
+            hk = stallings.cover_vertices(h, k)
+            kl = stallings.cover_vertices(k, whole)
+            hl = stallings.cover_vertices(h, whole)
+            assert hl == tuple(kl[v] for v in hk)
             count += 1
     assert count > 17  # includes all (h, whole) pairs and more
 
@@ -825,7 +808,9 @@ def test_sigma_symmetric_and_below_d_pro_at_depth_4(data):
 
 
 def test_graph_map_on_ball_matches_per_path_lifts():
-    # oracle: a membership trace and the path's image per ball element
+    # oracle: a membership trace and the path's image per ball element, on
+    # the catalog maps, their parsed twins and a map of Z^1: raw_on_ball
+    # spells the lift's image of each loop and holds None off the domain
     maps = list(catalog.f2_catalog().values())
     maps += [parse_comm(format_comm(phi)) for phi in maps]
     maps.append(zn1_to_f1(make_zn([[2]])))
@@ -833,14 +818,14 @@ def test_graph_map_on_ball_matches_per_path_lifts():
         gm = lift_through_covers(phi)
         radius = 9 if phi.rank == 1 else 4
         ball = groups.group("F", phi.rank).ball(radius)
-        want = [apply_to_path(gm, g) if stallings.contains(phi.domain, g) else None for g in ball]
-        assert list(gm.on_ball(radius)) == want
+        want = [apply_to_path(gm, g).letters if stallings.contains(phi.domain, g) else None for g in ball]
+        assert list(gm.raw_on_ball(radius)) == want
 
 
 def test_graph_map_raw_on_ball_matches_on_ball_and_per_path_lifts():
     # the catalog maps and seeded restrictions of them to random subgroups
-    # of index <= 4: raw_on_ball spells on_ball's Words, holds None in the
-    # same slots, and agrees with the per-path lifts
+    # of index <= 4: raw_on_ball has one slot per ball element, holds None
+    # off the domain, and agrees with the per-path lifts
     cat = catalog.f2_catalog()
     assert len(cat) == 12
     rng = random.Random(24)
@@ -857,7 +842,6 @@ def test_graph_map_raw_on_ball_matches_on_ball_and_per_path_lifts():
         ball = groups.group("F", 2).ball(radius)
         raw = list(gm.raw_on_ball(radius))
         assert len(raw) == len(ball)
-        assert [None if w is None else w.letters for w in gm.on_ball(radius)] == raw
         for g, img in zip(ball, raw):
             if stallings.contains(phi.domain, g):
                 assert img == apply_to_path(gm, g).letters

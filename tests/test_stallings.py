@@ -266,7 +266,7 @@ def enumerate_by_permutation_tuples(k, max_index):
             if g not in seen:
                 seen.add(g)
                 out.append(g)
-    out.sort(key=SubgroupGraph.sort_key)
+    out.sort(key=lambda g: (g.m, g.fwd))
     return out
 
 
@@ -312,7 +312,7 @@ def enumerate_slot_by_slot(k, max_index):
         here[v] = -1
 
     search(0, 1)
-    out.sort(key=SubgroupGraph.sort_key)
+    out.sort(key=lambda g: (g.m, g.fwd))
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import commensurations as comm
-from . import stallings
+from . import ratmat, stallings
 from .freewords import Word
 
 W2 = lambda s: Word(2, s)
@@ -84,8 +84,6 @@ INEQUIVALENT_WITNESS = ("swap", "identity")
 
 def random_zn_matrix(rng, n: int):
     """Nonsingular n x n matrix with entries in {-2..2}/{1,2,3}."""
-    from . import ratmat
-
     while True:
         rows = [
             [Fraction(rng.randrange(-2, 3), rng.choice([1, 2, 3])) for _ in range(n)]

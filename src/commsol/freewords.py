@@ -30,9 +30,6 @@ class Alphabet:
             raise ParseError(f"alphabet rank must be an integer in 1..26, got {rank!r}")
         self.rank = rank
 
-    def letters(self) -> str:
-        return _LOWER[: self.rank]
-
     def __contains__(self, ch: str) -> bool:
         return ch.lower() in _LOWER[: self.rank]
 

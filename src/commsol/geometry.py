@@ -17,7 +17,7 @@ from itertools import accumulate, chain
 from . import commensurations as comm_mod
 from . import groups, limits, solenoid, stallings
 from .errors import PreconditionError
-from .freewords import Word
+from .freewords import Word, cyclic_decompose, primitive_root
 
 
 @lru_cache(maxsize=64)
@@ -43,8 +43,7 @@ def ball_distances(grp, radius: int):
 
 class BaseleafMap:
     """The quasi-isometry of G induced by a commensuration: closest-point
-    projection to the domain (the group's project) followed by the
-    isomorphism.
+    projection to the domain followed by the isomorphism.
 
     Its one evaluation is a walk over a ball, `raw_on_ball`, the group's
     baseleaf_images; it yields raw images, which the group's metric
@@ -311,8 +310,6 @@ def fixed_point(g: Word, sign: str = "+") -> BoundaryPoint:
         raise PreconditionError("the identity is elliptic: no boundary fixed points")
     if sign not in "+-":
         raise PreconditionError("sign must be '+' or '-'")
-    from .freewords import cyclic_decompose, primitive_root
-
     base = g if sign == "+" else ~g
     u, c = cyclic_decompose(base)
     root, _ = primitive_root(c)

@@ -461,22 +461,15 @@ class Fk(_Group):
             if below == home
         ]
 
-    def project(self, sub, g):
-        """The member of sub nearest to g in the word metric, least letter
-        string on ties: g is traced once, and the nearest members are read
-        from the return table of sub's graph (stallings.geodesic_return)."""
-        letters = g.letters
-        j, r = stallings.geodesic_return(sub, letters, stallings.trace_path(sub, letters))
-        return Word(self.rank, letters[:j] + r, _reduced=True)
-
     def projection_bound(self, sub) -> int:
         """The largest distance from an element to sub: the largest
         distance of a vertex of its graph from the base."""
         return max(stallings._return_table(sub).dist)
 
     def projection_work(self, sub, radius: int) -> int:
-        """The size of the ball of `radius`: an over-count, since project
-        reads a return table after one trace of g."""
+        """The size of the ball of `radius`: an over-count, since the
+        baseleaf walk reads each projection from its parent's by one
+        table row (baseleaf_step)."""
         return self.ball_size(radius)
 
     def format(self, sub) -> str:
@@ -516,18 +509,25 @@ class Fk(_Group):
         """step(state, x) for walk; a state is (letters, vertex, path image,
         least candidate, its image).  The image of a path in X_H is the
         product of the images of the nontree edges it crosses (phi(h) for
-        a loop h), and the projection of g is g[:j] + r, r a return path
-        from the vertex g[:j] reaches, for j in g's outward run, where
-        dist rises by 1 per letter (stallings.geodesic_return): a word's
-        candidates are its parent's plus its own length if its last letter
-        steps outward, else that alone.
+        a loop h).  The projection of g, the member of H nearest to g with
+        the least letter string on ties, is the least candidate.  With v_j
+        the vertex g[:j] reaches, n = len(g) and D = dist[v_n], the nearest
+        members are the reduced strings g[:j] + r with r a shortest path
+        from v_j to the base of length D - (n - j), so only the j with
+        dist[v_j] - j = D - n give candidates, g[:j] + r for the least such
+        r whose first letter does not cancel g[j - 1].  As dist[v_j] - j
+        never increases (a letter moves dist by at most 1), those j are
+        the outward run, the suffix where dist rises by 1 per letter: a
+        word's candidates are its parent's plus its own length if its last
+        letter steps outward, else that alone.
 
         All a step needs of the domain graph is read from one row per
         letter x, built before the walk: per vertex v, (t, e, outward, r,
         r_img), with t and e the end and image of the x-edge out of v
         (stallings.edge_images), outward whether it steps one farther
         from the base, and r the least return from t that does not step
-        back along x (stallings._least_return), with its image."""
+        back along x (the return table's best, else its second), with its
+        image."""
         label = self.edge_labels(domain, images)
         dist, best, second = stallings._return_table(domain)
         returns = [

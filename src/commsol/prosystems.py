@@ -27,8 +27,8 @@ from .freewords import inline
 
 
 class TruncatedSystem:
-    """Objects and reverse-inclusion bonds; pairwise meets are computed on
-    demand by meet()."""
+    """Objects and reverse-inclusion bonds; index_of gives an object's
+    position among the objects."""
 
     __slots__ = ("group", "depth", "objects", "index_of", "_bonds")
 
@@ -61,13 +61,6 @@ class TruncatedSystem:
                 if grp.is_subgroup(self.objects[j], big)
             )
         return self._bonds
-
-    def meet(self, i, j):
-        """(objects[i] ∩ objects[j], its object index); the index is None
-        when the meet has index beyond the depth (it is materialized
-        anyway)."""
-        m = self.group.intersect(self.objects[i], self.objects[j])
-        return m, self.index_of.get(m)
 
     def __eq__(self, other):
         return (

@@ -26,10 +26,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import commensurations as comm_mod
 from . import groups, prosystems, stallings
 from .errors import PreconditionError
-from .freewords import Word, _join, identity as word_identity
+from .freewords import _join, identity as word_identity
 from .groups import EdgePoint  # noqa: F401  (leaf points are part of this API)
 
 # -- metric scalars -----------------------------------------------------------
@@ -384,8 +383,10 @@ def lift_through_covers(phi, target=None) -> GraphMap:
     petal to its image word; otherwise the spanning tree of X_H collapses
     to the base vertex and each remaining edge maps to the loop of its
     basis image (the coset map on H-coset representatives).  Either way
-    the lift is the unique basepoint-preserving one over its base map,
-    which is re-derived and asserted.
+    a basepoint-preserving lift is fixed by path lifting from the base
+    (Stallings 1983), so the vertex map is derived once, by lifting each
+    edge's image from where its tail lifted; an edge whose image ends
+    elsewhere than its head lifted is refused.
     """
     phi = phi.group.on_rose(phi)
     if target is not None and groups.of_subgroup(target) != phi.group:
@@ -400,15 +401,10 @@ def lift_through_covers(phi, target=None) -> GraphMap:
             )
     edge_words = {}
     if phi.ambient is not None:
-        vmap = [
-            stallings.trace(k_graph, comm_mod.apply_ambient(phi.ambient, Word(h.k, tw)))
-            for tw in stallings.tree_words(h)
-        ]
         for v in range(h.m):
             for x in range(h.k):
                 edge_words[(v, x)] = phi.ambient[x]
     else:
-        vmap = [0] * h.m
         nontree_index = stallings._tree_data(h).nontree_index
         for v in range(h.m):
             for x in range(h.k):
@@ -416,29 +412,16 @@ def lift_through_covers(phi, target=None) -> GraphMap:
                 edge_words[(v, x)] = (
                     phi.images[idx] if idx is not None else word_identity(h.k)
                 )
-    gm = GraphMap(h, k_graph, vmap, edge_words)
-    _assert_unique_lift(gm)
-    return gm
-
-
-def _assert_unique_lift(gm: GraphMap):
-    """Re-derive the vertex map by path lifting from the basepoint; any
-    second basepoint-preserving lift of the same base map must agree."""
-    h, kg = gm.src, gm.dst
-    derived = [None] * h.m
-    derived[0] = gm.vertex_map[0]
+    vmap = [None] * h.m
+    vmap[0] = 0
     queue = [0]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
+    for v in queue:
         for x in range(h.k):
             w = h.fwd[x][v]
-            end = stallings.trace(kg, gm.edge_words[(v, x)], derived[v])
-            if end is None or end != gm.vertex_map[w]:
+            end = stallings.trace(k_graph, edge_words[(v, x)], vmap[v])
+            if end is None or vmap[w] not in (None, end):
                 raise PreconditionError("edge image does not lift consistently")
-            if derived[w] is None:
-                derived[w] = end
+            if vmap[w] is None:
+                vmap[w] = end
                 queue.append(w)
-    if derived != list(gm.vertex_map):
-        raise PreconditionError("lift is not unique: vertex maps disagree")
+    return GraphMap(h, k_graph, vmap, edge_words)

@@ -595,54 +595,6 @@ def _return_table(graph: SubgroupGraph) -> _ReturnTable:
     return _ReturnTable(dist, tuple(best), tuple(second))
 
 
-def _least_return(table: _ReturnTable, v: int, back) -> str | None:
-    """The least shortest path from v to the base not starting with
-    `back` (the inverse of the letter that reached v), or None."""
-    r = table.best[v]
-    if r[:1] == back:
-        r = table.second[v]
-    return r
-
-
-def geodesic_return(graph: SubgroupGraph, letters: str, verts) -> tuple[int, str]:
-    """The element of the subgroup nearest to the reduced word `letters`,
-    least letter string on ties, as (j, r): it spells letters[:j] + r.
-
-    `verts[j]` is the vertex that letters[:j] reaches.  With D the
-    distance of the whole word's vertex from the base, the nearest
-    elements are the reduced strings letters[:j] + r with r a shortest
-    path from verts[j] to the base of length D - (n - j), so only the j
-    with dist[verts[j]] - j = D - n are candidates, each with its least
-    return path whose first letter does not cancel letters[j - 1].  As
-    dist[verts[j]] - j never increases (a letter moves dist by at most
-    1), they are the outward run: the suffix where dist rises by 1 per
-    letter."""
-    table = _return_table(graph)
-    dist = table.dist
-    n = j = len(letters)
-    while j and dist[verts[j - 1]] == dist[verts[j]] - 1:
-        j -= 1
-    least = out = None
-    for j in range(j, n + 1):
-        r = _least_return(table, verts[j], letters[j - 1].swapcase() if j else None)
-        if r is None:
-            continue
-        s = letters[:j] + r
-        if least is None or s < least:
-            least, out = s, (j, r)
-    return out
-
-
-def trace_path(graph: SubgroupGraph, letters: str) -> list[int]:
-    """The vertices that letters[:j] reaches from the base, j = 0..n, in
-    a complete graph."""
-    out = [0]
-    for ch in letters:
-        x = ord(ch.lower()) - ord("a")
-        out.append((graph.fwd[x] if ch.islower() else graph.bwd[x])[out[-1]])
-    return out
-
-
 def path_image(graph: SubgroupGraph, letters: str, label, start: int = 0):
     """The path spelling `letters` from `start`, read through edge labels:
     (end, image).  `end` is the vertex the path reaches, or None where it

@@ -357,3 +357,37 @@ def test_the_family_test_finds_a_coset_label_told_apart_by_type(tmp_path):
         "        assert isinstance(rank, (str, int))\n"
     )
     assert _family_tests(source) == [("line", 2), ("Alphabet.__init__", 5)]
+
+
+# the function-local imports that close an import cycle: groups is imported
+# by commensurations and prosystems, which these two steps call
+_CYCLE_IMPORTS = {
+    ("groups.py", "Zn.on_rose", "commensurations"),
+    ("groups.py", "Fk.separating_index", "prosystems"),
+}
+
+
+def _local_relative_imports(path):
+    """(file, qualified function, module) of each relative import made
+    inside a function of a module's source; `from . import m` names m."""
+    found = set()
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (*functions, ast.ClassDef)):
+                visit(child, scope + (child.name,), in_function or isinstance(child, functions))
+            elif isinstance(child, ast.ImportFrom) and child.level and in_function:
+                for module in [child.module] if child.module else [a.name for a in child.names]:
+                    found.add((path.name, ".".join(scope), module))
+            else:
+                visit(child, scope, in_function)
+
+    visit(ast.parse(path.read_text()), (), False)
+    return found
+
+
+def test_function_local_imports_are_the_ones_that_close_a_cycle():
+    package = Path(commsol.__file__).parent
+    found = set().union(*map(_local_relative_imports, sorted(package.glob("*.py"))))
+    assert found == _CYCLE_IMPORTS

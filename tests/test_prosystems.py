@@ -78,16 +78,6 @@ def test_bonds_are_computed_on_first_read_and_match_the_eager_scan(
     assert system.bonds == eager_bonds(system)
 
 
-def test_system_meets_record_overflow():
-    s = build_system("Z", 1, 3)
-    meet, idx = s.meet(1, 2)  # 2Z ∩ 3Z = 6Z, beyond depth 3
-    assert meet == lattices.from_generators([(6,)])
-    assert idx is None
-    s4 = build_system("Z", 1, 6)
-    meet, idx = s4.meet(1, 2)
-    assert idx is not None and s4.objects[idx] == meet
-
-
 @pytest.mark.parametrize(
     "tag,rank,depth",
     [("Z", 1, 3), ("Z", 1, 4), ("Z", 1, 6), ("Z", 2, 1), ("Z", 2, 3), ("F", 2, 2), ("F", 2, 3)],

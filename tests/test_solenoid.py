@@ -12,8 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from commsol import catalog, groups, lattices, prosystems, solenoid, stallings
 from commsol.commensurations import (
+    Commensuration,
+    apply_ambient,
     evaluate,
     format_comm,
+    from_ambient,
     identity_comm,
     make_zn,
     parse_comm,
@@ -200,6 +203,52 @@ def test_lift_unique():
     gm1 = lift_through_covers(cat["swap|ker_a"])
     gm2 = lift_through_covers(cat["swap|ker_a"])
     assert gm1.vertex_map == gm2.vertex_map and gm1.edge_words == gm2.edge_words
+
+
+def vertex_map_from_the_base_map(phi, target):
+    """Reference: with ambient provenance, the vertex of the target that the
+    ambient image of each tree word of phi's domain reaches; without it,
+    the base for every vertex, as the spanning tree collapses to it."""
+    if phi.ambient is None:
+        return (0,) * phi.domain.m
+    return tuple(
+        stallings.trace(target, apply_ambient(phi.ambient, Word(phi.rank, tw)))
+        for tw in stallings.tree_words(phi.domain)
+    )
+
+
+def test_lift_vertex_map_matches_the_base_map():
+    # the catalog into its codomain and every depth-2 object containing it,
+    # the same maps parsed back from text (no provenance), and seeded
+    # Nielsen automorphisms restricted to subgroups of index <= 4
+    maps = list(catalog.f2_catalog().values())
+    maps += [parse_comm(format_comm(phi)) for phi in maps]
+    rng = random.Random(59)
+    for _ in range(12):
+        gens = [W("a"), W("b")]
+        for _ in range(rng.randrange(1, 5)):
+            i = rng.randrange(2)
+            gens[i] = gens[i] * (gens[1 - i] if rng.randrange(2) else ~gens[1 - i])
+        sub = rng.choice(stallings.enumerate_subgroups(2, 4))
+        maps.append(restriction(from_ambient(2, gens), sub))
+    objects = prosystems.build_system("F", 2, 2).objects
+    kinds = set()
+    for phi in maps:
+        kinds.add(phi.ambient is None)
+        targets = [phi.codomain] + [s for s in objects if stallings.is_subgroup(phi.codomain, s)]
+        for target in targets:
+            gm = lift_through_covers(phi, target)
+            assert gm.vertex_map == vertex_map_from_the_base_map(phi, target)
+    assert kinds == {True, False}
+
+
+def test_lift_refuses_an_edge_image_that_does_not_lift():
+    # swap|ker_a's images, which lie in ker_b, with the identity as its
+    # ambient map: the petal b maps to b, which leaves ker_b's base
+    phi = catalog.f2_catalog()["swap|ker_a"]
+    spoiled = Commensuration(phi.group, phi.domain, phi.codomain, phi.images, (W("a"), W("b")))
+    with pytest.raises(PreconditionError, match="^edge image does not lift consistently$"):
+        lift_through_covers(spoiled, catalog.ker_b())
 
 
 def test_baseleaf_examples():

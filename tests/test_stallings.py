@@ -8,7 +8,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from commsol import stallings
+from commsol import groups, stallings
 from commsol.commensurations import apply_ambient, evaluate, make_fk
 from commsol.errors import InfiniteIndexError, PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity
@@ -794,8 +794,10 @@ def test_path_image_stops_where_the_path_leaves():
 
 
 def geodesic_return_full_scan(graph, letters, verts):
-    """Reference: geodesic_return scanning every j from max(-far, 0) to n,
-    with far = dist[verts[n]] - n, for the candidates dist[verts[j]] = far + j."""
+    """Reference: the nearest member of the subgroup to the reduced word
+    `letters`, least letter string on ties, as (j, r) with r a return path
+    from verts[j]: every j from max(-far, 0) to n is scanned, with
+    far = dist[verts[n]] - n, for the candidates dist[verts[j]] = far + j."""
     table = stallings._return_table(graph)
     dist = table.dist
     n = len(letters)
@@ -827,13 +829,18 @@ def test_geodesic_return_candidates_are_the_outward_run(data):
     except PreconditionError:
         assume(False)  # not transitive
     letters = Word(k, data.draw(st.text("abc"[:k] + "ABC"[:k], max_size=12))).letters
-    verts = stallings.trace_path(sub, letters)
-    dist = stallings._return_table(sub).dist
     n = j = len(letters)
+    verts = [trace(sub, letters[:i]) for i in range(n + 1)]
+    dist = stallings._return_table(sub).dist
     while j and dist[verts[j - 1]] == dist[verts[j]] - 1:
         j -= 1
     candidates = [i for i in range(n + 1) if dist[verts[i]] - i == dist[verts[n]] - n]
     assert candidates == list(range(j, n + 1))
-    got = stallings.geodesic_return(sub, letters, verts)
-    assert got == geodesic_return_full_scan(sub, letters, verts)
+    # the baseleaf walk's least candidate, over the word's letters
+    step = group("F", k).baseleaf_step(sub, basis(sub))
+    state = groups._ROOT
+    for x in letters:
+        state = step(state, x)
+    j, r = geodesic_return_full_scan(sub, letters, verts)
+    assert state[3] == letters[:j] + r
 

@@ -135,13 +135,12 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     return Word(alphabet.rank, text)
 
 
-def serialize(w: Word) -> str:
-    return w.letters or "1"
-
-
 def _join(a: str, b: str) -> str:
     """The reduced product of two reduced letter strings: letters cancel
-    at the junction only."""
+    at the junction only, so the strings are concatenated as they are
+    unless the last letter of `a` is the inverse of the first of `b`."""
+    if not a or not b or a[-1] != b[0].swapcase():
+        return a + b
     i, j = len(a), 0
     while i and j < len(b) and a[i - 1] == b[j].swapcase():
         i -= 1

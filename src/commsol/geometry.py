@@ -197,8 +197,8 @@ def bounded_distance(m1: BaseleafMap, m2: BaseleafMap, radius: int) -> BoundedDi
         raise PreconditionError("maps live on different groups")
     # per element: two projections, each costing at most the work of a
     # search within its domain's projection bound (the nodes of the Z^n
-    # search; on F_k, which reads a return table, the ball of that radius,
-    # an over-count), and two evaluations of length about R
+    # search; on F_k one table row of the walk), and two evaluations of
+    # length about R
     probes = sum(
         grp.projection_work(m.comm.domain, grp.projection_bound(m.comm.domain)) for m in (m1, m2)
     )

@@ -33,7 +33,6 @@ from .freewords import (
     _join,
     parse_vector,
     parse_word,
-    serialize,
     serialize_vector,
 )
 
@@ -393,10 +392,7 @@ class Fk(_Group):
         per walk, and a state is held with the list of its children's
         moves, so no child tests for backtracking."""
         k = self.rank
-        limits.guard(
-            (2 * k) * max(2 * k - 1, 1) ** max(radius - 1, 0),
-            f"ball(F_{k}, R={radius})",
-        )
+        limits.guard(self.ball_size(radius), f"ball(F_{k}, R={radius})")
         letters = sorted(self.letters)
         # after[x]: the moves (y, after[y]) allowed once a word ends in x
         after = {x: [] for x in letters}
@@ -430,7 +426,7 @@ class Fk(_Group):
         return parse_word(text, Alphabet(self.rank))
 
     def format_element(self, g) -> str:
-        return serialize(g)
+        return str(g)
 
     def format_coset(self, label) -> str:
         """The text of a coset label (coset): its vertex number."""
@@ -467,10 +463,9 @@ class Fk(_Group):
         return max(stallings._return_table(sub).dist)
 
     def projection_work(self, sub, radius: int) -> int:
-        """The size of the ball of `radius`: an over-count, since the
-        baseleaf walk reads each projection from its parent's by one
-        table row (baseleaf_step)."""
-        return self.ball_size(radius)
+        """1: the baseleaf walk reads each projection from its parent's by
+        one table row (baseleaf_step), whatever the radius."""
+        return 1
 
     def format(self, sub) -> str:
         return stallings.format_subgroup(sub)
@@ -551,17 +546,14 @@ class Fk(_Group):
             letters, v, img, least, least_img = state
             t, e, outward, r, r_img = rows[x][v]
             letters += x
-            if e:
-                # _join only where the junction can cancel
-                img = img + e if not img or img[-1] != e[0].swapcase() else _join(img, e)
+            img = _join(img, e)
             # off the outward run the new candidate is the only one and
             # exists, as the step back to v leads no closer
             if r is not None:
                 s = letters + r
                 if not outward or s < least:
                     least = s
-                    cancels = img and r_img and img[-1] == r_img[0].swapcase()
-                    least_img = _join(img, r_img) if cancels else img + r_img
+                    least_img = _join(img, r_img)
             return letters, t, img, least, least_img
 
         return step

@@ -45,42 +45,39 @@ def mul_vec(a: Matrix, v) -> tuple[Fraction, ...]:
     return tuple(sum(a[i][j] * v[j] for j in range(n)) for i in range(n))
 
 
-def det(a: Matrix) -> Fraction:
+def _gauss_jordan(a: Matrix):
+    """Gauss-Jordan elimination of [a | I]: (det a, a^-1), with None for
+    the inverse of a singular matrix.  The determinant is the product of
+    the pivots, its sign flipped by each row swap."""
     n = len(a)
-    m = [list(row) for row in a]
-    out = Fraction(1)
+    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    d = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return Fraction(0), None
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-            out = -out
-        out *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return out
-
-
-def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    m = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise PreconditionError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
+            d = -d
+        p = m[col][col]
+        d *= p
+        m[col] = [x / p for x in m[col]]
         for r in range(n):
             if r != col and m[r][col]:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+    return d, tuple(tuple(row[n:]) for row in m)
+
+
+def det(a: Matrix) -> Fraction:
+    return _gauss_jordan(a)[0]
+
+
+def inverse(a: Matrix) -> Matrix:
+    inv = _gauss_jordan(a)[1]
+    if inv is None:
+        raise PreconditionError("matrix is singular")
+    return inv
 
 
 def from_int_columns(cols) -> Matrix:

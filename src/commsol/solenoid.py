@@ -361,10 +361,7 @@ class GraphMap:
         def step(state, x):
             v, img = state
             t, e = edges[x][v]
-            if e:
-                # _join only where the junction can cancel
-                img = img + e if not img or img[-1] != e[0].swapcase() else _join(img, e)
-            return t, img
+            return t, _join(img, e)
 
         walk = groups.of_subgroup(src).walk(radius, (0, ""), step)
         return (img if v == 0 else None for v, img in walk)

@@ -10,18 +10,22 @@ Canonical labels come from one place, `orbit_graph`: a breadth-first
 search from the base that labels vertices as it meets them, trying, for
 each letter in order, first the outgoing then the incoming edge.  Based
 isomorphism of covers is subgroup equality, so equal subgroups have
-identical stored arrays.  Fiber products (`intersect`, over pairs of
-vertices), permutation covers (`from_permutations`, over the points
-permuted), preimage covers (`preimage`, over pairs of a vertex and a
-coset, each image permuting the cosets by the target's per-letter rows),
-folds (over the roots of the folded graph) and profinite kernels
-(over coset families) are each that one search over their own nodes.
-The low-index search of `enumerate_subgroups` fills coset tables
-in this same scan order, so it emits tables already in canonical form.
-It reads its slots from a flat table built once, and it fills the last
-level in closed form: once every vertex is open the labels are fixed,
-and the tables below are each letter's partial bijection completed
-independently (the product over the letters of their completions).
+identical stored arrays.  Every SubgroupGraph is built in this order,
+which the readers of a graph rely on: the spanning tree is the edges
+that reach the next label, and a walk that must read each vertex after
+the vertex it was met from reads them in label order.  Fiber products
+(`intersect`, over pairs of vertices), permutation covers
+(`from_permutations`, over the points permuted), preimage covers
+(`preimage`, over pairs of a vertex and a coset, each image permuting
+the cosets by the target's per-letter rows), folds (over the roots of
+the folded graph) and profinite kernels (over coset families) are each
+that one search over their own nodes.  The low-index search of
+`enumerate_subgroups` fills coset tables in this same scan order, so it
+emits tables already in canonical form.  It reads its slots from a flat
+table built once, and it fills the last level in closed form: once every
+vertex is open the labels are fixed, and the tables below are each
+letter's partial bijection completed independently (the product over the
+letters of their completions).
 
 Folding reads each word into the graph folded so far (J. Stallings,
 Topology of finite graphs, 1983; I. Kapovich and A. Myasnikov, Stallings
@@ -38,8 +42,8 @@ occurs).
 
 Inclusion of subgroups is the covering map between their graphs:
 `cover_vertices` pairs each vertex of the smaller subgroup's graph with
-the vertex below it in one search, and fails where an edge has no
-partner below.
+the vertex below it in one pass, and fails where an edge has no partner
+below.
 """
 
 from __future__ import annotations
@@ -408,25 +412,24 @@ def cover_vertices(inner: SubgroupGraph, outer: SubgroupGraph):
     `outer` below the vertices of `inner`, or None when `inner` is not a
     subgroup of `outer`.
 
-    One search from the base pairs each vertex of X_inner with the vertex
-    of X_outer its paths reach; `outer` is folded, so the pairing is forced,
-    and an edge of X_inner with no edge below it, or a vertex met again over
-    another vertex, shows a loop of `inner` that is not one of `outer`."""
+    One pass over X_inner pairs each vertex with the vertex of X_outer its
+    paths reach; `outer` is folded, so the pairing is forced, and an edge
+    of X_inner with no edge below it, or a vertex met again over another
+    vertex, shows a loop of `inner` that is not one of `outer`.  The pass
+    reads the vertices in label order: each was met along an edge out of
+    a lower label (orbit_graph), so it is paired before it is read."""
     if inner.k != outer.k:
         raise PreconditionError("rank mismatch")
     rows = [*zip(inner.fwd, outer.fwd), *zip(inner.bwd, outer.bwd)]
     below = [0] + [-1] * (inner.m - 1)
-    queue = [0]
-    for v in queue:
+    for v in range(inner.m):
         for row, orow in rows:
             t, d = row[v], orow[below[v]]
             if t == -1:
                 continue
             if d == -1 or below[t] not in (-1, d):
                 return None
-            if below[t] == -1:
-                below[t] = d
-                queue.append(t)
+            below[t] = d
     return tuple(below)
 
 
@@ -491,40 +494,35 @@ _TreeData = namedtuple("_TreeData", "tree_order tree_words nontree nontree_index
 
 @lru_cache(maxsize=4096)
 def _tree_data(graph: SubgroupGraph) -> _TreeData:
+    """The canonical spanning tree: the edges along which orbit_graph met
+    each vertex.  Labels are given in that order (vertices in label order,
+    per letter the out-edge, then the in-edge), so an edge is a tree edge
+    exactly when it reaches the next label."""
     k, m = graph.k, graph.m
-    tree_edges = set()  # forward pairs (v, x) used by the tree
-    tree_order = []  # those pairs in discovery order
-    tree_words = [None] * m
-    tree_words[0] = ""
-    queue = [0]
-    qi = 0
-    visited = [False] * m
-    visited[0] = True
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for x in range(k):
-            t = graph.fwd[x][v]
-            if t != -1 and not visited[t]:
-                visited[t] = True
-                tree_edges.add((v, x))
-                tree_order.append((v, x))
-                tree_words[t] = tree_words[v] + _LOWER[x]
-                queue.append(t)
-            s = graph.bwd[x][v]
-            if s != -1 and not visited[s]:
-                visited[s] = True
-                tree_edges.add((s, x))
-                tree_order.append((s, x))
-                tree_words[s] = tree_words[v] + _LOWER[x].upper()
-                queue.append(s)
-    nontree = []
+    tree_order = []  # forward pairs (v, x) of the tree, in discovery order
+    tree_words = [""] * m
+    nxt = 1
     for v in range(m):
         for x in range(k):
-            if graph.fwd[x][v] != -1 and (v, x) not in tree_edges:
-                nontree.append((v, x))
+            t = graph.fwd[x][v]
+            if t == nxt:
+                tree_order.append((v, x))
+                tree_words[t] = tree_words[v] + _LOWER[x]
+                nxt += 1
+            s = graph.bwd[x][v]
+            if s == nxt:
+                tree_order.append((s, x))
+                tree_words[s] = tree_words[v] + _LOWER[x].upper()
+                nxt += 1
+    tree_edges = set(tree_order)
+    nontree = tuple(
+        (v, x)
+        for v in range(m)
+        for x in range(k)
+        if graph.fwd[x][v] != -1 and (v, x) not in tree_edges
+    )
     nontree_index = {e: i for i, e in enumerate(nontree)}
-    return _TreeData(tuple(tree_order), tuple(tree_words), tuple(nontree), nontree_index)
+    return _TreeData(tuple(tree_order), tuple(tree_words), nontree, nontree_index)
 
 
 @lru_cache(maxsize=4096)
@@ -577,9 +575,10 @@ def _return_table(graph: SubgroupGraph) -> _ReturnTable:
     does not start with best[v]'s first letter (None if there is none).
 
     The canonical tree is a BFS tree, so dist[v] is the length of v's tree
-    word.  All shortest paths from v have the same length, so the least
-    is found greedily: the least letter that steps one closer, then the
-    least path from there."""
+    word and never falls along the labels: each vertex is read after every
+    vertex one closer.  All shortest paths from v have the same length, so
+    the least is found greedily: the least letter that steps one closer,
+    then the least path from there."""
     dist = tuple(map(len, _tree_data(graph).tree_words))
     steps = []
     for ch in sorted(_LOWER[: graph.k] + _LOWER[: graph.k].upper()):
@@ -587,7 +586,7 @@ def _return_table(graph: SubgroupGraph) -> _ReturnTable:
         steps.append((ch, graph.fwd[x] if ch.islower() else graph.bwd[x]))
     best = [""] * graph.m
     second = [None] * graph.m
-    for v in sorted(range(graph.m), key=dist.__getitem__):
+    for v in range(graph.m):
         down = [ch + best[row[v]] for ch, row in steps if dist[row[v]] == dist[v] - 1]
         if down:
             best[v] = down[0]
@@ -615,9 +614,7 @@ def path_image(graph: SubgroupGraph, letters: str, label, start: int = 0):
         t = (graph.bwd if back else graph.fwd)[x][v]
         if t == -1:
             return None, out
-        e = label(t, x)[::-1].swapcase() if back else label(v, x)
-        if e:
-            out = _join(out, e)
+        out = _join(out, label(t, x)[::-1].swapcase() if back else label(v, x))
         v = t
     return v, out
 
@@ -635,22 +632,16 @@ def substitute(expr, images) -> Word:
     if not images:
         raise PreconditionError("no images to substitute")
     rank = images[0].rank
-    out: list[str] = []
+    out = ""
     for s in expr:
         w = images[s - 1] if s > 0 else images[-s - 1]
         if w.rank != rank:
             raise PreconditionError(f"alphabet mismatch: rank {rank} vs {w.rank}")
-        letters = w.letters if s > 0 else w.letters[::-1].swapcase()
-        # every image is reduced, so letters cancel only at the junction
-        j = 0
-        while out and j < len(letters) and out[-1] == letters[j].swapcase():
-            out.pop()
-            j += 1
-        out.extend(letters[j:])
+        out = _join(out, w.letters if s > 0 else w.letters[::-1].swapcase())
     if len(expr) == 1 and expr[0] > 0:
         # share the image itself: cached results then hold no copies of it
         return images[expr[0] - 1]
-    return Word(rank, "".join(out), _reduced=True)
+    return Word(rank, out, _reduced=True)
 
 
 # -- enumeration ----------------------------------------------------------------

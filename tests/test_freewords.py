@@ -10,6 +10,8 @@ from commsol.errors import ParseError, PreconditionError
 from commsol.freewords import (
     Alphabet,
     Word,
+    _join,
+    _reduce,
     concat,
     cyclic_decompose,
     identity,
@@ -17,7 +19,6 @@ from commsol.freewords import (
     invert,
     parse_word,
     primitive_root,
-    serialize,
     text_lines,
 )
 from commsol.groups import group
@@ -91,6 +92,15 @@ def test_word_distance_is_length_of_quotient(pair):
 def test_word_distance_alphabet_mismatch():
     with pytest.raises(PreconditionError):
         group("F", 2).dist(Word(2, "a"), Word(3, "c"))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(word_pairs())
+def test_join_is_the_reduced_concatenation(pair):
+    # the strings join as they are unless the junction cancels, and then
+    # only there
+    a, b = (w.letters for w in pair)
+    assert _join(a, b) == _reduce(a + b) == naive_reduce(a + b)
 
 
 def test_invert_examples():
@@ -194,7 +204,7 @@ def test_group_laws_random():
         w = random_word(rng, 3, 8)
         assert concat(concat(u, v), w) == concat(u, concat(v, w))
         assert concat(u, invert(u)) == identity(3)
-        assert parse_word(serialize(u), Alphabet(3)) == u
+        assert parse_word(str(u), Alphabet(3)) == u
 
 
 def test_unique_roots_at_desk_scale():

@@ -426,18 +426,18 @@ def test_bounded_distance_refuses_large_balls_early(monkeypatch):
     monkeypatch.delenv("COMMSOL_MAX_WORK", raising=False)
     cat = catalog.f2_catalog()
     shift, half = baseleaf_map(cat["shift"]), baseleaf_map(cat["shift|ker_a"])
-    # 1,062,881 elements, each costing 12 * (1 + 5): projections onto
-    # domains of index 1 and 2 probe balls of radius 0 and 1
+    # 1,062,881 elements, each costing 12 * (1 + 1): each map's walk reads
+    # one table row per element, whatever its domain
     t0 = time.perf_counter()
     with pytest.raises(ResourceLimitError) as err:
         bounded_distance(shift, half, 12)
     assert time.perf_counter() - t0 < 0.5
     assert "bounded_distance(F_2, R=12)" in str(err.value)
-    assert "estimated work 76527432 exceeds cap 20000000" in str(err.value)
-    # admitted exactly at the cap: 17 elements at R=2, each costing 2 * 6
-    monkeypatch.setenv("COMMSOL_MAX_WORK", str(17 * 2 * 6))
+    assert "estimated work 25509144 exceeds cap 20000000" in str(err.value)
+    # admitted exactly at the cap: 17 elements at R=2, each costing 2 * 2
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(17 * 2 * 2))
     assert bounded_distance(shift, half, 2).equivalent
-    monkeypatch.setenv("COMMSOL_MAX_WORK", str(17 * 2 * 6 - 1))
+    monkeypatch.setenv("COMMSOL_MAX_WORK", str(17 * 2 * 2 - 1))
     with pytest.raises(ResourceLimitError):
         bounded_distance(shift, half, 2)
     # on Z^n each projection costs the nodes of a search within the

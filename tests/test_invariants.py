@@ -7,6 +7,7 @@ import ast
 import importlib
 import pkgutil
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from commsol import (
     catalog,
     commensurations,
     geometry,
+    groups,
     lattices,
     limits,
     prosystems,
@@ -57,6 +59,22 @@ def test_resource_guard_stallings(monkeypatch):
     with pytest.raises(ResourceLimitError) as err:
         stallings.profinite_kernel(2, 2)
     assert "partial index" in str(err.value)
+
+
+def test_resource_guard_ball_counts_the_whole_ball(monkeypatch):
+    monkeypatch.delenv("COMMSOL_MAX_WORK", raising=False)
+    f2 = groups.group("F", 2)
+    # 28,697,813 words of length <= 15, its last layer alone 19,131,876
+    with pytest.raises(ResourceLimitError, match=r"ball\(F_2, R=15\): estimated work 28697813"):
+        f2.ball(15)
+    for k, radius in ((1, 4), (2, 3), (3, 2)):
+        fk = groups.group("F", k)
+        size = fk.ball_size(radius)
+        monkeypatch.setenv("COMMSOL_MAX_WORK", str(size))
+        assert len(list(fk.walk(radius, "", add))) == size
+        monkeypatch.setenv("COMMSOL_MAX_WORK", str(size - 1))
+        with pytest.raises(ResourceLimitError):
+            list(fk.walk(radius, "", add))
 
 
 def test_malformed_max_work_is_refused(monkeypatch):
@@ -391,3 +409,62 @@ def test_function_local_imports_are_the_ones_that_close_a_cycle():
     package = Path(commsol.__file__).parent
     found = set().union(*map(_local_relative_imports, sorted(package.glob("*.py"))))
     assert found == _CYCLE_IMPORTS
+
+
+# every SubgroupGraph is canonically labeled, which the readers of the label
+# order rely on (stallings._tree_data, cover_vertices, _return_table): it is
+# built only by the labeling search, by the one-vertex graph and by the
+# low-index search, which fills its tables in the labeling's scan order
+_GRAPH_BUILDERS = {"orbit_graph", "whole_group", "enumerate_subgroups"}
+
+
+def _graph_constructions(path):
+    """(qualified function, line) of each call SubgroupGraph(...) in a
+    module's source outside the functions of _GRAPH_BUILDERS and the
+    functions nested in them."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "SubgroupGraph" and not _GRAPH_BUILDERS.intersection(scope[:1]):
+                    found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_every_subgroup_graph_is_built_by_a_canonical_labeling():
+    package = Path(commsol.__file__).parent
+    found = {
+        path.name: sites
+        for path in sorted(package.glob("*.py"))
+        if (sites := _graph_constructions(path))
+    }
+    assert found == {}
+
+
+def test_the_construction_test_finds_a_graph_built_elsewhere(tmp_path):
+    # a graph relabeled by hand, a method building one, and one at module
+    # level; the builders' own constructions, nested ones included, pass
+    source = tmp_path / "stallings.py"
+    source.write_text(
+        "def relabel(g, perm):\n"
+        "    return SubgroupGraph(g.k, g.m, perm, perm, True)\n"
+        "class Cover:\n"
+        "    def graph(self):\n"
+        "        return stallings.SubgroupGraph(1, 1, ((0,),), ((0,),), True)\n"
+        "WHOLE = SubgroupGraph(1, 1, ((0,),), ((0,),), True)\n"
+        "def enumerate_subgroups(k, n):\n"
+        "    def last_level():\n"
+        "        return SubgroupGraph(k, n, (), (), True)\n"
+        "def whole_group(k):\n"
+        "    return SubgroupGraph(k, 1, (), (), True)\n"
+    )
+    assert _graph_constructions(source) == [("relabel", 2), ("Cover.graph", 5), ("", 6)]

@@ -8,7 +8,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from commsol import groups, stallings
+from commsol import catalog, groups, stallings
 from commsol.commensurations import apply_ambient, evaluate, make_fk
 from commsol.errors import InfiniteIndexError, PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity
@@ -844,3 +844,123 @@ def test_geodesic_return_candidates_are_the_outward_run(data):
     j, r = geodesic_return_full_scan(sub, letters, verts)
     assert state[3] == letters[:j] + r
 
+
+# -- readers of the canonical label order ----------------------------------------------
+
+
+def tree_data_by_queue(graph):
+    """Reference spanning tree: a breadth-first search with a queue and a
+    visited list, per letter the out-edge then the in-edge, as
+    (tree_order, tree_words, nontree)."""
+    k, m = graph.k, graph.m
+    tree_order, tree_words = [], [None] * m
+    tree_words[0] = ""
+    queue, visited = [0], [True] + [False] * (m - 1)
+    for v in queue:
+        for x in range(k):
+            for back, t in ((False, graph.fwd[x][v]), (True, graph.bwd[x][v])):
+                if t != -1 and not visited[t]:
+                    visited[t] = True
+                    tree_order.append((t, x) if back else (v, x))
+                    tree_words[t] = tree_words[v] + ("abc"[x].upper() if back else "abc"[x])
+                    queue.append(t)
+    nontree = [
+        (v, x)
+        for v in range(m)
+        for x in range(k)
+        if graph.fwd[x][v] != -1 and (v, x) not in tree_order
+    ]
+    return tuple(tree_order), tuple(tree_words), tuple(nontree)
+
+
+def cover_vertices_by_queue(inner, outer):
+    """Reference covering: a search from the base with a queue, pairing
+    each vertex of X_inner with the vertex of X_outer below it, or None."""
+    rows = [*zip(inner.fwd, outer.fwd), *zip(inner.bwd, outer.bwd)]
+    below = [0] + [-1] * (inner.m - 1)
+    queue = [0]
+    for v in queue:
+        for row, orow in rows:
+            t, d = row[v], orow[below[v]]
+            if t == -1:
+                continue
+            if d == -1 or below[t] not in (-1, d):
+                return None
+            if below[t] == -1:
+                below[t] = d
+                queue.append(t)
+    return tuple(below)
+
+
+def return_table_by_distance(graph):
+    """Reference return table: the vertices read in order of their
+    distance from the base, sorted, with distances from the queue search."""
+    dist = tuple(map(len, tree_data_by_queue(graph)[1]))
+    letters = sorted("abc"[: graph.k] + "ABC"[: graph.k])
+    steps = [
+        (ch, (graph.fwd if ch.islower() else graph.bwd)["abc".index(ch.lower())])
+        for ch in letters
+    ]
+    best, second = [""] * graph.m, [None] * graph.m
+    for v in sorted(range(graph.m), key=dist.__getitem__):
+        down = [ch + best[row[v]] for ch, row in steps if dist[row[v]] == dist[v] - 1]
+        if down:
+            best[v] = down[0]
+            second[v] = down[1] if len(down) > 1 else None
+    return dist, tuple(best), tuple(second)
+
+
+def label_order_cases(k):
+    """Graphs for the label-order readers: every subgroup of F_k of index
+    <= 4; the meets of every pair of them (on F3, of every pair of index
+    <= 3 and of 1,500 seeded pairs of index <= 4); on F2 the preimages of
+    each under the catalog maps.  Returned as (graphs, pairs): `pairs`
+    are (inner, outer) for the covering, both nested and not."""
+    subs = enumerate_subgroups(k, 4)
+    if k < 3:
+        pairs = [(a, b) for a in subs for b in subs]
+    else:
+        small = [s for s in subs if s.m <= 3]
+        rng = random.Random(27)
+        pairs = [(a, b) for a in small for b in small]
+        pairs += [(rng.choice(subs), rng.choice(subs)) for _ in range(1500)]
+    graphs = set(subs)
+    nested = []
+    for a, b in pairs:
+        meet = intersect(a, b)
+        graphs.add(meet)
+        nested += [(meet, a), (meet, b)]
+    if k == 2:
+        for phi in catalog.f2_catalog().values():
+            for sub in subs:
+                pre = stallings.preimage(phi.domain, phi.images, sub)
+                graphs.add(pre)
+                nested.append((pre, phi.domain))
+    return sorted(graphs, key=lambda g: (g.m, g.fwd)), pairs + nested
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_label_order_readers_match_their_queue_and_sort_versions(k):
+    # the spanning tree, the return table and the covering read the labels
+    # in order, which orbit_graph and enumerate_subgroups give every graph
+    graphs, pairs = label_order_cases(k)
+    for graph in graphs:
+        data = stallings._tree_data.__wrapped__(graph)
+        assert (data.tree_order, data.tree_words, data.nontree) == tree_data_by_queue(graph)
+        assert tuple(stallings._return_table.__wrapped__(graph)) == return_table_by_distance(graph)
+    for inner, outer in pairs:
+        assert stallings.cover_vertices.__wrapped__(inner, outer) == cover_vertices_by_queue(
+            inner, outer
+        )
+
+
+@ORACLE
+@given(st.data())
+def test_tree_data_matches_the_queue_version_on_infinite_index(data):
+    k = data.draw(st.integers(1, 3))
+    letters = "abc"[:k] + "ABC"[:k]
+    count = data.draw(st.integers(0, 3))
+    words = [Word(k, data.draw(st.text(letters, max_size=8))) for _ in range(count)]
+    graph = from_generators(words, k)
+    tree = stallings._tree_data.__wrapped__(graph)
+    assert (tree.tree_order, tree.tree_words, tree.nontree) == tree_data_by_queue(graph)

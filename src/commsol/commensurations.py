@@ -2,9 +2,11 @@
 
 A commensuration is an isomorphism between two finite-index subgroups,
 stored the same way on both families: by its domain and the images of
-`group.basis(domain)` (HNF columns, or the canonical Stallings basis); a
-partial automorphism of F_k need not extend to F_k, and the matrix of one
-of Z^n is derived when read.  The steps that depend on the family are
+`group.basis(domain)` (HNF columns, or the canonical Stallings basis).  A
+map is its value: all else read of it is derived from these, such as the
+matrix of one of Z^n, and the endomorphism of F_k extending one of F_k
+when there is one (groups.Fk.ambient, which the covering lift reads), so
+equal maps give equal results.  The steps that depend on the family are
 methods of the group objects (groups.Zn, groups.Fk), so each operation
 here has one path.  The injectivity rule is: the images generate a
 finite-index subgroup whose basis is as long as the domain's (a surjection
@@ -19,16 +21,12 @@ equivalent() decides equality in the commensurator group: since both
 group families have the unique root property, two partial automorphisms
 represent the same class exactly when they agree on the full intersection
 of their domains.
-
-A commensuration may carry an optional ambient extension (the images of
-the whole group's basis) as provenance; it is used by the covering-lift
-layer and propagated through compose/restriction when available.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 from . import groups, lattices, ratmat, stallings
 from .errors import InfiniteIndexError, ParseError, PreconditionError
@@ -40,14 +38,13 @@ class Commensuration:
     its domain and the images of `group.basis(domain)`; a codomain of None
     is generated from the images when read."""
 
-    __slots__ = ("group", "domain", "_codomain", "images", "ambient", "_matrix")
+    __slots__ = ("group", "domain", "_codomain", "images", "_matrix")
 
-    def __init__(self, group, domain, codomain, images, ambient=None):
+    def __init__(self, group, domain, codomain, images):
         self.group = group
         self.domain = domain
         self._codomain = codomain
         self.images = images
-        self.ambient = ambient
         self._matrix = None
 
     @property
@@ -79,7 +76,7 @@ class Commensuration:
         """The rational matrix extending a Z^n commensuration, derived from
         the images on first read; None on F_k."""
         if self._matrix is None:
-            self._matrix = self.group.extension(self.domain, self.images)
+            self._matrix = self.group.matrix(self.domain, self.images)
         return self._matrix
 
     def __repr__(self):
@@ -105,7 +102,7 @@ def _generated_image(grp, domain, images):
     return codomain
 
 
-def _make(grp, domain, images, codomain=None, ambient=None) -> Commensuration:
+def _make(grp, domain, images, codomain=None) -> Commensuration:
     """The commensuration sending basis(domain) to `images`, one per basis
     element.  Images a caller gives pass the injectivity rule here, unless
     the caller knows the codomain; compose and restriction, whose maps are
@@ -116,7 +113,7 @@ def _make(grp, domain, images, codomain=None, ambient=None) -> Commensuration:
         raise PreconditionError("need one image per basis element of the domain")
     if codomain is None:
         codomain = _generated_image(grp, domain, images)
-    return Commensuration(grp, domain, codomain, images, ambient)
+    return Commensuration(grp, domain, codomain, images)
 
 
 def make_zn(matrix, domain: lattices.Lattice | None = None) -> Commensuration:
@@ -147,7 +144,7 @@ def to_matrix(comm: Commensuration):
     return comm.matrix
 
 
-def make_fk(k, gens, images, ambient=None) -> Commensuration:
+def make_fk(k, gens, images) -> Commensuration:
     """F_k commensuration from generator words `gens` (a free basis of the
     domain) and their images, re-expressed on the canonical basis."""
     gens = list(gens)
@@ -156,31 +153,23 @@ def make_fk(k, gens, images, ambient=None) -> Commensuration:
         raise PreconditionError("need one image per generator")
     graph, exprs = stallings.fold_with_expressions(gens, k)
     canon_images = [stallings.substitute(e, images) for e in exprs]
-    return _make(groups.group("F", k), graph, canon_images, ambient=ambient)
+    return _make(groups.group("F", k), graph, canon_images)
 
 
 def from_ambient(k, letter_images) -> Commensuration:
     """The map a_i -> letter_images[i] on all of F_k, which must be
-    injective; the images are kept as its ambient provenance."""
-    grp, images = groups.group("F", k), tuple(letter_images)
-    return _make(grp, grp.whole, images, ambient=images)
-
-
-def apply_ambient(ambient, g):
-    """The image of g under the endomorphism of the whole group that sends
-    its basis to `ambient`."""
-    grp = groups.of_element(g)
-    return grp.evaluate(grp.whole, ambient, g)
+    injective."""
+    grp = groups.group("F", k)
+    return _make(grp, grp.whole, letter_images)
 
 
 def inner(tag: str, rank: int, g=None) -> Commensuration:
-    """Conjugation by g (default: the identity) on the whole group, which
-    carries its images as its ambient provenance."""
+    """Conjugation by g (default: the identity) on the whole group."""
     grp = groups.group(tag, rank)
     if g is None:
         g = grp.identity
     images = tuple(grp.mul(grp.mul(g, b), grp.inv(g)) for b in grp.basis(grp.whole))
-    return _make(grp, grp.whole, images, codomain=grp.whole, ambient=images)
+    return _make(grp, grp.whole, images, codomain=grp.whole)
 
 
 def identity_comm(tag: str, rank: int) -> Commensuration:
@@ -228,31 +217,7 @@ def preimage_subgroup(comm: Commensuration, sub):
     return comm.group.preimage(comm.domain, comm.images, sub)
 
 
-def provenance_cache(maxsize: int):
-    """An lru_cache whose key also holds each argument's `ambient`
-    provenance: Commensuration equality ignores it, and the results of the
-    functions cached this way carry it.  The wrapper exposes the cache's
-    cache_clear and cache_info."""
-
-    def decorate(fn):
-        # one flat key, the arguments then their provenance: a nested pair
-        # would hold two more tuples per entry
-        @lru_cache(maxsize=maxsize)
-        def cached(*key):
-            return fn(*key[: len(key) // 2])
-
-        @wraps(fn)
-        def wrapper(*args):
-            return cached(*args, *[getattr(a, "ambient", None) for a in args])
-
-        wrapper.cache_clear = cached.cache_clear
-        wrapper.cache_info = cached.cache_info
-        return wrapper
-
-    return decorate
-
-
-@provenance_cache(maxsize=4096)
+@lru_cache(maxsize=4096)
 def compose(phi: Commensuration, psi: Commensuration) -> Commensuration:
     """[phi] o [psi]: apply psi first, restricted to where the composite is
     defined, psi^-1(meet) for meet = image(psi) ∩ domain(phi).
@@ -266,18 +231,8 @@ def compose(phi: Commensuration, psi: Commensuration) -> Commensuration:
     meet = grp.intersect(psi.codomain, phi.domain)
     dom = preimage_subgroup(psi, meet)
     images = tuple(evaluate(phi, w) for w in images_on(psi, dom))
-    ambient = None
-    if phi.ambient is not None and psi.ambient is not None:
-        ambient = _compose_ambient(phi.ambient, psi.ambient)
     codomain = phi.codomain if meet == phi.domain else None
-    return Commensuration(grp, dom, codomain, images, ambient)
-
-
-@lru_cache(maxsize=4096)
-def _compose_ambient(phi_ambient, psi_ambient):
-    """The ambient provenance of a composite: phi's endomorphism applied to
-    psi's images."""
-    return tuple(apply_ambient(phi_ambient, w) for w in psi_ambient)
+    return Commensuration(grp, dom, codomain, images)
 
 
 def invert(comm: Commensuration) -> Commensuration:
@@ -287,7 +242,7 @@ def invert(comm: Commensuration) -> Commensuration:
     return _make(grp, comm.codomain, images, codomain=comm.domain)
 
 
-@provenance_cache(maxsize=4096)
+@lru_cache(maxsize=4096)
 def restriction(comm: Commensuration, sub) -> Commensuration:
     """Restrict to a finite-index subgroup of the domain (an equivalent
     commensuration, whose codomain is generated when first read)."""
@@ -298,10 +253,10 @@ def restriction(comm: Commensuration, sub) -> Commensuration:
     except PreconditionError:
         raise PreconditionError("restriction target is not inside the domain") from None
     grp.index(sub)  # raises InfiniteIndexError for an infinite-index target
-    return Commensuration(grp, sub, None, images, comm.ambient)
+    return Commensuration(grp, sub, None, images)
 
 
-@provenance_cache(maxsize=4096)
+@lru_cache(maxsize=4096)
 def restriction_onto(comm: Commensuration, target) -> Commensuration:
     """Restrict to comm^-1(target), for target a finite-index subgroup of
     the codomain: an equivalent commensuration onto target, comm itself
@@ -321,7 +276,7 @@ def restriction_onto(comm: Commensuration, target) -> Commensuration:
             f"restriction_onto: the target (index {grp.index(target)}) is not the image "
             f"of the preimage (index {grp.index(src)}) inside the codomain"
         )
-    return _make(grp, src, images, codomain=target, ambient=comm.ambient)
+    return _make(grp, src, images, codomain=target)
 
 
 @lru_cache(maxsize=4096)
@@ -347,8 +302,7 @@ def zn1_to_f1(comm: Commensuration) -> Commensuration:
     h = comm.domain.cols[0][0]
     img = comm.images[0][0]
     a = Word(1, "a")
-    ambient = (a ** (img // h),) if img % h == 0 else None
-    return make_fk(1, [a**h], [a**img], ambient=ambient)
+    return make_fk(1, [a**h], [a**img])
 
 
 # -- text format ----------------------------------------------------------------

@@ -324,12 +324,5 @@ def boundary_action(comm, point: BoundaryPoint) -> BoundaryPoint:
     g = point.element
     if groups.of_element(g) != comm.group:
         raise PreconditionError("the boundary point is of another group than the map's")
-    v = stallings.trace(comm.domain, g, 0)
-    m = 1
-    while v != 0:
-        v = stallings.trace(comm.domain, g, v)
-        m += 1
-        if m > comm.domain.m:
-            raise AssertionError("coset orbit exceeded the index")
-    img = comm_mod.evaluate(comm, g**m)
+    img = comm_mod.evaluate(comm, g ** stallings.return_power(comm.domain, g))
     return fixed_point(img, "+")

@@ -8,10 +8,11 @@ leaf point or subgroup is; no other module tests which family it holds.
 A group object carries the element, finite-index subgroup and
 universal-cover leaf operations of its family, and the commensuration
 steps that depend on it (evaluate, images_on, preimage, inverse_images,
-generated, extension, the baseleaf walk) of a map given by a domain and
-the images of `basis(domain)`.  `on_rose` says whether a step that runs
-on the rose (covers, covering lifts, the boundary) takes the group or a
-map of it.  Groups compare by value.  Subgroup operations go through the
+generated, matrix, the baseleaf walk; ambient, the extension to F_k that
+a covering lift reads) of a map given by a domain and the images of
+`basis(domain)`.  `on_rose` says whether a step that runs on the rose
+(covers, covering lifts, the boundary) takes the group or a map of it.
+Groups compare by value.  Subgroup operations go through the
 `lattices`/`stallings` module attributes at call time, so instrumentation
 installed there sees them.
 """
@@ -33,6 +34,7 @@ from .freewords import (
     _join,
     parse_vector,
     parse_word,
+    primitive_root,
     serialize_vector,
 )
 
@@ -264,7 +266,7 @@ class Zn(_Group):
         # lcm(2..n-1) divides a nonzero gcd, so n stays small whatever the depth
         return next((n for n in range(2, depth + 1) if common % n), None)
 
-    def extension(self, domain, images):
+    def matrix(self, domain, images):
         """The rational matrix extending the map to Z^n: C D^-1."""
         return ratmat.mul(
             ratmat.from_int_columns(images), ratmat.inverse(ratmat.from_int_columns(domain.cols))
@@ -601,9 +603,31 @@ class Fk(_Group):
                 return self.index(obj)
         return None
 
-    def extension(self, domain, images):
-        """None: a partial automorphism of F_k need not extend to F_k."""
+    def matrix(self, domain, images):
+        """None: a map of F_k has no matrix."""
         return None
+
+    def ambient(self, domain, images):
+        """The images of the letters under the endomorphism of F_k that
+        extends the map, None when there is none.  Roots are unique in F_k
+        (Lyndon-Schupp, ch. I), so with m the least power of a letter a in
+        the domain, an extension sends a to the m-th root of the image of
+        a^m, and it exists exactly when those letter images reproduce the
+        map on basis(domain)."""
+        letters = []
+        for a in _LOWER[: self.rank]:
+            m = stallings.return_power(domain, a)
+            power = Word(self.rank, a * m, _reduced=True)
+            root, n = primitive_root(self.evaluate(domain, images, power))
+            if n % m:
+                return None
+            letters.append(root ** (n // m))
+        if any(
+            self.evaluate(self.whole, letters, b) != img
+            for b, img in zip(self.basis(domain), images)
+        ):
+            return None
+        return tuple(letters)
 
     def translate(self, g, leaf):
         if isinstance(leaf, EdgePoint):

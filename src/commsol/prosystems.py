@@ -146,8 +146,7 @@ def zeta_component(phi, obj):
     return comm_mod.restriction_onto(phi, phi.group.intersect(obj, phi.codomain))
 
 
-# the components carry phi's ambient provenance
-@comm_mod.provenance_cache(maxsize=512)
+@lru_cache(maxsize=512)
 def zeta(phi, depth: int) -> SystemMorphism:
     """Realize a commensuration as a depth-N system endomorphism.  Source
     subgroups deeper than N are materialized and recorded, which keeps the

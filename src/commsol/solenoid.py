@@ -376,14 +376,15 @@ def lift_through_covers(phi, target=None) -> GraphMap:
     map of Z^1 is lifted as the equivalent map of F_1, and K must be a
     subgroup of phi's group (groups.Fk.on_rose).
 
-    With ambient provenance the base map is the rose self-map sending each
-    petal to its image word; otherwise the spanning tree of X_H collapses
-    to the base vertex and each remaining edge maps to the loop of its
-    basis image (the coset map on H-coset representatives).  Either way
-    a basepoint-preserving lift is fixed by path lifting from the base
-    (Stallings 1983), so the vertex map is derived once, by lifting each
-    edge's image from where its tail lifted; an edge whose image ends
-    elsewhere than its head lifted is refused.
+    When phi extends to an endomorphism of F_k (groups.Fk.ambient, derived
+    from phi's value alone, so equal maps lift equally) the base map is the
+    rose self-map sending each petal to its letter's image; otherwise the
+    spanning tree of X_H collapses to the base vertex and each remaining
+    edge maps to the loop of its basis image (the coset map on H-coset
+    representatives).  Either way a basepoint-preserving lift is fixed by
+    path lifting from the base (Stallings 1983), so the vertex map is
+    derived once, by lifting each edge's image from where its tail lifted;
+    an edge whose image ends elsewhere than its head lifted is refused.
     """
     phi = phi.group.on_rose(phi)
     if target is not None and groups.of_subgroup(target) != phi.group:
@@ -397,10 +398,11 @@ def lift_through_covers(phi, target=None) -> GraphMap:
                 f"maps to {img}, which is not in the target subgroup"
             )
     edge_words = {}
-    if phi.ambient is not None:
+    letters = phi.group.ambient(h, phi.images)
+    if letters is not None:
         for v in range(h.m):
             for x in range(h.k):
-                edge_words[(v, x)] = phi.ambient[x]
+                edge_words[(v, x)] = letters[x]
     else:
         nontree_index = stallings._tree_data(h).nontree_index
         for v in range(h.m):

@@ -385,6 +385,17 @@ def contains(graph: SubgroupGraph, word, start: int = 0) -> bool:
     return trace(graph, word, start) == 0
 
 
+def return_power(graph: SubgroupGraph, word) -> int:
+    """The least m >= 1 with word^m in the subgroup: the length of the
+    base's orbit under word, at most the index of a cover."""
+    v, m = trace(graph, word), 1
+    while v != 0:
+        v, m = trace(graph, word, v), m + 1
+        if m > graph.m:
+            raise AssertionError("coset orbit exceeded the index")
+    return m
+
+
 def index(graph: SubgroupGraph) -> int:
     if not graph.complete:
         raise InfiniteIndexError("subgroup has infinite index")

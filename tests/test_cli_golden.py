@@ -705,6 +705,24 @@ GOLDEN = [
         "edge 2 b -> abA\n",
     ),
     (
+        ["--format", "text", "lift", "comm F 2; aa -> bb; b -> a; abA -> baB"],
+        0,
+        "vertices 1 2\n"
+        "edge 1 a -> b\n"
+        "edge 1 b -> a\n"
+        "edge 2 a -> b\n"
+        "edge 2 b -> a\n",
+    ),
+    (
+        ["--format", "lines", "lift", "comm F 2; aa -> bb; b -> a; abA -> baB"],
+        0,
+        "vertices 1 2\n"
+        "edge 1 a -> b\n"
+        "edge 1 b -> a\n"
+        "edge 2 a -> b\n"
+        "edge 2 b -> a\n",
+    ),
+    (
         ["--format", "text", "lift", "comm F 2; a -> b; b -> a", "--target", "F 2; aa; b; abA"],
         1,
         "",

@@ -12,7 +12,6 @@ import pytest
 
 from commsol import catalog, commensurations, groups, lattices, ratmat, stallings
 from commsol.commensurations import (
-    apply_ambient,
     compose,
     equivalent,
     evaluate,
@@ -319,7 +318,7 @@ def test_derived_codomains_match_the_eager_maps():
     assert sum(c._codomain is None for c in maps) > len(maps) // 2
     for c in maps:
         grp = c.group
-        eager = commensurations._make(grp, c.domain, c.images, ambient=c.ambient)
+        eager = commensurations._make(grp, c.domain, c.images)
         assert c == eager and hash(c) == hash(eager)
         assert format_comm(c) == format_comm(eager)
         assert c.codomain == eager.codomain == grp.generated(c.images)
@@ -465,13 +464,16 @@ def test_zeta_components_match_restriction_of_the_preimage():
     # restriction folds the images to find the codomain; the zeta
     # component is built onto the meet and must agree with it
     maps = list(catalog.f2_catalog().values())
+    f2 = groups.group("F", 2)
     for phi in maps:
+        extension = f2.ambient(phi.domain, phi.images)
         for obj in build_system("F", 2, 3).objects:
             meet = stallings.intersect(obj, phi.codomain)
             got = zeta_component(phi, obj)
             want = restriction(phi, preimage_subgroup(phi, meet))
             assert got.domain == want.domain and got.codomain == want.codomain
-            assert got.images == want.images and got.ambient == want.ambient
+            assert got.images == want.images
+            assert f2.ambient(got.domain, got.images) == extension
     phi = make_zn([[2, 0], [1, 3]])
     for obj in build_system("Z", 2, 3).objects:
         meet = lattices.intersect(obj, phi.codomain)
@@ -532,34 +534,15 @@ def test_text_round_trip():
 
 
 def test_ambient_provenance_propagates():
+    # a composite of extendable maps extends, and its extension agrees with
+    # the stored commensuration
     cat = catalog.f2_catalog()
     composed = compose(cat["swap"], cat["shift"])
-    assert composed.ambient is not None
-    # ambient provenance must agree with the stored commensuration
+    f2 = composed.group
+    letters = f2.ambient(composed.domain, composed.images)
+    assert letters is not None
     for bw, img in zip(stallings.basis(composed.domain), composed.images):
-        assert apply_ambient(composed.ambient, bw) == img
-
-
-def test_cached_results_keep_their_own_provenance():
-    # a parsed map and the same map built from ambient images are equal as
-    # commensurations; cached restriction/compose/zeta must still return
-    # results carrying each one's own provenance, whatever the call order
-    from commsol.prosystems import zeta
-    from commsol.solenoid import lift_through_covers
-
-    parsed = parse_comm("comm F 2 : a -> b ; b -> a")
-    built = from_ambient(2, [W("b"), W("a")])
-    assert parsed == built and parsed.ambient is None and built.ambient is not None
-    expected = {id(parsed): (0, 0), id(built): (0, 1)}
-    for order in ((parsed, built), (built, parsed)):
-        for phi in order:
-            r = restriction(phi, catalog.ker_a())
-            assert r.ambient == phi.ambient
-            assert lift_through_covers(r).vertex_map == expected[id(phi)]
-            c = compose(phi, phi)
-            assert (c.ambient is None) == (phi.ambient is None)
-            z = zeta(phi, 2)
-            assert all(comp.ambient == phi.ambient for comp in z.components)
+        assert f2.evaluate(f2.whole, letters, bw) == img
 
 
 # -- images read off the covering, against evaluation ---------------------------
@@ -643,7 +626,9 @@ def test_images_on_matches_evaluate_on_parsed_maps_and_composites():
     parsed = [parse_comm(format_comm(c)) for c in catalog.f2_catalog().values()]
     parsed.append(parse_comm("comm F 2 : aa -> bb ; b -> a ; abA -> baB"))
     composites = [compose(phi, psi) for phi in parsed[::3] for psi in parsed[1::3]]
-    assert all(c.ambient is None for c in parsed + composites)
+    # maps that extend to F_2 and maps that do not
+    f2 = groups.group("F", 2)
+    assert {f2.ambient(c.domain, c.images) is None for c in parsed + composites} == {True, False}
     objects = build_system("F", 2, 3).objects
     for phi in parsed + composites:
         for obj in objects:

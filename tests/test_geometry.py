@@ -192,12 +192,14 @@ def test_projection_matches_probe_search_on_whole_balls():
 
 def draw_map(data):
     """An F2 map of one of three kinds: an ambient automorphism restricted
-    to a subgroup of index <= 4, a catalog composite without ambient
-    provenance, or a map parsed back from its text form."""
+    to a subgroup of index <= 4, a catalog composite that does not extend
+    to F2, or a map parsed back from its text form."""
     kind = data.draw(st.sampled_from(["ambient", "composite", "parsed"]))
     cat = catalog.f2_catalog()
+    f2 = groups.group("F", 2)
     if kind == "composite":
-        pairs = [(a, b) for a in cat for b in cat if compose(cat[a], cat[b]).ambient is None]
+        composites = {(a, b): compose(cat[a], cat[b]) for a in cat for b in cat}
+        pairs = [p for p, c in composites.items() if f2.ambient(c.domain, c.images) is None]
         a, b = data.draw(st.sampled_from(pairs))
         return compose(cat[a], cat[b])
     x, y = W("a"), W("b")
@@ -207,7 +209,7 @@ def draw_map(data):
     phi = restriction(from_ambient(2, [x, y]), sub)
     if kind == "parsed":
         phi = parse_comm(format_comm(phi))
-        assert phi.ambient is None
+        assert f2.ambient(phi.domain, phi.images) == (x, y)
     return phi
 
 

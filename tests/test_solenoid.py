@@ -5,19 +5,19 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from commsol import catalog, groups, lattices, prosystems, solenoid, stallings
 from commsol.commensurations import (
-    Commensuration,
-    apply_ambient,
+    compose,
     evaluate,
     format_comm,
     from_ambient,
     identity_comm,
+    make_fk,
     make_zn,
     parse_comm,
     restriction,
@@ -137,8 +137,8 @@ def test_lift_swap_swaps_sheets():
 
 def test_lift_collapse_case_agrees_with_evaluation():
     cat = catalog.f2_catalog()
-    phi = cat["ker_a_to_ker_total"]  # no ambient extension recorded
-    assert phi.ambient is None
+    phi = cat["ker_a_to_ker_total"]  # does not extend to F_2
+    assert phi.group.ambient(phi.domain, phi.images) is None
     gm = lift_through_covers(phi)
     rng = random.Random(83)
     bas = stallings.basis(phi.domain)
@@ -171,9 +171,9 @@ def apply_by_products(gm, word):
 
 
 def test_apply_to_path_matches_word_products():
-    # lifts with ambient provenance (edges map to the petal images) and
-    # without it (the catalog maps parsed back from text, whose tree
-    # edges collapse), on closed and open paths
+    # lifts of maps that extend to F_k (edges map to the petal images) and
+    # of maps that do not (whose tree edges collapse), the catalog maps and
+    # their parsed twins, on closed and open paths
     maps = list(catalog.f2_catalog().values())
     maps += [parse_comm(format_comm(phi)) for phi in maps]
     maps.append(zn1_to_f1(make_zn([[2]])))
@@ -181,7 +181,7 @@ def test_apply_to_path_matches_word_products():
     kinds = set()
     for phi in maps:
         gm = lift_through_covers(phi)
-        kinds.add(phi.ambient is None)
+        kinds.add(phi.group.ambient(phi.domain, phi.images) is None)
         letters = "aA" if phi.rank == 1 else "abAB"
         words = [Word(phi.rank, "".join(rng.choice(letters) for _ in range(rng.randrange(9))))
                  for _ in range(40)]
@@ -205,24 +205,38 @@ def test_lift_unique():
     assert gm1.vertex_map == gm2.vertex_map and gm1.edge_words == gm2.edge_words
 
 
-def vertex_map_from_the_base_map(phi, target):
-    """Reference: with ambient provenance, the vertex of the target that the
-    ambient image of each tree word of phi's domain reaches; without it,
-    the base for every vertex, as the spanning tree collapses to it."""
-    if phi.ambient is None:
+def vertex_map_from_the_base_map(phi, letters, target):
+    """Reference: for a map built from the letter images `letters` of an
+    endomorphism of F_k, the vertex of the target that the image of each
+    tree word of phi's domain reaches; for one built without (None), the
+    base for every vertex, as the spanning tree collapses to it."""
+    if letters is None:
         return (0,) * phi.domain.m
+    grp = phi.group
     return tuple(
-        stallings.trace(target, apply_ambient(phi.ambient, Word(phi.rank, tw)))
+        stallings.trace(target, grp.evaluate(grp.whole, letters, Word(phi.rank, tw)))
         for tw in stallings.tree_words(phi.domain)
     )
 
 
+def catalog_letters():
+    """The letter images each catalog map was built from (from_ambient and
+    inner), restrictions under their original's name; None for the two
+    maps built on ker_a's basis, which do not extend to F_2."""
+    a, b = W("a"), W("b")
+    conj = lambda g: (g * a * ~g, g * b * ~g)  # noqa: E731
+    built = {"identity": (a, b), "swap": (b, a), "shift": (W("ab"), b),
+             "inner_a": conj(a), "inner_b": conj(b), "inner_ab": conj(W("ab"))}
+    return {name: built.get(name.split("|")[0]) for name in catalog.f2_catalog()}
+
+
 def test_lift_vertex_map_matches_the_base_map():
     # the catalog into its codomain and every depth-2 object containing it,
-    # the same maps parsed back from text (no provenance), and seeded
-    # Nielsen automorphisms restricted to subgroups of index <= 4
-    maps = list(catalog.f2_catalog().values())
-    maps += [parse_comm(format_comm(phi)) for phi in maps]
+    # the same maps parsed back from text (which lift as their originals),
+    # and seeded Nielsen automorphisms restricted to subgroups of index <= 4
+    letters = catalog_letters()
+    cases = [(phi, letters[name]) for name, phi in catalog.f2_catalog().items()]
+    cases += [(parse_comm(format_comm(phi)), built) for phi, built in cases]
     rng = random.Random(59)
     for _ in range(12):
         gens = [W("a"), W("b")]
@@ -230,25 +244,130 @@ def test_lift_vertex_map_matches_the_base_map():
             i = rng.randrange(2)
             gens[i] = gens[i] * (gens[1 - i] if rng.randrange(2) else ~gens[1 - i])
         sub = rng.choice(stallings.enumerate_subgroups(2, 4))
-        maps.append(restriction(from_ambient(2, gens), sub))
+        cases.append((restriction(from_ambient(2, gens), sub), gens))
     objects = prosystems.build_system("F", 2, 2).objects
     kinds = set()
-    for phi in maps:
-        kinds.add(phi.ambient is None)
+    for phi, built in cases:
+        kinds.add(built is None)
         targets = [phi.codomain] + [s for s in objects if stallings.is_subgroup(phi.codomain, s)]
         for target in targets:
             gm = lift_through_covers(phi, target)
-            assert gm.vertex_map == vertex_map_from_the_base_map(phi, target)
+            assert gm.vertex_map == vertex_map_from_the_base_map(phi, built, target)
     assert kinds == {True, False}
 
 
-def test_lift_refuses_an_edge_image_that_does_not_lift():
-    # swap|ker_a's images, which lie in ker_b, with the identity as its
-    # ambient map: the petal b maps to b, which leaves ker_b's base
+def test_lift_refuses_an_edge_image_that_does_not_lift(monkeypatch):
+    # swap|ker_a's images, which lie in ker_b, read with the identity's
+    # letters as its extension: the petal b maps to b, which leaves ker_b's
+    # base
     phi = catalog.f2_catalog()["swap|ker_a"]
-    spoiled = Commensuration(phi.group, phi.domain, phi.codomain, phi.images, (W("a"), W("b")))
+    monkeypatch.setattr(groups.Fk, "ambient", lambda self, domain, images: (W("a"), W("b")))
     with pytest.raises(PreconditionError, match="^edge image does not lift consistently$"):
-        lift_through_covers(spoiled, catalog.ker_b())
+        lift_through_covers(phi, catalog.ker_b())
+
+
+# -- the extension to F_k that a lift reads (groups.Fk.ambient) --------------------
+
+
+def brute_extension(phi):
+    """Reference: every tuple of letter images that reproduces phi on the
+    basis of its domain, searched over balls.  An extension sends a^m, for
+    m the least power of the letter a in the domain, to phi(a^m), so a's
+    image x has x^m = phi(a^m) and |x| <= |phi(a^m)|."""
+    grp = phi.group
+    candidates = []
+    for a in "abc"[: phi.rank]:
+        m = next(m for m in count(1) if stallings.contains(phi.domain, Word(phi.rank, a * m)))
+        want = evaluate(phi, Word(phi.rank, a * m))
+        candidates.append([x for x in grp.ball(len(want)) if x**m == want])
+    return [
+        letters
+        for letters in product(*candidates)
+        if all(
+            grp.evaluate(grp.whole, letters, b) == img
+            for b, img in zip(stallings.basis(phi.domain), phi.images)
+        )
+    ]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_ambient_gives_the_letters_of_a_restricted_nielsen_automorphism(data):
+    k = data.draw(st.integers(1, 3))
+    gens = [Word(k, x) for x in "abc"[:k]]
+    for _ in range(data.draw(st.integers(0, 5))):
+        i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+        if i == j:
+            gens[i] = ~gens[i]
+        elif data.draw(st.booleans()):
+            gens[i], gens[j] = gens[j], gens[i]
+        else:
+            gens[i] = gens[i] * (gens[j] if data.draw(st.booleans()) else ~gens[j])
+    sub = data.draw(st.sampled_from(stallings.enumerate_subgroups(k, 4)))
+    phi = restriction(from_ambient(k, gens), sub)
+    assert phi.group.ambient(phi.domain, phi.images) == tuple(gens)
+
+
+def test_ambient_of_a_composite_applies_the_first_extension_to_the_second():
+    # where both maps extend, the rule compose once applied to carry the
+    # extension: phi's endomorphism applied to psi's letters.  The catalog
+    # maps that extend are automorphisms of F_2, so where only one of the
+    # two extends the composite cannot (the other would then extend too);
+    # where neither does, the search decides.
+    letters = catalog_letters()
+    cat = catalog.f2_catalog()
+    f2 = groups.group("F", 2)
+    for f, phi in cat.items():
+        for g, psi in cat.items():
+            c = compose(phi, psi)
+            got = f2.ambient(c.domain, c.images)
+            if letters[f] and letters[g]:
+                assert got == tuple(f2.evaluate(f2.whole, letters[f], w) for w in letters[g])
+            elif letters[f] or letters[g]:
+                assert got is None
+            else:
+                assert brute_extension(c) == ([] if got is None else [got])
+    twice = compose(cat["ker_a_basis_swap"], cat["ker_a_basis_swap"])
+    assert f2.ambient(twice.domain, twice.images) == (W("a"), W("b"))
+
+
+def test_ambient_of_a_z1_map_is_a_power_of_a_exactly_when_h_divides_the_image():
+    # zn1_to_f1 sends the map h -> img of Z^1 to a^h -> a^img of F_1; the
+    # maps x -> (p/q) x on d times their largest domain
+    f1 = groups.group("F", 1)
+    a = Word(1, "a")
+    maps = 0
+    for p, q, d in product([*range(-6, 0), *range(1, 7)], (1, 2, 3), (1, 2, 3, 4)):
+        z = make_zn([[Fraction(p, q)]])
+        z = restriction(z, lattices.Lattice(1, [(d * z.domain.cols[0][0],)]))
+        h, img = z.domain.cols[0][0], z.images[0][0]
+        phi = zn1_to_f1(z)
+        want = (a ** (img // h),) if img % h == 0 else None
+        assert f1.ambient(phi.domain, phi.images) == want
+        maps += 1
+    assert maps == 144
+
+
+def test_ambient_is_none_for_maps_that_do_not_extend():
+    # the two catalog maps built on ker_a's basis, and the restrictions of
+    # the catalog's automorphisms to the subgroups of index 2 with one
+    # basis image inverted (still an isomorphism onto the same image)
+    cat = catalog.f2_catalog()
+    f2 = groups.group("F", 2)
+    maps = [cat["ker_a_basis_swap"], cat["ker_a_to_ker_total"]]
+    for name, built in catalog_letters().items():
+        if built is None or "|" in name:
+            continue
+        for sub in stallings.enumerate_subgroups(2, 2)[1:]:
+            r = restriction(cat[name], sub)
+            for i in range(len(r.images)):
+                images = list(r.images)
+                images[i] = ~images[i]
+                maps.append(make_fk(2, stallings.basis(sub), images))
+    assert len(maps) == 2 + 6 * 3 * 3
+    for phi in maps:
+        assert f2.ambient(phi.domain, phi.images) is None
+        assert brute_extension(phi) == []
 
 
 def test_baseleaf_examples():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from commsol import catalog, groups, stallings
-from commsol.commensurations import apply_ambient, evaluate, make_fk
+from commsol.commensurations import evaluate, make_fk
 from commsol.errors import InfiniteIndexError, PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity
 from commsol.groups import group
@@ -719,7 +719,7 @@ def test_cover_vertices_is_the_covering():
         stallings.cover_vertices(whole_group(3), outer)
 
 
-# -- path images: evaluate, apply_ambient ----------------------------------------
+# -- path images: evaluate ------------------------------------------------------
 
 
 def orbit_cover(data, k, m):
@@ -771,6 +771,8 @@ def test_evaluate_matches_express_and_substitute(data):
 @ORACLE
 @given(st.data())
 def test_apply_ambient_matches_letter_products(data):
+    # evaluation on the whole group applies the endomorphism sending the
+    # letters to letter_images
     k = data.draw(st.integers(1, 3))
     letters = "abc"[:k] + "ABC"[:k]
     letter_images = [Word(k, data.draw(st.text(letters, max_size=5))) for _ in range(k)]
@@ -779,7 +781,8 @@ def test_apply_ambient_matches_letter_products(data):
     for ch in w.letters:
         img = letter_images[ord(ch.lower()) - ord("a")]
         want = want * (img if ch.islower() else ~img)
-    assert apply_ambient(letter_images, w) == want
+    grp = group("F", k)
+    assert grp.evaluate(grp.whole, letter_images, w) == want
 
 
 def test_path_image_stops_where_the_path_leaves():

@@ -38,7 +38,7 @@ class Commensuration:
     its domain and the images of `group.basis(domain)`; a codomain of None
     is generated from the images when read."""
 
-    __slots__ = ("group", "domain", "_codomain", "images", "_matrix")
+    __slots__ = ("group", "domain", "_codomain", "images", "_matrix", "_hash")
 
     def __init__(self, group, domain, codomain, images):
         self.group = group
@@ -46,6 +46,7 @@ class Commensuration:
         self._codomain = codomain
         self.images = images
         self._matrix = None
+        self._hash = hash((domain, images))
 
     @property
     def codomain(self):
@@ -66,7 +67,7 @@ class Commensuration:
         )
 
     def __hash__(self):
-        return hash((self.domain, self.images))
+        return self._hash
 
     tag = property(lambda self: self.group.tag)
     rank = property(lambda self: self.group.rank)
@@ -230,7 +231,7 @@ def compose(phi: Commensuration, psi: Commensuration) -> Commensuration:
         raise PreconditionError("cannot compose commensurations of different groups")
     meet = grp.intersect(psi.codomain, phi.domain)
     dom = preimage_subgroup(psi, meet)
-    images = tuple(evaluate(phi, w) for w in images_on(psi, dom))
+    images = grp.evaluate_all(phi.domain, phi.images, images_on(psi, dom))
     codomain = phi.codomain if meet == phi.domain else None
     return Commensuration(grp, dom, codomain, images)
 

@@ -7,14 +7,16 @@ resolved, and `of_element`/`of_subgroup` the one place where an element,
 leaf point or subgroup is; no other module tests which family it holds.
 A group object carries the element, finite-index subgroup and
 universal-cover leaf operations of its family, and the commensuration
-steps that depend on it (evaluate, images_on, preimage, inverse_images,
-generated, matrix, the baseleaf walk; ambient, the extension to F_k that
-a covering lift reads) of a map given by a domain and the images of
-`basis(domain)`.  `on_rose` says whether a step that runs on the rose
-(covers, covering lifts, the boundary) takes the group or a map of it.
-Groups compare by value.  Subgroup operations go through the
-`lattices`/`stallings` module attributes at call time, so instrumentation
-installed there sees them.
+steps that depend on it (evaluate and its batch form evaluate_all,
+images_on, preimage, inverse_images, generated, matrix, the baseleaf
+walk; ambient, the extension to F_k that a covering lift reads) of a map
+given by a domain and the images of `basis(domain)`.  On F_k these read
+the map's edge labels, `Fk.edge_labels`: labels[ch][v], the image letters
+of the ch-edge out of v in the domain graph, memoized once per map.
+`on_rose` says whether a step that runs on the rose (covers, covering
+lifts, the boundary) takes the group or a map of it.  Groups compare by
+value.  Subgroup operations go through the `lattices`/`stallings` module
+attributes at call time, so instrumentation installed there sees them.
 """
 
 from __future__ import annotations
@@ -59,7 +61,18 @@ class _Group:
         return self.subgroups.contains(sub, g)
 
     def intersect(self, a, b):
-        return a if a == b else self.subgroups.intersect(a, b)
+        """The meet of two subgroups; a side that is the whole group, or
+        both sides equal, gives the other side with no search, once the
+        other side is known to be a subgroup of this group."""
+        if a == b:
+            return a
+        if b == self.whole:
+            self.check_rank(a)
+            return a
+        if a == self.whole:
+            self.check_rank(b)
+            return b
+        return self.subgroups.intersect(a, b)
 
     def is_subgroup(self, inner, outer) -> bool:
         return self.subgroups.is_subgroup(inner, outer)
@@ -73,8 +86,12 @@ class _Group:
     def preimage(self, domain, images, sub):
         return self.subgroups.preimage(domain, images, sub)
 
+    def evaluate_all(self, domain, images, elems):
+        """evaluate of each element of `elems`, as a tuple."""
+        return tuple(self.evaluate(domain, images, g) for g in elems)
+
     def images_on(self, domain, images, sub):
-        return tuple(self.evaluate(domain, images, b) for b in self.basis(sub))
+        return self.evaluate_all(domain, images, self.basis(sub))
 
     def leaf_reach(self, leaf) -> Fraction:
         """Distance of a leaf point from the base point."""
@@ -473,27 +490,38 @@ class Fk(_Group):
         return stallings.format_subgroup(sub)
 
     def evaluate(self, domain, images, g):
-        """The image of g: its loop in the domain graph read through the
-        edge labels; a stored image's own Word, so caches hold no copies."""
-        letters = g.letters
-        end, img = stallings.path_image(domain, letters, self.edge_labels(domain, images))
-        if end is None:
-            raise PreconditionError(f"{letters!r} leaves the subgroup graph")
-        if end != 0:
-            raise PreconditionError(f"{letters!r} is not in the subgroup")
-        shared = next((w for w in images if w.letters == img), None)
-        return shared or Word(self.rank, img, _reduced=True)
+        """The image of g: evaluate_all of g alone."""
+        return self.evaluate_all(domain, images, (g,))[0]
 
+    def evaluate_all(self, domain, images, elems):
+        """The images of the elements of `elems`: each one's loop in the
+        domain graph read through one fetch of the edge labels, and a
+        stored image's own Word (the caller's, not the memoized table's)
+        where it spells one, so caches hold no copies."""
+        # the memo's key must be hashable, and a caller may pass a list
+        labels = self.edge_labels(domain, tuple(images))
+        shared = {w.letters: w for w in images}
+        out = []
+        for g in elems:
+            letters = g.letters
+            end, img = stallings.path_image(domain, letters, labels)
+            if end is None:
+                raise PreconditionError(f"{letters!r} leaves the subgroup graph")
+            if end != 0:
+                raise PreconditionError(f"{letters!r} is not in the subgroup")
+            out.append(shared.get(img) or Word(self.rank, img, _reduced=True))
+        return tuple(out)
+
+    @lru_cache(maxsize=4096)
     def edge_labels(self, domain, images):
-        """label(v, x) for stallings.path_image: the image letters of the
-        x-edge out of v, those of its basis element on a nontree edge."""
-        nontree = stallings._tree_data(domain).nontree_index
-
-        def label(v, x):
-            i = nontree.get((v, x))
-            return "" if i is None else images[i].letters
-
-        return label
+        """The edge labels of the map for stallings.path_image, by letter:
+        labels[ch][v] is the image letters of the ch-edge out of v, those
+        of its basis element on a nontree edge, their inverse on an edge
+        crossed backward, and "" on a tree edge.  Memoized per map."""
+        out = [[""] * domain.m for _ in range(self.rank)]
+        for (v, x), img in zip(stallings._tree_data(domain).nontree, images):
+            out[x][v] = img.letters
+        return stallings.label_table(domain, out)
 
     def baseleaf_images(self, domain, images, radius):
         """The baseleaf map's images of ball(radius), in that order, as an
@@ -525,11 +553,11 @@ class Fk(_Group):
         from the base, and r the least return from t that does not step
         back along x (the return table's best, else its second), with its
         image."""
-        label = self.edge_labels(domain, images)
+        labels = self.edge_labels(domain, images)
         dist, best, second = stallings._return_table(domain)
         returns = [
-            (r, s, r and stallings.path_image(domain, r, label, v)[1],
-             s and stallings.path_image(domain, s, label, v)[1])
+            (r, s, r and stallings.path_image(domain, r, labels, v)[1],
+             s and stallings.path_image(domain, s, labels, v)[1])
             for v, (r, s) in enumerate(zip(best, second))
         ]
 
@@ -541,7 +569,7 @@ class Fk(_Group):
 
         rows = {
             x: [row(x, v, t, e) for v, (t, e) in enumerate(edges)]
-            for x, edges in stallings.edge_images(domain, label).items()
+            for x, edges in stallings.edge_images(domain, labels).items()
         }
 
         def step(state, x):
@@ -572,10 +600,9 @@ class Fk(_Group):
         below = stallings.cover_vertices(sub, domain)
         if below is None:
             raise PreconditionError("images_on: the subgroup is not inside the domain")
-        label = self.edge_labels(domain, images)
-        imgs = stallings.tree_products(
-            sub, lambda v, x: label(below[v], x), "", _join, lambda s: s[::-1].swapcase()
-        )
+        labels = self.edge_labels(domain, images)
+        columns = [list(map(labels[ch].__getitem__, below)) for ch in _LOWER[: self.rank]]
+        imgs = stallings.tree_products(sub, columns, "", _join, lambda s: s[::-1].swapcase())
         shared = {w.letters: w for w in images}
         return tuple(shared.get(s) or Word(self.rank, s, _reduced=True) for s in imgs)
 
@@ -622,12 +649,10 @@ class Fk(_Group):
             if n % m:
                 return None
             letters.append(root ** (n // m))
-        if any(
-            self.evaluate(self.whole, letters, b) != img
-            for b, img in zip(self.basis(domain), images)
-        ):
+        letters = tuple(letters)
+        if self.evaluate_all(self.whole, letters, self.basis(domain)) != tuple(images):
             return None
-        return tuple(letters)
+        return letters
 
     def translate(self, g, leaf):
         if isinstance(leaf, EdgePoint):

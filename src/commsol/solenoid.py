@@ -354,9 +354,10 @@ class GraphMap:
         image path reads, through the edge words) if the path is a loop,
         else None.  Each path is its parent's plus one edge
         (groups.Fk.walk), read from a table of the edges' images
-        (stallings.edge_images)."""
+        (stallings.edge_images) labelled by the edge words."""
         src, edge_words = self.src, self.edge_words
-        edges = stallings.edge_images(src, lambda v, x: edge_words[(v, x)].letters)
+        out_labels = [[edge_words[(v, x)].letters for v in range(src.m)] for x in range(src.k)]
+        edges = stallings.edge_images(src, stallings.label_table(src, out_labels))
 
         def step(state, x):
             v, img = state

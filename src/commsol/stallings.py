@@ -44,6 +44,17 @@ Inclusion of subgroups is the covering map between their graphs:
 `cover_vertices` pairs each vertex of the smaller subgroup's graph with
 the vertex below it in one pass, and fails where an edge has no partner
 below.
+
+The kernels that read a path letter by letter (`trace`, `coset_action`,
+`path_image`, `edge_images`, `_return_table`) index the graph's rows by
+the letter itself: rows[ch][v] is the end of the ch-edge out of v, 'a'
+reading fwd[0] and 'A' bwd[0] (`_letter_rows`, built once per graph on
+first read, not when the graph is made).  Edge labels are read the same
+way, labels[ch][v] being the letters of the ch-edge out of v, with each
+in-edge carrying the inverse of its out-edge's label (`label_table`).
+`preimage` reads, per letter and direction, a table of (end times the
+subgroup's index, the permutation of its cosets or None), built once per
+call.
 """
 
 from __future__ import annotations
@@ -247,18 +258,18 @@ def orbit_graph(k: int, base, step):
     pos = {base: 0}
     fwd = [[] for _ in range(k)]
     bwd = [[] for _ in range(k)]
+    slots = [(x, back, row) for x in range(k) for back, row in ((False, fwd[x]), (True, bwd[x]))]
     for node in order:
-        for x in range(k):
-            for back, row in ((False, fwd[x]), (True, bwd[x])):
-                t = step(node, x, back)
-                if t is None:
-                    row.append(-1)
-                    continue
-                i = pos.get(t)
-                if i is None:
-                    i = pos[t] = len(order)
-                    order.append(t)
-                row.append(i)
+        for x, back, row in slots:
+            t = step(node, x, back)
+            if t is None:
+                row.append(-1)
+                continue
+            i = pos.get(t)
+            if i is None:
+                i = pos[t] = len(order)
+                order.append(t)
+            row.append(i)
     complete = all(-1 not in row for row in fwd)
     graph = SubgroupGraph(k, len(order), tuple(map(tuple, fwd)), tuple(map(tuple, bwd)), complete)
     return graph, order
@@ -336,7 +347,7 @@ def fold_with_expressions(words, k: int):
     meaning words[i]^{+-1}, multiplying left to right.
     """
     graph, decf = _fold_words(list(words), k, track=True)
-    return graph, tree_products(graph, lambda v, x: decf[x][v], (), _dec_mul, _dec_inv)
+    return graph, tree_products(graph, decf, (), _dec_mul, _dec_inv)
 
 
 def whole_group(k: int) -> SubgroupGraph:
@@ -369,11 +380,11 @@ def trace(graph: SubgroupGraph, word, start: int = 0):
     """Follow `word` (a Word or letter string) from `start`; None if it
     leaves the partial maps."""
     letters = word.letters if isinstance(word, Word) else word
+    rows = _letter_rows(graph)
     v = start
     for ch in letters:
-        x = ord(ch.lower()) - ord("a")
-        v = graph.fwd[x][v] if ch.islower() else graph.bwd[x][v]
-        if v == -1 or v is None:
+        v = rows[ch][v]
+        if v == -1:
             return None
     return v
 
@@ -448,10 +459,10 @@ def coset_action(graph: SubgroupGraph, word) -> list[int]:
     """The permutation `word` induces on the cosets of a finite-index
     subgroup: entry c is trace(graph, word, c).  Built from the graph's
     per-letter rows, one pass over all cosets per letter."""
+    rows = _letter_rows(graph)
     perm = list(range(graph.m))
     for ch in word.letters:
-        row = (graph.fwd if ch.islower() else graph.bwd)[ord(ch.lower()) - 97]
-        perm = list(map(row.__getitem__, perm))
+        perm = list(map(rows[ch].__getitem__, perm))
     return perm
 
 
@@ -470,19 +481,28 @@ def preimage(domain: SubgroupGraph, images, sub: SubgroupGraph) -> SubgroupGraph
         domain.m * ms * k + ms * sum(map(len, images)),
         f"preimage_subgroup(domain index {domain.m}, subgroup index {ms}, k={k})",
     )
-    perms = [coset_action(sub, w) for w in images]
-    inverses = [sorted(range(ms), key=p.__getitem__) for p in perms]
-    nontree = _tree_data(domain).nontree_index
+    # per letter, per vertex: the permutation of the cosets on the edge
+    # out of it (into it), None on a tree edge
+    out_perms = [[None] * domain.m for _ in range(k)]
+    in_perms = [[None] * domain.m for _ in range(k)]
+    for (v, x), w in zip(_tree_data(domain).nontree, images):
+        perm = coset_action(sub, w)
+        inverse = [0] * ms
+        for c, t in enumerate(perm):
+            inverse[t] = c
+        out_perms[x][v] = perm
+        in_perms[x][domain.fwd[x][v]] = inverse
+    # a pair (v, c) is stored as v * ms + c; tables[back][x][v] is the end
+    # of the x-edge out of v (into v when back), times ms, and its permutation
+    tables = tuple(
+        [[(t * ms, perm) for t, perm in zip(ends, perms)] for ends, perms in zip(rows, perm_rows)]
+        for rows, perm_rows in ((domain.fwd, out_perms), (domain.bwd, in_perms))
+    )
 
-    # a pair (v, c) is stored as v * ms + c
     def step(node, x, back):
         v, c = divmod(node, ms)
-        if back:
-            s = domain.bwd[x][v]
-            i = nontree.get((s, x))
-            return s * ms + (c if i is None else inverses[i][c])
-        i = nontree.get((v, x))
-        return domain.fwd[x][v] * ms + (c if i is None else perms[i][c])
+        t, perm = tables[back][x][v]
+        return t + (c if perm is None else perm[c])
 
     return orbit_graph(k, 0, step)[0]
 
@@ -537,6 +557,19 @@ def _tree_data(graph: SubgroupGraph) -> _TreeData:
 
 
 @lru_cache(maxsize=4096)
+def _letter_rows(graph: SubgroupGraph) -> dict:
+    """The graph's rows by letter: rows[ch][v] is the end of the ch-edge
+    out of v (-1 where there is none), so 'a' reads fwd[0] and 'A' reads
+    bwd[0].  Built once per graph, on first read, for the kernels that
+    read a path letter by letter."""
+    rows = {}
+    for ch, f, b in zip(_LOWER, graph.fwd, graph.bwd):
+        rows[ch] = f
+        rows[ch.upper()] = b
+    return rows
+
+
+@lru_cache(maxsize=4096)
 def basis(graph: SubgroupGraph) -> tuple[Word, ...]:
     """Free basis from the canonical spanning tree (Schreier generators);
     size m(k-1)+1 for a complete graph on m vertices.  The word
@@ -556,22 +589,22 @@ def tree_words(graph: SubgroupGraph) -> tuple[str, ...]:
     return _tree_data(graph).tree_words
 
 
-def tree_products(graph: SubgroupGraph, label, one, mul, inv) -> tuple:
-    """Per element of basis(graph), the product of label(v, x) over the
+def tree_products(graph: SubgroupGraph, labels, one, mul, inv) -> tuple:
+    """Per element of basis(graph), the product of labels[x][v] over the
     edges v -x-> of its loop, inverted where the loop runs backward: with
     P(v) the product along the tree path to v, the element crossing the
-    nontree edge v -x-> w gives P(v) label(v, x) P(w)^-1."""
+    nontree edge v -x-> w gives P(v) labels[x][v] P(w)^-1."""
     data = _tree_data(graph)
     paths = [None] * graph.m
     paths[0] = one
     for v, x in data.tree_order:
         w = graph.fwd[x][v]
         if paths[w] is None:
-            paths[w] = mul(paths[v], label(v, x))
+            paths[w] = mul(paths[v], labels[x][v])
         else:
-            paths[v] = mul(paths[w], inv(label(v, x)))
+            paths[v] = mul(paths[w], inv(labels[x][v]))
     return tuple(
-        mul(mul(paths[v], label(v, x)), inv(paths[graph.fwd[x][v]])) for v, x in data.nontree
+        mul(mul(paths[v], labels[x][v]), inv(paths[graph.fwd[x][v]])) for v, x in data.nontree
     )
 
 
@@ -591,10 +624,7 @@ def _return_table(graph: SubgroupGraph) -> _ReturnTable:
     the least is found greedily: the least letter that steps one closer,
     then the least path from there."""
     dist = tuple(map(len, _tree_data(graph).tree_words))
-    steps = []
-    for ch in sorted(_LOWER[: graph.k] + _LOWER[: graph.k].upper()):
-        x = ord(ch.lower()) - ord("a")
-        steps.append((ch, graph.fwd[x] if ch.islower() else graph.bwd[x]))
+    steps = sorted(_letter_rows(graph).items())
     best = [""] * graph.m
     second = [None] * graph.m
     for v in range(graph.m):
@@ -605,37 +635,51 @@ def _return_table(graph: SubgroupGraph) -> _ReturnTable:
     return _ReturnTable(dist, tuple(best), tuple(second))
 
 
-def path_image(graph: SubgroupGraph, letters: str, label, start: int = 0):
+def path_image(graph: SubgroupGraph, letters: str, labels, start: int = 0):
     """The path spelling `letters` from `start`, read through edge labels:
     (end, image).  `end` is the vertex the path reaches, or None where it
-    leaves the graph; `image` is the reduced product of label(v, x), the
-    reduced letter string of the x-edge out of v, over the edges crossed
-    (up to where the path leaves), an edge crossed backward contributing
-    its inverse.  Letters cancel only at each
-    junction (freewords._join).
+    leaves the graph; `image` is the reduced product of labels[ch][v], the
+    reduced letter string of the ch-edge out of v (label_table), over the
+    edges crossed, up to where the path leaves.  Letters cancel only at
+    each junction (freewords._join), and an empty label is skipped.
 
     With the nontree edges of a commensuration's domain graph labelled by
-    their basis elements' images, a based loop's image is the
-    commensuration's value on the element the loop spells."""
+    their basis elements' images (groups.Fk.edge_labels), a based loop's
+    image is the commensuration's value on the element the loop spells."""
+    rows = _letter_rows(graph)
     v = start
     out = ""
     for ch in letters:
-        x = ord(ch.lower()) - ord("a")
-        back = ch.isupper()
-        t = (graph.bwd if back else graph.fwd)[x][v]
+        t = rows[ch][v]
         if t == -1:
             return None, out
-        out = _join(out, label(t, x)[::-1].swapcase() if back else label(v, x))
+        label = labels[ch][v]
+        if label:
+            out = _join(out, label)
         v = t
     return v, out
 
 
-def edge_images(graph: SubgroupGraph, label) -> dict:
+def label_table(graph: SubgroupGraph, out_labels) -> dict:
+    """Edge labels by letter, for path_image, from out_labels[x][v], the
+    letters of the x-edge out of v: labels['a'] is out_labels[0], and
+    labels['A'][v] is the inverse of the label of the a-edge into v, ""
+    where there is none."""
+    labels = {}
+    for ch, out, back in zip(_LOWER, out_labels, graph.bwd):
+        labels[ch] = out
+        labels[ch.upper()] = [out[s][::-1].swapcase() if s != -1 else "" for s in back]
+    return labels
+
+
+def edge_images(graph: SubgroupGraph, labels) -> dict:
     """path_image of each one-letter path: per letter ch, the list of
     (end, image) of the ch-edge out of each vertex, for walks that grow
     a path one letter at a time."""
-    letters = _LOWER[: graph.k] + _LOWER[: graph.k].upper()
-    return {ch: [path_image(graph, ch, label, v) for v in range(graph.m)] for ch in letters}
+    return {
+        ch: [(None, "") if t == -1 else (t, label) for t, label in zip(row, labels[ch])]
+        for ch, row in _letter_rows(graph).items()
+    }
 
 
 def substitute(expr, images) -> Word:

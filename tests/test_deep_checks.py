@@ -30,6 +30,8 @@ from commsol.stallings import (
     substitute,
 )
 
+from label_tables import label_table
+
 
 def nielsen_perturb(rng, words, rounds=6):
     """Apply random elementary Nielsen moves; the result is again a free
@@ -173,9 +175,9 @@ def test_lift_of_deep_restriction():
     deep = restriction(ident, ker2)
     gm = lift_through_covers(deep, target=catalog.ker_a())
     # the lift of an inclusion acts as the covering projection on sheets
-    label = lambda v, x: gm.edge_words[(v, x)].letters  # noqa: E731
+    labels = label_table(gm.src, lambda v, x: gm.edge_words[(v, x)].letters)
     for h in basis(ker2):
-        assert stallings.path_image(gm.src, h.letters, label) == (0, h.letters)
+        assert stallings.path_image(gm.src, h.letters, labels) == (0, h.letters)
 
 
 def test_compose_chain_domains_shrink_correctly():

@@ -1,6 +1,7 @@
 """Group capabilities that are otherwise reached only through their callers:
-`coset_reps_within`, `split_leaf`, `format_coset` and `edge_labels`, each
-against an oracle that shares no code with it."""
+`coset_reps_within`, `split_leaf`, `format_coset`, `edge_labels` and the
+meet with the whole group, each against an oracle that shares no code
+with it."""
 
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from commsol import catalog, commensurations, lattices, prosystems, stallings
 from commsol.cli import run
+from commsol.errors import PreconditionError
 from commsol.freewords import Word
 from commsol.groups import EdgePoint, _Group, group
 
@@ -137,6 +139,29 @@ def maps_with_images():
 def test_edge_labels_spell_the_image_of_each_basis_loop():
     for phi in maps_with_images():
         grp = phi.group
-        label = grp.edge_labels(phi.domain, phi.images)
+        labels = grp.edge_labels(phi.domain, phi.images)
         for b, img in zip(stallings.basis(phi.domain), phi.images):
-            assert stallings.path_image(phi.domain, b.letters, label) == (0, img.letters)
+            assert stallings.path_image(phi.domain, b.letters, labels) == (0, img.letters)
+
+
+@pytest.mark.parametrize(
+    "tag,rank,max_index", [("F", 1, 3), ("F", 2, 3), ("F", 3, 3), ("Z", 2, 12)]
+)
+def test_meets_with_the_whole_group_are_the_fiber_product(tag, rank, max_index):
+    # the meet with the whole group, in either order, is the family's own
+    # intersection, and one of the arguments comes back with no search
+    grp = group(tag, rank)
+    module = stallings if tag == "F" else lattices
+    for sub in grp.enumerate(max_index):
+        for a, b in ((grp.whole, sub), (sub, grp.whole)):
+            meet = grp.intersect(a, b)
+            assert meet == module.intersect(a, b)
+            assert meet is a or meet is b
+    # a subgroup of another rank is refused as the family's own meet refuses it
+    other = group(tag, rank + 1).whole
+    for a, b in ((grp.whole, other), (other, grp.whole)):
+        with pytest.raises(PreconditionError) as want:
+            module.intersect(a, b)
+        with pytest.raises(PreconditionError) as got:
+            grp.intersect(a, b)
+        assert str(got.value) == str(want.value)

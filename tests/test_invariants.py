@@ -238,6 +238,26 @@ def test_equal_maps_lift_equally():
     assert lifts == 29
 
 
+def test_equal_maps_keep_their_own_image_words():
+    # the edge-label tables are memoized by value, so a map evaluated
+    # after its equal twin reads the twin's table; evaluate and compose
+    # still hand back each map's own stored Words, whichever came first
+    ident = identity_comm("F", 2)
+    for phi in catalog.f2_catalog().values():
+        twin = _twin(phi)
+        assert twin == phi and not any(a is b for a, b in zip(twin.images, phi.images))
+        for order in ((phi, twin), (twin, phi)):
+            _clear_every_cache()
+            for m in order:
+                for b, img in zip(stallings.basis(m.domain), m.images):
+                    assert commensurations.evaluate(m, b) is img
+                # the composite's memo is keyed by value too: empty it alone
+                commensurations.compose.cache_clear()
+                composite = commensurations.compose(m, ident)
+                assert composite == m
+                assert all(a is b for a, b in zip(composite.images, m.images))
+
+
 def _is_cache_decorator(dec):
     target = dec.func if isinstance(dec, ast.Call) else dec
     name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")

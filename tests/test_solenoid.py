@@ -45,6 +45,8 @@ from commsol.solenoid import (
     sigma,
 )
 
+from label_tables import label_table
+
 W = lambda s: Word(2, s)
 
 
@@ -151,8 +153,8 @@ def test_lift_collapse_case_agrees_with_evaluation():
 def apply_to_path(gm, word):
     """Reference: the lift's image of the based path spelling `word` (the
     word the image path reads), one path at a time through the edge words."""
-    label = lambda v, x: gm.edge_words[(v, x)].letters  # noqa: E731
-    return Word(gm.dst.k, stallings.path_image(gm.src, word.letters, label)[1], _reduced=True)
+    labels = label_table(gm.src, lambda v, x: gm.edge_words[(v, x)].letters)
+    return Word(gm.dst.k, stallings.path_image(gm.src, word.letters, labels)[1], _reduced=True)
 
 
 def apply_by_products(gm, word):

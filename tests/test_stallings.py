@@ -36,6 +36,8 @@ from commsol.stallings import (
     whole_group,
 )
 
+from label_tables import label_table
+
 W = lambda s: Word(2, s)
 
 KER_A = ["aa", "b", "abA"]  # kernel of a->1, b->0 (mod 2)
@@ -787,13 +789,13 @@ def test_apply_ambient_matches_letter_products(data):
 
 def test_path_image_stops_where_the_path_leaves():
     graph = from_generators([W("ab")], 2)
-    label = lambda v, x: "ab"[x]
-    assert path_image(graph, "abBA", label) == (0, "")
-    assert path_image(graph, "ab", label, start=0) == (0, "ab")
-    assert path_image(graph, "b", label, start=1) == (0, "b")
+    labels = label_table(graph, lambda v, x: "ab"[x])
+    assert path_image(graph, "abBA", labels) == (0, "")
+    assert path_image(graph, "ab", labels, start=0) == (0, "ab")
+    assert path_image(graph, "b", labels, start=1) == (0, "b")
     # the path aA then b: b leaves the base, after the image of aA cancels
-    assert path_image(graph, "aAb", label) == (None, "")
-    assert path_image(graph, "aa", label) == (None, "a")
+    assert path_image(graph, "aAb", labels) == (None, "")
+    assert path_image(graph, "aa", labels) == (None, "a")
 
 
 def geodesic_return_full_scan(graph, letters, verts):
@@ -967,3 +969,162 @@ def test_tree_data_matches_the_queue_version_on_infinite_index(data):
     graph = from_generators(words, k)
     tree = stallings._tree_data.__wrapped__(graph)
     assert (tree.tree_order, tree.tree_words, tree.nontree) == tree_data_by_queue(graph)
+
+
+# -- the per-letter kernels against their letter-decoding versions ---------------
+
+
+def trace_by_letter_decoding(graph, letters, start=0):
+    """Reference trace: each letter decoded to its generator and direction."""
+    v = start
+    for ch in letters:
+        x = ord(ch.lower()) - ord("a")
+        v = graph.fwd[x][v] if ch.islower() else graph.bwd[x][v]
+        if v == -1:
+            return None
+    return v
+
+
+def coset_action_by_letter_decoding(graph, word):
+    perm = list(range(graph.m))
+    for ch in word.letters:
+        row = (graph.fwd if ch.islower() else graph.bwd)[ord(ch.lower()) - 97]
+        perm = list(map(row.__getitem__, perm))
+    return perm
+
+
+def path_image_by_callable(graph, letters, label, start=0):
+    """Reference path_image: label(v, x) called on each edge crossed, an
+    edge crossed backward contributing the inverse of its label."""
+    v = start
+    out = ""
+    for ch in letters:
+        x = ord(ch.lower()) - ord("a")
+        back = ch.isupper()
+        t = (graph.bwd if back else graph.fwd)[x][v]
+        if t == -1:
+            return None, out
+        out = stallings._join(out, label(t, x)[::-1].swapcase() if back else label(v, x))
+        v = t
+    return v, out
+
+
+def preimage_by_nontree_lookup(domain, images, sub):
+    """Reference preimage: the step looks the edge up among the nontree
+    edges and inverts a permutation by sorting."""
+    k, ms = domain.k, sub.m
+    perms = [coset_action_by_letter_decoding(sub, w) for w in images]
+    inverses = [sorted(range(ms), key=p.__getitem__) for p in perms]
+    nontree = stallings._tree_data(domain).nontree_index
+
+    def step(node, x, back):
+        v, c = divmod(node, ms)
+        if back:
+            s = domain.bwd[x][v]
+            i = nontree.get((s, x))
+            return s * ms + (c if i is None else inverses[i][c])
+        i = nontree.get((v, x))
+        return domain.fwd[x][v] * ms + (c if i is None else perms[i][c])
+
+    return orbit_graph(k, 0, step)[0]
+
+
+def evaluate_by_callable(domain, images, g):
+    """Reference evaluate: the loop read through a label callable, and
+    the stored image found by a scan."""
+    nontree = stallings._tree_data(domain).nontree_index
+
+    def label(v, x):
+        i = nontree.get((v, x))
+        return "" if i is None else images[i].letters
+
+    end, img = path_image_by_callable(domain, g.letters, label)
+    if end is None:
+        raise PreconditionError(f"{g.letters!r} leaves the subgroup graph")
+    if end != 0:
+        raise PreconditionError(f"{g.letters!r} is not in the subgroup")
+    return next((w for w in images if w.letters == img), None) or Word(domain.k, img)
+
+
+def label_pool(rng, k):
+    """Edge labels to draw from: short reduced strings, a third of them
+    empty."""
+    return [""] * 20 + [random_word(rng, k, 3).letters for _ in range(40)]
+
+
+def random_labels(rng, graph, pool):
+    """label(v, x) and its out-label rows: a label drawn from `pool` on
+    each edge, and "" where there is no edge."""
+    out = [[rng.choice(pool) if t != -1 else "" for t in row] for row in graph.fwd]
+    return (lambda v, x: out[x][v]), out
+
+
+def check_kernels(graph, words, rng, pool):
+    """trace and path_image of each of `words` from the base and from a
+    random vertex, and the label table, against their references."""
+    label, out = random_labels(rng, graph, pool)
+    labels = label_table(graph, label)
+    assert stallings.label_table(graph, out) == labels
+    for w in words:
+        for start in {0, rng.randrange(graph.m)}:
+            assert trace(graph, w, start) == trace_by_letter_decoding(graph, w, start)
+            assert path_image(graph, w, labels, start) == path_image_by_callable(
+                graph, w, label, start
+            )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_per_letter_kernels_match_their_letter_decoding_versions(k):
+    # every subgroup of index <= 4 and the meets of label_order_cases
+    # every subgroup of index <= 4 and the meets of label_order_cases; each
+    # (on F3 each subgroup) is also the domain of a preimage under random
+    # images onto a subgroup of index 3, on whose cosets a permutation need
+    # not be its own inverse
+    graphs, _ = label_order_cases(k)
+    rng = random.Random(29 + k)
+    pool = [random_word(rng, k, 8) for _ in range(60)]
+    labels = label_pool(rng, k)
+    subs = [s for s in enumerate_subgroups(k, 3) if s.m == 3]
+    for graph in graphs:
+        w = rng.choice(pool)
+        check_kernels(graph, [w.letters], rng, labels)
+        assert coset_action(graph, w) == coset_action_by_letter_decoding(graph, w)
+        if k == 3 and graph.m > 4:
+            continue
+        images = [rng.choice(pool) for _ in basis(graph)]
+        sub = rng.choice(subs)
+        assert stallings.preimage(graph, images, sub) == preimage_by_nontree_lookup(
+            graph, images, sub
+        )
+
+
+def test_catalog_evaluate_images_on_and_preimage_match_their_references():
+    grp = group("F", 2)
+    for phi in catalog.f2_catalog().values():
+        for obj in enumerate_subgroups(2, 3):
+            pre = stallings.preimage(phi.domain, phi.images, obj)
+            assert pre == preimage_by_nontree_lookup(phi.domain, phi.images, obj)
+            want = [evaluate_by_callable(phi.domain, phi.images, b) for b in basis(pre)]
+            got = grp.images_on(phi.domain, phi.images, pre)
+            assert list(got) == want
+            assert [evaluate(phi, b) for b in basis(pre)] == want
+            assert list(grp.evaluate_all(phi.domain, phi.images, basis(pre))) == want
+            # a stored image comes back as the stored Word itself
+            stored = lambda w: any(w is img for img in phi.images)  # noqa: E731
+            assert list(map(stored, got)) == list(map(stored, want))
+
+
+@ORACLE
+@given(st.data())
+def test_per_letter_kernels_match_on_partial_graphs(data):
+    # words read from the base and a random vertex of a folded graph, most
+    # of infinite index, so that many paths leave it
+    k = data.draw(st.integers(1, 3))
+    letters = "abc"[:k] + "ABC"[:k]
+    count = data.draw(st.integers(0, 3))
+    gens = [Word(k, data.draw(st.text(letters, max_size=6))) for _ in range(count)]
+    graph = from_generators(gens, k)
+    words = [data.draw(st.text(letters, max_size=10)) for _ in range(3)]
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    check_kernels(graph, words, rng, label_pool(rng, k))
+

@@ -316,7 +316,7 @@ def criterion_9():
         for target in targets:
             gm1 = solenoid.lift_through_covers(phi, target=target)
             gm2 = solenoid.lift_through_covers(phi, target=target)
-            if gm1.vertex_map != gm2.vertex_map or gm1.edge_words != gm2.edge_words:
+            if gm1.vertex_map != gm2.vertex_map or gm1.labels != gm2.labels:
                 return False, f"lift of {name} is not deterministic/unique"
             lifts += 1
         report = geometry.factorization_check(phi, 2, 5)

@@ -19,7 +19,7 @@ from . import acceptance, lattices, prosystems, solenoid, stallings
 from . import commensurations as comm_mod
 from . import geometry
 from .errors import CommsolError, ParseError, PreconditionError
-from .freewords import Alphabet, inline, parse_int, parse_word
+from .freewords import _LOWER, Alphabet, inline, parse_int, parse_word
 from .groups import group, of_subgroup
 
 
@@ -211,9 +211,9 @@ def run(argv) -> int:
         target = _parse_subgroup_arg(args.target)[1] if args.target else None
         gm = solenoid.lift_through_covers(_parse_comm_arg(args.comm), target=target)
         out.append("vertices " + " ".join(str(v + 1) for v in gm.vertex_map))
-        for (v, x) in sorted(gm.edge_words):
-            w = gm.edge_words[(v, x)]
-            out.append(f"edge {v + 1} {'abcdefghijklmnopqrstuvwxyz'[x]} -> {w or '1'}")
+        for v in range(gm.src.m):
+            for ch in _LOWER[: gm.src.k]:
+                out.append(f"edge {v + 1} {ch} -> {gm.labels[ch][v] or '1'}")
     elif verb == "baseleaf":
         g = grp.parse_element(args.element)
         out.append(_solpoint_line(solenoid.baseleaf(g, args.depth)))

@@ -243,7 +243,6 @@ def invert(comm: Commensuration) -> Commensuration:
     return _make(grp, comm.codomain, images, codomain=comm.domain)
 
 
-@lru_cache(maxsize=4096)
 def restriction(comm: Commensuration, sub) -> Commensuration:
     """Restrict to a finite-index subgroup of the domain (an equivalent
     commensuration, whose codomain is generated when first read)."""

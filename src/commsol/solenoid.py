@@ -7,7 +7,7 @@ profinite coordinate, the compatible family of the fiber's cosets in
 every subgroup of index <= N (the objects of the depth-N system,
 prosystems.build_system), is derived when read: equality reads the
 fiber through the group's separating_index instead, and hashing reads
-the family.
+the family at depth min(N, 3).
 
 Metrics follow the quotient construction: d_pro on fibers (exponential in
 the deepest level where two elements agree, a pseudometric at finite
@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from . import groups, prosystems, stallings
 from .errors import PreconditionError
-from .freewords import _join, identity as word_identity
+from .freewords import _join
 from .groups import EdgePoint  # noqa: F401  (leaf points are part of this API)
 
 # -- metric scalars -----------------------------------------------------------
@@ -163,11 +163,12 @@ class SolenoidPoint:
     tag = property(lambda self: self.group.tag)
     rank = property(lambda self: self.group.rank)
 
-    def family(self):
+    def family(self, depth=None):
         """Coset of every object of the depth-N system (compatible under
-        all bonds by construction), derived when read."""
+        all bonds by construction), derived when read; with `depth`, of
+        the objects of the depth-`depth` system instead."""
         grp = self.group
-        objs = prosystems.build_system(grp.tag, grp.rank, self.depth).objects
+        objs = prosystems.build_system(grp.tag, grp.rank, depth or self.depth).objects
         return tuple(grp.coset(obj, self.fiber) for obj in objs)
 
     def __eq__(self, other):
@@ -180,8 +181,10 @@ class SolenoidPoint:
 
     def __hash__(self):
         # the family, not only (group, depth, leaf): every baseleaf point of
-        # a depth has the base as its leaf
-        return hash((self.group, self.depth, self.leaf, self.family()))
+        # a depth has the base as its leaf.  Truncated to depth 3, which
+        # K_N lies inside, so equal points still hash equal and a deep
+        # point hashes without building its own system.
+        return hash((self.group, self.depth, self.leaf, self.family(min(self.depth, 3))))
 
     def __repr__(self):
         return f"SolenoidPoint(N={self.depth}, fiber={self.fiber}, leaf={self.leaf})"
@@ -335,36 +338,35 @@ def ball_structure(p: SolenoidPoint, epsilon) -> BallReport:
 
 class GraphMap:
     """Cellular based map between covers: vertices to vertices, each edge
-    to an edge path (possibly constant) in the target.
+    to an edge path (possibly constant) in the target, read from a label
+    table: labels[ch][v] is the letters of the image of the ch-edge out of
+    v, in the shape of every F_k map's table (stallings.label_table).
 
     Its walk over a ball, `raw_on_ball`, yields the images of the loops
     as letter strings, which factorization_check compares as they are."""
 
-    __slots__ = ("src", "dst", "vertex_map", "edge_words")
+    __slots__ = ("src", "dst", "vertex_map", "labels")
 
-    def __init__(self, src, dst, vertex_map, edge_words):
+    def __init__(self, src, dst, vertex_map, labels):
         self.src = src
         self.dst = dst
         self.vertex_map = tuple(vertex_map)
-        self.edge_words = edge_words
+        self.labels = labels
 
     def raw_on_ball(self, radius):
         """For each g of the ball of `radius` in src's group, in ball order:
         the letters of the image of g's based path (the reduced word the
-        image path reads, through the edge words) if the path is a loop,
-        else None.  Each path is its parent's plus one edge
-        (groups.Fk.walk), read from a table of the edges' images
-        (stallings.edge_images) labelled by the edge words."""
-        src, edge_words = self.src, self.edge_words
-        out_labels = [[edge_words[(v, x)].letters for v in range(src.m)] for x in range(src.k)]
-        edges = stallings.edge_images(src, stallings.label_table(src, out_labels))
+        image path reads, through the labels) if the path is a loop, else
+        None.  Each path is its parent's plus one edge (groups.Fk.walk),
+        read from a table of the edges' images (stallings.edge_images)."""
+        edges = stallings.edge_images(self.src, self.labels)
 
         def step(state, x):
             v, img = state
             t, e = edges[x][v]
             return t, _join(img, e)
 
-        walk = groups.of_subgroup(src).walk(radius, (0, ""), step)
+        walk = groups.of_subgroup(self.src).walk(radius, (0, ""), step)
         return (img if v == 0 else None for v, img in walk)
 
     def __repr__(self):
@@ -381,11 +383,13 @@ def lift_through_covers(phi, target=None) -> GraphMap:
     from phi's value alone, so equal maps lift equally) the base map is the
     rose self-map sending each petal to its letter's image; otherwise the
     spanning tree of X_H collapses to the base vertex and each remaining
-    edge maps to the loop of its basis image (the coset map on H-coset
-    representatives).  Either way a basepoint-preserving lift is fixed by
-    path lifting from the base (Stallings 1983), so the vertex map is
-    derived once, by lifting each edge's image from where its tail lifted;
-    an edge whose image ends elsewhere than its head lifted is refused.
+    edge maps to the loop of its basis image, the map's own edge labels
+    (groups.Fk.edge_labels).  Either way a basepoint-preserving lift is
+    fixed by path lifting from the base (Stallings 1983), so the vertex
+    map is derived once, in label order: each vertex was met from a lower
+    label along an out-edge or an in-edge (stallings.orbit_graph), and
+    each edge's image is lifted from where its tail lifted.  An edge whose
+    image ends elsewhere than its head lifted is refused.
     """
     phi = phi.group.on_rose(phi)
     if target is not None and groups.of_subgroup(target) != phi.group:
@@ -398,30 +402,18 @@ def lift_through_covers(phi, target=None) -> GraphMap:
                 f"phi does not map the subgroup into the target: basis word {b} "
                 f"maps to {img}, which is not in the target subgroup"
             )
-    edge_words = {}
     letters = phi.group.ambient(h, phi.images)
     if letters is not None:
-        for v in range(h.m):
-            for x in range(h.k):
-                edge_words[(v, x)] = letters[x]
+        labels = stallings.label_table(h, [[w.letters] * h.m for w in letters])
     else:
-        nontree_index = stallings._tree_data(h).nontree_index
-        for v in range(h.m):
-            for x in range(h.k):
-                idx = nontree_index.get((v, x))
-                edge_words[(v, x)] = (
-                    phi.images[idx] if idx is not None else word_identity(h.k)
-                )
-    vmap = [None] * h.m
-    vmap[0] = 0
-    queue = [0]
-    for v in queue:
-        for x in range(h.k):
-            w = h.fwd[x][v]
-            end = stallings.trace(k_graph, edge_words[(v, x)], vmap[v])
-            if end is None or vmap[w] not in (None, end):
+        labels = phi.group.edge_labels(h, phi.images)
+    edges = stallings.edge_images(h, labels).values()
+    vmap = [0] + [None] * (h.m - 1)
+    for v in range(h.m):
+        for row in edges:
+            t, img = row[v]
+            end = stallings.trace(k_graph, img, vmap[v])
+            if end is None or vmap[t] not in (None, end):
                 raise PreconditionError("edge image does not lift consistently")
-            if vmap[w] is None:
-                vmap[w] = end
-                queue.append(w)
-    return GraphMap(h, k_graph, vmap, edge_words)
+            vmap[t] = end
+    return GraphMap(h, k_graph, vmap, labels)

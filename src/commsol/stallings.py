@@ -51,7 +51,9 @@ the letter itself: rows[ch][v] is the end of the ch-edge out of v, 'a'
 reading fwd[0] and 'A' bwd[0] (`_letter_rows`, built once per graph on
 first read, not when the graph is made).  Edge labels are read the same
 way, labels[ch][v] being the letters of the ch-edge out of v, with each
-in-edge carrying the inverse of its out-edge's label (`label_table`).
+in-edge carrying the inverse of its out-edge's label (`label_table`):
+the tables of a commensuration's values (groups.Fk.edge_labels) and of
+its covering lift (solenoid.lift_through_covers) are both of this shape.
 `preimage` reads, per letter and direction, a table of (end times the
 subgroup's index, the permutation of its cosets or None), built once per
 call.
@@ -520,7 +522,7 @@ def is_subgroup(inner: SubgroupGraph, outer: SubgroupGraph) -> bool:
 # -- spanning tree, basis, rewriting ----------------------------------------------
 
 
-_TreeData = namedtuple("_TreeData", "tree_order tree_words nontree nontree_index")
+_TreeData = namedtuple("_TreeData", "tree_order tree_words nontree")
 
 
 @lru_cache(maxsize=4096)
@@ -552,8 +554,7 @@ def _tree_data(graph: SubgroupGraph) -> _TreeData:
         for x in range(k)
         if graph.fwd[x][v] != -1 and (v, x) not in tree_edges
     )
-    nontree_index = {e: i for i, e in enumerate(nontree)}
-    return _TreeData(tuple(tree_order), tuple(tree_words), nontree, nontree_index)
+    return _TreeData(tuple(tree_order), tuple(tree_words), nontree)
 
 
 @lru_cache(maxsize=4096)

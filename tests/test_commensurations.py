@@ -313,7 +313,6 @@ def test_derived_codomains_match_the_eager_maps():
     # compose and restriction leave the codomain to its first read, where
     # it must be what _make would have generated, under the same rule
     compose.cache_clear()
-    restriction.cache_clear()
     maps = derived_maps(37)
     assert sum(c._codomain is None for c in maps) > len(maps) // 2
     for c in maps:
@@ -358,7 +357,6 @@ def test_restriction_walks_the_covering_once(monkeypatch):
         return cover_vertices(inner, outer)
 
     monkeypatch.setattr(stallings, "cover_vertices", counted)
-    restriction.cache_clear()
     commensurations._images_on.cache_clear()
     shift = from_ambient(2, [W("ab"), W("b")])
     objects = [obj for obj in build_system("F", 2, 3).objects if obj != shift.domain]

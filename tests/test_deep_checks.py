@@ -30,7 +30,6 @@ from commsol.stallings import (
     substitute,
 )
 
-from label_tables import label_table
 
 
 def nielsen_perturb(rng, words, rounds=6):
@@ -175,9 +174,8 @@ def test_lift_of_deep_restriction():
     deep = restriction(ident, ker2)
     gm = lift_through_covers(deep, target=catalog.ker_a())
     # the lift of an inclusion acts as the covering projection on sheets
-    labels = label_table(gm.src, lambda v, x: gm.edge_words[(v, x)].letters)
     for h in basis(ker2):
-        assert stallings.path_image(gm.src, h.letters, labels) == (0, h.letters)
+        assert stallings.path_image(gm.src, h.letters, gm.labels) == (0, h.letters)
 
 
 def test_compose_chain_domains_shrink_correctly():

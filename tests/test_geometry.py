@@ -40,7 +40,6 @@ from commsol.geometry import (
 )
 from commsol.groups import group
 
-from label_tables import label_table
 
 W = lambda s: Word(2, s)
 
@@ -776,14 +775,13 @@ def factorization_reference(phi, radius):
     """Reference: per ball element, a membership trace, the lift applied
     to its path and the per-element image."""
     lift = solenoid.lift_through_covers(phi)
-    labels = label_table(lift.src, lambda v, x: lift.edge_words[(v, x)].letters)
     m = baseleaf_map(phi)
     checked, mismatches = 0, []
     for g in group("F", phi.rank).ball(radius):
         if stallings.contains(phi.domain, g):
             checked += 1
             via_map = per_element_image(m, g)
-            via_lift = Word(phi.rank, stallings.path_image(lift.src, g.letters, labels)[1])
+            via_lift = Word(phi.rank, stallings.path_image(lift.src, g.letters, lift.labels)[1])
             if via_map != via_lift:
                 mismatches.append((g, via_map, via_lift))
     return checked, mismatches

@@ -232,7 +232,7 @@ def test_equal_maps_lift_equally():
                 _clear_every_cache()
                 for m in order:
                     gm = solenoid.lift_through_covers(m, target)
-                    got.append((gm.vertex_map, gm.edge_words))
+                    got.append((gm.vertex_map, gm.labels))
             assert all(g == got[0] for g in got), target
             lifts += 1
     assert lifts == 29
@@ -503,3 +503,52 @@ def test_the_construction_test_finds_a_graph_built_elsewhere(tmp_path):
         "    return SubgroupGraph(k, 1, (), (), True)\n"
     )
     assert _graph_constructions(source) == [("relabel", 2), ("Cover.graph", 5), ("", 6)]
+
+
+# the private names of stallings and lattices (their memoized tables and
+# elimination helpers) are read through the group objects of groups.py,
+# so every other module reaches a kernel's internals through one place
+_PRIVATE_OWNERS = {"stallings", "lattices"}
+
+
+def _private_reads(path):
+    """(line, name) of each read of a private name of stallings or
+    lattices in a module's source, as an attribute (stallings._x) or in a
+    from-import (from .stallings import _x), in line order."""
+    found = []
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in _PRIVATE_OWNERS and private(node.attr):
+                found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom):
+            owner = (node.module or "").rsplit(".", 1)[-1]
+            if owner in _PRIVATE_OWNERS:
+                found += [(node.lineno, f"{owner}.{a.name}") for a in node.names if private(a.name)]
+    return sorted(found)
+
+
+def test_only_groups_reads_the_private_names_of_stallings_and_lattices():
+    package = Path(commsol.__file__).parent
+    found = {path.name for path in sorted(package.glob("*.py")) if _private_reads(path)}
+    assert found == {"groups.py"}
+
+
+def test_the_private_read_test_finds_a_planted_read(tmp_path):
+    # an attribute read, a from-import and one of lattices; public names
+    # and dunders pass
+    source = tmp_path / "solenoid.py"
+    source.write_text(
+        "from . import lattices, stallings\n"
+        "from .stallings import _tree_data, basis\n"
+        "def lift(h):\n"
+        "    return stallings._tree_data(h).nontree, stallings.basis(h)\n"
+        "ECHELON = lattices._echelon\n"
+        "NAME = stallings.__name__\n"
+    )
+    assert _private_reads(source) == [
+        (2, "stallings._tree_data"), (4, "stallings._tree_data"), (5, "lattices._echelon")
+    ]

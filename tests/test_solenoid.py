@@ -45,7 +45,6 @@ from commsol.solenoid import (
     sigma,
 )
 
-from label_tables import label_table
 
 W = lambda s: Word(2, s)
 
@@ -152,23 +151,23 @@ def test_lift_collapse_case_agrees_with_evaluation():
 
 def apply_to_path(gm, word):
     """Reference: the lift's image of the based path spelling `word` (the
-    word the image path reads), one path at a time through the edge words."""
-    labels = label_table(gm.src, lambda v, x: gm.edge_words[(v, x)].letters)
-    return Word(gm.dst.k, stallings.path_image(gm.src, word.letters, labels)[1], _reduced=True)
+    word the image path reads), one path at a time through the lift's labels."""
+    return Word(gm.dst.k, stallings.path_image(gm.src, word.letters, gm.labels)[1], _reduced=True)
 
 
 def apply_by_products(gm, word):
-    """Reference: the path image as one Word product per letter."""
+    """Reference: the path image as one Word product per letter, each
+    in-edge read as the inverse of its out-edge's label."""
     v = 0
     out = word_identity(gm.dst.k)
     for ch in word.letters:
         x = ord(ch.lower()) - ord("a")
         if ch.islower():
-            out = out * gm.edge_words[(v, x)]
+            out = out * Word(gm.dst.k, gm.labels[ch][v])
             v = gm.src.fwd[x][v]
         else:
             v = gm.src.bwd[x][v]
-            out = out * ~gm.edge_words[(v, x)]
+            out = out * ~Word(gm.dst.k, gm.labels[ch.lower()][v])
     return out
 
 
@@ -204,7 +203,7 @@ def test_lift_unique():
     cat = catalog.f2_catalog()
     gm1 = lift_through_covers(cat["swap|ker_a"])
     gm2 = lift_through_covers(cat["swap|ker_a"])
-    assert gm1.vertex_map == gm2.vertex_map and gm1.edge_words == gm2.edge_words
+    assert gm1.vertex_map == gm2.vertex_map and gm1.labels == gm2.labels
 
 
 def vertex_map_from_the_base_map(phi, letters, target):
@@ -797,6 +796,19 @@ def test_points_store_their_group_and_build_no_system():
     # hash still tells the sheets apart
     points = [baseleaf(r, 3) for r in fiber_representatives("F", 2, 3)]
     assert len({hash(q) for q in points}) == len(set(points)) == 972
+
+
+def test_a_deep_point_hashes_without_building_its_system():
+    # equality reads separating_index, and the hash the cosets of the
+    # depth-3 system, which contains K_N: neither builds the depth-N system
+    start = time.perf_counter()
+    p = baseleaf((0, 0), 10**6)
+    assert p == baseleaf((0, 0), 10**6)
+    assert hash(p) == hash(baseleaf((0, 0), 10**6))
+    assert time.perf_counter() - start < 0.5
+    # points whose fibers differ by an element of K_5 = 60Z are equal
+    deep, shifted = (SolenoidPoint("Z", 1, 5, (f,), (0,)) for f in (0, 60))
+    assert deep == shifted and hash(deep) == hash(shifted)
 
 
 def test_zn_coset_enumeration_is_guarded(monkeypatch):

@@ -147,11 +147,16 @@ def test_basis_sizes_and_membership():
         assert a_exp(w) % 2 == 0
 
 
+def nontree_index(graph):
+    """The position in basis(graph) of each nontree edge (v, x)."""
+    return {e: i for i, e in enumerate(stallings._tree_data(graph).nontree)}
+
+
 def express(graph, word):
     """Oracle: a subgroup element in the canonical basis, as signed 1-based
     indices into basis(graph) multiplying left to right; raises
     PreconditionError when the word is not in the subgroup."""
-    nontree = stallings._tree_data(graph).nontree_index
+    nontree = nontree_index(graph)
     v = 0
     out = []
     for ch in word.letters:
@@ -1015,7 +1020,7 @@ def preimage_by_nontree_lookup(domain, images, sub):
     k, ms = domain.k, sub.m
     perms = [coset_action_by_letter_decoding(sub, w) for w in images]
     inverses = [sorted(range(ms), key=p.__getitem__) for p in perms]
-    nontree = stallings._tree_data(domain).nontree_index
+    nontree = nontree_index(domain)
 
     def step(node, x, back):
         v, c = divmod(node, ms)
@@ -1032,7 +1037,7 @@ def preimage_by_nontree_lookup(domain, images, sub):
 def evaluate_by_callable(domain, images, g):
     """Reference evaluate: the loop read through a label callable, and
     the stored image found by a scan."""
-    nontree = stallings._tree_data(domain).nontree_index
+    nontree = nontree_index(domain)
 
     def label(v, x):
         i = nontree.get((v, x))

@@ -195,6 +195,7 @@ def bounded_distance(m1: BaseleafMap, m2: BaseleafMap, radius: int) -> BoundedDi
     grp = m1.comm.group
     if m2.comm.group != grp:
         raise PreconditionError("maps live on different groups")
+    size = grp.ball_size(radius)
     # per element: two projections, each costing at most the work of a
     # search within its domain's projection bound (the nodes of the Z^n
     # search; on F_k one table row of the walk), and two evaluations of
@@ -203,7 +204,7 @@ def bounded_distance(m1: BaseleafMap, m2: BaseleafMap, radius: int) -> BoundedDi
         grp.projection_work(m.comm.domain, grp.projection_bound(m.comm.domain)) for m in (m1, m2)
     )
     limits.guard(
-        grp.ball_size(radius) * radius * probes,
+        size * radius * probes,
         f"bounded_distance({grp.tag}_{grp.rank}, R={radius})",
     )
     eq = comm_mod.equivalent(m1.comm, m2.comm)

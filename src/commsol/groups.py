@@ -93,6 +93,14 @@ class _Group:
     def images_on(self, domain, images, sub):
         return self.evaluate_all(domain, images, self.basis(sub))
 
+    def ball_size(self, radius: int) -> int:
+        """Number of elements within `radius` of the identity (_ball_size):
+        the one check of a radius, which every guard on a ball reads
+        before any work."""
+        if radius < 0:
+            raise PreconditionError("radius must be >= 0")
+        return self._ball_size(radius)
+
     def leaf_reach(self, leaf) -> Fraction:
         """Distance of a leaf point from the base point."""
         return self.leaf_distance(leaf, self.identity)
@@ -141,7 +149,7 @@ class Zn(_Group):
     raw_dist = dist
     raw_distance_rows = distance_rows
 
-    def ball_size(self, radius: int) -> int:
+    def _ball_size(self, radius: int) -> int:
         """Number of elements within l1 distance `radius` of the origin."""
         n = self.rank
         return sum(2**j * math.comb(n, j) * math.comb(radius, j) for j in range(n + 1))
@@ -394,7 +402,7 @@ class Fk(_Group):
             bit_lengths = map(int.bit_length, map(xor, repeat(codes[i]), codes[i + 1 :]))
             yield map(sub, map(add, repeat(n), lens[i + 1 :]), map(twice.__getitem__, bit_lengths))
 
-    def ball_size(self, radius: int) -> int:
+    def _ball_size(self, radius: int) -> int:
         """Number of reduced words of length at most `radius`."""
         k = self.rank
         if k == 1:

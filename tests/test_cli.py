@@ -11,6 +11,8 @@ import commsol
 from commsol import lattices, stallings
 from commsol.cli import main, run
 from commsol.commensurations import equivalent, parse_comm
+from commsol.errors import PreconditionError
+from commsol.groups import group
 
 
 def cli(capsys, *argv):
@@ -223,6 +225,28 @@ def test_qi_bounded_factor(capsys):
     assert code == 0 and out.startswith("inequivalent")
     code, out = cli(capsys, "factor", swap, "--depth", "2", "--radius", "4")
     assert code == 0 and "exact agreement" in out
+
+
+def test_a_negative_radius_is_refused_before_any_work(capsys):
+    # every verb that takes a radius, on F_2 and Z^2: exit 1 with one error
+    # line (factor runs on the rose, which refuses Z^2 first), and radius 0
+    # still runs; the one check is the family's ball_size, which the F_k
+    # ball reads too
+    for tag, comm in (("F", "comm F 2; a -> b; b -> a"), ("Z", "comm Z 2 : 1/1 0/1 ; 0/1 1/1")):
+        for verb in (["qi", comm], ["bounded", comm, comm], ["factor", comm]):
+            off_rose = verb[0] == "factor" and tag == "Z"
+            assert main([*verb, "--radius", "-1"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert ("runs on the rose" if off_rose else "error: radius must be >= 0\n") in captured.err
+            assert main([*verb, "--radius", "0"]) == int(off_rose)
+            capsys.readouterr()
+        grp = group(tag, 2)
+        with pytest.raises(PreconditionError, match="^radius must be >= 0$"):
+            grp.ball_size(-1)
+        assert grp.ball_size(0) == len(grp.ball(0)) == 1
+    with pytest.raises(PreconditionError, match="^radius must be >= 0$"):
+        group("F", 2).ball(-1)
 
 
 def test_fixpoint_and_baction(capsys):

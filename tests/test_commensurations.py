@@ -35,6 +35,8 @@ from commsol.errors import InfiniteIndexError, PreconditionError, ResourceLimitE
 from commsol.freewords import Word, identity as word_identity
 from commsol.prosystems import build_system, zeta_component
 
+from oracles import preimage_by_schreier_fold
+
 W = lambda s: Word(2, s)
 F = Fraction
 
@@ -221,39 +223,9 @@ def test_preimage_subgroup_f2():
         assert stallings.contains(ka, evaluate(shift, b))
 
 
-def preimage_by_schreier_fold(comm, sub):
-    """The former preimage_subgroup on F_k: fold the Schreier generators of
-    the stabilizer of the base coset of `sub` under the domain's action."""
-    dom_basis = stallings.basis(comm.domain)
-    moves = comm.images
-    inv_moves = [~w for w in moves]
-    orbit = {0: 0}
-    order = [0]
-    tree_words = [word_identity(comm.rank)]
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for i in range(len(moves)):
-            for w, forward in ((moves[i], True), (inv_moves[i], False)):
-                t = stallings.trace(sub, w, v)
-                if t not in orbit:
-                    orbit[t] = len(order)
-                    order.append(t)
-                    step = dom_basis[i] if forward else ~dom_basis[i]
-                    tree_words.append(tree_words[orbit[v]] * step)
-    schreier = []
-    for v in order:
-        for i in range(len(moves)):
-            t = stallings.trace(sub, moves[i], v)
-            gen = tree_words[orbit[v]] * dom_basis[i] * ~tree_words[orbit[t]]
-            if gen:
-                schreier.append(gen)
-    return stallings.from_generators(schreier, comm.rank)
-
-
 def assert_preimage_matches_fold(comm, sub):
-    got, want = preimage_subgroup(comm, sub), preimage_by_schreier_fold(comm, sub)
+    got = preimage_subgroup(comm, sub)
+    want = preimage_by_schreier_fold(comm.domain, comm.images, sub)
     assert (got.m, got.fwd, got.bwd) == (want.m, want.fwd, want.bwd)
     assert got.complete
 
@@ -312,7 +284,6 @@ def derived_maps(seed):
 def test_derived_codomains_match_the_eager_maps():
     # compose and restriction leave the codomain to its first read, where
     # it must be what _make would have generated, under the same rule
-    compose.cache_clear()
     maps = derived_maps(37)
     assert sum(c._codomain is None for c in maps) > len(maps) // 2
     for c in maps:
@@ -421,8 +392,6 @@ def test_preimage_subgroup_rejects_infinite_index():
 
 
 def test_preimage_subgroup_guard_refuses_before_the_search(monkeypatch):
-    # results are cached, so an earlier admitted call would skip the guard
-    preimage_subgroup.cache_clear()
     phi = catalog.f2_catalog()["swap|ker_a"]
     sub = stallings.intersect(catalog.ker_a(), catalog.ker_b())
     # pairs times k, plus cosets times image letters (bb, a, baB)
@@ -435,12 +404,11 @@ def test_preimage_subgroup_guard_refuses_before_the_search(monkeypatch):
     assert "preimage_subgroup(domain index 2, subgroup index 4, k=2)" in str(err.value)
     assert f"estimated work {estimate} exceeds cap {estimate - 1}" in str(err.value)
     monkeypatch.setenv("COMMSOL_MAX_WORK", str(estimate))
-    assert preimage_subgroup(phi, sub) == preimage_by_schreier_fold(phi, sub)
+    assert preimage_subgroup(phi, sub) == preimage_by_schreier_fold(phi.domain, phi.images, sub)
 
 
 def test_preimage_subgroup_guard_meters_long_images_before_any_row(monkeypatch):
     # a -> a b^40, b -> b on F2: 4 pairs-times-k, but 2 * 42 row steps
-    preimage_subgroup.cache_clear()
     phi = from_ambient(2, [W("a" + "b" * 40), W("b")])
     sub = catalog.ker_a()
     estimate = 1 * 2 * 2 + 2 * 42
@@ -455,7 +423,7 @@ def test_preimage_subgroup_guard_meters_long_images_before_any_row(monkeypatch):
             preimage_subgroup(phi, sub)
     assert f"estimated work {estimate} exceeds cap {estimate - 1}" in str(err.value)
     monkeypatch.setenv("COMMSOL_MAX_WORK", str(estimate))
-    assert preimage_subgroup(phi, sub) == preimage_by_schreier_fold(phi, sub)
+    assert preimage_subgroup(phi, sub) == preimage_by_schreier_fold(phi.domain, phi.images, sub)
 
 
 def test_zeta_components_match_restriction_of_the_preimage():

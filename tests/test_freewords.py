@@ -23,6 +23,8 @@ from commsol.freewords import (
 )
 from commsol.groups import group
 
+from oracles import SETTINGS, random_word
+
 A2 = Alphabet(2)
 
 
@@ -37,12 +39,6 @@ def naive_reduce(s: str) -> str:
                 changed = True
                 break
     return s
-
-
-def random_word(rng, k, max_len):
-    letters = "abcdefghijklmnopqrstuvwxyz"[:k]
-    n = rng.randrange(max_len + 1)
-    return Word(k, "".join(rng.choice(letters + letters.upper()) for _ in range(n)))
 
 
 def test_parse_examples():
@@ -81,7 +77,7 @@ def word_pairs(draw):
     return u, v
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(SETTINGS, max_examples=300)
 @given(word_pairs())
 def test_word_distance_is_length_of_quotient(pair):
     u, v = pair
@@ -94,7 +90,7 @@ def test_word_distance_alphabet_mismatch():
         group("F", 2).dist(Word(2, "a"), Word(3, "c"))
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(SETTINGS, max_examples=500)
 @given(word_pairs())
 def test_join_is_the_reduced_concatenation(pair):
     # the strings join as they are unless the junction cancels, and then

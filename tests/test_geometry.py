@@ -4,7 +4,7 @@ factorization, and the boundary fixed-point action."""
 import random
 import time
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -40,41 +40,12 @@ from commsol.geometry import (
 )
 from commsol.groups import group
 
+from oracles import SETTINGS, nearest_member, step_project
+
 
 W = lambda s: Word(2, s)
 
-ORACLE = settings(
-    max_examples=25,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
-
-def oracle_project(comm, g):
-    """Exhaustive nearest-member search ordered by (distance, word)."""
-    best = None
-    for r in range(comm.domain.m + 1):
-        hits = []
-        for w in group("F", comm.rank).ball(r):
-            h = g * w
-            if group("F", comm.rank).dist(g, h) == r and stallings.contains(comm.domain, h):
-                hits.append(h)
-        if hits:
-            return min(hits, key=lambda h: h.letters)
-    raise AssertionError
-
-
-def step_project(sub, g):
-    """The projection of g to sub as the baseleaf walk finds it: the least
-    candidate of the state that Fk.baseleaf_step reaches along g's
-    letters, for the inclusion of sub."""
-    step = group("F", sub.k).baseleaf_step(sub, stallings.basis(sub))
-    state = groups._ROOT
-    for x in g.letters:
-        state = step(state, x)
-    return Word(sub.k, state[3])
+ORACLE = settings(SETTINGS, max_examples=25, suppress_health_check=[HealthCheck.too_slow])
 
 
 def test_projection_examples_and_oracle():
@@ -88,7 +59,7 @@ def test_projection_examples_and_oracle():
     rng = random.Random(101)
     for _ in range(40):
         g = W("".join(rng.choice("abAB") for _ in range(rng.randrange(5))))
-        assert step_project(phi.domain, g) == oracle_project(phi, g)
+        assert step_project(phi.domain, g) == nearest_member(phi.domain, g)
 
 
 def box_scan_project(sub, g):
@@ -125,19 +96,7 @@ def test_projection_matches_oracle_on_random_domains(data):
         assume(False)  # not transitive
     phi = restriction(identity_comm("F", 2), sub)
     g = W(data.draw(st.text("abAB", max_size=6)))
-    assert step_project(phi.domain, g) == oracle_project(phi, g)
-
-
-def probe_project(comm, g):
-    """Reference: the probe search over layers of reduced words w, up to
-    the first layer in which some g*w lands in the domain (g traced once,
-    each w read from the vertex g reaches); the least such g*w."""
-    v = stallings.trace(comm.domain, g)
-    for _, layer in groupby(group("F", comm.rank).ball(comm.domain.m - 1), len):
-        hits = [g * w for w in layer if stallings.contains(comm.domain, w, v)]
-        if hits:
-            return min(hits, key=lambda h: h.letters)
-    raise AssertionError
+    assert step_project(phi.domain, g) == nearest_member(phi.domain, g)
 
 
 def draw_domain(data, max_index=8):
@@ -176,7 +135,7 @@ def test_projection_matches_probe_search_on_f1_to_f3(data):
     phi = restriction(identity_comm("F", sub.k), sub)
     for _ in range(data.draw(st.integers(1, 8))):
         g = draw_point(data, sub)
-        assert step_project(phi.domain, g) == oracle_project(phi, g) == probe_project(phi, g)
+        assert step_project(phi.domain, g) == nearest_member(phi.domain, g)
 
 
 def test_projection_matches_probe_search_on_whole_balls():
@@ -188,7 +147,7 @@ def test_projection_matches_probe_search_on_whole_balls():
         for sub in stallings.enumerate_subgroups(k, max_index):
             phi = restriction(identity_comm("F", k), sub)
             for g, img in walk_images(baseleaf_map(phi), radius).items():
-                assert img == probe_project(phi, g)
+                assert img == nearest_member(phi.domain, g)
 
 
 def draw_map(data):
@@ -220,7 +179,7 @@ def test_baseleaf_images_match_evaluation_of_the_oracle_projection(data):
     phi = draw_map(data)
     images = walk_images(baseleaf_map(phi), data.draw(st.integers(0, 4)))
     for g, img in images.items():
-        assert img == evaluate(phi, oracle_project(phi, g))
+        assert img == evaluate(phi, nearest_member(phi.domain, g))
 
 
 @settings(ORACLE, max_examples=40)
@@ -262,38 +221,22 @@ def test_qi_estimate_identity_and_doubling():
 
 def qi_estimate_two_pass(m, radius):
     """Reference: the pair-by-pair estimate, with the word metric computed
-    as len(~a * b) on F_k and the l1 norm on Z^n."""
+    as len(~a * b) on F_k and the l1 norm on Z^n, and the constants and
+    their certificate pair by pair (fraction_constants)."""
 
     def dist(a, b):
         if isinstance(a, Word):
             return len(~a * b)
         return sum(abs(x - y) for x, y in zip(a, b))
 
-    grp = m.comm.group
-    elems = grp.ball(radius)
+    elems = m.comm.group.ball(radius)
     images = [per_element_image(m, x) for x in elems]
-    up = Fraction(1)
-    low = Fraction(1)
-    collapse = 0
-    pairs = 0
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            pairs += 1
-            d = dist(elems[i], elems[j])
-            df = dist(images[i], images[j])
-            if df:
-                up = max(up, Fraction(df, d))
-                low = max(low, Fraction(d, df))
-            else:
-                collapse = max(collapse, d)
-    L = max(up, low)
-    C = Fraction(collapse, 1) / L if collapse else Fraction(0)
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            d = dist(elems[i], elems[j])
-            df = dist(images[i], images[j])
-            assert df <= L * d + C and Fraction(d) / L - C <= df, "certificate failed"
-    return QIEstimate(radius, L, C, up, low, pairs)
+    tally = [
+        (dist(elems[i], elems[j]), dist(images[i], images[j]))
+        for i in range(len(elems))
+        for j in range(i + 1, len(elems))
+    ]
+    return QIEstimate(radius, *fraction_constants(tally), len(tally))
 
 
 def assert_same_estimate(m, radius):
@@ -348,7 +291,8 @@ def test_qi_estimate_matches_two_pass_on_doubling():
 
 
 def fraction_constants(tally):
-    """Reference: the constants and the certificate in Fractions, key by key."""
+    """Reference: the constants and the certificate in Fractions, from the
+    (d, df) pairs of `tally` one by one."""
     up = max([Fraction(1)] + [Fraction(df, d) for d, df in tally if df])
     low = max([Fraction(1)] + [Fraction(d, df) for d, df in tally if df])
     collapse = max([0] + [d for d, df in tally if not df])
@@ -671,10 +615,10 @@ def test_factorization_check_validates_depth_first():
 
 def per_element_image(m, g):
     """Reference: the projection of g to the domain, then the map; on F_k
-    the projection is the probe search, which shares no code with the
-    walk."""
+    the projection is oracles.nearest_member, which shares no code with
+    the walk."""
     if isinstance(g, Word):
-        return evaluate(m.comm, probe_project(m.comm, g))
+        return evaluate(m.comm, nearest_member(m.comm.domain, g))
     return evaluate(m.comm, m.comm.group.project(m.comm.domain, g))
 
 

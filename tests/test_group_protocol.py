@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from commsol import catalog, commensurations, lattices, prosystems, stallings
 from commsol.cli import run
@@ -15,12 +15,7 @@ from commsol.errors import PreconditionError
 from commsol.freewords import Word
 from commsol.groups import EdgePoint, _Group, group
 
-ORACLE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
-
-
-def random_word(rng, k, max_len):
-    letters = "abc"[:k] + "ABC"[:k]
-    return Word(k, "".join(rng.choice(letters) for _ in range(rng.randrange(max_len + 1))))
+from oracles import ORACLE, random_word
 
 
 def inclusions(grp, subs):

@@ -5,7 +5,6 @@ calls left in the caches."""
 
 import ast
 import importlib
-import pkgutil
 from fractions import Fraction
 from operator import add
 from pathlib import Path
@@ -28,6 +27,8 @@ from commsol import (
 from commsol.commensurations import equivalent, identity_comm, make_zn, restriction
 from commsol.errors import CommsolError, PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity as word_identity
+
+from oracles import SETTINGS, clear_every_cache
 
 
 def test_equivalent_is_an_equivalence_relation():
@@ -103,20 +104,6 @@ def test_declared_error_paths():
 # -- cache-order independence ------------------------------------------------------
 
 
-def _clear_every_cache():
-    """Empty every cache at module or class level, as each benchmark pass
-    does (perfbench/run.py, cache_sites)."""
-    for info in pkgutil.iter_modules(commsol.__path__):
-        mod = importlib.import_module(f"commsol.{info.name}")
-        for obj in vars(mod).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-            elif isinstance(obj, type) and obj.__module__ == mod.__name__:
-                for member in vars(obj).values():
-                    if hasattr(member, "cache_clear"):
-                        member.cache_clear()
-
-
 def _key(x):
     """Everything a result holds."""
     if isinstance(x, commensurations.Commensuration):
@@ -138,7 +125,7 @@ def _outcome(op, args):
 def test_maps_built_on_either_side_of_emptied_caches_still_meet():
     swap = catalog.f2_catalog()["swap"]
     zn = make_zn([[2, 1], [0, 1]])
-    _clear_every_cache()
+    clear_every_cache()
     assert commensurations.parse_comm(commensurations.format_comm(swap)) == swap
     assert equivalent(commensurations.compose(swap, swap), identity_comm("F", 2))
     assert commensurations.compose(zn, identity_comm("Z", 2)) == zn
@@ -164,7 +151,7 @@ def _calls(phi, psi, sub, other):
     ]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(SETTINGS, max_examples=60)
 @given(st.data())
 def test_results_do_not_depend_on_cache_order(data):
     if data.draw(st.booleans()):
@@ -185,7 +172,7 @@ def test_results_do_not_depend_on_cache_order(data):
     # in sequence, each call sees what the calls before it cached
     warm = [_outcome(op, args) for op, args in calls]
     for (op, args), got in zip(calls, warm):
-        _clear_every_cache()
+        clear_every_cache()
         assert _outcome(op, args) == got, (op.__name__, args)
 
 
@@ -208,9 +195,9 @@ def test_zeta_compose_and_equivalent_do_not_depend_on_warm_caches():
 
     cold = []
     for op, args in calls(catalog.f2_catalog()):
-        _clear_every_cache()
+        clear_every_cache()
         cold.append(_outcome(op, args))
-    _clear_every_cache()
+    clear_every_cache()
     for op, args in calls(catalog.f2_catalog()):
         op(*args)
     assert [_outcome(op, args) for op, args in calls(catalog.f2_catalog())] == cold
@@ -229,7 +216,7 @@ def test_equal_maps_lift_equally():
         for target in targets:
             got = []
             for order in ((phi, twin), (twin, phi)):
-                _clear_every_cache()
+                clear_every_cache()
                 for m in order:
                     gm = solenoid.lift_through_covers(m, target)
                     got.append((gm.vertex_map, gm.labels))
@@ -247,7 +234,7 @@ def test_equal_maps_keep_their_own_image_words():
         twin = _twin(phi)
         assert twin == phi and not any(a is b for a, b in zip(twin.images, phi.images))
         for order in ((phi, twin), (twin, phi)):
-            _clear_every_cache()
+            clear_every_cache()
             for m in order:
                 for b, img in zip(stallings.basis(m.domain), m.images):
                     assert commensurations.evaluate(m, b) is img
@@ -309,16 +296,16 @@ def test_qi_estimate_does_not_depend_on_warm_caches():
     cat = catalog.f2_catalog()
     for first, then in (("shift", "swap|ker_a"), ("swap|ker_a", "shift|ker_a")):
         for r0, r in ((3, 4), (4, 3), (4, 4)):
-            _clear_every_cache()
+            clear_every_cache()
             geometry.qi_estimate(geometry.baseleaf_map(cat[first]), r0)
             warm = geometry.qi_estimate(geometry.baseleaf_map(cat[then]), r)
-            _clear_every_cache()
+            clear_every_cache()
             cold = geometry.qi_estimate(geometry.baseleaf_map(cat[then]), r)
             assert [getattr(warm, f) for f in fields] == [getattr(cold, f) for f in fields]
     zn = make_zn([[2, 1], [0, 1]])
     geometry.qi_estimate(geometry.baseleaf_map(make_zn([[1, 0], [0, 3]])), 4)
     warm = geometry.qi_estimate(geometry.baseleaf_map(zn), 4)
-    _clear_every_cache()
+    clear_every_cache()
     cold = geometry.qi_estimate(geometry.baseleaf_map(zn), 4)
     assert [getattr(warm, f) for f in fields] == [getattr(cold, f) for f in fields]
 
@@ -552,3 +539,48 @@ def test_the_private_read_test_finds_a_planted_read(tmp_path):
     assert _private_reads(source) == [
         (2, "stallings._tree_data"), (4, "stallings._tree_data"), (5, "lattices._echelon")
     ]
+
+
+# -- one home per test reference --------------------------------------------------
+
+
+def _functions(path):
+    """The names of the functions a module's source defines at top level."""
+    tree = ast.parse(path.read_text())
+    return {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def _redefined(oracles, modules):
+    """(module name, function name) for each top-level function of one of
+    `modules` that `oracles` also defines, sorted."""
+    shared = _functions(oracles)
+    return sorted((m.name, name) for m in modules for name in _functions(m) & shared)
+
+
+def test_no_test_module_redefines_a_reference_of_oracles():
+    # a reference kept in a test module beside its tests/oracles.py namesake
+    # is a second copy that can drift from the first
+    tests = Path(__file__).parent
+    assert _redefined(tests / "oracles.py", sorted(tests.glob("test_*.py"))) == []
+
+
+def test_the_redefinition_test_finds_a_planted_copy(tmp_path):
+    # a top-level copy is found; a method, a nested function and an
+    # imported name of the same name are not
+    oracles = tmp_path / "oracles.py"
+    oracles.write_text("def random_word(rng, k, n):\n    pass\nORACLE = 1\n")
+    module = tmp_path / "test_words.py"
+    module.write_text(
+        "from oracles import random_word\n"
+        "class Helper:\n"
+        "    def random_word(self):\n"
+        "        pass\n"
+        "def test_words():\n"
+        "    def random_word():\n"
+        "        pass\n"
+        "def random_word(rng, k, n):\n"
+        "    pass\n"
+        "def ORACLE():\n"
+        "    pass\n"
+    )
+    assert _redefined(oracles, [module]) == [("test_words.py", "random_word")]

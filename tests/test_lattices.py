@@ -8,6 +8,7 @@ import pytest
 
 from commsol import ratmat
 from commsol.errors import InfiniteIndexError, ParseError, PreconditionError, ResourceLimitError
+from commsol.groups import group
 from commsol.lattices import (
     Lattice,
     contains,
@@ -23,6 +24,8 @@ from commsol.lattices import (
     profinite_kernel,
     whole_group,
 )
+
+from oracles import kernel_by_intersection
 
 
 def residues_mod(gens, n, mod):
@@ -180,20 +183,12 @@ def test_profinite_kernel_z1_brute_force():
             assert contains(ker, (v,)) == member_oracle
 
 
-def profinite_kernel_by_intersection(n, max_index):
-    """K_N as the running intersection of the enumerated lattices."""
-    out = whole_group(n)
-    for lat in enumerate_lattices(n, max_index):
-        out = intersect(out, lat)
-    return out
-
-
 @pytest.mark.parametrize(
     "n, max_index",
     [(1, m) for m in range(1, 9)] + [(2, m) for m in range(1, 7)] + [(3, m) for m in range(1, 5)],
 )
 def test_profinite_kernel_closed_form_matches_intersection(n, max_index):
-    assert profinite_kernel(n, max_index) == profinite_kernel_by_intersection(n, max_index)
+    assert profinite_kernel(n, max_index) == kernel_by_intersection(group("Z", n), max_index)
 
 
 def test_profinite_kernel_keeps_the_enumeration_precondition():

@@ -45,6 +45,8 @@ from commsol.solenoid import (
     sigma,
 )
 
+from oracles import SETTINGS, covering_by_tree_words, label_order_cases, path_by_products
+
 
 W = lambda s: Word(2, s)
 
@@ -76,18 +78,20 @@ def test_cover_and_covering_map_examples():
 
 
 def test_covering_map_matches_tree_word_traces():
-    # the former vertex map: the vertex below each vertex's tree word
+    # the vertex of X_K each vertex's tree word reaches, where every edge of
+    # X_H lies over an edge of X_K, else None; on F1-F3, over every pair of
+    # subgroups of index <= 4, their meets and, on F2, preimages
+    # (oracles.label_order_cases), nested or not
+    for k in (1, 2, 3):
+        pairs = set(label_order_cases(k)[1])
+        nested = 0
+        for h, big in pairs:
+            below = stallings.cover_vertices(h, big)
+            assert below == covering_by_tree_words(h, big)
+            nested += below is not None
+        assert 0 < nested < len(pairs)
     subs = stallings.enumerate_subgroups(2, 4)
-    pairs = 0
-    for h in subs:
-        for k in subs:
-            below = stallings.cover_vertices(h, k)
-            if stallings.is_subgroup(h, k):
-                assert below == tuple(stallings.trace(k, tw) for tw in stallings.tree_words(h))
-                pairs += 1
-            else:
-                assert below is None
-    assert pairs == 196
+    assert sum(stallings.is_subgroup(h, big) for h in subs for big in subs) == 196
 
 
 def test_covering_map_functoriality():
@@ -113,7 +117,7 @@ def test_lift_identity():
     ka = catalog.ker_a()
     gm = lift_through_covers(restriction(ident, ka))
     assert gm.vertex_map == (0, 1)
-    assert apply_to_path(gm, W("aa")) == W("aa")
+    assert lift_image(gm, W("aa")) == W("aa")
 
 
 def test_lift_shift_on_kernel():
@@ -124,7 +128,7 @@ def test_lift_shift_on_kernel():
         assert sum(1 if c == "a" else -1 if c == "A" else 0 for c in img.letters) % 2 == 0
     gm = lift_through_covers(phi)
     for h in [W("aa"), W("b"), W("abA"), W("aabB")]:
-        assert apply_to_path(gm, h) == evaluate(phi, h)
+        assert lift_image(gm, h) == evaluate(phi, h)
 
 
 def test_lift_swap_swaps_sheets():
@@ -133,7 +137,7 @@ def test_lift_swap_swaps_sheets():
     gm = lift_through_covers(swap_on_ka)
     # trace-coset-table oracle: the nontrivial sheet goes to the nontrivial sheet
     assert gm.vertex_map == (0, 1)
-    assert apply_to_path(gm, W("aa")) == W("bb")
+    assert lift_image(gm, W("aa")) == W("bb")
 
 
 def test_lift_collapse_case_agrees_with_evaluation():
@@ -146,35 +150,27 @@ def test_lift_collapse_case_agrees_with_evaluation():
     for _ in range(30):
         expr = [rng.choice([1, -1]) * rng.randrange(1, len(bas) + 1) for _ in range(4)]
         h = stallings.substitute(tuple(expr), list(bas))
-        assert apply_to_path(gm, h) == evaluate(phi, h)
+        assert lift_image(gm, h) == evaluate(phi, h)
 
 
-def apply_to_path(gm, word):
-    """Reference: the lift's image of the based path spelling `word` (the
-    word the image path reads), one path at a time through the lift's labels."""
-    return Word(gm.dst.k, stallings.path_image(gm.src, word.letters, gm.labels)[1], _reduced=True)
+def lift_path(gm, letters):
+    """(end, image) of the path spelling `letters` from the base of the
+    lift's source, read through its labels by oracles.path_by_products."""
+    labels = gm.labels
+    return path_by_products(gm.src, letters, lambda v, x: labels["abc"[x]][v])
 
 
-def apply_by_products(gm, word):
-    """Reference: the path image as one Word product per letter, each
-    in-edge read as the inverse of its out-edge's label."""
-    v = 0
-    out = word_identity(gm.dst.k)
-    for ch in word.letters:
-        x = ord(ch.lower()) - ord("a")
-        if ch.islower():
-            out = out * Word(gm.dst.k, gm.labels[ch][v])
-            v = gm.src.fwd[x][v]
-        else:
-            v = gm.src.bwd[x][v]
-            out = out * ~Word(gm.dst.k, gm.labels[ch.lower()][v])
-    return out
+def lift_image(gm, word):
+    """The lift's image of the based path spelling `word`: the word the
+    image path reads."""
+    return lift_path(gm, word.letters)[1]
 
 
 def test_apply_to_path_matches_word_products():
     # lifts of maps that extend to F_k (edges map to the petal images) and
     # of maps that do not (whose tree edges collapse), the catalog maps and
-    # their parsed twins, on closed and open paths
+    # their parsed twins, on closed and open paths: path_image through the
+    # lift's label table spells the Word product along the path
     maps = list(catalog.f2_catalog().values())
     maps += [parse_comm(format_comm(phi)) for phi in maps]
     maps.append(zn1_to_f1(make_zn([[2]])))
@@ -188,7 +184,8 @@ def test_apply_to_path_matches_word_products():
                  for _ in range(40)]
         words += list(stallings.basis(phi.domain))
         for w in words:
-            assert apply_to_path(gm, w) == apply_by_products(gm, w)
+            end, img = lift_path(gm, w.letters)
+            assert stallings.path_image(gm.src, w.letters, gm.labels) == (end, img.letters)
     assert kinds == {True, False}
 
 
@@ -291,7 +288,7 @@ def brute_extension(phi):
     ]
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(SETTINGS, max_examples=80)
 @given(st.data())
 def test_ambient_gives_the_letters_of_a_restricted_nielsen_automorphism(data):
     k = data.draw(st.integers(1, 3))
@@ -735,8 +732,6 @@ def test_ball_structure_reads_the_home_coset_from_one_covering_walk(monkeypatch)
 
 
 def test_ball_structure_and_tree_words_build_no_basis():
-    for cache in (solenoid.kernel, prosystems.build_system, stallings._tree_data, stallings.basis):
-        cache.cache_clear()
     ball_structure(baseleaf(W("ab"), 3), Fraction(1, 20))
     ball_structure(baseleaf((1, 2), 4), Fraction(1, 20))
     stallings.tree_words(kernel("F", 3, 2))
@@ -757,7 +752,7 @@ def test_zn1_to_f1_lift_round_trip():
     f1 = zn1_to_f1(two)
     gm = lift_through_covers(f1)
     a = Word(1, "a")
-    assert apply_to_path(gm, a) == a**2
+    assert lift_image(gm, a) == a**2
     assert gm.src.m == 1 and gm.dst.m == 2
 
 
@@ -770,7 +765,7 @@ def test_lift_refuses_a_target_in_another_group():
                 lift_through_covers(phi, target)
     # a Z^1 map lifts as its F_1 equivalent
     gm = lift_through_covers(make_zn([[2]]), stallings.whole_group(1))
-    assert apply_to_path(gm, Word(1, "a")) == Word(1, "aa")
+    assert lift_image(gm, Word(1, "a")) == Word(1, "aa")
 
 
 def test_points_refuse_depth_zero_on_construction():
@@ -784,7 +779,6 @@ def test_points_refuse_depth_zero_on_construction():
 
 def test_points_store_their_group_and_build_no_system():
     assert SolenoidPoint.__slots__ == ("group", "depth", "fiber", "leaf")
-    prosystems.build_system.cache_clear()
     before = prosystems.build_system.cache_info()
     p = baseleaf((1, 2), 6)
     assert prosystems.build_system.cache_info() == before
@@ -831,7 +825,7 @@ def test_zn_coset_enumeration_is_guarded(monkeypatch):
 
 # -- the metric path against coset-family oracles ------------------------------------
 
-METRIC_ORACLE = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+METRIC_ORACLE = settings(SETTINGS, max_examples=120)
 
 
 @lru_cache(maxsize=None)
@@ -1000,7 +994,7 @@ def test_graph_map_on_ball_matches_per_path_lifts():
         gm = lift_through_covers(phi)
         radius = 9 if phi.rank == 1 else 4
         ball = groups.group("F", phi.rank).ball(radius)
-        want = [apply_to_path(gm, g).letters if stallings.contains(phi.domain, g) else None for g in ball]
+        want = [lift_image(gm, g).letters if stallings.contains(phi.domain, g) else None for g in ball]
         assert list(gm.raw_on_ball(radius)) == want
 
 
@@ -1026,7 +1020,7 @@ def test_graph_map_raw_on_ball_matches_on_ball_and_per_path_lifts():
         assert len(raw) == len(ball)
         for g, img in zip(ball, raw):
             if stallings.contains(phi.domain, g):
-                assert img == apply_to_path(gm, g).letters
+                assert img == lift_image(gm, g).letters
                 loops += 1
             else:
                 assert img is None

@@ -1,6 +1,7 @@
 """Stallings graph tests; counts are cross-checked against permutation
 brute force and Hall's recursion."""
 
+import math
 import random
 import time
 from itertools import permutations, product
@@ -8,13 +9,12 @@ from itertools import permutations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from commsol import catalog, groups, stallings
+from commsol import catalog, stallings
 from commsol.commensurations import evaluate, make_fk
 from commsol.errors import InfiniteIndexError, PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity
 from commsol.groups import group
 from commsol.stallings import (
-    SubgroupGraph,
     basis,
     contains,
     coset_action,
@@ -36,7 +36,21 @@ from commsol.stallings import (
     whole_group,
 )
 
-from label_tables import label_table
+from oracles import (
+    ORACLE,
+    SETTINGS,
+    express,
+    hall_counts,
+    kernel_by_intersection,
+    label_order_cases,
+    label_table,
+    nearest_member,
+    path_by_products,
+    preimage_by_schreier_fold,
+    random_word,
+    step_project,
+    subgroups_by_permutations,
+)
 
 W = lambda s: Word(2, s)
 
@@ -51,12 +65,6 @@ def a_exp(w):
 
 def b_exp(w):
     return sum(1 if c == "b" else -1 if c == "B" else 0 for c in w.letters)
-
-
-def random_word(rng, k, max_len):
-    letters = "abcdefghijklmnopqrstuvwxyz"[:k]
-    n = rng.randrange(max_len + 1)
-    return Word(k, "".join(rng.choice(letters + letters.upper()) for _ in range(n)))
 
 
 def test_from_generators_examples():
@@ -147,38 +155,6 @@ def test_basis_sizes_and_membership():
         assert a_exp(w) % 2 == 0
 
 
-def nontree_index(graph):
-    """The position in basis(graph) of each nontree edge (v, x)."""
-    return {e: i for i, e in enumerate(stallings._tree_data(graph).nontree)}
-
-
-def express(graph, word):
-    """Oracle: a subgroup element in the canonical basis, as signed 1-based
-    indices into basis(graph) multiplying left to right; raises
-    PreconditionError when the word is not in the subgroup."""
-    nontree = nontree_index(graph)
-    v = 0
-    out = []
-    for ch in word.letters:
-        x = ord(ch.lower()) - ord("a")
-        if ch.islower():
-            t = graph.fwd[x][v]
-            if t == -1:
-                raise PreconditionError(f"{word.letters!r} leaves the subgroup graph")
-            if (v, x) in nontree:
-                out.append(nontree[(v, x)] + 1)
-            v = t
-        else:
-            v = graph.bwd[x][v]
-            if v == -1:
-                raise PreconditionError(f"{word.letters!r} leaves the subgroup graph")
-            if (v, x) in nontree:
-                out.append(-(nontree[(v, x)] + 1))
-    if v != 0:
-        raise PreconditionError(f"{word.letters!r} is not in the subgroup")
-    return stallings._dec_mul(out)
-
-
 def test_contains_iff_product_of_basis():
     rng = random.Random(17)
     ga = from_generators([W(w) for w in KER_A], 2)
@@ -203,19 +179,6 @@ def test_folding_confluence():
         assert from_generators(shuffled, 2) == g1
 
 
-def hall_counts(k, nmax):
-    """Oracle: Hall's recursion for the number of index-m subgroups of F_k."""
-    import math
-
-    counts = {}
-    for m in range(1, nmax + 1):
-        total = m * math.factorial(m) ** (k - 1)
-        for i in range(1, m):
-            total -= math.factorial(m - i) ** (k - 1) * counts[i]
-        counts[m] = total
-    return counts
-
-
 def brute_force_transitive_tuples(k, m):
     count = 0
     for tup in product(list(permutations(range(m))), repeat=k):
@@ -233,50 +196,6 @@ def brute_force_transitive_tuples(k, m):
     return count
 
 
-def test_enumerate_counts():
-    subs = enumerate_subgroups(2, 3)
-    by_index = {}
-    for g in subs:
-        by_index.setdefault(g.m, []).append(g)
-    assert [len(by_index.get(m, [])) for m in (1, 2, 3)] == [1, 3, 13]
-    assert len(subs) == len(set(subs)) == 17
-
-    # independent oracles: transitive-tuple counts and Hall's recursion
-    import math
-
-    for m in (1, 2, 3):
-        tuples = brute_force_transitive_tuples(2, m)
-        assert len(by_index[m]) == tuples // math.factorial(m - 1)
-    assert hall_counts(2, 3) == {1: 1, 2: 3, 3: 13}
-
-    assert len(enumerate_subgroups(2, 2)) == 4
-    assert [g.m for g in enumerate_subgroups(1, 4)] == [1, 2, 3, 4]
-
-
-def test_enumerate_matches_hall_at_index_4():
-    subs = enumerate_subgroups(2, 4)
-    count4 = sum(1 for g in subs if g.m == 4)
-    assert count4 == hall_counts(2, 4)[4]
-
-
-def enumerate_by_permutation_tuples(k, max_index):
-    """Oracle: the permutation-tuple brute force the low-index search
-    replaced (every transitive k-tuple, canonicalized, deduplicated)."""
-    out = []
-    for m in range(1, max_index + 1):
-        seen = set()
-        for tup in product(list(permutations(range(m))), repeat=k):
-            try:
-                g = from_permutations(k, tup)
-            except PreconditionError:
-                continue  # not transitive
-            if g not in seen:
-                seen.add(g)
-                out.append(g)
-    out.sort(key=lambda g: (g.m, g.fwd))
-    return out
-
-
 def stored(subs):
     return [(g.k, g.m, g.fwd, g.bwd, g.complete) for g in subs]
 
@@ -284,59 +203,8 @@ def stored(subs):
 @pytest.mark.parametrize("k,max_index", [(1, 6), (2, 4), (2, 5), (3, 3), (4, 3)])
 def test_enumerate_matches_permutation_brute_force(k, max_index):
     fast = enumerate_subgroups(k, max_index)
-    slow = enumerate_by_permutation_tuples(k, max_index)
+    slow = subgroups_by_permutations(k, max_index)
     assert stored(fast) == stored(slow)
-
-
-def enumerate_slot_by_slot(k, max_index):
-    """Oracle: the low-index search before the last level was filled in
-    closed form, every slot a branch point, down to the last vertex."""
-    fwd = [[-1] * max_index for _ in range(k)]
-    bwd = [[-1] * max_index for _ in range(k)]
-    out = []
-
-    def search(slot, m):
-        # slot 2(kv + x) is fwd[x][v], slot 2(kv + x) + 1 is bwd[x][v]
-        end = 2 * k * m
-        while slot < end:
-            v, rest = divmod(slot, 2 * k)
-            x, back = divmod(rest, 2)
-            here, there = (bwd[x], fwd[x]) if back else (fwd[x], bwd[x])
-            if here[v] == -1:
-                break
-            slot += 1
-        else:
-            rows = lambda table: tuple(tuple(r[:m]) for r in table)
-            out.append(SubgroupGraph(k, m, rows(fwd), rows(bwd), True))
-            return
-        # t == m opens the next new vertex, whose slots are all empty
-        for t in range(m + (m < max_index)):
-            if there[t] == -1:
-                here[v] = t
-                there[t] = v
-                search(slot + 1, max(m, t + 1))
-                there[t] = -1
-        here[v] = -1
-
-    search(0, 1)
-    out.sort(key=lambda g: (g.m, g.fwd))
-    return out
-
-
-@pytest.mark.parametrize("k,max_index", [(1, 6), (2, 1), (2, 6), (3, 4), (4, 3)])
-def test_enumerate_matches_the_slot_by_slot_search(k, max_index):
-    assert stored(enumerate_subgroups(k, max_index)) == stored(
-        enumerate_slot_by_slot(k, max_index)
-    )
-
-
-@pytest.mark.parametrize("k,max_index", [(2, 5), (3, 4)])
-def test_enumerated_tables_are_already_canonical(k, max_index):
-    # relabeling each table from its own permutations changes nothing, so
-    # every leaf of the closed-form last level is canonical as emitted
-    for g in enumerate_subgroups(k, max_index):
-        again = from_permutations(k, g.fwd)
-        assert again == g and again.bwd == g.bwd
 
 
 @pytest.mark.parametrize("k,max_index", [(1, 5), (2, 1), (2, 4), (3, 2), (3, 3), (4, 2)])
@@ -348,15 +216,36 @@ def test_enumeration_is_a_prefix_of_the_next_index(k, max_index):
 
 
 @pytest.mark.parametrize(
-    "k,counts", [(2, [1, 3, 13, 71, 461, 3447, 29093]), (3, [1, 7, 97, 2143]), (4, [1, 15, 625])]
+    "k,counts",
+    [
+        (2, [1, 3, 13, 71, 461, 3447, 29093]),
+        (3, [1, 7, 97, 2143]),
+        (4, [1, 15, 625]),
+        (1, [1] * 4),
+        (2, [1]),
+        (2, [1, 3]),
+    ],
 )
 def test_enumerate_counts_match_hall(k, counts):
+    # Hall's counts per index, and every table complete, distinct and
+    # canonical (relabeling it from its own permutations changes nothing),
+    # in (index, fwd) order: together they force the exact list, checked
+    # to index 6 (index 7 alone holds 29,093 tables)
     top = len(counts)
     assert [hall_counts(k, top)[m] for m in range(1, top + 1)] == counts
+    # each subgroup of index m is the stabilizer of a point in (m - 1)! of
+    # the transitive k-tuples of permutations of m points
+    for m in range(1, min(top, 3) + 1):
+        assert counts[m - 1] == brute_force_transitive_tuples(k, m) // math.factorial(m - 1)
     subs = enumerate_subgroups(k, top)
     assert [sum(1 for g in subs if g.m == m) for m in range(1, top + 1)] == counts
     assert len(set(subs)) == len(subs)
     assert all(g.complete and g.k == k for g in subs)
+    assert [(g.m, g.fwd) for g in subs] == sorted((g.m, g.fwd) for g in subs)
+    for g in subs:
+        if g.m <= 6:
+            again = from_permutations(k, g.fwd)
+            assert again == g and again.bwd == g.bwd
 
 
 def test_enumerate_guard_refuses_from_hall_counts(monkeypatch):
@@ -418,20 +307,12 @@ def test_profinite_kernel_depth3_definitional():
         assert contains(ker, w) and all(contains(g, w) for g in subs)
 
 
-def profinite_kernel_by_intersection(k, max_index):
-    """K_N as the running fiber product of the enumerated subgroups."""
-    out = whole_group(k)
-    for g in enumerate_subgroups(k, max_index):
-        out = intersect(out, g)
-    return out
-
-
 @pytest.mark.parametrize(
     "k, max_index", [(1, n) for n in range(1, 7)] + [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 )
 def test_profinite_kernel_matches_intersection_loop(k, max_index):
     ker = profinite_kernel(k, max_index)
-    want = profinite_kernel_by_intersection(k, max_index)
+    want = kernel_by_intersection(group("F", k), max_index)
     assert (ker.fwd, ker.bwd, ker.m) == (want.fwd, want.bwd, want.m)
 
 
@@ -502,9 +383,6 @@ def test_fold_with_expressions_round_trip():
         assert graph == from_generators(list(gens), 2)
         for bw, expr in zip(basis(graph), exprs):
             assert substitute(expr, list(gens)) == bw
-
-
-ORACLE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 @ORACLE
@@ -634,7 +512,7 @@ def fold_outcome(words, k, track):
     return graph.m, graph.fwd, graph.bwd, graph.complete, exprs
 
 
-@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@settings(SETTINGS, max_examples=600)
 @given(st.data())
 def test_reading_fold_matches_per_letter_fold(data):
     k = data.draw(st.integers(1, 3))
@@ -803,31 +681,6 @@ def test_path_image_stops_where_the_path_leaves():
     assert path_image(graph, "aa", labels) == (None, "a")
 
 
-def geodesic_return_full_scan(graph, letters, verts):
-    """Reference: the nearest member of the subgroup to the reduced word
-    `letters`, least letter string on ties, as (j, r) with r a return path
-    from verts[j]: every j from max(-far, 0) to n is scanned, with
-    far = dist[verts[n]] - n, for the candidates dist[verts[j]] = far + j."""
-    table = stallings._return_table(graph)
-    dist = table.dist
-    n = len(letters)
-    far = dist[verts[n]] - n
-    least = out = None
-    for j in range(max(-far, 0), n + 1):
-        v = verts[j]
-        if dist[v] != far + j:
-            continue
-        r = table.best[v]
-        if j and r[:1] == letters[j - 1].swapcase():
-            r = table.second[v]
-            if r is None:
-                continue
-        s = letters[:j] + r
-        if least is None or s < least:
-            least, out = s, (j, r)
-    return out
-
-
 @ORACLE
 @given(st.data())
 def test_geodesic_return_candidates_are_the_outward_run(data):
@@ -846,209 +699,13 @@ def test_geodesic_return_candidates_are_the_outward_run(data):
         j -= 1
     candidates = [i for i in range(n + 1) if dist[verts[i]] - i == dist[verts[n]] - n]
     assert candidates == list(range(j, n + 1))
-    # the baseleaf walk's least candidate, over the word's letters
-    step = group("F", k).baseleaf_step(sub, basis(sub))
-    state = groups._ROOT
-    for x in letters:
-        state = step(state, x)
-    j, r = geodesic_return_full_scan(sub, letters, verts)
-    assert state[3] == letters[:j] + r
+    # the baseleaf walk's least candidate, over the word's letters, is the
+    # nearest member
+    g = Word(k, letters)
+    assert step_project(sub, g) == nearest_member(sub, g)
 
 
-# -- readers of the canonical label order ----------------------------------------------
-
-
-def tree_data_by_queue(graph):
-    """Reference spanning tree: a breadth-first search with a queue and a
-    visited list, per letter the out-edge then the in-edge, as
-    (tree_order, tree_words, nontree)."""
-    k, m = graph.k, graph.m
-    tree_order, tree_words = [], [None] * m
-    tree_words[0] = ""
-    queue, visited = [0], [True] + [False] * (m - 1)
-    for v in queue:
-        for x in range(k):
-            for back, t in ((False, graph.fwd[x][v]), (True, graph.bwd[x][v])):
-                if t != -1 and not visited[t]:
-                    visited[t] = True
-                    tree_order.append((t, x) if back else (v, x))
-                    tree_words[t] = tree_words[v] + ("abc"[x].upper() if back else "abc"[x])
-                    queue.append(t)
-    nontree = [
-        (v, x)
-        for v in range(m)
-        for x in range(k)
-        if graph.fwd[x][v] != -1 and (v, x) not in tree_order
-    ]
-    return tuple(tree_order), tuple(tree_words), tuple(nontree)
-
-
-def cover_vertices_by_queue(inner, outer):
-    """Reference covering: a search from the base with a queue, pairing
-    each vertex of X_inner with the vertex of X_outer below it, or None."""
-    rows = [*zip(inner.fwd, outer.fwd), *zip(inner.bwd, outer.bwd)]
-    below = [0] + [-1] * (inner.m - 1)
-    queue = [0]
-    for v in queue:
-        for row, orow in rows:
-            t, d = row[v], orow[below[v]]
-            if t == -1:
-                continue
-            if d == -1 or below[t] not in (-1, d):
-                return None
-            if below[t] == -1:
-                below[t] = d
-                queue.append(t)
-    return tuple(below)
-
-
-def return_table_by_distance(graph):
-    """Reference return table: the vertices read in order of their
-    distance from the base, sorted, with distances from the queue search."""
-    dist = tuple(map(len, tree_data_by_queue(graph)[1]))
-    letters = sorted("abc"[: graph.k] + "ABC"[: graph.k])
-    steps = [
-        (ch, (graph.fwd if ch.islower() else graph.bwd)["abc".index(ch.lower())])
-        for ch in letters
-    ]
-    best, second = [""] * graph.m, [None] * graph.m
-    for v in sorted(range(graph.m), key=dist.__getitem__):
-        down = [ch + best[row[v]] for ch, row in steps if dist[row[v]] == dist[v] - 1]
-        if down:
-            best[v] = down[0]
-            second[v] = down[1] if len(down) > 1 else None
-    return dist, tuple(best), tuple(second)
-
-
-def label_order_cases(k):
-    """Graphs for the label-order readers: every subgroup of F_k of index
-    <= 4; the meets of every pair of them (on F3, of every pair of index
-    <= 3 and of 1,500 seeded pairs of index <= 4); on F2 the preimages of
-    each under the catalog maps.  Returned as (graphs, pairs): `pairs`
-    are (inner, outer) for the covering, both nested and not."""
-    subs = enumerate_subgroups(k, 4)
-    if k < 3:
-        pairs = [(a, b) for a in subs for b in subs]
-    else:
-        small = [s for s in subs if s.m <= 3]
-        rng = random.Random(27)
-        pairs = [(a, b) for a in small for b in small]
-        pairs += [(rng.choice(subs), rng.choice(subs)) for _ in range(1500)]
-    graphs = set(subs)
-    nested = []
-    for a, b in pairs:
-        meet = intersect(a, b)
-        graphs.add(meet)
-        nested += [(meet, a), (meet, b)]
-    if k == 2:
-        for phi in catalog.f2_catalog().values():
-            for sub in subs:
-                pre = stallings.preimage(phi.domain, phi.images, sub)
-                graphs.add(pre)
-                nested.append((pre, phi.domain))
-    return sorted(graphs, key=lambda g: (g.m, g.fwd)), pairs + nested
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_label_order_readers_match_their_queue_and_sort_versions(k):
-    # the spanning tree, the return table and the covering read the labels
-    # in order, which orbit_graph and enumerate_subgroups give every graph
-    graphs, pairs = label_order_cases(k)
-    for graph in graphs:
-        data = stallings._tree_data.__wrapped__(graph)
-        assert (data.tree_order, data.tree_words, data.nontree) == tree_data_by_queue(graph)
-        assert tuple(stallings._return_table.__wrapped__(graph)) == return_table_by_distance(graph)
-    for inner, outer in pairs:
-        assert stallings.cover_vertices.__wrapped__(inner, outer) == cover_vertices_by_queue(
-            inner, outer
-        )
-
-
-@ORACLE
-@given(st.data())
-def test_tree_data_matches_the_queue_version_on_infinite_index(data):
-    k = data.draw(st.integers(1, 3))
-    letters = "abc"[:k] + "ABC"[:k]
-    count = data.draw(st.integers(0, 3))
-    words = [Word(k, data.draw(st.text(letters, max_size=8))) for _ in range(count)]
-    graph = from_generators(words, k)
-    tree = stallings._tree_data.__wrapped__(graph)
-    assert (tree.tree_order, tree.tree_words, tree.nontree) == tree_data_by_queue(graph)
-
-
-# -- the per-letter kernels against their letter-decoding versions ---------------
-
-
-def trace_by_letter_decoding(graph, letters, start=0):
-    """Reference trace: each letter decoded to its generator and direction."""
-    v = start
-    for ch in letters:
-        x = ord(ch.lower()) - ord("a")
-        v = graph.fwd[x][v] if ch.islower() else graph.bwd[x][v]
-        if v == -1:
-            return None
-    return v
-
-
-def coset_action_by_letter_decoding(graph, word):
-    perm = list(range(graph.m))
-    for ch in word.letters:
-        row = (graph.fwd if ch.islower() else graph.bwd)[ord(ch.lower()) - 97]
-        perm = list(map(row.__getitem__, perm))
-    return perm
-
-
-def path_image_by_callable(graph, letters, label, start=0):
-    """Reference path_image: label(v, x) called on each edge crossed, an
-    edge crossed backward contributing the inverse of its label."""
-    v = start
-    out = ""
-    for ch in letters:
-        x = ord(ch.lower()) - ord("a")
-        back = ch.isupper()
-        t = (graph.bwd if back else graph.fwd)[x][v]
-        if t == -1:
-            return None, out
-        out = stallings._join(out, label(t, x)[::-1].swapcase() if back else label(v, x))
-        v = t
-    return v, out
-
-
-def preimage_by_nontree_lookup(domain, images, sub):
-    """Reference preimage: the step looks the edge up among the nontree
-    edges and inverts a permutation by sorting."""
-    k, ms = domain.k, sub.m
-    perms = [coset_action_by_letter_decoding(sub, w) for w in images]
-    inverses = [sorted(range(ms), key=p.__getitem__) for p in perms]
-    nontree = nontree_index(domain)
-
-    def step(node, x, back):
-        v, c = divmod(node, ms)
-        if back:
-            s = domain.bwd[x][v]
-            i = nontree.get((s, x))
-            return s * ms + (c if i is None else inverses[i][c])
-        i = nontree.get((v, x))
-        return domain.fwd[x][v] * ms + (c if i is None else perms[i][c])
-
-    return orbit_graph(k, 0, step)[0]
-
-
-def evaluate_by_callable(domain, images, g):
-    """Reference evaluate: the loop read through a label callable, and
-    the stored image found by a scan."""
-    nontree = nontree_index(domain)
-
-    def label(v, x):
-        i = nontree.get((v, x))
-        return "" if i is None else images[i].letters
-
-    end, img = path_image_by_callable(domain, g.letters, label)
-    if end is None:
-        raise PreconditionError(f"{g.letters!r} leaves the subgroup graph")
-    if end != 0:
-        raise PreconditionError(f"{g.letters!r} is not in the subgroup")
-    return next((w for w in images if w.letters == img), None) or Word(domain.k, img)
+# -- the per-letter kernels against Word products ---------------------------------
 
 
 def label_pool(rng, k):
@@ -1066,21 +723,20 @@ def random_labels(rng, graph, pool):
 
 def check_kernels(graph, words, rng, pool):
     """trace and path_image of each of `words` from the base and from a
-    random vertex, and the label table, against their references."""
+    random vertex, and the label table, against the Word products along
+    the path (oracles.path_by_products)."""
     label, out = random_labels(rng, graph, pool)
     labels = label_table(graph, label)
     assert stallings.label_table(graph, out) == labels
     for w in words:
         for start in {0, rng.randrange(graph.m)}:
-            assert trace(graph, w, start) == trace_by_letter_decoding(graph, w, start)
-            assert path_image(graph, w, labels, start) == path_image_by_callable(
-                graph, w, label, start
-            )
+            end, img = path_by_products(graph, w, label, start)
+            assert trace(graph, w, start) == end
+            assert path_image(graph, w, labels, start) == (end, img.letters)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_per_letter_kernels_match_their_letter_decoding_versions(k):
-    # every subgroup of index <= 4 and the meets of label_order_cases
     # every subgroup of index <= 4 and the meets of label_order_cases; each
     # (on F3 each subgroup) is also the domain of a preimage under random
     # images onto a subgroup of index 3, on whose cosets a permutation need
@@ -1093,12 +749,12 @@ def test_per_letter_kernels_match_their_letter_decoding_versions(k):
     for graph in graphs:
         w = rng.choice(pool)
         check_kernels(graph, [w.letters], rng, labels)
-        assert coset_action(graph, w) == coset_action_by_letter_decoding(graph, w)
+        assert coset_action(graph, w) == [trace(graph, w, c) for c in range(graph.m)]
         if k == 3 and graph.m > 4:
             continue
         images = [rng.choice(pool) for _ in basis(graph)]
         sub = rng.choice(subs)
-        assert stallings.preimage(graph, images, sub) == preimage_by_nontree_lookup(
+        assert stallings.preimage(graph, images, sub) == preimage_by_schreier_fold(
             graph, images, sub
         )
 
@@ -1108,8 +764,8 @@ def test_catalog_evaluate_images_on_and_preimage_match_their_references():
     for phi in catalog.f2_catalog().values():
         for obj in enumerate_subgroups(2, 3):
             pre = stallings.preimage(phi.domain, phi.images, obj)
-            assert pre == preimage_by_nontree_lookup(phi.domain, phi.images, obj)
-            want = [evaluate_by_callable(phi.domain, phi.images, b) for b in basis(pre)]
+            assert pre == preimage_by_schreier_fold(phi.domain, phi.images, obj)
+            want = [substitute(express(phi.domain, b), phi.images) for b in basis(pre)]
             got = grp.images_on(phi.domain, phi.images, pre)
             assert list(got) == want
             assert [evaluate(phi, b) for b in basis(pre)] == want
@@ -1123,7 +779,8 @@ def test_catalog_evaluate_images_on_and_preimage_match_their_references():
 @given(st.data())
 def test_per_letter_kernels_match_on_partial_graphs(data):
     # words read from the base and a random vertex of a folded graph, most
-    # of infinite index, so that many paths leave it
+    # of infinite index, so that many paths leave it; and the tree words,
+    # each of which reaches its vertex
     k = data.draw(st.integers(1, 3))
     letters = "abc"[:k] + "ABC"[:k]
     count = data.draw(st.integers(0, 3))
@@ -1132,4 +789,4 @@ def test_per_letter_kernels_match_on_partial_graphs(data):
     words = [data.draw(st.text(letters, max_size=10)) for _ in range(3)]
     rng = random.Random(data.draw(st.integers(0, 2**16)))
     check_kernels(graph, words, rng, label_pool(rng, k))
-
+    assert [trace(graph, tw) for tw in tree_words(graph)] == list(range(graph.m))

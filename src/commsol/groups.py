@@ -13,6 +13,8 @@ walk; ambient, the extension to F_k that a covering lift reads) of a map
 given by a domain and the images of `basis(domain)`.  On F_k these read
 the map's edge labels, `Fk.edge_labels`: labels[ch][v], the image letters
 of the ch-edge out of v in the domain graph, memoized once per map.
+images_on is evaluate_all of a subgroup's basis; the listing `enumerate`
+is memoized per depth, and F_k's separating_index reads it level by level.
 `on_rose` says whether a step that runs on the rose (covers, covering
 lifts, the boundary) takes the group or a map of it.  Groups compare by
 value.  Subgroup operations go through the `lattices`/`stallings` module
@@ -91,6 +93,9 @@ class _Group:
         return tuple(self.evaluate(domain, images, g) for g in elems)
 
     def images_on(self, domain, images, sub):
+        """The images of basis(sub), for sub a subgroup of the domain."""
+        if not self.is_subgroup(sub, domain):
+            raise PreconditionError("images_on: the subgroup is not inside the domain")
         return self.evaluate_all(domain, images, self.basis(sub))
 
     def ball_size(self, radius: int) -> int:
@@ -100,6 +105,14 @@ class _Group:
         if radius < 0:
             raise PreconditionError("radius must be >= 0")
         return self._ball_size(radius)
+
+    def separating_index(self, g, depth: int):
+        """The least index n <= depth of a subgroup missing g
+        (_separating_index), None when every subgroup of index <= depth
+        contains g, as they all contain the identity."""
+        if depth < 1:
+            raise PreconditionError("depth must be >= 1")
+        return None if g == self.identity else self._separating_index(g, depth)
 
     def leaf_reach(self, leaf) -> Fraction:
         """Distance of a leaf point from the base point."""
@@ -158,6 +171,7 @@ class Zn(_Group):
     def ball(self, radius):
         """All elements within `radius` of the identity, sorted by
         (distance, vector)."""
+        limits.guard(self.ball_size(radius), f"ball(Z^{self.rank}, R={radius})")
         return tuple(chain.from_iterable(_sphere(self.rank, d) for d in range(radius + 1)))
 
     def path(self, g):
@@ -184,8 +198,10 @@ class Zn(_Group):
     def basis(self, sub):
         return sub.cols
 
+    @lru_cache(maxsize=64)
     def enumerate(self, max_index: int):
-        return lattices.enumerate_lattices(self.rank, max_index)
+        """The lattices of index <= max_index by index, one tuple per depth."""
+        return tuple(lattices.enumerate_lattices(self.rank, max_index))
 
     def coset(self, sub, g):
         """Coset label of g: its canonical residue."""
@@ -279,15 +295,10 @@ class Zn(_Group):
     def basis_size(self, sub) -> int:
         return self.rank
 
-    def separating_index(self, g, depth: int):
-        """The least index n <= depth of a subgroup missing g, None when
-        every subgroup of index <= depth contains g: the least n that does
-        not divide gcd(g), as the lattices of index n meet in n Z^n."""
-        if depth < 1:
-            raise PreconditionError("depth must be >= 1")
+    def _separating_index(self, g, depth: int):
+        """The least n <= depth that does not divide gcd(g), as the lattices
+        of index n meet in n Z^n."""
         common = math.gcd(*g)
-        if not common:
-            return None
         # lcm(2..n-1) divides a nonzero gcd, so n stays small whatever the depth
         return next((n for n in range(2, depth + 1) if common % n), None)
 
@@ -462,8 +473,10 @@ class Fk(_Group):
     def basis(self, sub):
         return stallings.basis(sub)
 
+    @lru_cache(maxsize=64)
     def enumerate(self, max_index: int):
-        return stallings.enumerate_subgroups(self.rank, max_index)
+        """The subgroups of index <= max_index by index, one tuple per depth."""
+        return tuple(stallings.enumerate_subgroups(self.rank, max_index))
 
     def coset(self, sub, g):
         """Coset label of g: the vertex its path reaches."""
@@ -601,19 +614,6 @@ class Fk(_Group):
         lifts, the boundary); with no map, only the group is asked."""
         return comm
 
-    def images_on(self, domain, images, sub):
-        """Each loop of X_sub maps to the product of the images of the
-        domain edges below its edges (stallings.cover_vertices), and is a
-        stored image's own Word when it spells one."""
-        below = stallings.cover_vertices(sub, domain)
-        if below is None:
-            raise PreconditionError("images_on: the subgroup is not inside the domain")
-        labels = self.edge_labels(domain, images)
-        columns = [list(map(labels[ch].__getitem__, below)) for ch in _LOWER[: self.rank]]
-        imgs = stallings.tree_products(sub, columns, "", _join, lambda s: s[::-1].swapcase())
-        shared = {w.letters: w for w in images}
-        return tuple(shared.get(s) or Word(self.rank, s, _reduced=True) for s in imgs)
-
     def inverse_images(self, domain, images, codomain):
         """The preimages of the codomain's basis, expressed in the images
         by folding them, with the domain's basis substituted."""
@@ -626,16 +626,13 @@ class Fk(_Group):
         """The rank of a finite-index subgroup (Schreier): 1 + m(k - 1)."""
         return 1 + self.index(sub) * (self.rank - 1)
 
-    def separating_index(self, g, depth: int):
-        """The least index n <= depth of a subgroup missing g, None when
-        every subgroup of index <= depth contains g: the objects of the
-        depth-N system are sorted by index, so it is that of the first one
-        missing g."""
-        from . import prosystems  # imports this module
-
-        for obj in prosystems.build_system(self.tag, self.rank, depth).objects:
-            if not self.contains(obj, g):
-                return self.index(obj)
+    def _separating_index(self, g, depth: int):
+        """Level n = 2, 3, ... of the listing, enumerate(n) past
+        enumerate(n - 1), read up to the first with a subgroup missing g."""
+        for n in range(2, depth + 1):
+            level = self.enumerate(n)[len(self.enumerate(n - 1)) :]
+            if not all(self.contains(sub, g) for sub in level):
+                return n
         return None
 
     def matrix(self, domain, images):

@@ -4,10 +4,10 @@ A depth-N point stores its group, a fiber element and a universal-cover
 leaf coordinate, as the canonical orbit representative (leaf moved as
 close as possible to the base point, ties broken by word order).  Its
 profinite coordinate, the compatible family of the fiber's cosets in
-every subgroup of index <= N (the objects of the depth-N system,
-prosystems.build_system), is derived when read: equality reads the
-fiber through the group's separating_index instead, and hashing reads
-the family at depth min(N, 3).
+every subgroup of index <= N (the group's low-index listing, enumerate,
+whose members are the objects of the depth-N system), is derived when
+read: equality reads the fiber through the group's separating_index
+instead, and hashing reads the family at depth min(N, 3).
 
 Metrics follow the quotient construction: d_pro on fibers (exponential in
 the deepest level where two elements agree, a pseudometric at finite
@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import groups, prosystems, stallings
+from . import groups, stallings
 from .errors import PreconditionError
 from .freewords import _join
 from .groups import EdgePoint  # noqa: F401  (leaf points are part of this API)
@@ -164,12 +164,11 @@ class SolenoidPoint:
     rank = property(lambda self: self.group.rank)
 
     def family(self, depth=None):
-        """Coset of every object of the depth-N system (compatible under
-        all bonds by construction), derived when read; with `depth`, of
-        the objects of the depth-`depth` system instead."""
+        """Coset of every subgroup of index <= N in the group's listing
+        (compatible under all bonds by construction), derived when read;
+        with `depth`, of every subgroup of index <= `depth` instead."""
         grp = self.group
-        objs = prosystems.build_system(grp.tag, grp.rank, depth or self.depth).objects
-        return tuple(grp.coset(obj, self.fiber) for obj in objs)
+        return tuple(grp.coset(obj, self.fiber) for obj in grp.enumerate(depth or self.depth))
 
     def __eq__(self, other):
         grp = self.group

@@ -36,9 +36,9 @@ added as a fresh path and folded in.  Folding is implemented with a
 weighted union-find.  The weights are words over an auxiliary alphabet
 (one symbol per input generator), which lets the same pass record, for
 every canonical basis element of the folded graph, an expression in the
-input generators — valid whenever the inputs freely generate their
-subgroup (a relation fold is then impossible, and is reported if it
-occurs).
+input generators (`tree_products`) — valid whenever the inputs freely
+generate their subgroup (a relation fold is then impossible, and is
+reported if it occurs).
 
 Inclusion of subgroups is the covering map between their graphs:
 `cover_vertices` pairs each vertex of the smaller subgroup's graph with
@@ -349,7 +349,7 @@ def fold_with_expressions(words, k: int):
     meaning words[i]^{+-1}, multiplying left to right.
     """
     graph, decf = _fold_words(list(words), k, track=True)
-    return graph, tree_products(graph, decf, (), _dec_mul, _dec_inv)
+    return graph, tree_products(graph, decf)
 
 
 def whole_group(k: int) -> SubgroupGraph:
@@ -590,22 +590,24 @@ def tree_words(graph: SubgroupGraph) -> tuple[str, ...]:
     return _tree_data(graph).tree_words
 
 
-def tree_products(graph: SubgroupGraph, labels, one, mul, inv) -> tuple:
-    """Per element of basis(graph), the product of labels[x][v] over the
-    edges v -x-> of its loop, inverted where the loop runs backward: with
-    P(v) the product along the tree path to v, the element crossing the
-    nontree edge v -x-> w gives P(v) labels[x][v] P(w)^-1."""
+def tree_products(graph: SubgroupGraph, labels) -> tuple:
+    """Per element of basis(graph), the product of the decorations
+    labels[x][v] over the edges v -x-> of its loop, inverted where the
+    loop runs backward (fold_with_expressions): with P(v) the product
+    along the tree path to v, the element crossing the nontree edge
+    v -x-> w gives P(v) labels[x][v] P(w)^-1."""
     data = _tree_data(graph)
     paths = [None] * graph.m
-    paths[0] = one
+    paths[0] = ()
     for v, x in data.tree_order:
         w = graph.fwd[x][v]
         if paths[w] is None:
-            paths[w] = mul(paths[v], labels[x][v])
+            paths[w] = _dec_mul(paths[v], labels[x][v])
         else:
-            paths[v] = mul(paths[w], inv(labels[x][v]))
+            paths[v] = _dec_mul(paths[w], _dec_inv(labels[x][v]))
     return tuple(
-        mul(mul(paths[v], labels[x][v]), inv(paths[graph.fwd[x][v]])) for v, x in data.nontree
+        _dec_mul(paths[v], labels[x][v], _dec_inv(paths[graph.fwd[x][v]]))
+        for v, x in data.nontree
     )
 
 

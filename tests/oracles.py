@@ -7,6 +7,8 @@ shares.  No test module defines a function of the same name
 - enumeration of finite-index subgroups: every transitive permutation
   tuple (subgroups_by_permutations), and M. Hall's count (hall_counts);
 - K_N: the running meet of the enumerated subgroups (kernel_by_intersection);
+- the least index of a subgroup missing an element: a scan of every
+  object of the depth-N system (separating_index_by_full_scan);
 - the covering X_H -> X_K: tree-word traces, checked edge by edge
   (covering_by_tree_words);
 - path images through edge labels (trace, path_image, a lift's images):
@@ -30,7 +32,7 @@ from itertools import groupby, permutations, product
 from hypothesis import settings
 
 import commsol
-from commsol import catalog, groups, stallings
+from commsol import catalog, groups, prosystems, stallings
 from commsol.errors import PreconditionError
 from commsol.freewords import Word
 from commsol.groups import group
@@ -112,6 +114,16 @@ def kernel_by_intersection(grp, max_index):
     for sub in grp.enumerate(max_index):
         out = grp.subgroups.intersect(out, sub)
     return out
+
+
+def separating_index_by_full_scan(grp, g, depth):
+    """The least index n <= depth of a subgroup missing g, None when every
+    subgroup of index <= depth contains g: the index of the first object
+    of the depth-N system, which lists them by index, that misses g."""
+    for obj in prosystems.build_system(grp.tag, grp.rank, depth).objects:
+        if not grp.contains(obj, g):
+            return grp.index(obj)
+    return None
 
 
 # -- the covering ----------------------------------------------------------------

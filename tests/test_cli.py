@@ -173,20 +173,30 @@ def test_baseleaf_dpro_sigma(capsys):
 
 
 def test_dpro_at_depth_6(capsys):
-    # the metric path reads the 3,996 objects of the depth-6 system and
-    # never their bonds; the commutator abAB first leaves an index-3 object
+    # the commutator abAB first leaves an index-3 subgroup, so the metric
+    # path lists no subgroup of index above 3 and builds no system
     code, out = cli(capsys, "dpro", "F", "2", "ab", "ba", "--depth", "6")
     assert code == 0 and out.startswith("exp(-2) = 0.1353352832")
 
 
 def test_dpro_at_depth_7(capsys):
-    # the depth-7 system, in about a second
+    # depth 7: the same index-3 subgroup decides it
     code, out = cli(capsys, "dpro", "F", "2", "ab", "ba", "--depth", "7")
     assert code == 0 and out.startswith("exp(-2) = 0.1353352832")
 
 
+def test_metric_verbs_past_the_depth_n_listing(capsys):
+    # the F_3 depth-6 listing is refused by the work guard and the F_2
+    # depth-8 one takes seconds; the least separating index, 3, needs
+    # neither
+    for argv in (("dpro", "F", "3", "ab", "ba", "--depth", "6"),
+                 ("sigma", "F", "2", "ab", "ba", "--depth", "8")):
+        code, out = cli(capsys, *argv)
+        assert code == 0 and out == "exp(-2) = 0.1353352832"
+
+
 def test_metric_verbs_at_depth_4(capsys):
-    # the metric path reads the 88 objects of the depth-4 system, not K_4
+    # the metric path reads subgroups of index <= 4, not K_4
     code, out = cli(capsys, "dpro", "F", "2", "ab", "ba", "--depth", "4")
     assert code == 0 and out.startswith("exp(-2)")
     code, out = cli(capsys, "sigma", "F", "2", "ab", "ba", "--depth", "4")
@@ -230,8 +240,8 @@ def test_qi_bounded_factor(capsys):
 def test_a_negative_radius_is_refused_before_any_work(capsys):
     # every verb that takes a radius, on F_2 and Z^2: exit 1 with one error
     # line (factor runs on the rose, which refuses Z^2 first), and radius 0
-    # still runs; the one check is the family's ball_size, which the F_k
-    # ball reads too
+    # still runs; the one check is the family's ball_size, which the ball
+    # of either family reads too
     for tag, comm in (("F", "comm F 2; a -> b; b -> a"), ("Z", "comm Z 2 : 1/1 0/1 ; 0/1 1/1")):
         for verb in (["qi", comm], ["bounded", comm, comm], ["factor", comm]):
             off_rose = verb[0] == "factor" and tag == "Z"
@@ -242,11 +252,10 @@ def test_a_negative_radius_is_refused_before_any_work(capsys):
             assert main([*verb, "--radius", "0"]) == int(off_rose)
             capsys.readouterr()
         grp = group(tag, 2)
-        with pytest.raises(PreconditionError, match="^radius must be >= 0$"):
-            grp.ball_size(-1)
+        for refused in (grp.ball_size, grp.ball):
+            with pytest.raises(PreconditionError, match="^radius must be >= 0$"):
+                refused(-1)
         assert grp.ball_size(0) == len(grp.ball(0)) == 1
-    with pytest.raises(PreconditionError, match="^radius must be >= 0$"):
-        group("F", 2).ball(-1)
 
 
 def test_fixpoint_and_baction(capsys):

@@ -10,7 +10,6 @@ from fractions import Fraction
 from commsol import catalog, lattices, stallings
 from commsol.commensurations import (
     compose,
-    equivalent,
     evaluate,
     identity_comm,
     preimage_subgroup,

@@ -26,7 +26,6 @@ from commsol.commensurations import (
 from commsol.errors import InfiniteIndexError, PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity as word_identity
 from commsol.geometry import (
-    BaseleafMap,
     QIEstimate,
     ball_distances,
     baseleaf_map,

@@ -400,10 +400,9 @@ def test_the_family_test_finds_a_coset_label_told_apart_by_type(tmp_path):
 
 
 # the function-local imports that close an import cycle: groups is imported
-# by commensurations and prosystems, which these two steps call
+# by commensurations, which this step calls
 _CYCLE_IMPORTS = {
     ("groups.py", "Zn.on_rose", "commensurations"),
-    ("groups.py", "Fk.separating_index", "prosystems"),
 }
 
 
@@ -584,3 +583,45 @@ def test_the_redefinition_test_finds_a_planted_copy(tmp_path):
         "    pass\n"
     )
     assert _redefined(oracles, [module]) == [("test_words.py", "random_word")]
+
+
+# -- every import of a test module is read ----------------------------------------
+
+
+def _unread_imports(path):
+    """(line, name) of each name a module's source imports and never reads,
+    in line order: `import a.b` binds a, and a read is a load of the bare
+    name, which an attribute read, a call and a decorator all start with."""
+    tree = ast.parse(path.read_text())
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in (a.asname or a.name.split(".")[0] for a in node.names)
+        if name not in read
+    )
+
+
+def test_no_test_module_imports_a_name_it_never_reads():
+    tests = Path(__file__).parent
+    found = {p.name: u for p in sorted(tests.glob("test_*.py")) if (u := _unread_imports(p))}
+    assert found == {}
+
+
+def test_the_unread_import_test_finds_a_planted_import(tmp_path):
+    # an unread dotted module, an unread alias and a name only stored over;
+    # names read through a decorator, a default, an attribute and a call pass
+    source = tmp_path / "test_words.py"
+    source.write_text(
+        "import os.path\n"
+        "import pytest\n"
+        "from commsol import groups, stallings as st\n"
+        "from commsol.freewords import Word, parse_word\n"
+        "from oracles import ORACLE\n"
+        "@ORACLE\n"
+        "def test_words(k=pytest.approx):\n"
+        "    parse_word = groups.group('F', 2)\n"
+        "    return Word(2, 'a')\n"
+    )
+    assert _unread_imports(source) == [(1, "os"), (3, "st"), (4, "parse_word")]

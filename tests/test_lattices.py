@@ -10,7 +10,6 @@ from commsol import ratmat
 from commsol.errors import InfiniteIndexError, ParseError, PreconditionError, ResourceLimitError
 from commsol.groups import group
 from commsol.lattices import (
-    Lattice,
     contains,
     enumerate_lattices,
     format_lattice,

@@ -9,7 +9,6 @@ from commsol import catalog, commensurations, groups, lattices, prosystems, stal
 from commsol.commensurations import (
     compose,
     equivalent,
-    evaluate,
     identity_comm,
     inner,
     make_zn,

@@ -45,7 +45,13 @@ from commsol.solenoid import (
     sigma,
 )
 
-from oracles import SETTINGS, covering_by_tree_words, label_order_cases, path_by_products
+from oracles import (
+    SETTINGS,
+    covering_by_tree_words,
+    label_order_cases,
+    path_by_products,
+    separating_index_by_full_scan,
+)
 
 
 W = lambda s: Word(2, s)
@@ -913,6 +919,41 @@ def test_zn_d_pro_needs_no_scan_up_to_the_depth():
     assert d_pro("Z", 2, (5, 7), (5, 7), 10**9).is_zero
     assert d_pro("Z", 2, (0, 0), (2520, -2520), 10**9) == MetricValue.exp(10)
     assert time.perf_counter() - t0 < 0.5
+
+
+@METRIC_ORACLE
+@given(st.data())
+def test_separating_index_matches_the_full_scan_on_fk(data):
+    k = data.draw(st.integers(1, 3))
+    depth = data.draw(st.integers(1, 5 if k < 3 else 4))
+    grp = groups.group("F", k)
+    g = Word(k, data.draw(st.text(grp.letters, max_size=8)))
+    # a 6th power acts trivially on 3 or fewer cosets, so every subgroup of
+    # index <= 3 contains it
+    for w in (grp.identity, g, g ** data.draw(st.sampled_from([2, 6]))):
+        assert grp.separating_index(w, depth) == separating_index_by_full_scan(grp, w, depth)
+
+
+def test_separating_index_lists_no_level_past_the_least_index(monkeypatch):
+    asked = []
+    listing = stallings.enumerate_subgroups
+
+    def recorded(k, max_index):
+        asked.append(max_index)
+        return listing(k, max_index)
+
+    monkeypatch.setattr(stallings, "enumerate_subgroups", recorded)
+    f2 = groups.group("F", 2)
+    # the identity lies in every subgroup: nothing is listed
+    assert f2.separating_index(f2.identity, 8) is None and asked == []
+    # the commutator lies in every subgroup of index 2 and not in one of 3
+    assert f2.separating_index(W("abAB"), 8) == 3
+    assert max(asked) == 3
+    for k in (1, 2, 3):
+        grp = groups.group("F", k)
+        for w in (grp.identity, Word(k, "a")):
+            with pytest.raises(PreconditionError, match="^depth must be >= 1$"):
+                grp.separating_index(w, 0)
 
 
 @METRIC_ORACLE

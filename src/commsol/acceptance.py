@@ -14,11 +14,10 @@ import time
 from fractions import Fraction
 from itertools import permutations, product
 
-from . import catalog, lattices, ratmat, stallings
+from . import catalog, groups, lattices, ratmat, stallings
 from . import commensurations as comm_mod
 from . import geometry, prosystems, solenoid
 from .freewords import Word, identity as word_identity
-from .groups import group
 
 
 class CriterionResult:
@@ -207,7 +206,7 @@ def criterion_6():
             "Z", 1, g, h, 5
         ):
             return False, "Z right-invariance failed"
-    words = group("F", 2).ball(6)
+    words = groups.group("F", 2).ball(6)
     for _ in range(250):
         g, h, w = rng.choice(words), rng.choice(words), rng.choice(words)
         dgh = float(solenoid.d_pro("F", 2, g, h, 2))
@@ -359,7 +358,7 @@ def criterion_10():
 
 
 def criterion_11():
-    elements = group("F", 2).ball(4)[1:]
+    elements = groups.group("F", 2).ball(4)[1:]
     for g in elements:
         p = geometry.fixed_point(g)
         iterate = g**30

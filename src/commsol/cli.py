@@ -15,12 +15,11 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from . import acceptance, lattices, prosystems, solenoid, stallings
+from . import acceptance, groups, lattices, prosystems, solenoid, stallings
 from . import commensurations as comm_mod
 from . import geometry
 from .errors import CommsolError, ParseError, PreconditionError
 from .freewords import _LOWER, Alphabet, inline, parse_int, parse_word
-from .groups import group, of_subgroup
 
 
 def _read_arg(text: str) -> str:
@@ -35,7 +34,7 @@ def _parse_subgroup_arg(text: str):
     body = _read_arg(text)
     parse = lattices.parse_lattice if body.lstrip().startswith("Z") else stallings.parse_subgroup
     sub = parse(body)
-    return of_subgroup(sub), sub
+    return groups.of_subgroup(sub), sub
 
 
 def _parse_comm_arg(text: str):
@@ -142,7 +141,7 @@ def run(argv) -> int:
     out = []
     verb = args.verb
 
-    grp = group(args.tag, args.rank) if "tag" in args else None
+    grp = groups.group(args.tag, args.rank) if "tag" in args else None
     if verb == "parse":
         out.append(grp.format_element(grp.parse_element(args.element)))
     elif verb == "index":

@@ -17,6 +17,13 @@ isomorphism by construction, so compose and restriction store no codomain
 unless they know it: it is generated from the images (a fold on F_k, an
 HNF on Z^n), and the rule checked, on the first read of `codomain`.
 
+restriction_onto is the one place where a map is pulled back onto a
+subgroup of its codomain: compose restricts psi onto its meet with phi's
+domain there, as zeta does onto each object.  Three steps are memoized,
+images_on, restriction_onto and compose; their keys are maps compared by
+value and their results are values, so a hit for an equal but distinct
+map is the answer its own call would give.
+
 equivalent() decides equality in the commensurator group: since both
 group families have the unique root property, two partial automorphisms
 represent the same class exactly when they agree on the full intersection
@@ -185,55 +192,32 @@ def evaluate(comm: Commensuration, elem):
     return comm.group.evaluate(comm.domain, comm.images, elem)
 
 
+@lru_cache(maxsize=4096)
 def images_on(comm: Commensuration, sub) -> tuple:
     """comm's images of the basis of `sub`, a subgroup of the domain: the
-    stored images when `sub` is the domain.
-
-    A walk is memoized by value, so a hit may come from an equal but
-    distinct map; its result shares that map's stored images, so for any
-    map whose images are not the stored owner's, each image equal to one
-    of its own is replaced by that one, as its own walk would share."""
+    stored images when `sub` is the domain, else one covering walk per map
+    and subgroup, which check_strict asks again after restriction_onto."""
     if sub == comm.domain:
         return comm.images
-    owner, result = _images_on(comm, sub)
-    if owner is not comm.images:
-        own = {x: x for x in comm.images}
-        return tuple([own.get(x, x) for x in result])
-    return result
-
-
-@lru_cache(maxsize=4096)
-def _images_on(comm: Commensuration, sub):
-    """(comm.images, the images of basis(sub)): one covering walk per map
-    and subgroup, which check_strict asks again after restriction_onto."""
-    return comm.images, comm.group.images_on(comm.domain, comm.images, sub)
-
-
-@lru_cache(maxsize=4096)
-def preimage_subgroup(comm: Commensuration, sub):
-    """The subgroup comm^-1(sub) of the domain, for sub a finite-index
-    subgroup of the codomain: the domain itself when sub is the codomain."""
-    if sub == comm.codomain:
-        return comm.domain
-    return comm.group.preimage(comm.domain, comm.images, sub)
+    return comm.group.images_on(comm.domain, comm.images, sub)
 
 
 @lru_cache(maxsize=4096)
 def compose(phi: Commensuration, psi: Commensuration) -> Commensuration:
-    """[phi] o [psi]: apply psi first, restricted to where the composite is
-    defined, psi^-1(meet) for meet = image(psi) ∩ domain(phi).
+    """[phi] o [psi]: psi restricted onto meet = image(psi) ∩ domain(phi),
+    whose domain psi^-1(meet) is the composite's, and its images evaluated
+    through phi.
 
-    psi maps that preimage onto the meet, so when the meet is all of phi's
-    domain the composite's image is phi's codomain; otherwise it is
-    generated from the images when first read."""
+    When the meet is all of phi's domain the composite's image is phi's
+    codomain; otherwise it is generated from the images when first read."""
     grp = phi.group
     if psi.group != grp:
         raise PreconditionError("cannot compose commensurations of different groups")
     meet = grp.intersect(psi.codomain, phi.domain)
-    dom = preimage_subgroup(psi, meet)
-    images = grp.evaluate_all(phi.domain, phi.images, images_on(psi, dom))
+    onto = restriction_onto(psi, meet)
+    images = grp.evaluate_all(phi.domain, phi.images, onto.images)
     codomain = phi.codomain if meet == phi.domain else None
-    return Commensuration(grp, dom, codomain, images)
+    return Commensuration(grp, onto.domain, codomain, images)
 
 
 def invert(comm: Commensuration) -> Commensuration:
@@ -264,7 +248,7 @@ def restriction_onto(comm: Commensuration, target) -> Commensuration:
     if target == comm.codomain:
         return comm
     grp = comm.group
-    src = preimage_subgroup(comm, target)
+    src = grp.preimage(comm.domain, comm.images, target)
     images = images_on(comm, src)
     # Instead of generating the codomain: comm maps H onto K injectively,
     # so [K : comm(src)] = [H : src], and comm(src), inside target once the
@@ -279,7 +263,6 @@ def restriction_onto(comm: Commensuration, target) -> Commensuration:
     return _make(grp, src, images, codomain=target)
 
 
-@lru_cache(maxsize=4096)
 def equivalent(phi: Commensuration, psi: Commensuration) -> bool:
     """Equality in Comm(G): agreement on the intersection of the domains
     (complete for Z^n and F_k by the unique root property)."""

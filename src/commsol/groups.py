@@ -516,12 +516,9 @@ class Fk(_Group):
 
     def evaluate_all(self, domain, images, elems):
         """The images of the elements of `elems`: each one's loop in the
-        domain graph read through one fetch of the edge labels, and a
-        stored image's own Word (the caller's, not the memoized table's)
-        where it spells one, so caches hold no copies."""
+        domain graph read through one fetch of the edge labels."""
         # the memo's key must be hashable, and a caller may pass a list
         labels = self.edge_labels(domain, tuple(images))
-        shared = {w.letters: w for w in images}
         out = []
         for g in elems:
             letters = g.letters
@@ -530,7 +527,7 @@ class Fk(_Group):
                 raise PreconditionError(f"{letters!r} leaves the subgroup graph")
             if end != 0:
                 raise PreconditionError(f"{letters!r} is not in the subgroup")
-            out.append(shared.get(img) or Word(self.rank, img, _reduced=True))
+            out.append(Word(self.rank, img, _reduced=True))
         return tuple(out)
 
     @lru_cache(maxsize=4096)

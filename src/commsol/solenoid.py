@@ -300,20 +300,26 @@ def ball_structure(p: SolenoidPoint, epsilon) -> BallReport:
     profinite coordinate within epsilon, each isometric to the leaf ball
     (the product decomposition, valid for epsilon < injrad/4).  Only the
     sheets in p's coset of K_n, n = _least_depth_below(epsilon, depth),
-    can lie within epsilon, and only they are measured."""
+    can lie within epsilon, and only they are measured.  epsilon is
+    checked before any kernel is built."""
     epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise PreconditionError(f"epsilon {epsilon} must be > 0")
     depth = p.depth
     injrad = INJECTIVITY_RADIUS
-    degenerate = sheet_count(p.tag, p.rank, depth) == 1
+    # [G : K_N] = 1 exactly when N = 1: Z^n and F_k have index-2 subgroups
+    degenerate = depth == 1
     if epsilon >= injrad / 4 and not degenerate:
         raise PreconditionError(
             f"epsilon {epsilon} violates the bound 4*eps < injectivity radius {injrad}"
         )
     # d_pro is exp(-n) or 0, so a sheet within epsilon lies in p's coset of
-    # K_n for the least such n < depth (or n = depth); K_n is normal
+    # K_n for the least such n < depth (or n = depth); K_n is normal.  The
+    # sheets' K_depth is built first, so its guard is the one that refuses
+    sheets = kernel(p.tag, p.rank, depth)
     home = kernel(p.tag, p.rank, _least_depth_below(epsilon, depth))
     comps = []
-    for rep in p.group.coset_reps_within(kernel(p.tag, p.rank, depth), home, p.fiber):
+    for rep in p.group.coset_reps_within(sheets, home, p.fiber):
         dist = d_pro(p.tag, p.rank, p.fiber, rep, depth)
         if float(dist) < float(epsilon):
             comps.append((rep, dist))

@@ -696,9 +696,6 @@ def substitute(expr, images) -> Word:
         if w.rank != rank:
             raise PreconditionError(f"alphabet mismatch: rank {rank} vs {w.rank}")
         out = _join(out, w.letters if s > 0 else w.letters[::-1].swapcase())
-    if len(expr) == 1 and expr[0] > 0:
-        # share the image itself: cached results then hold no copies of it
-        return images[expr[0] - 1]
     return Word(rank, out, _reduced=True)
 
 

@@ -4,6 +4,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -224,6 +225,24 @@ def test_ball_verb(capsys):
     assert code == 0 and "degenerate" in out
     code = main(["ball", "F", "2", "1", "--depth", "2", "--epsilon", "0.4"])
     assert code == 1
+
+
+def test_ball_refuses_a_bad_epsilon_before_any_kernel(capsys):
+    # epsilon <= 0, and epsilon >= injrad/4 at a depth whose kernel K_4 the
+    # work guard would refuse only after seconds: exit 1 with one error line
+    # at once, on either family
+    for tag in ("F", "Z"):
+        for option, message in (
+            ("--epsilon=-1", "epsilon -1 must be > 0"),
+            ("--epsilon=0", "epsilon 0 must be > 0"),
+            ("--epsilon=0.2", "epsilon 1/5 violates the bound"),
+        ):
+            t0 = time.perf_counter()
+            assert main(["ball", tag, "2", "1" if tag == "F" else "1,0", "--depth", "4", option]) == 1
+            assert time.perf_counter() - t0 < 0.5
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith(f"error: {message}")
 
 
 def test_qi_bounded_factor(capsys):

@@ -12,8 +12,8 @@ from commsol.commensurations import (
     compose,
     evaluate,
     identity_comm,
-    preimage_subgroup,
     restriction,
+    restriction_onto,
 )
 from commsol.freewords import Word, identity as word_identity
 from commsol.groups import group
@@ -70,7 +70,7 @@ def test_preimage_subgroup_properties():
     for _ in range(40):
         phi = rng.choice(cat)
         j = intersect(rng.choice(pool), phi.codomain)
-        pre = preimage_subgroup(phi, j)
+        pre = restriction_onto(phi, j).domain
         assert is_subgroup(pre, phi.domain)
         # phi maps the preimage exactly onto j (not just into it)
         assert from_generators([evaluate(phi, b) for b in basis(pre)], 2) == j
@@ -189,7 +189,7 @@ def test_compose_chain_domains_shrink_correctly():
             assert contains(a.domain, evaluate(b, w))
             assert evaluate(ab, w) == evaluate(a, evaluate(b, w))
         # and it is the largest such subgroup: the preimage construction
-        expected = preimage_subgroup(b, intersect(b.codomain, a.domain))
+        expected = restriction_onto(b, intersect(b.codomain, a.domain)).domain
         assert ab.domain == expected
 
 

@@ -28,7 +28,7 @@ from commsol.commensurations import equivalent, identity_comm, make_zn, restrict
 from commsol.errors import CommsolError, PreconditionError, ResourceLimitError
 from commsol.freewords import Word, identity as word_identity
 
-from oracles import SETTINGS, clear_every_cache
+from oracles import SETTINGS, _cache_sites, clear_every_cache
 
 
 def test_equivalent_is_an_equivalence_relation():
@@ -145,7 +145,7 @@ def _calls(phi, psi, sub, other):
         (commensurations.restriction, (phi, sub)),
         (commensurations.restriction_onto, (phi, onto)),
         (prosystems.zeta, (phi, 2)),
-        (commensurations.preimage_subgroup, (phi, onto)),
+        (commensurations.images_on, (phi, sub)),
         (phi.group.intersect, (sub, other)),
         (commensurations.equivalent, (phi, psi)),
     ]
@@ -225,26 +225,6 @@ def test_equal_maps_lift_equally():
     assert lifts == 29
 
 
-def test_equal_maps_keep_their_own_image_words():
-    # the edge-label tables are memoized by value, so a map evaluated
-    # after its equal twin reads the twin's table; evaluate and compose
-    # still hand back each map's own stored Words, whichever came first
-    ident = identity_comm("F", 2)
-    for phi in catalog.f2_catalog().values():
-        twin = _twin(phi)
-        assert twin == phi and not any(a is b for a, b in zip(twin.images, phi.images))
-        for order in ((phi, twin), (twin, phi)):
-            clear_every_cache()
-            for m in order:
-                for b, img in zip(stallings.basis(m.domain), m.images):
-                    assert commensurations.evaluate(m, b) is img
-                # the composite's memo is keyed by value too: empty it alone
-                commensurations.compose.cache_clear()
-                composite = commensurations.compose(m, ident)
-                assert composite == m
-                assert all(a is b for a, b in zip(composite.images, m.images))
-
-
 def _is_cache_decorator(dec):
     target = dec.func if isinstance(dec, ast.Call) else dec
     name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
@@ -284,9 +264,16 @@ def test_every_cache_site_is_a_module_or_class_attribute_with_its_statistics():
             site = vars(owner)[name]
             assert callable(site.cache_clear) and callable(site.cache_info), (path.name, name)
             sites.append(f"{path.stem}.{name}")
-    for site in ("commensurations._images_on", "stallings.cover_vertices",
+    for site in ("commensurations.images_on", "stallings.cover_vertices",
                  "commensurations.compose", "groups.ball"):
         assert site in sites
+
+
+def test_every_cache_is_found_once():
+    # a cached function imported by name into another module would be
+    # found there too, under a second name, and cleared and counted twice
+    sites = _cache_sites()
+    assert len({id(site) for site in sites}) == len(sites)
 
 
 def test_qi_estimate_does_not_depend_on_warm_caches():

@@ -207,10 +207,10 @@ def test_strict_check_names_each_tampering(phi, other):
     for depth in (2, 3):
         zeta(phi, depth)
         zeta(other, depth)
-    hits = commensurations._images_on.cache_info().hits
+    hits = commensurations.images_on.cache_info().hits
     m = zeta(phi, 2)
     SystemMorphism(m.target, m.target, m.components)
-    assert commensurations._images_on.cache_info().hits > hits
+    assert commensurations.images_on.cache_info().hits > hits
     # phi's domain is proper, so the whole group is not inside the top
     # component's source
     nested = list(m.components)
@@ -268,8 +268,7 @@ def test_zeta_components_are_built_without_folding(monkeypatch):
     # preimage is a coset-action search: neither folds a word
     cat = catalog.f2_catalog()
     systems = [build_system("F", 2, depth) for depth in (1, 2, 3)]
-    for cache in (prosystems.zeta, commensurations.restriction_onto,
-                  commensurations.preimage_subgroup):
+    for cache in (prosystems.zeta, commensurations.restriction_onto):
         cache.cache_clear()
     # the catalog's restrictions generate their codomain, by a fold, when
     # it is first read, which zeta_component does: read it before the stub
@@ -291,8 +290,7 @@ def test_zeta_composites_of_whole_group_maps_are_built_without_folding(monkeypat
     cat = catalog.f2_catalog()
     names = ["identity", "swap", "shift", "inner_a", "inner_b", "inner_ab"]
     systems = [build_system("F", 2, depth) for depth in (1, 2, 3)]
-    for cache in (prosystems.zeta, commensurations.compose, commensurations.restriction_onto,
-                  commensurations.preimage_subgroup):
+    for cache in (prosystems.zeta, commensurations.compose, commensurations.restriction_onto):
         cache.cache_clear()
 
     def no_fold(*args, **kwargs):

@@ -666,7 +666,7 @@ def scanned_ball(p, epsilon) -> BallReport:
     return BallReport(rep.depth, rep.epsilon, rep.degenerate, comps, rep.certificate)
 
 
-BALL_EPSILONS = [-1, 0, Fraction(1, 10**9), Fraction(1, 1000), Fraction(1, 100),
+BALL_EPSILONS = [Fraction(1, 10**9), Fraction(1, 1000), Fraction(1, 100),
                  Fraction(1, 20), Fraction(1, 9)]
 
 
@@ -690,6 +690,10 @@ def test_ball_structure_matches_the_per_sheet_scan():
             rep = ball_structure(p, eps)
             assert rep.render() == scanned_ball(p, eps).render(), (p, eps)
             several += rep.count > 1
+        # a ball of radius <= 0 holds nothing: it is refused
+        for eps in (-1, 0):
+            with pytest.raises(PreconditionError, match=f"^epsilon {eps} must be > 0$"):
+                ball_structure(p, eps)
     # Z^2 at depth 4 and eps = 1/20: [K_3 : K_4] = [6Z^2 : 12Z^2] = 4 components
     rep = ball_structure(baseleaf((1, 2), 4), Fraction(1, 20))
     assert rep.count == 4 and several > 0
